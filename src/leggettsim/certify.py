@@ -4,8 +4,10 @@ Given a grid of candidate hidden-vector atoms and target correlations for
 a family of settings pairs, decide whether any nonnegative normalized
 weighting of the atoms satisfies every averaged bound (and optionally the
 marginal constraints). Feasible problems return a witness; infeasible
-problems return a Farkas combination whose recomputation proves, by plain
-arithmetic, that no weighting exists.
+problems return a Farkas combination. verify_certificate recomputes either
+in float64 and charges an a priori bound on every rounding against it, in
+the sums and in the LP entries themselves, so an accepted infeasibility
+certificate proves that no weighting of the given grid exists.
 """
 
 from __future__ import annotations
@@ -231,48 +233,91 @@ def solve(problem: CertificationProblem) -> FeasibilityCertificate:
     return cert
 
 
-def _fsum_dot(row, x) -> float:
-    return math.fsum(float(a) * float(b) for a, b in zip(row, x))
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u): the relative error bound of a
+    float64 sum of n products, in any order and with or without FMA."""
+    nu = n * _UNIT_ROUNDOFF
+    return nu / (1.0 - nu)
+
+
+# A priori bound on |A[i, j] - A_exact[i, j]| for every entry build_problem
+# writes, where A_exact uses the normalized grid vectors and settings in
+# exact arithmetic. Inputs pass sphere.is_unit, so a squared norm is within
+# tau of 1 (the tolerance plus the rounding of that test); a clamped
+# 3-term dot is then off by at most gamma_3 (1 + tau) + tau, since clamping
+# to [-1, 1] only moves it toward the exact value. A row entry
+# |alpha +- beta| adds two such errors and one rounding of a sum of size
+# <= 2. tau uses 2 gamma_3 where (UNIT_NORM_TOL + gamma_3)/(1 - gamma_3)
+# suffices; the surplus covers the rounding of the slack terms built from
+# this constant.
+_NORM_TAU = sphere.UNIT_NORM_TOL + 2.0 * _gamma(3)
+_ENTRY_ERR = 2.0 * (_gamma(3) * (1.0 + _NORM_TAU) + _NORM_TAU) + 2.0 * _UNIT_ROUNDOFF
 
 
 def verify_certificate(problem: CertificationProblem, cert: FeasibilityCertificate) -> bool:
-    """Re-check a certificate with plain summation, trusting no solver state."""
+    """Re-check a certificate from the problem arrays, trusting no solver state.
+
+    Every product is computed in float64 and accepted only after an a
+    priori bound on its rounding is charged against it: Higham's gamma_n
+    times the sum of absolute terms, plus the entry error of the LP rows
+    (_ENTRY_ERR) times the 1-norm of the multipliers or weights.
+
+    An INFEASIBLE certificate is accepted when its multipliers are finite,
+    lam >= 0, and the Farkas gap min_j (lam^T A_ub + mu^T A_eq)_j -
+    (lam^T b_ub + mu^T b_eq) stays positive under that bound, and at least
+    the claimed margin up to FEAS_TOL. It then proves that no weighting of
+    the given float grid meets the rows, in exact arithmetic; it says
+    nothing about distributions off the grid.
+
+    A FEASIBLE certificate is accepted when its weights are finite, none is
+    below -FEAS_TOL, and every row residual and the normalization residual
+    stay within FEAS_TOL after adding the bound.
+    """
     if cert.grid_hash != problem.grid_hash:
         return False
     if cert.status is CertStatus.FEASIBLE:
         w = cert.weights
         if w is None or w.shape != (problem.n_atoms,):
             raise ValueError("witness has wrong dimensions")
-        if np.any(w < -FEAS_TOL):
+        if not np.all(np.isfinite(w)) or np.any(w < -FEAS_TOL):
             return False
-        if abs(math.fsum(map(float, w)) - 1.0) > FEAS_TOL:
-            return False
-        for row, rhs in zip(problem.A_ub, problem.b_ub):
-            if _fsum_dot(row, w) > float(rhs) + FEAS_TOL:
-                return False
-        for row, rhs in zip(problem.A_eq, problem.b_eq):
-            if abs(_fsum_dot(row, w) - float(rhs)) > FEAS_TOL:
-                return False
-        return True
+        # n_atoms terms per dot, plus the rounded right-hand sides 1 +- e,
+        # the subtraction and the evaluation of the bound itself
+        g = _gamma(problem.n_atoms + 3)
+        abs_w = np.abs(w)
+        w_norm = float(np.sum(abs_w))
+        entry = w_norm * _ENTRY_ERR
+        ub = (problem.A_ub @ w - problem.b_ub
+              + g * (np.abs(problem.A_ub) @ abs_w + np.abs(problem.b_ub)) + entry)
+        eq = (np.abs(problem.A_eq @ w - problem.b_eq)
+              + g * (np.abs(problem.A_eq) @ abs_w + np.abs(problem.b_eq)) + entry)
+        total = abs(float(np.sum(w)) - 1.0) + g * (w_norm + 1.0)
+        return bool(np.all(ub <= FEAS_TOL) and np.all(eq <= FEAS_TOL) and total <= FEAS_TOL)
 
     lam, mu = cert.farkas_ub, cert.farkas_eq
     if lam is None or mu is None:
         return False
     if lam.shape != (problem.b_ub.shape[0],) or mu.shape != (problem.b_eq.shape[0],):
         raise ValueError("Farkas vector has wrong dimensions")
-    if np.any(lam < 0.0):
+    if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(mu))) or np.any(lam < 0.0):
         return False
-    combo_min = math.inf
-    for j in range(problem.n_atoms):
-        combo = math.fsum(float(lam[i]) * float(problem.A_ub[i, j]) for i in range(lam.shape[0]))
-        combo += math.fsum(float(mu[i]) * float(problem.A_eq[i, j]) for i in range(mu.shape[0]))
-        combo_min = min(combo_min, combo)
-    value = math.fsum(float(lam[i]) * float(problem.b_ub[i]) for i in range(lam.shape[0]))
-    value += math.fsum(float(mu[i]) * float(problem.b_eq[i]) for i in range(mu.shape[0]))
-    scale = max((abs(float(x)) for x in np.concatenate([lam, mu])), default=0.0)
+    scale = max(float(np.max(lam, initial=0.0)), float(np.max(np.abs(mu), initial=0.0)))
     if scale <= 0.0:
         return False
-    margin = (combo_min - value) / scale
+    abs_mu = np.abs(mu)
+    combo = lam @ problem.A_ub + mu @ problem.A_eq
+    combo_abs = lam @ np.abs(problem.A_ub) + abs_mu @ np.abs(problem.A_eq)
+    value = float(lam @ problem.b_ub + mu @ problem.b_eq)
+    value_abs = float(lam @ np.abs(problem.b_ub) + abs_mu @ np.abs(problem.b_eq))
+    # one term per row, plus one each for joining the two dots, the rounded
+    # right-hand sides 1 +- e, the subtraction and the evaluation of the bound
+    g = _gamma(lam.size + mu.size + 4)
+    entry = float(np.sum(lam) + np.sum(abs_mu)) * _ENTRY_ERR
+    gap = float(np.min(combo - g * combo_abs)) - value - g * value_abs - entry
+    margin = gap / scale
     return margin > 0.0 and margin >= cert.margin - FEAS_TOL
 
 

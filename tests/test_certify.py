@@ -1,9 +1,16 @@
+import dataclasses
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
-from leggettsim import sphere
+from leggettsim import make_rng, sphere
 from leggettsim.bounds import averaged_bounds
 from leggettsim.certify import (
+    FEAS_TOL,
     CertStatus,
     FeasibilityCertificate,
     TargetConstraint,
@@ -40,6 +47,46 @@ def two_atom_infeasible_problem():
         TargetConstraint(settings=SettingsPair(Y, Y), e=-0.5),
     ]
     return build_problem(u, v, constraints)
+
+
+def two_atom_marginal_problem():
+    """The two-atom grid with marginal rows: E(A) = E(B) = 0 under both
+    settings pairs forces w_0 = w_1 = 0, conflicting with sum w = 1."""
+    u = np.array([X, Y])
+    v = np.array([X, Y])
+    constraints = [
+        TargetConstraint(settings=SettingsPair(X, X), e=0.0, ma=0.0, mb=0.0),
+        TargetConstraint(settings=SettingsPair(Y, Y), e=0.0, ma=0.0, mb=0.0),
+    ]
+    return build_problem(u, v, constraints, include_marginals=True)
+
+
+def exact_dot(row, x) -> Fraction:
+    return sum((Fraction(float(a)) * Fraction(float(b)) for a, b in zip(row, x)), Fraction(0))
+
+
+def exact_farkas_gap(problem, lam, mu) -> Fraction:
+    """min_j (lam^T A_ub + mu^T A_eq)_j - (lam^T b_ub + mu^T b_eq), exactly,
+    from the stored floats."""
+    combo = [
+        exact_dot(lam, problem.A_ub[:, j]) + exact_dot(mu, problem.A_eq[:, j])
+        for j in range(problem.n_atoms)
+    ]
+    return min(combo) - exact_dot(lam, problem.b_ub) - exact_dot(mu, problem.b_eq)
+
+
+def exact_witness_ok(problem, w) -> bool:
+    """Every residual of the witness within FEAS_TOL, exactly, from the stored floats."""
+    tol = Fraction(FEAS_TOL)
+    ones = np.ones(problem.n_atoms)
+    return (
+        all(Fraction(float(x)) >= -tol for x in w)
+        and abs(exact_dot(ones, w) - 1) <= tol
+        and all(exact_dot(row, w) - Fraction(float(r)) <= tol
+                for row, r in zip(problem.A_ub, problem.b_ub))
+        and all(abs(exact_dot(row, w) - Fraction(float(r))) <= tol
+                for row, r in zip(problem.A_eq, problem.b_eq))
+    )
 
 
 class TestBuildProblem:
@@ -195,6 +242,89 @@ class TestVerifyCertificate:
             margin=cert.margin,
         )
         assert not verify_certificate(p, other)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["weights", "farkas_ub", "farkas_eq"])
+    def test_non_finite_entry_rejected(self, field, bad):
+        if field == "weights":
+            u, v = build_atom_grid(4, 4)
+            p = build_problem(u, v, [TargetConstraint(settings=SettingsPair(X, Y), e=0.0)])
+        else:
+            p = two_atom_marginal_problem()
+        cert = solve(p)
+        values = np.array(getattr(cert, field))
+        values[0] = bad
+        tampered = dataclasses.replace(cert, **{field: values})
+        round_tripped = FeasibilityCertificate.from_dict(json.loads(json.dumps(tampered.to_dict())))
+        assert not verify_certificate(p, tampered)
+        assert not verify_certificate(p, round_tripped)
+
+    @pytest.mark.parametrize("gap, accepted", [(2.0**-52, False), (1e-9, True)])
+    def test_gap_below_rounding_bound_rejected(self, gap, accepted):
+        # lam = (1, 0, 1, 0) gives combo (2, 2) against value b_0 + b_2; raising
+        # b_0 leaves an exact gap of about `gap`, which must clear the a
+        # priori rounding bound (about 1e-11 here) to count as a proof
+        p = two_atom_infeasible_problem()
+        b_ub = np.array(p.b_ub)
+        b_ub[0] = 1.5 - gap
+        nudged = dataclasses.replace(p, b_ub=b_ub)
+        lam = np.array([1.0, 0.0, 1.0, 0.0])
+        mu = np.empty(0)
+        assert exact_farkas_gap(nudged, lam, mu) > 0
+        cert = FeasibilityCertificate(
+            status=CertStatus.INFEASIBLE, grid_hash=p.grid_hash, farkas_ub=lam, farkas_eq=mu
+        )
+        assert verify_certificate(nudged, cert) is accepted
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(
+        n_u=st.integers(1, 5),
+        n_v=st.integers(1, 5),
+        n_mirrored=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+        targets=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
+        marginals=st.booleans(),
+        from_model=st.booleans(),
+        slack=st.floats(-1e-10, 1e-10),
+    )
+    def test_accepted_certificates_hold_exactly(
+        self, n_u, n_v, n_mirrored, seed, targets, marginals, from_model, slack
+    ):
+        rng = make_rng(seed, 0)
+        u, v = build_atom_grid(n_u, n_v, n_mirrored)
+        w_model = rng.random(u.shape[0])
+        w_model /= w_model.sum()
+        model = LeggettModel(SubensembleDistribution(u, v, w_model), Coupling.INDEPENDENT)
+        constraints = []
+        for e in targets:
+            s = SettingsPair(*sphere.random_unit_vectors(rng, 2))
+            ma = float(w_model @ sphere.dots(u, s.a))
+            mb = float(w_model @ sphere.dots(v, s.b))
+            if from_model:
+                e = exact_model_correlation(model, s)
+            constraints.append(TargetConstraint(settings=s, e=e, ma=ma, mb=mb))
+        p = build_problem(u, v, constraints, include_marginals=marginals)
+        cert = solve(p)
+        assert verify_certificate(p, cert)
+        # move one right-hand side so the certificate sits `slack` away from
+        # the edge of validity, where only the rounding bound decides
+        b_ub = np.array(p.b_ub)
+        if cert.status is CertStatus.INFEASIBLE:
+            lam, mu = cert.farkas_ub, cert.farkas_eq
+            i = int(np.argmax(lam))
+            gap = float(np.min(lam @ p.A_ub + mu @ p.A_eq)) - float(lam @ p.b_ub + mu @ p.b_eq)
+            b_ub[i] += (gap - slack) / lam[i]
+        else:
+            b_ub[0] = float(p.A_ub[0] @ cert.weights) - FEAS_TOL + slack
+        edge = dataclasses.replace(p, b_ub=b_ub)
+        edge_cert = dataclasses.replace(cert, margin=0.0)
+        for problem, certificate in ((p, cert), (edge, edge_cert)):
+            if not verify_certificate(problem, certificate):
+                continue
+            if cert.status is CertStatus.INFEASIBLE:
+                assert exact_farkas_gap(problem, cert.farkas_ub, cert.farkas_eq) > 0
+            else:
+                assert exact_witness_ok(problem, cert.weights)
 
     def test_dimension_mismatch_raises(self):
         p = two_atom_infeasible_problem()
