@@ -43,8 +43,13 @@ class TargetConstraint:
     mb: float | None = None
 
     def __post_init__(self):
-        if abs(self.e) > 1.0:
+        # written so that NaN fails too
+        if not abs(self.e) <= 1.0:
             raise ValueError("target correlation must lie in [-1, 1]")
+        for name in ("ma", "mb"):
+            value = getattr(self, name)
+            if value is not None and not abs(value) <= 1.0:
+                raise ValueError(f"target marginal {name} must lie in [-1, 1]")
 
 
 @dataclass(frozen=True)

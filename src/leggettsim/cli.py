@@ -175,7 +175,6 @@ def cmd_simulate(args) -> int:
             _fmt(b.lower), _fmt(b.upper), _fmt(verdict.margin),
             "satisfied" if verdict.satisfied else "violated",
         ])
-    rows.sort(key=lambda r: int(r[0]))
     csv_text = "\n".join([",".join(CSV_COLUMNS)] + [",".join(r) for r in rows]) + "\n"
     if output:
         Path(output).write_text(csv_text, encoding="utf-8", newline="\n")

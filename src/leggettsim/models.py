@@ -90,6 +90,8 @@ class SubensembleDistribution:
             raise ValueError("atom arrays must have shapes (m, 3), (m, 3), (m,)")
         if w.shape[0] == 0:
             raise ValueError("distribution needs at least one atom")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("atom weights must be finite")
         if np.any(w < 0):
             raise ValueError("atom weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
@@ -98,6 +100,8 @@ class SubensembleDistribution:
             raise ValueError("hidden vectors must be unit vectors")
         keep = w > 0.0
         u, v, w = u[keep], v[keep], w[keep]
+        if w.shape[0] == 0:
+            raise ValueError("distribution needs at least one atom of positive weight")
         for arr in (u, v, w):
             arr.setflags(write=False)
         object.__setattr__(self, "u", u)

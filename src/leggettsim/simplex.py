@@ -1,10 +1,18 @@
-"""Dense phase-1 simplex for feasibility of {x >= 0, A_ub x <= b_ub, A_eq x = b_eq}.
+"""Phase-1 simplex for feasibility of {x >= 0, A_ub x <= b_ub, A_eq x = b_eq}.
 
 Minimizes the sum of artificial variables with a fixed pivoting rule
 (most-negative reduced cost, lowest column index on ties; lowest row
-index on ratio-test ties), so results are bit-stable across runs. On
-infeasibility the optimal simplex multipliers provide a Farkas-style
-dual vector for the original row orientation.
+index on ratio-test ties; Bland's rule after a pivot budget), so results
+are bit-stable across runs. On infeasibility the optimal simplex
+multipliers provide a Farkas-style dual vector for the original row
+orientation.
+
+The solver works in revised form. The column matrix [A | slacks | I] is
+built once; the state is the inverse of the basis columns (m x m, m the
+number of rows), the basic values and the reduced costs. A pivot forms
+the entering column as binv @ cols[:, j] and updates the reduced costs
+with one product of the new pivot row of binv against the columns,
+instead of rewriting an m x (columns) tableau.
 """
 
 from __future__ import annotations
@@ -28,6 +36,8 @@ class Phase1Result:
     x: np.ndarray  # primal point (meaningful when feasible)
     y: np.ndarray  # simplex multipliers per original row (meaningful when infeasible)
     objective: float  # optimal sum of artificials
+    iterations: int  # pivots made
+    bland_used: bool  # whether Bland's rule chose any pivot
 
 
 def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase1Result:
@@ -52,20 +62,21 @@ def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase
 
     # columns: n structural | p slacks (inequality rows only) | m artificials
     total = n + p + m
-    T = np.zeros((m, total + 1))
-    T[:, :n] = A
-    for i in range(p):
-        T[i, n + i] = flip[i]  # slack coefficient carries the row flip
-    for i in range(m):
-        T[i, n + p + i] = 1.0
-    T[:, -1] = b
+    cols = np.zeros((m, total))
+    cols[:, :n] = A
+    cols[np.arange(p), n + np.arange(p)] = flip[:p]  # slack coefficient carries the row flip
+    cols[:, n + p :] = np.eye(m)
 
+    # revised form: the tableau is binv @ cols, with binv the inverse of
+    # the basis columns (the tableau's artificial block), and xb its rhs
     basis = np.arange(n + p, n + p + m)
+    binv = np.eye(m)
+    xb = b.copy()
     cost = np.zeros(total)
     cost[n + p :] = 1.0
 
     # reduced costs for basis of artificials: r = c - sum of rows
-    r = cost - T[:, :-1].sum(axis=0)
+    r = cost - cols.sum(axis=0)
 
     if max_iter is None:
         max_iter = 200 * (m + n) + 1000
@@ -82,28 +93,29 @@ def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase
             if candidates.size == 0:
                 break
             j = int(candidates[0])
-        col = T[:, j]
+        col = binv @ cols[:, j]
         rows = np.nonzero(col > PIVOT_TOL)[0]
         if rows.size == 0:
             # phase-1 objective is bounded below by 0; unboundedness signals breakdown
             raise SolverFailure("no admissible pivot row (numerical breakdown)")
-        ratios = T[rows, -1] / col[rows]
+        ratios = xb[rows] / col[rows]
         i = int(rows[np.argmin(ratios)])  # argmin takes the lowest index on ties
-        piv = T[i, j]
-        T[i] /= piv
-        factors = T[:, j].copy()
-        factors[i] = 0.0
-        T -= np.outer(factors, T[i])
-        r -= r[j] * T[i, :-1]
+        piv = col[i]
+        binv[i] /= piv
+        xb[i] /= piv
+        col[i] = 0.0
+        binv -= np.outer(col, binv[i])
+        xb -= col * xb[i]
+        r -= (r[j] * binv[i]) @ cols
         r[j] = 0.0
         basis[i] = j
     else:
         raise SolverFailure("simplex iteration cap exceeded")
 
-    objective = float(cost[basis] @ T[:, -1])
+    objective = float(cost[basis] @ xb)
 
     x = np.zeros(total)
-    x[basis] = T[:, -1]
+    x[basis] = xb
 
     # multipliers: artificial column i has reduced cost 1 - y_i in the
     # flipped orientation; undo the flips for the original rows
@@ -115,4 +127,6 @@ def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase
         x=x[:n].copy(),
         y=y,
         objective=objective,
+        iterations=it,
+        bland_used=it > bland_after,
     )

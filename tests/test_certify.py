@@ -111,6 +111,13 @@ class TestBuildProblem:
         with pytest.raises(ValueError):
             TargetConstraint(settings=SettingsPair(X, Y), e=1.5)
 
+    @pytest.mark.parametrize("field", ["e", "ma", "mb"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1.5])
+    def test_non_finite_target_rejected(self, field, bad):
+        values = {"e": 0.0, "ma": 0.0, "mb": 0.0, field: bad}
+        with pytest.raises(ValueError):
+            TargetConstraint(settings=SettingsPair(X, Y), **values)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             build_problem(np.empty((0, 3)), np.empty((0, 3)), [])

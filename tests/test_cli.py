@@ -113,6 +113,18 @@ class TestSimulate:
         })
         assert main(["simulate", "--config", config]) == EXIT_CONFIG
 
+    def test_nan_model_weights_rejected(self, tmp_path):
+        # json writes and reads NaN; the model must not load as 0 or 1 atoms
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps({"atoms": [{"u": [1, 0, 0], "v": [0, 1, 0], "w": 0.5},
+                                             {"u": [0, 1, 0], "v": [1, 0, 0], "w": float("nan")}],
+                                   "coupling": "independent"}))
+        config = write_config(tmp_path, {
+            "model": {"file": str(bad)},
+            "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}],
+        })
+        assert main(["simulate", "--config", config]) == EXIT_CONFIG
+
 
 class TestChsh:
     def test_singlet_standard_scenario(self, tmp_path):
@@ -183,6 +195,17 @@ class TestCertify:
         assert report["status"] == "infeasible"
         assert report["margin"] > 0.0
         assert report["verified"] is True
+
+    @pytest.mark.parametrize("key", ["e", "ma", "mb"])
+    def test_nan_target_rejected(self, tmp_path, key):
+        target = {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0], "e": 0.0, "ma": 0.0, "mb": 0.0}
+        target[key] = float("nan")
+        config = write_config(tmp_path, {
+            "targets": [target],
+            "grid": {"n_u": 4, "n_v": 4},
+            "include_marginals": True,
+        })
+        assert main(["certify", "--config", config]) == EXIT_CONFIG
 
     def test_missing_targets(self, tmp_path):
         config = write_config(tmp_path, {"grid": {"n_u": 4, "n_v": 4}})

@@ -55,6 +55,16 @@ class TestSubensembleDistribution:
         with pytest.raises(ValueError):
             SubensembleDistribution(np.array([X, Y]), np.array([X, Y]), [1.5, -0.5])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SubensembleDistribution(np.array([X, Y]), np.array([X, Y]), [0.5, bad])
+
+    def test_nan_weights_rejected_on_load(self):
+        data = {"atoms": [{"u": list(X), "v": list(Y), "w": float("nan")}], "coupling": "independent"}
+        with pytest.raises(ValueError):
+            LeggettModel.from_dict(data)
+
     def test_zero_weight_atoms_pruned(self):
         d = SubensembleDistribution(np.array([X, Y]), np.array([X, Y]), [1.0, 0.0])
         assert d.n_atoms == 1

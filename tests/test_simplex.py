@@ -1,0 +1,128 @@
+"""Direct tests of the phase-1 simplex: every result is checked against its
+own proof, a feasible point row by row and an infeasible one as a Farkas
+combination in exact rational arithmetic."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
+
+from leggettsim.certify import build_atom_grid, build_problem
+from leggettsim.optimize import settings_family
+from leggettsim.simplex import FEAS_TOL, SolverFailure, phase1_simplex
+
+
+def exact_sum(coeffs, values) -> Fraction:
+    """sum_i coeffs[i] * values[i], exactly, for rational coeffs and float values."""
+    return sum((c * Fraction(float(v)) for c, v in zip(coeffs, values)), Fraction(0))
+
+
+def exact_feasible(A_ub, b_ub, A_eq, b_eq, x) -> bool:
+    """x >= 0 and every row holds within FEAS_TOL, exactly, from the floats."""
+    tol = Fraction(FEAS_TOL)
+    xf = [Fraction(float(v)) for v in x]
+    return (
+        all(v >= -tol for v in xf)
+        and all(exact_sum(xf, a) - Fraction(float(bi)) <= tol for a, bi in zip(A_ub, b_ub))
+        and all(abs(exact_sum(xf, a) - Fraction(float(bi))) <= tol for a, bi in zip(A_eq, b_eq))
+    )
+
+
+def exact_farkas_gap(A_ub, b_ub, A_eq, b_eq, y) -> Fraction:
+    """Exact infeasibility gap of the solver's multipliers y on an LP whose
+    last equality row is sum(x) = 1.
+
+    With g = -y, lam = max(g_ub, 0) and mu = g_eq without the normalization
+    row, every x >= 0 with sum(x) = 1 meeting the other rows has
+    min_j (lam^T A_ub + mu^T A_eq)_j <= (lam^T A_ub + mu^T A_eq) x
+    <= lam^T b_ub + mu^T b_eq. A positive gap between the two sides
+    therefore proves that no such x exists."""
+    p = len(b_ub)
+    g = [Fraction(-float(v)) for v in y[:-1]]
+    g = [max(v, Fraction(0)) for v in g[:p]] + g[p:]
+    rows = np.vstack([A_ub, A_eq[:-1]])
+    rhs = np.concatenate([b_ub, b_eq[:-1]])
+    return min(exact_sum(g, column) for column in rows.T) - exact_sum(g, rhs)
+
+
+def normalized(A_ub, b_ub, A_eq, b_eq):
+    """Append the row sum(x) = 1, which bounds the feasible set."""
+    n = A_ub.shape[1]
+    return A_ub, b_ub, np.vstack([A_eq, np.ones((1, n))]), np.concatenate([b_eq, [1.0]])
+
+
+def check_proof(A_ub, b_ub, A_eq, b_eq):
+    result = phase1_simplex(A_ub, b_ub, A_eq, b_eq)
+    if result.feasible:
+        assert result.objective <= FEAS_TOL
+        assert exact_feasible(A_ub, b_ub, A_eq, b_eq, result.x)
+    else:
+        assert result.objective > FEAS_TOL
+        assert exact_farkas_gap(A_ub, b_ub, A_eq, b_eq, result.y) > 0
+    return result
+
+
+# x1 + x2 = 1, x1 - x2 >= 1/2 written with a negative right-hand side
+FEASIBLE = normalized(np.array([[-1.0, 1.0]]), np.array([-0.5]), np.empty((0, 2)), np.empty(0))
+# the same with x1 - x2 >= 2, beyond what the simplex allows
+INFEASIBLE = normalized(np.array([[-1.0, 1.0]]), np.array([-2.0]), np.empty((0, 2)), np.empty(0))
+
+
+class TestProofs:
+    def test_feasible_point(self):
+        result = check_proof(*FEASIBLE)
+        assert result.feasible
+        assert result.x[0] - result.x[1] >= 0.5 - FEAS_TOL
+
+    def test_infeasible_farkas(self):
+        result = check_proof(*INFEASIBLE)
+        assert not result.feasible
+
+    @hyp_settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 4),
+        st.integers(0, 2),
+        st.integers(1, 5),
+        st.data(),
+    )
+    def test_random_lps_carry_proofs(self, p, q, n, data):
+        entry = st.integers(-3, 3).map(float)
+        A_ub = np.array(data.draw(st.lists(entry, min_size=p * n, max_size=p * n))).reshape(p, n)
+        b_ub = np.array(data.draw(st.lists(entry, min_size=p, max_size=p)))
+        A_eq = np.array(data.draw(st.lists(entry, min_size=q * n, max_size=q * n))).reshape(q, n)
+        b_eq = np.array(data.draw(st.lists(entry, min_size=q, max_size=q)))
+        check_proof(*normalized(A_ub, b_ub, A_eq, b_eq))
+
+
+class TestBoundary:
+    def test_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            phase1_simplex(np.ones((2, 3)), np.ones(2), np.ones((1, 4)), np.ones(1))
+        with pytest.raises(ValueError):
+            phase1_simplex(np.ones((2, 3)), np.ones(3), np.ones((1, 3)), np.ones(1))
+
+    def test_iteration_cap(self):
+        # the artificial basis needs two pivots to leave x1 + x2 = 2, x1 - x2 = 0
+        A_eq, b_eq = np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([2.0, 0.0])
+        none = (np.empty((0, 2)), np.empty(0))
+        assert phase1_simplex(*none, A_eq, b_eq).iterations >= 2
+        with pytest.raises(SolverFailure):
+            phase1_simplex(*none, A_eq, b_eq, max_iter=1)
+
+
+class TestPivotPath:
+    # pivots of the README problem on the two optimizer grids, counted on the
+    # dense-tableau solver this one replaced; a change here means a changed
+    # pivot path, and with it possibly changed pinned margins
+    @pytest.mark.parametrize("grid, pivots", [((24, 24, 64), 26), ((48, 48, 256), 30)])
+    def test_readme_problem_iterations(self, grid, pivots):
+        u, v = build_atom_grid(*grid)
+        constraints = settings_family("orthogonal-doublets").build(np.array([0.94, 3.46, 2.11, 2.34]))
+        problem = build_problem(u, v, constraints)
+        ones = np.ones((1, problem.n_atoms))
+        result = phase1_simplex(problem.A_ub, problem.b_ub, ones, np.ones(1))
+        assert not result.feasible
+        assert result.iterations == pivots
+        assert not result.bland_used
