@@ -8,6 +8,7 @@ every model with Malus-law conditional marginals must satisfy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +70,9 @@ def averaged_bounds(distribution: SubensembleDistribution, settings: SettingsPai
 def check_bounds(value: float, se: float, b: LeggettBounds, k_sigma: float = DEFAULT_K_SIGMA) -> BoundsVerdict:
     """Compare a (possibly noisy) correlation against bounds with a
     k_sigma * se statistical allowance."""
-    if se < 0 or k_sigma < 0:
-        raise ValueError("se and k_sigma must be nonnegative")
+    # written so that NaN fails: every comparison with NaN is False
+    if not (0.0 <= se < math.inf and 0.0 <= k_sigma < math.inf):
+        raise ValueError("se and k_sigma must be finite and nonnegative")
     allowance = k_sigma * se
     satisfied = (b.lower - allowance <= value) and (value <= b.upper + allowance)
     margin = min(value - b.lower, b.upper - value)

@@ -290,7 +290,10 @@ def _targets_from_config(config: dict, seed: int) -> list[certify.TargetConstrai
     if source == "singlet":
         if "family" in spec:
             family = optimize.settings_family(spec["family"])
-            return family.build(np.asarray(spec["params"], dtype=np.float64))
+            params = np.asarray(spec["params"], dtype=np.float64)
+            if params.shape != (family.n_params,):
+                raise ConfigError(f"family {family.name!r} takes {family.n_params} params")
+            return family.build(params)
         settings = _settings_list(spec["settings"], seed)
         out = []
         for s in settings:
@@ -311,13 +314,20 @@ def _targets_from_config(config: dict, seed: int) -> list[certify.TargetConstrai
     raise ConfigError("targets 'from' must be 'singlet' or 'model'")
 
 
+def _include_marginals(config: dict) -> bool:
+    value = config.get("include_marginals", False)
+    if not isinstance(value, bool):
+        raise ConfigError("include_marginals must be true or false")
+    return value
+
+
 def cmd_certify(args) -> int:
     config = _load_config(args.config)
     _check_keys(config, {"grid", "targets", "include_marginals", "seed", "output"})
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     u, v = _grid_from_config(config, args.grid)
     constraints = _targets_from_config(config, seed)
-    include_marginals = bool(config.get("include_marginals", False))
+    include_marginals = _include_marginals(config)
     problem = certify.build_problem(u, v, constraints, include_marginals=include_marginals)
     cert = certify.solve(problem)
     verified = certify.verify_certificate(problem, cert)
@@ -353,7 +363,7 @@ def cmd_optimize(args) -> int:
         grids.append(certify.build_atom_grid(
             int(spec["n_u"]), int(spec["n_v"]), int(spec.get("n_mirrored", 0))
         ))
-    include_marginals = bool(config.get("include_marginals", False))
+    include_marginals = _include_marginals(config)
     result = optimize.optimize_settings(family, grids, budget, seed, include_marginals)
     payload = {
         "tool_version": __version__,

@@ -1,16 +1,9 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Elementwise numpy kernels for sampling and the bound integrals.
 
-Set the environment variable ``LEGGETTSIM_DISABLE_NUMBA=1`` to force the
-numpy path (also taken automatically when numba is not importable). Both
-paths compute the same elementwise transforms and are bitwise-identical;
-aggregation (means, weighted sums) happens in the callers so results do
-not depend on the backend. ``benchmarks/bench_kernels.py`` compares the
-two.
+Aggregation (means, weighted sums) happens in the callers.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -18,99 +11,25 @@ COUPLING_INDEPENDENT = 0
 COUPLING_COMONOTONE = 1
 COUPLING_ANTIMONOTONE = 2
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
 
 def numba_enabled() -> bool:
-    """True when the jitted kernels are selected (checked per call)."""
-    if os.environ.get("LEGGETTSIM_DISABLE_NUMBA", "0") == "1":
-        return False
-    return _HAVE_NUMBA
-
-
-def _outcomes_numpy(pa, pb, u1, u2, coupling):
-    if coupling == COUPLING_INDEPENDENT:
-        a_plus = u1 < pa
-        b_plus = u2 < pb
-    elif coupling == COUPLING_COMONOTONE:
-        # shared uniform realizes the min-coupling
-        a_plus = u1 < pa
-        b_plus = u1 < pb
-    else:
-        a_plus = u1 < pa
-        b_plus = (1.0 - u1) < pb
-    a = np.where(a_plus, 1.0, -1.0)
-    b = np.where(b_plus, 1.0, -1.0)
-    return a, b
-
-
-@njit(cache=True)
-def _outcomes_numba(pa, pb, u1, u2, coupling):  # pragma: no cover - jitted
-    n = pa.shape[0]
-    a = np.empty(n, dtype=np.float64)
-    b = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        if coupling == COUPLING_INDEPENDENT:
-            a_plus = u1[i] < pa[i]
-            b_plus = u2[i] < pb[i]
-        elif coupling == COUPLING_COMONOTONE:
-            a_plus = u1[i] < pa[i]
-            b_plus = u1[i] < pb[i]
-        else:
-            a_plus = u1[i] < pa[i]
-            b_plus = (1.0 - u1[i]) < pb[i]
-        a[i] = 1.0 if a_plus else -1.0
-        b[i] = 1.0 if b_plus else -1.0
-    return a, b
+    """Always False; kept because the provenance line of perfbench/run.py calls it."""
+    return False
 
 
 def draw_outcomes(pa, pb, u1, u2, coupling: int):
-    """Map per-draw marginals (pa, pb) and uniforms to +/-1 outcome arrays.
-
-    The uniforms are consumed identically by both backends, so the draws
-    are reproducible across them.
-    """
-    pa = np.ascontiguousarray(pa, dtype=np.float64)
-    pb = np.ascontiguousarray(pb, dtype=np.float64)
-    u1 = np.ascontiguousarray(u1, dtype=np.float64)
-    u2 = np.ascontiguousarray(u2, dtype=np.float64)
-    if numba_enabled():
-        return _outcomes_numba(pa, pb, u1, u2, coupling)
-    return _outcomes_numpy(pa, pb, u1, u2, coupling)
-
-
-def _abs_sum_diff_numpy(alpha, beta):
-    return np.abs(alpha + beta), np.abs(alpha - beta)
-
-
-@njit(cache=True)
-def _abs_sum_diff_numba(alpha, beta):  # pragma: no cover - jitted
-    n = alpha.shape[0]
-    plus = np.empty(n, dtype=np.float64)
-    minus = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        plus[i] = abs(alpha[i] + beta[i])
-        minus[i] = abs(alpha[i] - beta[i])
-    return plus, minus
+    """Map per-draw marginals (pa, pb) and uniforms to +/-1 outcome arrays."""
+    a_plus = u1 < pa
+    if coupling == COUPLING_INDEPENDENT:
+        b_plus = u2 < pb
+    elif coupling == COUPLING_COMONOTONE:
+        # shared uniform realizes the min-coupling
+        b_plus = u1 < pb
+    else:
+        b_plus = (1.0 - u1) < pb
+    return np.where(a_plus, 1.0, -1.0), np.where(b_plus, 1.0, -1.0)
 
 
 def abs_sum_diff(alpha, beta):
     """Elementwise (|alpha + beta|, |alpha - beta|) for the bound integrals."""
-    alpha = np.ascontiguousarray(alpha, dtype=np.float64)
-    beta = np.ascontiguousarray(beta, dtype=np.float64)
-    if numba_enabled():
-        return _abs_sum_diff_numba(alpha, beta)
-    return _abs_sum_diff_numpy(alpha, beta)
+    return np.abs(alpha + beta), np.abs(alpha - beta)

@@ -118,8 +118,14 @@ def point_mass(u, v) -> SubensembleDistribution:
     return SubensembleDistribution(np.asarray(u)[None, :], np.asarray(v)[None, :], [1.0])
 
 
+def _check_atom_count(n_atoms: int) -> None:
+    if n_atoms < 1:
+        raise ValueError("atom count must be >= 1")
+
+
 def isotropic_product(n_atoms: int, rng: np.random.Generator) -> SubensembleDistribution:
     """u and v independent uniform on the sphere, equal weights."""
+    _check_atom_count(n_atoms)
     u = sphere.random_unit_vectors(rng, n_atoms)
     v = sphere.random_unit_vectors(rng, n_atoms)
     return SubensembleDistribution(u, v, np.full(n_atoms, 1.0 / n_atoms))
@@ -127,12 +133,14 @@ def isotropic_product(n_atoms: int, rng: np.random.Generator) -> SubensembleDist
 
 def mirrored(n_atoms: int, rng: np.random.Generator) -> SubensembleDistribution:
     """v = -u with u uniform on the sphere, equal weights."""
+    _check_atom_count(n_atoms)
     u = sphere.random_unit_vectors(rng, n_atoms)
     return SubensembleDistribution(u, -u, np.full(n_atoms, 1.0 / n_atoms))
 
 
 def mirrored_grid(n_atoms: int) -> SubensembleDistribution:
     """Deterministic mirrored distribution on a Fibonacci lattice."""
+    _check_atom_count(n_atoms)
     u = sphere.sphere_grid(n_atoms)
     return SubensembleDistribution(u, -u, np.full(n_atoms, 1.0 / n_atoms))
 
@@ -183,6 +191,15 @@ def conditional_marginals(u, v, settings: SettingsPair) -> tuple[float, float]:
     return pa, pb
 
 
+def _p_pp(pa, pb, coupling: Coupling):
+    """P(A=1, B=1) under the coupling, for scalar or array marginals."""
+    if coupling is Coupling.INDEPENDENT:
+        return pa * pb
+    if coupling is Coupling.COMONOTONE:
+        return np.minimum(pa, pb)
+    return pa - np.minimum(pa, 1.0 - pb)
+
+
 def joint_conditional_law(pa: float, pb: float, coupling: Coupling) -> np.ndarray:
     """Joint law over outcome pairs, ordered (++, +-, -+, --).
 
@@ -191,12 +208,7 @@ def joint_conditional_law(pa: float, pb: float, coupling: Coupling) -> np.ndarra
     """
     if not (0.0 <= pa <= 1.0 and 0.0 <= pb <= 1.0):
         raise ValueError("marginal probabilities must lie in [0, 1]")
-    if coupling is Coupling.INDEPENDENT:
-        p_pp = pa * pb
-    elif coupling is Coupling.COMONOTONE:
-        p_pp = min(pa, pb)
-    else:
-        p_pp = pa - min(pa, 1.0 - pb)
+    p_pp = _p_pp(pa, pb, coupling)
     p_pm = pa - p_pp
     p_mp = pb - p_pp
     p_mm = 1.0 - pa - pb + p_pp
@@ -214,14 +226,8 @@ def _conditional_correlations(alpha: np.ndarray, beta: np.ndarray, coupling: Cou
     """
     pa = (1.0 + alpha) / 2.0
     pb = (1.0 + beta) / 2.0
-    if coupling is Coupling.INDEPENDENT:
-        p_pp = pa * pb
-    elif coupling is Coupling.COMONOTONE:
-        p_pp = np.minimum(pa, pb)
-    else:
-        p_pp = pa - np.minimum(pa, 1.0 - pb)
     # E(AB) = 4 p_pp - 2 pa - 2 pb + 1
-    return 4.0 * p_pp - 2.0 * pa - 2.0 * pb + 1.0
+    return 4.0 * _p_pp(pa, pb, coupling) - 2.0 * pa - 2.0 * pb + 1.0
 
 
 def exact_model_correlation(model: LeggettModel, settings: SettingsPair) -> float:

@@ -184,6 +184,14 @@ class TestCheckBounds:
         with pytest.raises(ValueError):
             check_bounds(0.0, -0.1, LeggettBounds(-1.0, 1.0))
 
+    @pytest.mark.parametrize("se, k", [
+        (float("nan"), 4.0), (float("inf"), 4.0),
+        (0.1, float("nan")), (0.1, float("inf")), (0.1, -1.0),
+    ])
+    def test_non_finite_se_or_k_sigma_rejected(self, se, k):
+        with pytest.raises(ValueError):
+            check_bounds(0.0, se, LeggettBounds(-1.0, 1.0), k)
+
     @hyp_settings(max_examples=200, deadline=None)
     @given(
         value=st.floats(-1.0, 1.0),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -125,6 +126,42 @@ class TestSimulate:
         })
         assert main(["simulate", "--config", config]) == EXIT_CONFIG
 
+    # sha256 of the CSV at fixed model, settings and seed; any change to a
+    # coupling's joint law or to the sampler's use of the uniforms moves it
+    GOLDEN_CSV_SHA256 = {
+        "independent": "3c995d56f8d1d5c25c9f24d12230312b319000c0a3dda04bab634a6e530174e7",
+        "comonotone": "8f88ddbb5fe73d0757091173d30e6029a4c37b575d4d587d3d6d18410c2b0fe2",
+        "antimonotone": "fe69cdc257df11001182cea17be23f434ebe69d0918920a47467ac9cc405436e",
+    }
+
+    @pytest.mark.parametrize("coupling", sorted(GOLDEN_CSV_SHA256))
+    def test_golden_csv(self, tmp_path, coupling):
+        config = write_config(tmp_path, {
+            "model": {"generator": "isotropic", "atoms": 1000, "coupling": coupling},
+            "settings": {"random": 4},
+        })
+        out = tmp_path / "rows.csv"
+        assert main(["simulate", "--config", config, "--seed", "7",
+                     "--samples", "20000", "--output", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_CSV_SHA256[coupling]
+
+    def test_nan_k_sigma_rejected(self, tmp_path):
+        settings = [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}]
+        config = write_config(tmp_path, {"model": POINT_MASS_MODEL, "settings": settings})
+        assert main(["simulate", "--config", config, "--samples", "100",
+                     "--k-sigma", "nan"]) == EXIT_CONFIG
+        config = write_config(tmp_path, {"model": POINT_MASS_MODEL, "settings": settings,
+                                         "k_sigma": float("nan")})
+        assert main(["simulate", "--config", config, "--samples", "100"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("generator", ["isotropic", "mirrored"])
+    def test_zero_atoms_rejected(self, tmp_path, generator):
+        config = write_config(tmp_path, {
+            "model": {"generator": generator, "atoms": 0},
+            "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}],
+        })
+        assert main(["simulate", "--config", config, "--samples", "100"]) == EXIT_CONFIG
+
 
 class TestChsh:
     def test_singlet_standard_scenario(self, tmp_path):
@@ -206,6 +243,24 @@ class TestCertify:
             "include_marginals": True,
         })
         assert main(["certify", "--config", config]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("params", [[0.94], [0.94, 3.46, 2.11, 2.34, 1.0]])
+    def test_wrong_params_length_rejected(self, tmp_path, params):
+        config = write_config(tmp_path, {
+            "targets": {"from": "singlet", "family": "orthogonal-doublets", "params": params},
+            "grid": {"n_u": 4, "n_v": 4},
+        })
+        assert main(["certify", "--config", config]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, config", [
+        ("certify", {"targets": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0],
+                                  "e": 0.0, "ma": 0.0, "mb": 0.0}],
+                     "grid": {"n_u": 4, "n_v": 4}}),
+        ("optimize", {"budget": 1}),
+    ])
+    def test_include_marginals_must_be_boolean(self, tmp_path, command, config):
+        path = write_config(tmp_path, {**config, "include_marginals": "false"})
+        assert main([command, "--config", path]) == EXIT_CONFIG
 
     def test_missing_targets(self, tmp_path):
         config = write_config(tmp_path, {"grid": {"n_u": 4, "n_v": 4}})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from leggettsim import kernels, sphere
+from leggettsim import kernels
 
 
 @pytest.fixture
@@ -12,41 +12,6 @@ def draw_inputs(rng):
     u1 = rng.random(n)
     u2 = rng.random(n)
     return pa, pb, u1, u2
-
-
-class TestBackendSelection:
-    def test_env_flag_disables_numba(self, monkeypatch):
-        monkeypatch.setenv("LEGGETTSIM_DISABLE_NUMBA", "1")
-        assert not kernels.numba_enabled()
-
-    def test_default_uses_numba_when_available(self, monkeypatch):
-        monkeypatch.delenv("LEGGETTSIM_DISABLE_NUMBA", raising=False)
-        assert kernels.numba_enabled() == kernels._HAVE_NUMBA
-
-
-class TestBackendEquivalence:
-    @pytest.mark.parametrize("coupling", [0, 1, 2])
-    def test_outcomes_bitwise_identical(self, monkeypatch, draw_inputs, coupling):
-        if not kernels._HAVE_NUMBA:
-            pytest.skip("numba not installed")
-        monkeypatch.delenv("LEGGETTSIM_DISABLE_NUMBA", raising=False)
-        a1, b1 = kernels.draw_outcomes(*draw_inputs, coupling)
-        monkeypatch.setenv("LEGGETTSIM_DISABLE_NUMBA", "1")
-        a2, b2 = kernels.draw_outcomes(*draw_inputs, coupling)
-        assert np.array_equal(a1, a2)
-        assert np.array_equal(b1, b2)
-
-    def test_abs_sum_diff_bitwise_identical(self, monkeypatch, rng):
-        if not kernels._HAVE_NUMBA:
-            pytest.skip("numba not installed")
-        alpha = rng.uniform(-1, 1, 3000)
-        beta = rng.uniform(-1, 1, 3000)
-        monkeypatch.delenv("LEGGETTSIM_DISABLE_NUMBA", raising=False)
-        p1, m1 = kernels.abs_sum_diff(alpha, beta)
-        monkeypatch.setenv("LEGGETTSIM_DISABLE_NUMBA", "1")
-        p2, m2 = kernels.abs_sum_diff(alpha, beta)
-        assert np.array_equal(p1, p2)
-        assert np.array_equal(m1, m2)
 
 
 class TestKernelSemantics:

@@ -18,6 +18,7 @@ from leggettsim.models import (
     isotropic_product,
     joint_conditional_law,
     mirrored,
+    mirrored_grid,
     point_mass,
     sample_outcome_arrays,
     sample_outcomes,
@@ -73,6 +74,15 @@ class TestSubensembleDistribution:
         d = isotropic_product(10, rng)
         with pytest.raises(ValueError):
             d.w[0] = 0.5
+
+    @pytest.mark.parametrize("make", [
+        lambda n: isotropic_product(n, np.random.default_rng(0)),
+        lambda n: mirrored(n, np.random.default_rng(0)),
+        mirrored_grid,
+    ], ids=["isotropic", "mirrored", "mirrored_grid"])
+    def test_generators_reject_zero_atoms(self, make):
+        with pytest.raises(ValueError):
+            make(0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
