@@ -57,6 +57,22 @@ def _check_keys(config: dict, allowed: set[str]) -> None:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
 
+def _integer(value, name: str) -> int:
+    """A count or seed read from JSON: an integer, or a float with no fractional part.
+
+    Booleans, fractional numbers and strings are rejected rather than truncated.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _seed(args, config: dict) -> int:
+    return args.seed if args.seed is not None else _integer(config.get("seed", 0), "seed")
+
+
 def _config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -92,9 +108,9 @@ def _build_model(spec, seed: int) -> LeggettModel:
     if generator == "point-mass":
         dist = models.point_mass(sphere.normalize(spec["u"]), sphere.normalize(spec["v"]))
     elif generator == "isotropic":
-        dist = models.isotropic_product(int(spec.get("atoms", 1000)), sphere.make_rng(seed, 1))
+        dist = models.isotropic_product(_integer(spec.get("atoms", 1000), "atoms"), sphere.make_rng(seed, 1))
     elif generator == "mirrored":
-        dist = models.mirrored(int(spec.get("atoms", 1000)), sphere.make_rng(seed, 1))
+        dist = models.mirrored(_integer(spec.get("atoms", 1000), "atoms"), sphere.make_rng(seed, 1))
     else:
         raise ConfigError(f"unknown model generator: {generator!r}")
     return LeggettModel(dist, coupling)
@@ -103,7 +119,7 @@ def _build_model(spec, seed: int) -> LeggettModel:
 def _settings_list(spec, seed: int) -> list[SettingsPair]:
     if isinstance(spec, dict):
         _check_keys(spec, {"random"})
-        count = int(spec["random"])
+        count = _integer(spec["random"], "random")
         if count < 1:
             raise ConfigError("random settings count must be >= 1")
         rng = sphere.make_rng(seed, 2)
@@ -148,8 +164,8 @@ CSV_COLUMNS = [
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     _check_keys(config, {"model", "settings", "samples", "seed", "k_sigma", "output"})
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    n = args.samples if args.samples is not None else int(config.get("samples", 10000))
+    seed = _seed(args, config)
+    n = args.samples if args.samples is not None else _integer(config.get("samples", 10000), "samples")
     if n < 1:
         raise ConfigError("samples must be >= 1")
     k_sigma = args.k_sigma if args.k_sigma is not None else float(config.get("k_sigma", 4.0))
@@ -210,7 +226,7 @@ def _scenario_from_config(config: dict) -> quantum.ChshScenario:
 def cmd_chsh(args) -> int:
     config = _load_config(args.config)
     _check_keys(config, {"scenario", "model", "seed", "output"})
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = _seed(args, config)
     scenario = _scenario_from_config(config)
     s_singlet = quantum.chsh_value(scenario, quantum.singlet_correlation)
     payload = {
@@ -232,7 +248,7 @@ def cmd_chsh(args) -> int:
 def cmd_bounds(args) -> int:
     config = _load_config(args.config)
     _check_keys(config, {"model", "settings", "seed", "output"})
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = _seed(args, config)
     if "model" not in config or "settings" not in config:
         raise ConfigError("bounds config requires 'model' and 'settings'")
     model = _build_model(config["model"], seed)
@@ -258,16 +274,21 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def _grid_from_spec(spec: dict) -> tuple[np.ndarray, np.ndarray]:
+    _check_keys(spec, {"n_u", "n_v", "n_mirrored"})
+    return certify.build_atom_grid(
+        _integer(spec["n_u"], "n_u"), _integer(spec["n_v"], "n_v"),
+        _integer(spec.get("n_mirrored", 0), "n_mirrored"),
+    )
+
+
 def _grid_from_config(config: dict, grid_flag: int | None) -> tuple[np.ndarray, np.ndarray]:
     spec = config.get("grid")
     if spec is None:
         n = grid_flag if grid_flag is not None else 500
         side = int(np.ceil(np.sqrt(max(1, n))))
         return certify.build_atom_grid(side, side, n_mirrored=side * 2)
-    _check_keys(spec, {"n_u", "n_v", "n_mirrored"})
-    return certify.build_atom_grid(
-        int(spec["n_u"]), int(spec["n_v"]), int(spec.get("n_mirrored", 0))
-    )
+    return _grid_from_spec(spec)
 
 
 def _targets_from_config(config: dict, seed: int) -> list[certify.TargetConstraint]:
@@ -324,7 +345,7 @@ def _include_marginals(config: dict) -> bool:
 def cmd_certify(args) -> int:
     config = _load_config(args.config)
     _check_keys(config, {"grid", "targets", "include_marginals", "seed", "output"})
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = _seed(args, config)
     u, v = _grid_from_config(config, args.grid)
     constraints = _targets_from_config(config, seed)
     include_marginals = _include_marginals(config)
@@ -350,19 +371,14 @@ def cmd_certify(args) -> int:
 def cmd_optimize(args) -> int:
     config = _load_config(args.config)
     _check_keys(config, {"family", "budget", "grids", "include_marginals", "seed", "output"})
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = _seed(args, config)
     family = optimize.settings_family(config.get("family", "orthogonal-doublets"))
-    budget = int(config.get("budget", 300))
+    budget = _integer(config.get("budget", 300), "budget")
     if budget < 1:
         raise ConfigError("budget must be >= 1")
     grid_specs = config.get("grids", [{"n_u": 22, "n_v": 22, "n_mirrored": 64},
                                       {"n_u": 44, "n_v": 44, "n_mirrored": 256}])
-    grids = []
-    for spec in grid_specs:
-        _check_keys(spec, {"n_u", "n_v", "n_mirrored"})
-        grids.append(certify.build_atom_grid(
-            int(spec["n_u"]), int(spec["n_v"]), int(spec.get("n_mirrored", 0))
-        ))
+    grids = [_grid_from_spec(spec) for spec in grid_specs]
     include_marginals = _include_marginals(config)
     result = optimize.optimize_settings(family, grids, budget, seed, include_marginals)
     payload = {

@@ -283,3 +283,55 @@ class TestOptimize:
     def test_bad_budget(self, tmp_path):
         config = write_config(tmp_path, {"budget": 0})
         assert main(["optimize", "--config", config]) == EXIT_CONFIG
+
+
+class TestIntegerFields:
+    """Counts and seeds in a config must be JSON integers (or floats with no
+    fractional part); anything else exits 2 instead of being truncated."""
+
+    SIMULATE = {"model": {"generator": "isotropic", "atoms": 10},
+                "settings": {"random": 2}, "samples": 100}
+    CERTIFY = {"targets": {"from": "singlet",
+                           "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}]},
+               "grid": {"n_u": 4, "n_v": 4, "n_mirrored": 4}}
+    OPTIMIZE = {"budget": 1, "grids": [{"n_u": 4, "n_v": 4, "n_mirrored": 4}]}
+    FIELDS = [
+        ("simulate", SIMULATE, ("seed",)),
+        ("simulate", SIMULATE, ("samples",)),
+        ("simulate", SIMULATE, ("model", "atoms")),
+        ("simulate", {**SIMULATE, "model": {"generator": "mirrored", "atoms": 10}}, ("model", "atoms")),
+        ("simulate", SIMULATE, ("settings", "random")),
+        ("bounds", {"model": SIMULATE["model"], "settings": SIMULATE["settings"]}, ("seed",)),
+        ("certify", CERTIFY, ("grid", "n_u")),
+        ("certify", CERTIFY, ("grid", "n_v")),
+        ("certify", CERTIFY, ("grid", "n_mirrored")),
+        ("optimize", OPTIMIZE, ("budget",)),
+        ("optimize", OPTIMIZE, ("grids", 0, "n_u")),
+        ("optimize", OPTIMIZE, ("grids", 0, "n_mirrored")),
+    ]
+
+    @staticmethod
+    def _with(config, path, value):
+        config = json.loads(json.dumps(config))
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return config
+
+    @pytest.mark.parametrize("bad", [2.9, True, "3"], ids=["fraction", "bool", "string"])
+    @pytest.mark.parametrize("command, config, path", FIELDS,
+                             ids=[f"{c}-{'.'.join(map(str, p))}" for c, _, p in FIELDS])
+    def test_rejected(self, tmp_path, command, config, path, bad):
+        path_arg = write_config(tmp_path, self._with(config, path, bad))
+        assert main([command, "--config", path_arg]) == EXIT_CONFIG
+
+    def test_integral_float_accepted(self, tmp_path):
+        csvs = []
+        for atoms, samples in ((10, 100), (10.0, 1e2)):
+            config = write_config(tmp_path, {**self.SIMULATE, "model": {"generator": "isotropic", "atoms": atoms},
+                                             "samples": samples})
+            out = tmp_path / f"rows-{atoms}.csv"
+            assert main(["simulate", "--config", config, "--seed", "3", "--output", str(out)]) == EXIT_OK
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from leggettsim import sphere
 from leggettsim.models import (
+    SORTED_SEARCH_MIN_ATOMS,
     Coupling,
     LeggettModel,
     OutcomePair,
@@ -19,10 +20,12 @@ from leggettsim.models import (
     joint_conditional_law,
     mirrored,
     mirrored_grid,
+    outcome_law,
     point_mass,
     sample_outcome_arrays,
     sample_outcomes,
 )
+from leggettsim.models import _atom_indices
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -156,13 +159,13 @@ class TestSampling:
 
     def test_point_mass_antialigned(self, rng):
         model = LeggettModel(point_mass(-X, Y), Coupling.INDEPENDENT)
-        a, _ = sample_outcome_arrays(model, SettingsPair(X, Y), 200, rng)
+        a, _ = sample_outcome_arrays(outcome_law(model, SettingsPair(X, Y)), 200, rng)
         assert np.all(a == -1.0)
 
     def test_isotropic_mean_near_zero(self):
         model = LeggettModel(isotropic_product(1000, sphere.make_rng(11, 0)), Coupling.INDEPENDENT)
         s = SettingsPair(X, Y)
-        a, _ = sample_outcome_arrays(model, s, 100_000, sphere.make_rng(11, 1))
+        a, _ = sample_outcome_arrays(outcome_law(model, s), 100_000, sphere.make_rng(11, 1))
         exact_a, _ = exact_model_marginals(model, s)
         se = 1.0 / np.sqrt(100_000)
         assert abs(a.mean() - exact_a) <= 4 * se
@@ -170,7 +173,46 @@ class TestSampling:
     def test_invalid_count(self, rng):
         model = LeggettModel(point_mass(X, Y), Coupling.INDEPENDENT)
         with pytest.raises(ValueError):
-            sample_outcome_arrays(model, SettingsPair(X, Y), 0, rng)
+            sample_outcome_arrays(outcome_law(model, SettingsPair(X, Y)), 0, rng)
+
+
+def _weights(shape: str, m: int, rng: np.random.Generator) -> np.ndarray:
+    if shape == "one":
+        return np.array([1.0])
+    if shape == "equal":
+        w = np.ones(m)
+    elif shape == "heavy":
+        w = rng.pareto(0.5, m) + 1e-3
+    else:
+        # one dominant atom among many that barely move the cumulative sum,
+        # so the CDF holds runs of equal entries
+        w = rng.random(m) * 1e-16
+        w[rng.integers(m)] += 1.0
+    return w / w.sum()
+
+
+class TestAtomIndices:
+    """The sorted-key search must pick exactly the atoms searchsorted picks."""
+
+    @pytest.mark.parametrize("atoms", [(2, SORTED_SEARCH_MIN_ATOMS),
+                                       (SORTED_SEARCH_MIN_ATOMS + 1, 8 * SORTED_SEARCH_MIN_ATOMS)])
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(data=st.data(), shape=st.sampled_from(["one", "equal", "heavy", "tiny"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_searchsorted(self, atoms, data, shape, seed):
+        rng = np.random.default_rng(seed)
+        m = data.draw(st.integers(*atoms))
+        cdf = np.cumsum(_weights(shape, m, rng))
+        cdf[-1] = 1.0
+        # keys lie in [0, 1), as the generator draws them: each CDF entry and
+        # its neighbouring floats, the ends of the range, and uniform filler
+        edges = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+                                [0.0, np.nextafter(1.0, 0.0)], rng.random(4 * m)])
+        keys = rng.permutation(edges[edges < 1.0])
+        want = np.searchsorted(cdf, keys, side="right")
+        got = _atom_indices(cdf, keys)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 class TestExactCorrelation:

@@ -11,7 +11,7 @@ from leggettsim.models import (
     mirrored_grid,
     point_mass,
 )
-from leggettsim.montecarlo import CorrelationEstimate, estimate_correlation, estimate_marginals
+from leggettsim.montecarlo import BLOCK_SIZE, CorrelationEstimate, estimate_correlation, estimate_marginals
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -103,3 +103,48 @@ class TestEstimateMarginals:
         model = LeggettModel(point_mass(u, Z), Coupling.INDEPENDENT)
         est_a, _ = estimate_marginals(model, SettingsPair(X, Z), 100_000, seed=5)
         assert abs(est_a.mean - 0.6) <= 4 * est_a.se
+
+
+class TestMultiBlock:
+    """Estimates over three blocks, the last one partial, pinned exactly."""
+
+    N = 2 * BLOCK_SIZE + 17
+    SETTINGS = SettingsPair(sphere.unit_vector(1.0, 2.0, 2.0), sphere.unit_vector(-2.0, 1.0, 0.5))
+    # (atoms, coupling) -> integer sums of AB, A and B over the N draws,
+    # taken from the sampler that rebuilt the law and searched unsorted keys
+    # in every block
+    GOLDEN_SUMS = {
+        (1, "independent"): (-3689, -24165, 18489),
+        (1, "comonotone"): (88655, -24165, 18269),
+        (1, "antimonotone"): (-126297, -24165, 19373),
+        (3, "independent"): (-18565, 7407, 8021),
+        (3, "comonotone"): (25997, 7407, 7631),
+        (3, "antimonotone"): (-71287, 7407, 8295),
+        (2000, "independent"): (-491, 1253, 573),
+        (2000, "comonotone"): (43423, 1253, 355),
+        (2000, "antimonotone"): (-43713, 1253, 631),
+    }
+
+    @pytest.mark.parametrize("atoms, coupling", sorted(GOLDEN_SUMS))
+    def test_golden(self, atoms, coupling):
+        model = LeggettModel(isotropic_product(atoms, sphere.make_rng(31, atoms)), Coupling(coupling))
+        sum_ab, sum_a, sum_b = self.GOLDEN_SUMS[atoms, coupling]
+        est = estimate_correlation(model, self.SETTINGS, self.N, seed=2026, stream_id=5)
+        est_a, est_b = estimate_marginals(model, self.SETTINGS, self.N, seed=2026, stream_id=5)
+        assert est == CorrelationEstimate.from_mean(sum_ab / self.N, self.N)
+        assert est_a == CorrelationEstimate.from_mean(sum_a / self.N, self.N)
+        assert est_b == CorrelationEstimate.from_mean(sum_b / self.N, self.N)
+
+    def test_law_built_once_per_estimate(self, monkeypatch):
+        # one sphere.dots call per side for the whole estimate, not per block
+        calls = []
+        dots = sphere.dots
+
+        def counting_dots(vecs, ref):
+            calls.append(1)
+            return dots(vecs, ref)
+
+        monkeypatch.setattr(sphere, "dots", counting_dots)
+        model = LeggettModel(isotropic_product(100, sphere.make_rng(3, 0)), Coupling.INDEPENDENT)
+        estimate_correlation(model, self.SETTINGS, 3 * BLOCK_SIZE, seed=1)
+        assert len(calls) == 2
