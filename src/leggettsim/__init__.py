@@ -30,6 +30,7 @@ from .bounds import (
 )
 from .montecarlo import CorrelationEstimate, estimate_correlation, estimate_marginals
 from .certify import (
+    AtomGrid,
     CertificationProblem,
     FeasibilityCertificate,
     SolverFailure,
@@ -42,6 +43,7 @@ from .certify import (
 from .optimize import optimize_settings, settings_family
 
 __all__ = [
+    "AtomGrid",
     "BoundsVerdict",
     "CertificationProblem",
     "ChshScenario",

@@ -3,11 +3,14 @@
 Given a grid of candidate hidden-vector atoms and target correlations for
 a family of settings pairs, decide whether any nonnegative normalized
 weighting of the atoms satisfies every averaged bound (and optionally the
-marginal constraints). Feasible problems return a witness; infeasible
-problems return a Farkas combination. verify_certificate recomputes either
-in float64 and charges an a priori bound on every rounding against it, in
-the sums and in the LP entries themselves, so an accepted infeasibility
-certificate proves that no weighting of the given grid exists.
+marginal constraints). An AtomGrid is checked for unit norms and hashed
+once, when it is built; build_problem then only computes the LP rows, so
+a search that solves many problems on one grid pays for neither again.
+Feasible problems return a witness; infeasible problems return a Farkas
+combination. verify_certificate recomputes either in float64 and charges
+an a priori bound on every rounding against it, in the sums and in the
+LP entries themselves, so an accepted infeasibility certificate proves
+that no weighting of the given grid exists.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -52,21 +55,62 @@ class TargetConstraint:
                 raise ValueError(f"target marginal {name} must lie in [-1, 1]")
 
 
-@dataclass(frozen=True)
-class CertificationProblem:
+def grid_hash(u: np.ndarray, v: np.ndarray) -> str:
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(u, dtype=np.float64).tobytes())
+    h.update(np.ascontiguousarray(v, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+@dataclass(frozen=True, eq=False)
+class AtomGrid:
+    """Candidate hidden-vector atoms (u_i, v_i), checked and hashed once.
+
+    Holds read-only float64 copies of the two (m, 3) arrays, so neither
+    the vectors nor grid_hash can change after the unit-norm check.
+    """
+
     u: np.ndarray  # (m, 3) candidate hidden vectors for Alice's side
     v: np.ndarray  # (m, 3) candidate hidden vectors for Bob's side
+    grid_hash: str = field(init=False)
+
+    def __post_init__(self):
+        u = np.array(self.u, dtype=np.float64, order="C")
+        v = np.array(self.v, dtype=np.float64, order="C")
+        if u.ndim != 2 or u.shape != v.shape or u.shape[1] != 3:
+            raise ValueError("atom grids must be matching (m, 3) arrays")
+        if u.shape[0] == 0:
+            raise ValueError("atom grid must be non-empty")
+        if not (sphere.is_unit(u) and sphere.is_unit(v)):
+            raise ValueError("grid atoms must be unit vectors")
+        u.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "grid_hash", grid_hash(u, v))
+
+    @property
+    def n_atoms(self) -> int:
+        return self.u.shape[0]
+
+
+@dataclass(frozen=True)
+class CertificationProblem:
+    grid: AtomGrid
     constraints: tuple[TargetConstraint, ...]
     include_marginals: bool
     A_ub: np.ndarray
     b_ub: np.ndarray
     A_eq: np.ndarray  # marginal equality rows only (possibly empty)
     b_eq: np.ndarray
-    grid_hash: str
+
+    @property
+    def grid_hash(self) -> str:
+        return self.grid.grid_hash
 
     @property
     def n_atoms(self) -> int:
-        return self.u.shape[0]
+        return self.grid.n_atoms
 
 
 @dataclass(frozen=True)
@@ -107,14 +151,7 @@ class FeasibilityCertificate:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def grid_hash(u: np.ndarray, v: np.ndarray) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(u, dtype=np.float64).tobytes())
-    h.update(np.ascontiguousarray(v, dtype=np.float64).tobytes())
-    return h.hexdigest()
-
-
-def build_atom_grid(n_u: int, n_v: int, n_mirrored: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def build_atom_grid(n_u: int, n_v: int, n_mirrored: int = 0) -> AtomGrid:
     """Candidate atoms: the product of two Fibonacci lattices, plus an
     optional mirrored sub-grid (v = -u) covering anticorrelated models."""
     if n_u < 1 or n_v < 1:
@@ -127,27 +164,23 @@ def build_atom_grid(n_u: int, n_v: int, n_mirrored: int = 0) -> tuple[np.ndarray
         gm = sphere.sphere_grid(n_mirrored)
         u = np.vstack([u, gm])
         v = np.vstack([v, -gm])
-    return u, v
+    return AtomGrid(u, v)
 
 
 def build_problem(
-    u, v, constraints, include_marginals: bool = False
+    grid: AtomGrid, constraints, include_marginals: bool = False
 ) -> CertificationProblem:
     """Assemble the LP rows: per settings pair j, the averaged bounds become
 
         sum_i w_i |u_i.a_j + v_i.b_j| <= 1 + E_j
         sum_i w_i |u_i.a_j - v_i.b_j| <= 1 - E_j
 
-    plus, when requested, equality rows pinning the marginal means."""
-    u = np.atleast_2d(np.asarray(u, dtype=np.float64))
-    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+    plus, when requested, equality rows pinning the marginal means. The
+    grid was checked when it was built, so only the rows are computed."""
     constraints = tuple(constraints)
-    if u.shape[0] == 0 or len(constraints) == 0:
-        raise ValueError("grid and constraint list must be non-empty")
-    if u.shape != v.shape or u.shape[1] != 3:
-        raise ValueError("atom grids must be matching (m, 3) arrays")
-    if not (sphere.is_unit(u) and sphere.is_unit(v)):
-        raise ValueError("grid atoms must be unit vectors")
+    if len(constraints) == 0:
+        raise ValueError("constraint list must be non-empty")
+    u, v = grid.u, grid.v
 
     rows_ub, rhs_ub, rows_eq, rhs_eq = [], [], [], []
     for c in constraints:
@@ -166,17 +199,14 @@ def build_problem(
             rows_eq.append(beta)
             rhs_eq.append(c.mb)
 
-    m = u.shape[0]
     return CertificationProblem(
-        u=u,
-        v=v,
+        grid=grid,
         constraints=constraints,
         include_marginals=include_marginals,
         A_ub=np.asarray(rows_ub),
         b_ub=np.asarray(rhs_ub),
-        A_eq=np.asarray(rows_eq) if rows_eq else np.empty((0, m)),
+        A_eq=np.asarray(rows_eq) if rows_eq else np.empty((0, grid.n_atoms)),
         b_eq=np.asarray(rhs_eq),
-        grid_hash=grid_hash(u, v),
     )
 
 
@@ -250,10 +280,11 @@ def _gamma(n: int) -> float:
 
 # A priori bound on |A[i, j] - A_exact[i, j]| for every entry build_problem
 # writes, where A_exact uses the normalized grid vectors and settings in
-# exact arithmetic. Inputs pass sphere.is_unit, so a squared norm is within
-# tau of 1 (the tolerance plus the rounding of that test); a clamped
-# 3-term dot is then off by at most gamma_3 (1 + tau) + tau, since clamping
-# to [-1, 1] only moves it toward the exact value. A row entry
+# exact arithmetic. Grid atoms (AtomGrid) and settings (SettingsPair) pass
+# sphere.is_unit, so a squared norm is within tau of 1 (the tolerance plus
+# the rounding of that test); a clamped 3-term dot is then off by at most
+# gamma_3 (1 + tau) + tau, since clamping to [-1, 1] only moves it toward
+# the exact value. A row entry
 # |alpha +- beta| adds two such errors and one rounding of a sum of size
 # <= 2. tau uses 2 gamma_3 where (UNIT_NORM_TOL + gamma_3)/(1 - gamma_3)
 # suffices; the surplus covers the rounding of the slack terms built from
@@ -332,40 +363,5 @@ def witness_distribution(problem: CertificationProblem, cert: FeasibilityCertifi
         raise ValueError("only feasible certificates carry a witness")
     w = cert.weights / math.fsum(map(float, cert.weights))
     keep = w > 0.0
-    return SubensembleDistribution(problem.u[keep], problem.v[keep], w[keep])
+    return SubensembleDistribution(problem.grid.u[keep], problem.grid.v[keep], w[keep])
 
-
-def problem_to_dict(problem: CertificationProblem) -> dict:
-    return {
-        "u": [list(map(float, row)) for row in problem.u],
-        "v": [list(map(float, row)) for row in problem.v],
-        "include_marginals": problem.include_marginals,
-        "constraints": [
-            {
-                "a": list(map(float, c.settings.a)),
-                "b": list(map(float, c.settings.b)),
-                "e": c.e,
-                "ma": c.ma,
-                "mb": c.mb,
-            }
-            for c in problem.constraints
-        ],
-    }
-
-
-def problem_from_dict(data: dict) -> CertificationProblem:
-    constraints = [
-        TargetConstraint(
-            settings=SettingsPair(np.asarray(c["a"]), np.asarray(c["b"])),
-            e=float(c["e"]),
-            ma=None if c.get("ma") is None else float(c["ma"]),
-            mb=None if c.get("mb") is None else float(c["mb"]),
-        )
-        for c in data["constraints"]
-    ]
-    return build_problem(
-        np.asarray(data["u"], dtype=np.float64),
-        np.asarray(data["v"], dtype=np.float64),
-        constraints,
-        include_marginals=bool(data["include_marginals"]),
-    )

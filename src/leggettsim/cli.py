@@ -69,6 +69,26 @@ def _integer(value, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(value, name: str) -> float:
+    """A real number read from JSON: an integer or a float.
+
+    Booleans and strings are rejected rather than converted.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def _direction(value, name: str) -> np.ndarray:
+    """A direction read from JSON: a list of three numbers, normalized."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"{name} must be a list of three numbers, got {value!r}")
+    return sphere.normalize([_real(x, name) for x in value])
+
+
 def _seed(args, config: dict) -> int:
     return args.seed if args.seed is not None else _integer(config.get("seed", 0), "seed")
 
@@ -106,7 +126,7 @@ def _build_model(spec, seed: int) -> LeggettModel:
     coupling = Coupling(spec.get("coupling", "independent"))
     generator = spec.get("generator")
     if generator == "point-mass":
-        dist = models.point_mass(sphere.normalize(spec["u"]), sphere.normalize(spec["v"]))
+        dist = models.point_mass(_direction(spec["u"], "u"), _direction(spec["v"], "v"))
     elif generator == "isotropic":
         dist = models.isotropic_product(_integer(spec.get("atoms", 1000), "atoms"), sphere.make_rng(seed, 1))
     elif generator == "mirrored":
@@ -131,7 +151,7 @@ def _settings_list(spec, seed: int) -> list[SettingsPair]:
     out = []
     for item in spec:
         _check_keys(item, {"a", "b"})
-        out.append(SettingsPair(sphere.normalize(item["a"]), sphere.normalize(item["b"])))
+        out.append(SettingsPair(_direction(item["a"], "a"), _direction(item["b"], "b")))
     return out
 
 
@@ -168,7 +188,7 @@ def cmd_simulate(args) -> int:
     n = args.samples if args.samples is not None else _integer(config.get("samples", 10000), "samples")
     if n < 1:
         raise ConfigError("samples must be >= 1")
-    k_sigma = args.k_sigma if args.k_sigma is not None else float(config.get("k_sigma", 4.0))
+    k_sigma = args.k_sigma if args.k_sigma is not None else _real(config.get("k_sigma", 4.0), "k_sigma")
     output = args.output or config.get("output")
     if "model" not in config or "settings" not in config:
         raise ConfigError("simulate config requires 'model' and 'settings'")
@@ -216,11 +236,9 @@ def _scenario_from_config(config: dict) -> quantum.ChshScenario:
     spec = config.get("scenario")
     if spec is None:
         return quantum.standard_planar_scenario()
-    _check_keys(spec, {"a", "a_prime", "b", "b_prime"})
-    return quantum.ChshScenario(
-        sphere.normalize(spec["a"]), sphere.normalize(spec["a_prime"]),
-        sphere.normalize(spec["b"]), sphere.normalize(spec["b_prime"]),
-    )
+    names = ("a", "a_prime", "b", "b_prime")
+    _check_keys(spec, set(names))
+    return quantum.ChshScenario(*(_direction(spec[name], name) for name in names))
 
 
 def cmd_chsh(args) -> int:
@@ -274,7 +292,7 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _grid_from_spec(spec: dict) -> tuple[np.ndarray, np.ndarray]:
+def _grid_from_spec(spec: dict) -> certify.AtomGrid:
     _check_keys(spec, {"n_u", "n_v", "n_mirrored"})
     return certify.build_atom_grid(
         _integer(spec["n_u"], "n_u"), _integer(spec["n_v"], "n_v"),
@@ -282,7 +300,7 @@ def _grid_from_spec(spec: dict) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _grid_from_config(config: dict, grid_flag: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _grid_from_config(config: dict, grid_flag: int | None) -> certify.AtomGrid:
     spec = config.get("grid")
     if spec is None:
         n = grid_flag if grid_flag is not None else 500
@@ -300,10 +318,10 @@ def _targets_from_config(config: dict, seed: int) -> list[certify.TargetConstrai
         for item in spec:
             _check_keys(item, {"a", "b", "e", "ma", "mb"})
             out.append(certify.TargetConstraint(
-                settings=SettingsPair(sphere.normalize(item["a"]), sphere.normalize(item["b"])),
-                e=float(item["e"]),
-                ma=None if item.get("ma") is None else float(item["ma"]),
-                mb=None if item.get("mb") is None else float(item["mb"]),
+                settings=SettingsPair(_direction(item["a"], "a"), _direction(item["b"], "b")),
+                e=_real(item["e"], "e"),
+                ma=None if item.get("ma") is None else _real(item["ma"], "ma"),
+                mb=None if item.get("mb") is None else _real(item["mb"], "mb"),
             ))
         return out
     _check_keys(spec, {"from", "model", "settings", "family", "params"})
@@ -311,9 +329,10 @@ def _targets_from_config(config: dict, seed: int) -> list[certify.TargetConstrai
     if source == "singlet":
         if "family" in spec:
             family = optimize.settings_family(spec["family"])
-            params = np.asarray(spec["params"], dtype=np.float64)
-            if params.shape != (family.n_params,):
+            params = spec["params"]
+            if not isinstance(params, list) or len(params) != family.n_params:
                 raise ConfigError(f"family {family.name!r} takes {family.n_params} params")
+            params = np.array([_real(x, "params") for x in params])
             return family.build(params)
         settings = _settings_list(spec["settings"], seed)
         out = []
@@ -346,10 +365,10 @@ def cmd_certify(args) -> int:
     config = _load_config(args.config)
     _check_keys(config, {"grid", "targets", "include_marginals", "seed", "output"})
     seed = _seed(args, config)
-    u, v = _grid_from_config(config, args.grid)
+    grid = _grid_from_config(config, args.grid)
     constraints = _targets_from_config(config, seed)
     include_marginals = _include_marginals(config)
-    problem = certify.build_problem(u, v, constraints, include_marginals=include_marginals)
+    problem = certify.build_problem(grid, constraints, include_marginals=include_marginals)
     cert = certify.solve(problem)
     verified = certify.verify_certificate(problem, cert)
     payload = {
@@ -390,7 +409,7 @@ def cmd_optimize(args) -> int:
         "margin": result.margin,
         "margins_per_grid": list(result.margins),
         "evaluations": result.evaluations,
-        "grid_atoms": [g[0].shape[0] for g in grids],
+        "grid_atoms": [g.n_atoms for g in grids],
     }
     _report_json(payload, args.output or config.get("output"))
     return EXIT_OK

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import sphere
-from .certify import CertStatus, TargetConstraint, build_problem, solve
+from .certify import AtomGrid, CertStatus, TargetConstraint, build_problem, solve
 from .models import SettingsPair
 from .quantum import singlet_correlation
 
@@ -110,14 +110,14 @@ class OptimizeResult:
 def certified_margin(
     family: SettingsFamily,
     params: np.ndarray,
-    grids: Sequence[tuple[np.ndarray, np.ndarray]],
+    grids: Sequence[AtomGrid],
     include_marginals: bool = False,
 ) -> tuple[float, ...]:
     """Per-grid infeasibility margins at one parameter point (0 when feasible)."""
     constraints = family.build(params)
     margins = []
-    for u, v in grids:
-        cert = solve(build_problem(u, v, constraints, include_marginals=include_marginals))
+    for grid in grids:
+        cert = solve(build_problem(grid, constraints, include_marginals=include_marginals))
         margins.append(cert.margin if cert.status is CertStatus.INFEASIBLE else 0.0)
     return tuple(margins)
 
@@ -164,7 +164,7 @@ def pattern_search(
 
 def optimize_settings(
     family: SettingsFamily,
-    grids: Sequence[tuple[np.ndarray, np.ndarray]],
+    grids: Sequence[AtomGrid],
     budget: int,
     seed: int,
     include_marginals: bool = False,
@@ -172,7 +172,7 @@ def optimize_settings(
     """Search the family's parameters for the largest certified margin.
 
     Deterministic given the seed; the objective is the minimum margin over
-    the supplied grids.
+    the supplied grids, each checked and hashed once when it was built.
     """
     if budget < 1:
         raise ValueError("evaluation budget must be >= 1")

@@ -8,11 +8,14 @@ multipliers provide a Farkas-style dual vector for the original row
 orientation.
 
 The solver works in revised form. The column matrix [A | slacks | I] is
-built once; the state is the inverse of the basis columns (m x m, m the
-number of rows), the basic values and the reduced costs. A pivot forms
-the entering column as binv @ cols[:, j] and updates the reduced costs
-with one product of the new pivot row of binv against the columns,
-instead of rewriting an m x (columns) tableau.
+built once, with A_ub and A_eq written straight into it and the rows with
+a negative right-hand side negated in place; the state is the inverse of
+the basis columns (m x m, m the number of rows), the basic values and the
+reduced costs. A pivot forms the entering column as binv @ cols[:, j] and
+updates the reduced costs with one product of the new pivot row of binv
+against the columns, instead of rewriting an m x (columns) tableau. On
+the small bases of the certification LPs a pivot's cost is mostly numpy
+call overhead, so the loop makes as few calls as its arithmetic allows.
 """
 
 from __future__ import annotations
@@ -52,18 +55,20 @@ def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase
         raise ValueError("constraint matrix shapes do not match")
     m = p + q
 
-    A = np.vstack([A_ub if p else np.empty((0, n)), A_eq if q else np.empty((0, n))])
     b = np.concatenate([b_ub, b_eq])
 
     # orient every row to a nonnegative right-hand side; remember the flips
     flip = np.where(b < 0.0, -1.0, 1.0)
-    A = A * flip[:, None]
     b = b * flip
 
     # columns: n structural | p slacks (inequality rows only) | m artificials
     total = n + p + m
     cols = np.zeros((m, total))
-    cols[:, :n] = A
+    if p:
+        cols[:p, :n] = A_ub
+    if q:
+        cols[p:, :n] = A_eq
+    cols[flip < 0.0, :n] *= -1.0
     cols[np.arange(p), n + np.arange(p)] = flip[:p]  # slack coefficient carries the row flip
     cols[:, n + p :] = np.eye(m)
 
@@ -84,7 +89,7 @@ def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase
 
     for it in range(max_iter):
         if it < bland_after:
-            j = int(np.argmin(r))
+            j = int(r.argmin())
             if r[j] >= -PIVOT_TOL:
                 break
         else:
@@ -94,19 +99,20 @@ def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase
                 break
             j = int(candidates[0])
         col = binv @ cols[:, j]
-        rows = np.nonzero(col > PIVOT_TOL)[0]
+        rows = (col > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             # phase-1 objective is bounded below by 0; unboundedness signals breakdown
             raise SolverFailure("no admissible pivot row (numerical breakdown)")
         ratios = xb[rows] / col[rows]
-        i = int(rows[np.argmin(ratios)])  # argmin takes the lowest index on ties
+        i = int(rows[ratios.argmin()])  # argmin takes the lowest index on ties
         piv = col[i]
-        binv[i] /= piv
+        row = binv[i]  # a view: it follows binv through the update below
+        row /= piv
         xb[i] /= piv
         col[i] = 0.0
-        binv -= np.outer(col, binv[i])
+        binv -= col[:, None] * row  # the outer product; leaves row i as is
         xb -= col * xb[i]
-        r -= (r[j] * binv[i]) @ cols
+        r -= (r[j] * row) @ cols
         r[j] = 0.0
         basis[i] = j
     else:

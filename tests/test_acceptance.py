@@ -15,6 +15,7 @@ from leggettsim.bounds import averaged_bounds, pointwise_identity
 from leggettsim.certify import (
     CertStatus,
     TargetConstraint,
+    AtomGrid,
     build_atom_grid,
     build_problem,
     solve,
@@ -161,7 +162,7 @@ def test_criterion_5_chsh():
 def test_criterion_6_certification_soundness():
     start = time.perf_counter()
     rng = sphere.make_rng(1005, 0)
-    u, v = build_atom_grid(6, 6, n_mirrored=14)
+    grid = build_atom_grid(6, 6, n_mirrored=14)
     for _ in range(200):
         k = int(rng.integers(1, 6))
         constraints = [
@@ -171,7 +172,7 @@ def test_criterion_6_certification_soundness():
             )
             for _ in range(k)
         ]
-        problem = build_problem(u, v, constraints)
+        problem = build_problem(grid, constraints)
         cert = solve(problem)
         assert verify_certificate(problem, cert)
 
@@ -179,7 +180,7 @@ def test_criterion_6_certification_soundness():
     ex = np.array([1.0, 0.0, 0.0])
     ey = np.array([0.0, 1.0, 0.0])
     p2 = build_problem(
-        np.array([ex, ey]), np.array([ex, ey]),
+        AtomGrid(np.array([ex, ey]), np.array([ex, ey])),
         [TargetConstraint(settings=SettingsPair(ex, ex), e=-0.5),
          TargetConstraint(settings=SettingsPair(ey, ey), e=-0.5)],
     )
@@ -196,8 +197,8 @@ def test_criterion_7_violation_witness():
     start = time.perf_counter()
     family = settings_family("orthogonal-doublets")
     grids = [build_atom_grid(24, 24, 64), build_atom_grid(48, 48, 256)]
-    assert grids[0][0].shape[0] >= 500
-    assert grids[1][0].shape[0] >= 2000
+    assert grids[0].n_atoms >= 500
+    assert grids[1].n_atoms >= 2000
     result = optimize_settings(family, grids, budget=300, seed=2026)
     m_coarse, m_fine = result.margins
     assert m_coarse > 0.0 and m_fine > 0.0

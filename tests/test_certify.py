@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from leggettsim import make_rng, sphere
+from leggettsim import certify, make_rng, sphere
 from leggettsim.bounds import averaged_bounds
 from leggettsim.certify import (
     FEAS_TOL,
+    AtomGrid,
     CertStatus,
     FeasibilityCertificate,
     TargetConstraint,
     build_atom_grid,
     build_problem,
-    problem_from_dict,
-    problem_to_dict,
     solve,
     verify_certificate,
     witness_distribution,
@@ -29,6 +28,7 @@ from leggettsim.models import (
     SubensembleDistribution,
     exact_model_correlation,
 )
+from leggettsim.optimize import optimize_settings, settings_family
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -46,7 +46,7 @@ def two_atom_infeasible_problem():
         TargetConstraint(settings=SettingsPair(X, X), e=-0.5),
         TargetConstraint(settings=SettingsPair(Y, Y), e=-0.5),
     ]
-    return build_problem(u, v, constraints)
+    return build_problem(AtomGrid(u, v), constraints)
 
 
 def two_atom_marginal_problem():
@@ -58,7 +58,7 @@ def two_atom_marginal_problem():
         TargetConstraint(settings=SettingsPair(X, X), e=0.0, ma=0.0, mb=0.0),
         TargetConstraint(settings=SettingsPair(Y, Y), e=0.0, ma=0.0, mb=0.0),
     ]
-    return build_problem(u, v, constraints, include_marginals=True)
+    return build_problem(AtomGrid(u, v), constraints, include_marginals=True)
 
 
 def exact_dot(row, x) -> Fraction:
@@ -89,18 +89,74 @@ def exact_witness_ok(problem, w) -> bool:
     )
 
 
+class TestAtomGrid:
+    @pytest.mark.parametrize("u, v", [
+        (np.array([[1.0, 1.0, 0.0]]), np.array([X])),
+        (np.array([[np.nan, 0.0, 0.0]]), np.array([X])),
+        (np.array([X, Y]), np.array([X])),
+        (np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])),
+        (np.empty((0, 3)), np.empty((0, 3))),
+    ], ids=["non-unit", "nan", "mismatched", "not-3-vectors", "empty"])
+    def test_invalid_grid_rejected(self, u, v):
+        with pytest.raises(ValueError):
+            AtomGrid(u, v)
+
+    def test_read_only(self):
+        grid = build_atom_grid(3, 3)
+        with pytest.raises(ValueError):
+            grid.u[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            grid.v[1] = X
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.u = np.array([X])
+
+    def test_source_arrays_copied(self):
+        u, v = np.array([X, Y]), np.array([Y, Z])
+        grid = AtomGrid(u, v)
+        digest = grid.grid_hash
+        u[0] = Z
+        v[:] = X
+        assert np.array_equal(grid.u, [X, Y]) and np.array_equal(grid.v, [Y, Z])
+        assert grid.grid_hash == digest == certify.grid_hash(np.array([X, Y]), np.array([Y, Z]))
+
+    def test_checked_and_hashed_once(self, monkeypatch):
+        # an optimizer run pays for no grid check and no hash: the grids
+        # were checked and hashed when they were built
+        hashes, unit_checks = [], []
+        grid_hash, is_unit = certify.grid_hash, sphere.is_unit
+
+        def counting_hash(u, v):
+            hashes.append(1)
+            return grid_hash(u, v)
+
+        def counting_is_unit(vec, *args, **kwargs):
+            if np.ndim(vec) == 2:
+                unit_checks.append(len(vec))
+            return is_unit(vec, *args, **kwargs)
+
+        monkeypatch.setattr(certify, "grid_hash", counting_hash)
+        monkeypatch.setattr(sphere, "is_unit", counting_is_unit)
+        grids = [build_atom_grid(4, 4, 4), build_atom_grid(5, 5, 6)]
+        assert len(hashes) == 2 and unit_checks == [20, 20, 31, 31]
+        hashes.clear()
+        unit_checks.clear()
+        optimize_settings(settings_family("orthogonal-doublets"), grids, budget=10, seed=3)
+        assert hashes == []
+        assert unit_checks == []
+
+
 class TestBuildProblem:
     def test_orthogonal_atom_contributes_zero(self):
         u = np.array([Z])
         v = np.array([Z])
-        p = build_problem(u, v, [TargetConstraint(settings=SettingsPair(X, Y), e=0.9)])
+        p = build_problem(AtomGrid(u, v), [TargetConstraint(settings=SettingsPair(X, Y), e=0.9)])
         assert np.allclose(p.A_ub[:, 0], 0.0)
         assert np.allclose(p.b_ub, [1.9, 0.1])
 
     def test_boundary_target(self):
         u = np.array([X, Z])
         v = np.array([X, Z])
-        p = build_problem(u, v, [TargetConstraint(settings=SettingsPair(X, X), e=1.0)])
+        p = build_problem(AtomGrid(u, v), [TargetConstraint(settings=SettingsPair(X, X), e=1.0)])
         # second row forces support on atoms with u.a = v.b
         assert p.b_ub[1] == 0.0
         cert = solve(p)
@@ -120,7 +176,9 @@ class TestBuildProblem:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            build_problem(np.empty((0, 3)), np.empty((0, 3)), [])
+            build_problem(AtomGrid(np.empty((0, 3)), np.empty((0, 3))), [])
+        with pytest.raises(ValueError):
+            build_problem(AtomGrid(np.array([X]), np.array([X])), [])
 
     def test_hand_checkable_coefficients(self):
         p = two_atom_infeasible_problem()
@@ -131,7 +189,7 @@ class TestBuildProblem:
     def test_marginals_require_targets(self):
         with pytest.raises(ValueError):
             build_problem(
-                np.array([X]), np.array([X]),
+                AtomGrid(np.array([X]), np.array([X])),
                 [TargetConstraint(settings=SettingsPair(X, X), e=0.0)],
                 include_marginals=True,
             )
@@ -146,25 +204,25 @@ class TestSolve:
         assert verify_certificate(p, cert)
 
     def test_single_pair_always_feasible(self, rng):
-        u, v = build_atom_grid(8, 8, n_mirrored=8)
+        grid = build_atom_grid(8, 8, n_mirrored=8)
         for _ in range(10):
             a, b = sphere.random_unit_vectors(rng, 2)
             e = float(rng.uniform(-1, 1))
-            p = build_problem(u, v, [TargetConstraint(settings=SettingsPair(a, b), e=e)])
+            p = build_problem(grid, [TargetConstraint(settings=SettingsPair(a, b), e=e)])
             assert solve(p).status is CertStatus.FEASIBLE
 
     def test_self_consistency_with_atomic_model(self, rng):
         # targets generated by a model whose atoms are in the grid must be feasible,
         # and the witness must reproduce them
-        u, v = build_atom_grid(6, 6)
-        w = rng.random(u.shape[0])
+        grid = build_atom_grid(6, 6)
+        w = rng.random(grid.n_atoms)
         w /= w.sum()
-        model = LeggettModel(SubensembleDistribution(u, v, w), Coupling.INDEPENDENT)
+        model = LeggettModel(SubensembleDistribution(grid.u, grid.v, w), Coupling.INDEPENDENT)
         constraints = []
         for _ in range(4):
             s = SettingsPair(*sphere.random_unit_vectors(rng, 2))
             constraints.append(TargetConstraint(settings=s, e=exact_model_correlation(model, s)))
-        p = build_problem(u, v, constraints)
+        p = build_problem(grid, constraints)
         cert = solve(p)
         assert cert.status is CertStatus.FEASIBLE
         assert verify_certificate(p, cert)
@@ -174,24 +232,23 @@ class TestSolve:
             assert b.lower - 1e-9 <= c.e <= b.upper + 1e-9
 
     def test_grid_superset_preserves_feasibility(self, rng):
-        small_u, small_v = build_atom_grid(5, 5)
         s = SettingsPair(*sphere.random_unit_vectors(rng, 2))
         cons = [TargetConstraint(settings=s, e=0.3)]
-        p_small = build_problem(small_u, small_v, cons)
+        p_small = build_problem(build_atom_grid(5, 5), cons)
         if solve(p_small).status is CertStatus.FEASIBLE:
-            big_u, big_v = build_atom_grid(5, 5, n_mirrored=20)
-            assert solve(build_problem(big_u, big_v, cons)).status is CertStatus.FEASIBLE
+            big = build_atom_grid(5, 5, n_mirrored=20)
+            assert solve(build_problem(big, cons)).status is CertStatus.FEASIBLE
 
     def test_extra_constraint_never_rescues_infeasible(self, rng):
         p = two_atom_infeasible_problem()
         cons = list(p.constraints) + [
             TargetConstraint(settings=SettingsPair(*sphere.random_unit_vectors(rng, 2)), e=0.0)
         ]
-        p2 = build_problem(p.u, p.v, cons)
+        p2 = build_problem(p.grid, cons)
         assert solve(p2).status is CertStatus.INFEASIBLE
 
     def test_randomized_certificates_verify(self, rng):
-        u, v = build_atom_grid(6, 6, n_mirrored=12)
+        grid = build_atom_grid(6, 6, n_mirrored=12)
         n_feasible = 0
         n_infeasible = 0
         for _ in range(50):
@@ -200,7 +257,7 @@ class TestSolve:
             for _ in range(k):
                 s = SettingsPair(*sphere.random_unit_vectors(rng, 2))
                 constraints.append(TargetConstraint(settings=s, e=float(rng.uniform(-1, 1))))
-            p = build_problem(u, v, constraints)
+            p = build_problem(grid, constraints)
             cert = solve(p)
             assert verify_certificate(p, cert)
             if cert.status is CertStatus.FEASIBLE:
@@ -212,8 +269,7 @@ class TestSolve:
 
 class TestVerifyCertificate:
     def test_perturbed_weight_rejected(self):
-        u, v = build_atom_grid(4, 4)
-        p = build_problem(u, v, [TargetConstraint(settings=SettingsPair(X, Y), e=0.0)])
+        p = build_problem(build_atom_grid(4, 4), [TargetConstraint(settings=SettingsPair(X, Y), e=0.0)])
         cert = solve(p)
         assert cert.status is CertStatus.FEASIBLE
         bad = np.array(cert.weights)
@@ -254,8 +310,7 @@ class TestVerifyCertificate:
     @pytest.mark.parametrize("field", ["weights", "farkas_ub", "farkas_eq"])
     def test_non_finite_entry_rejected(self, field, bad):
         if field == "weights":
-            u, v = build_atom_grid(4, 4)
-            p = build_problem(u, v, [TargetConstraint(settings=SettingsPair(X, Y), e=0.0)])
+            p = build_problem(build_atom_grid(4, 4), [TargetConstraint(settings=SettingsPair(X, Y), e=0.0)])
         else:
             p = two_atom_marginal_problem()
         cert = solve(p)
@@ -298,8 +353,9 @@ class TestVerifyCertificate:
         self, n_u, n_v, n_mirrored, seed, targets, marginals, from_model, slack
     ):
         rng = make_rng(seed, 0)
-        u, v = build_atom_grid(n_u, n_v, n_mirrored)
-        w_model = rng.random(u.shape[0])
+        grid = build_atom_grid(n_u, n_v, n_mirrored)
+        u, v = grid.u, grid.v
+        w_model = rng.random(grid.n_atoms)
         w_model /= w_model.sum()
         model = LeggettModel(SubensembleDistribution(u, v, w_model), Coupling.INDEPENDENT)
         constraints = []
@@ -310,7 +366,7 @@ class TestVerifyCertificate:
             if from_model:
                 e = exact_model_correlation(model, s)
             constraints.append(TargetConstraint(settings=s, e=e, ma=ma, mb=mb))
-        p = build_problem(u, v, constraints, include_marginals=marginals)
+        p = build_problem(grid, constraints, include_marginals=marginals)
         cert = solve(p)
         assert verify_certificate(p, cert)
         # move one right-hand side so the certificate sits `slack` away from
@@ -352,10 +408,3 @@ class TestSerialization:
         assert restored.status is CertStatus.INFEASIBLE
         assert restored.margin == cert.margin
         assert verify_certificate(p, restored)
-
-    def test_problem_round_trip(self):
-        p = two_atom_infeasible_problem()
-        restored = problem_from_dict(problem_to_dict(p))
-        assert restored.grid_hash == p.grid_hash
-        assert np.array_equal(restored.A_ub, p.A_ub)
-        assert np.array_equal(restored.b_ub, p.b_ub)

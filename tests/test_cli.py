@@ -335,3 +335,75 @@ class TestIntegerFields:
             assert main(["simulate", "--config", config, "--seed", "3", "--output", str(out)]) == EXIT_OK
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1]
+
+
+class TestRealFields:
+    """Real numbers in a config, vector components included, must be JSON
+    integers or floats; a boolean or a string exits 2 instead of being
+    converted."""
+
+    SETTINGS = [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}]
+    SIMULATE = {"model": POINT_MASS_MODEL, "settings": SETTINGS, "samples": 100}
+    TARGETS = {"targets": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0], "e": 0.0, "ma": 0.0, "mb": 0.0}],
+               "grid": {"n_u": 4, "n_v": 4}, "include_marginals": True}
+    FAMILY = {"targets": {"from": "singlet", "family": "orthogonal-doublets",
+                          "params": [0.94, 3.46, 2.11, 2.34]},
+              "grid": {"n_u": 4, "n_v": 4}}
+    CHSH = {"scenario": {"a": [1.0, 0.0, 0.0], "a_prime": [0.0, 1.0, 0.0],
+                         "b": [1.0, 1.0, 0.0], "b_prime": [1.0, -1.0, 0.0]}}
+    FIELDS = [
+        ("simulate", SIMULATE, ("k_sigma",)),
+        ("simulate", SIMULATE, ("settings", 0, "a", 0)),
+        ("simulate", SIMULATE, ("settings", 0, "b", 1)),
+        ("simulate", SIMULATE, ("model", "u", 0)),
+        ("simulate", SIMULATE, ("model", "v", 1)),
+        ("certify", TARGETS, ("targets", 0, "e")),
+        ("certify", TARGETS, ("targets", 0, "ma")),
+        ("certify", TARGETS, ("targets", 0, "mb")),
+        ("certify", TARGETS, ("targets", 0, "a", 0)),
+        ("certify", TARGETS, ("targets", 0, "b", 1)),
+        ("certify", FAMILY, ("targets", "params", 0)),
+        ("certify", FAMILY, ("targets", "params", 3)),
+        ("chsh", CHSH, ("scenario", "a", 0)),
+        ("chsh", CHSH, ("scenario", "a_prime", 1)),
+        ("chsh", CHSH, ("scenario", "b", 0)),
+        ("chsh", CHSH, ("scenario", "b_prime", 1)),
+    ]
+
+    @pytest.mark.parametrize("bad", [True, "0.5"], ids=["bool", "string"])
+    @pytest.mark.parametrize("command, config, path", FIELDS,
+                             ids=[f"{c}-{'.'.join(map(str, p))}" for c, _, p in FIELDS])
+    def test_rejected(self, tmp_path, command, config, path, bad):
+        path_arg = write_config(tmp_path, TestIntegerFields._with(config, path, bad))
+        assert main([command, "--config", path_arg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, config, path", [
+        ("simulate", SIMULATE, ("model", "u")),
+        ("certify", TARGETS, ("targets", 0, "a")),
+        ("chsh", CHSH, ("scenario", "b")),
+    ])
+    @pytest.mark.parametrize("bad", [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0], "1,0,0"])
+    def test_direction_must_be_three_numbers(self, tmp_path, command, config, path, bad):
+        path_arg = write_config(tmp_path, TestIntegerFields._with(config, path, bad))
+        assert main([command, "--config", path_arg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, config", [("simulate", SIMULATE), ("certify", TARGETS),
+                                                 ("certify", FAMILY), ("chsh", CHSH)])
+    def test_integers_accepted(self, tmp_path, command, config):
+        # the same config with every integral float written as a JSON
+        # integer gives the same report
+        def as_int(node):
+            if isinstance(node, dict):
+                return {k: as_int(v) for k, v in node.items()}
+            if isinstance(node, list):
+                return [as_int(v) for v in node]
+            return int(node) if isinstance(node, float) and node.is_integer() else node
+
+        outputs = []
+        for variant in (config, as_int(config)):
+            out = tmp_path / f"out-{len(outputs)}"
+            path_arg = write_config(tmp_path, variant, name=f"config-{len(outputs)}.json")
+            assert main([command, "--config", path_arg, "--seed", "1", "--output", str(out)]) == EXIT_OK
+            text = out.read_text()
+            outputs.append(text if command == "simulate" else json.loads(text) | {"config_hash": None})
+        assert outputs[0] == outputs[1]

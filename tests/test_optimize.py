@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from leggettsim import sphere
+from leggettsim import certify, sphere
 from leggettsim.certify import CertStatus, TargetConstraint, build_atom_grid, build_problem, solve
 from leggettsim.models import SettingsPair
 from leggettsim.optimize import (
@@ -11,6 +11,7 @@ from leggettsim.optimize import (
     settings_family,
 )
 from leggettsim.quantum import singlet_correlation
+from leggettsim.simplex import phase1_simplex
 
 SMALL_GRID = build_atom_grid(12, 12, n_mirrored=24)
 
@@ -56,10 +57,9 @@ class TestPatternSearch:
 class TestCertifiedMargin:
     def test_single_pair_never_infeasible(self, rng):
         # a grid with near-polar atoms keeps any single-pair problem feasible
-        u, v = SMALL_GRID
         for _ in range(5):
             s = SettingsPair(*sphere.random_unit_vectors(rng, 2))
-            p = build_problem(u, v, [TargetConstraint(settings=s, e=singlet_correlation(s))])
+            p = build_problem(SMALL_GRID, [TargetConstraint(settings=s, e=singlet_correlation(s))])
             cert = solve(p)
             assert cert.status is CertStatus.FEASIBLE
 
@@ -67,9 +67,8 @@ class TestCertifiedMargin:
         fam = settings_family("orthogonal-doublets")
         params = np.array([0.7, 0.4, 1.1, 2.0])
         constraints = fam.build(params)
-        u, v = SMALL_GRID
-        m1 = solve(build_problem(u, v, constraints)).margin
-        m2 = solve(build_problem(u, v, constraints + constraints)).margin
+        m1 = solve(build_problem(SMALL_GRID, constraints)).margin
+        m2 = solve(build_problem(SMALL_GRID, constraints + constraints)).margin
         assert m2 == pytest.approx(m1, abs=1e-9)
 
     def test_doublets_witness_violation(self):
@@ -91,3 +90,23 @@ class TestOptimizeSettings:
         assert r1.margin > 0.0
         assert r1.margin == r2.margin
         assert np.array_equal(r1.params, r2.params)
+
+    # pivots summed over the 61 solves of this seeded run and its margins,
+    # measured on the solver before its pivot loop was trimmed: any change
+    # to a pivot choice or to the arithmetic of one shows here
+    PINNED_PIVOTS = 1773
+    PINNED_MARGINS = "(0.554923877222917,)"
+
+    def test_pinned_pivot_path(self, monkeypatch):
+        pivots = []
+
+        def counting_simplex(*args, **kwargs):
+            result = phase1_simplex(*args, **kwargs)
+            pivots.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(certify, "phase1_simplex", counting_simplex)
+        result = optimize_settings(settings_family("orthogonal-doublets"), [SMALL_GRID], budget=60, seed=5)
+        assert len(pivots) == 61
+        assert sum(pivots) == self.PINNED_PIVOTS
+        assert repr(result.margins) == self.PINNED_MARGINS

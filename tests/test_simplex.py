@@ -118,9 +118,8 @@ class TestPivotPath:
     # pivot path, and with it possibly changed pinned margins
     @pytest.mark.parametrize("grid, pivots", [((24, 24, 64), 26), ((48, 48, 256), 30)])
     def test_readme_problem_iterations(self, grid, pivots):
-        u, v = build_atom_grid(*grid)
         constraints = settings_family("orthogonal-doublets").build(np.array([0.94, 3.46, 2.11, 2.34]))
-        problem = build_problem(u, v, constraints)
+        problem = build_problem(build_atom_grid(*grid), constraints)
         ones = np.ones((1, problem.n_atoms))
         result = phase1_simplex(problem.A_ub, problem.b_ub, ones, np.ones(1))
         assert not result.feasible
