@@ -90,7 +90,15 @@ def _direction(value, name: str) -> np.ndarray:
 
 
 def _seed(args, config: dict) -> int:
-    return args.seed if args.seed is not None else _integer(config.get("seed", 0), "seed")
+    """The run's seed, from the flag or the config.
+
+    It keys a Philox stream next to a stream id, and NumPy reads that key
+    exactly only for 0 <= seed < 2**63; a seed outside exits 2.
+    """
+    seed = args.seed if args.seed is not None else _integer(config.get("seed", 0), "seed")
+    if not 0 <= seed < 2**63:
+        raise ConfigError(f"seed must lie in [0, 2**63), got {seed}")
+    return seed
 
 
 def _config_hash(config: dict) -> str:

@@ -1,6 +1,7 @@
 """Elementwise numpy kernels for sampling and the bound integrals.
 
-Aggregation (means, weighted sums) happens in the callers.
+Outcome draws come back as +/-1 int8 arrays, built from the comparison
+masks. Aggregation (means, weighted sums) happens in the callers.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ def numba_enabled() -> bool:
 
 
 def draw_outcomes(pa, pb, u1, u2, coupling: int):
-    """Map per-draw marginals (pa, pb) and uniforms to +/-1 outcome arrays."""
+    """Map per-draw marginals (pa, pb) and uniforms to +/-1 int8 outcome arrays."""
     a_plus = u1 < pa
     if coupling == COUPLING_INDEPENDENT:
         b_plus = u2 < pb
@@ -27,7 +28,7 @@ def draw_outcomes(pa, pb, u1, u2, coupling: int):
         b_plus = u1 < pb
     else:
         b_plus = (1.0 - u1) < pb
-    return np.where(a_plus, 1.0, -1.0), np.where(b_plus, 1.0, -1.0)
+    return a_plus.view(np.int8) * 2 - 1, b_plus.view(np.int8) * 2 - 1
 
 
 def abs_sum_diff(alpha, beta):

@@ -5,6 +5,12 @@ A model is a settings-independent distribution over hidden vector pairs
 of the two +/-1 outcomes. The conditional marginals are always the
 Malus-law values P(A=1) = (1 + u.a)/2 and P(B=1) = (1 + v.b)/2; the
 coupling only decides how the two outcomes correlate beyond that.
+
+Sampling draws an atom by its weight through a guide table over the weight
+CDF (Chen and Asau, 1974; Devroye, *Non-Uniform Random Variate Generation*,
+1986, III.2.4), or through a binary search of sorted keys where uneven
+weights crowd many atoms into one bucket; both pick the atom
+``np.searchsorted`` picks. Outcomes come back as +/-1 int8 arrays.
 """
 
 from __future__ import annotations
@@ -22,10 +28,10 @@ from . import kernels, sphere
 WEIGHT_SUM_TOL = 1e-12
 # JSON loads renormalize weight sums within this tolerance, reject beyond it.
 LOAD_RENORM_TOL = 1e-9
-# Above this many atoms the sampler sorts its keys before the CDF search:
-# the sort costs about 3 ms per 65536 keys, a plain search of a longer CDF
-# more (crossover measured at 20-40 atoms on a 2-vCPU Xeon, numpy 2.4).
-SORTED_SEARCH_MIN_ATOMS = 32
+# Above this guide-table scan the sampler sorts its keys and binary-searches
+# the CDF instead: per 65536 keys a scan pass costs 0.11-0.29 ms, the sorted
+# search 1.7-5.3 ms (crossover 13-24 passes on a 2-vCPU Xeon, numpy 2.4).
+GUIDE_SCAN_MAX = 16
 
 
 class Coupling(enum.Enum):
@@ -256,13 +262,16 @@ class OutcomeLaw(NamedTuple):
     """Per-atom sampling law of one (model, settings) pair.
 
     ``pa`` and ``pb`` are the Malus marginals P(A=1), P(B=1) of each atom,
-    ``cdf`` the cumulative atom weights with the last entry set to 1.0, and
-    ``coupling`` the ``kernels`` code of the model's coupling.
+    ``cdf`` the cumulative atom weights with the last entry set to 1.0,
+    ``guide`` and ``scan`` the guide table of ``cdf`` (see ``_guide_table``),
+    and ``coupling`` the ``kernels`` code of the model's coupling.
     """
 
     pa: np.ndarray
     pb: np.ndarray
     cdf: np.ndarray
+    guide: np.ndarray
+    scan: int
     coupling: int
 
 
@@ -277,41 +286,63 @@ def outcome_law(model: LeggettModel, settings: SettingsPair) -> OutcomeLaw:
     pb = (1.0 + sphere.dots(d.v, settings.b)) / 2.0
     cdf = np.cumsum(d.w)
     cdf[-1] = 1.0
-    return OutcomeLaw(pa, pb, cdf, model.coupling.code)
+    guide, scan = _guide_table(cdf)
+    return OutcomeLaw(pa, pb, cdf, guide, scan, model.coupling.code)
 
 
-def _atom_indices(cdf: np.ndarray, keys: np.ndarray) -> np.ndarray:
+def _guide_table(cdf: np.ndarray) -> tuple[np.ndarray, int]:
+    """Guide table of ``cdf`` with one bucket per atom (Chen and Asau, 1974).
+
+    Bucket k holds the keys x with ``int(x * K) == k``, K = len(cdf).
+    ``guide[k]`` counts the CDF entries whose own bucket lies below k, and
+    ``scan`` is the largest number of entries in any one bucket a key in
+    [0, 1) can reach. x -> fl(x * K) is monotone, so every entry in a lower
+    bucket than a key is <= it and every entry in a higher one is > it: the
+    key's ``searchsorted(cdf, key, side="right")`` index lies in
+    ``[guide[k], guide[k + 1]]``, at most ``scan`` steps above ``guide[k]``.
+    """
+    n_buckets = cdf.shape[0]
+    counts = np.bincount((cdf * n_buckets).astype(np.intp), minlength=n_buckets + 1)
+    guide = np.zeros(n_buckets + 1, dtype=np.intp)
+    np.cumsum(counts[:n_buckets], out=guide[1:])
+    return guide, int(counts[:n_buckets].max())
+
+
+def _atom_indices(cdf: np.ndarray, guide: np.ndarray, scan: int, keys: np.ndarray) -> np.ndarray:
     """``np.searchsorted(cdf, keys, side="right")`` for keys in [0, 1).
 
-    Binary searches for keys in random order miss the cache on a long CDF;
-    above SORTED_SEARCH_MIN_ATOMS atoms the keys are searched in sorted order
-    and the indices scattered back to draw order, which picks the same atom
-    for every key. A single atom is picked by every key in [0, 1).
+    Each key starts at the guide entry of its bucket and steps up ``scan``
+    times past every CDF entry <= it; the last entry is 1.0 and lies in a
+    bucket no key reaches, so no step leaves the array. A ``scan`` above
+    GUIDE_SCAN_MAX (weights so uneven that many atoms share a bucket)
+    searches the keys in sorted order instead and scatters the indices back
+    to draw order. Both pick the same atom for every key.
     """
-    if cdf.shape[0] == 1:
-        return np.zeros(keys.shape[0], dtype=np.intp)
-    if cdf.shape[0] <= SORTED_SEARCH_MIN_ATOMS:
-        return np.searchsorted(cdf, keys, side="right")
-    order = np.argsort(keys)
-    idx = np.empty(keys.shape[0], dtype=np.intp)
-    idx[order] = np.searchsorted(cdf, keys[order], side="right")
+    if scan > GUIDE_SCAN_MAX:
+        order = np.argsort(keys)
+        idx = np.empty(keys.shape[0], dtype=np.intp)
+        idx[order] = np.searchsorted(cdf, keys[order], side="right")
+        return idx
+    idx = guide.take((keys * cdf.shape[0]).astype(np.intp))
+    for _ in range(scan):
+        idx += cdf.take(idx) <= keys
     return idx
 
 
 def sample_outcome_arrays(law: OutcomeLaw, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """n independent draws of (A, B) as two +/-1 float arrays from ``law``.
+    """n independent draws of (A, B) as two +/-1 int8 arrays from ``law``.
 
     Uniforms are drawn in the order atom keys, then u1, then u2. Each key
-    picks atom ``np.searchsorted(law.cdf, key, side="right")``, also where
-    the keys are searched in sorted order, so a seeded stream gives the same
+    picks atom ``np.searchsorted(law.cdf, key, side="right")``, whichever
+    way ``_atom_indices`` finds it, so a seeded stream gives the same
     outcomes however the search is done.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
-    idx = _atom_indices(law.cdf, rng.random(n))
+    idx = _atom_indices(law.cdf, law.guide, law.scan, rng.random(n))
     u1 = rng.random(n)
     u2 = rng.random(n)  # unused by the non-product couplings, drawn for stream stability
-    return kernels.draw_outcomes(law.pa[idx], law.pb[idx], u1, u2, law.coupling)
+    return kernels.draw_outcomes(law.pa.take(idx), law.pb.take(idx), u1, u2, law.coupling)
 
 
 def sample_outcomes(model: LeggettModel, settings: SettingsPair, rng: np.random.Generator) -> OutcomePair:

@@ -3,9 +3,9 @@
 The sample budget is split into fixed-size blocks, each drawn from a
 disjoint counter region of the same Philox stream, so the estimate is
 identical no matter how the blocks are scheduled. The sampling law (per-atom
-Malus marginals and weight CDF) is built once per estimate and shared by
-all its blocks. On large models a block searches the CDF with its keys
-sorted, which picks the same atoms as a plain ``searchsorted`` would.
+Malus marginals, weight CDF and its guide table) is built once per estimate
+and shared by all its blocks. Each block's +/-1 int8 outcomes are summed
+exactly in int64.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ def _sample_sums(
         m = min(BLOCK_SIZE, n - offset)
         rng = sphere.make_rng(seed, stream_id, block=block)
         a, b = sample_outcome_arrays(law, m, rng)
-        sum_ab += int(np.sum((a * b).astype(np.int64)))
-        sum_a += int(np.sum(a.astype(np.int64)))
-        sum_b += int(np.sum(b.astype(np.int64)))
+        sum_ab += int(np.sum(a * b, dtype=np.int64))
+        sum_a += int(np.sum(a, dtype=np.int64))
+        sum_b += int(np.sum(b, dtype=np.int64))
         offset += m
         block += 1
     return sum_ab, sum_a, sum_b

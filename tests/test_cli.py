@@ -407,3 +407,46 @@ class TestRealFields:
             text = out.read_text()
             outputs.append(text if command == "simulate" else json.loads(text) | {"config_hash": None})
         assert outputs[0] == outputs[1]
+
+
+class TestSeedRange:
+    """A seed keys a Philox stream, whose key NumPy reads exactly only for
+    0 <= seed < 2**63; any other seed exits 2 before the run writes anything."""
+
+    CONFIGS = {
+        "simulate": TestIntegerFields.SIMULATE,
+        "certify": TestIntegerFields.CERTIFY,
+        "optimize": TestIntegerFields.OPTIMIZE,
+    }
+    BAD = [-1, 2**63, 2**64 - 1, 2**64]
+    # CSV of the SIMULATE config at the largest accepted seed, taken from the
+    # code before the range check
+    LARGEST_SEED_SHA256 = "1bd8f36854b5a263da7a9f7a7c3bb5a5aa0b7c7bb1eeefa498765cf030fab4db"
+
+    @pytest.mark.parametrize("seed", BAD)
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_flag_rejected(self, tmp_path, command, seed):
+        config = write_config(tmp_path, self.CONFIGS[command])
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--seed", str(seed), "--output", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", BAD + [1e300])
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_config_rejected(self, tmp_path, command, seed):
+        config = write_config(tmp_path, {**self.CONFIGS[command], "seed": seed})
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--output", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        seed = 2**63 - 1
+        csvs = []
+        for name, config, flag in (("flag", self.CONFIGS["simulate"], ["--seed", str(seed)]),
+                                   ("config", {**self.CONFIGS["simulate"], "seed": seed}, [])):
+            out = tmp_path / f"{name}.csv"
+            path = write_config(tmp_path, config, name=f"{name}.json")
+            assert main(["simulate", "--config", path, "--output", str(out), *flag]) == EXIT_OK
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+        assert hashlib.sha256(csvs[0]).hexdigest() == self.LARGEST_SEED_SHA256

@@ -20,6 +20,14 @@ class TestKernelSemantics:
         assert set(np.unique(a)) <= {-1.0, 1.0}
         assert set(np.unique(b)) <= {-1.0, 1.0}
 
+    @pytest.mark.parametrize("coupling", [kernels.COUPLING_INDEPENDENT, kernels.COUPLING_COMONOTONE,
+                                          kernels.COUPLING_ANTIMONOTONE])
+    def test_outcomes_are_int8(self, draw_inputs, coupling):
+        a, b = kernels.draw_outcomes(*draw_inputs, coupling)
+        for x in (a, b):
+            assert x.dtype == np.int8
+            assert set(np.unique(x).tolist()) == {-1, 1}
+
     def test_comonotone_uses_shared_uniform(self):
         pa = np.array([0.5, 0.5])
         pb = np.array([0.5, 0.5])

@@ -2,12 +2,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings
+from hypothesis import assume, given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from leggettsim import sphere
 from leggettsim.models import (
-    SORTED_SEARCH_MIN_ATOMS,
+    GUIDE_SCAN_MAX,
     Coupling,
     LeggettModel,
     OutcomePair,
@@ -25,7 +25,7 @@ from leggettsim.models import (
     sample_outcome_arrays,
     sample_outcomes,
 )
-from leggettsim.models import _atom_indices
+from leggettsim.models import _atom_indices, _guide_table
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -192,27 +192,50 @@ def _weights(shape: str, m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 class TestAtomIndices:
-    """The sorted-key search must pick exactly the atoms searchsorted picks."""
+    """The guide-table search and the sorted-key search must both pick
+    exactly the atoms searchsorted picks."""
 
-    @pytest.mark.parametrize("atoms", [(2, SORTED_SEARCH_MIN_ATOMS),
-                                       (SORTED_SEARCH_MIN_ATOMS + 1, 8 * SORTED_SEARCH_MIN_ATOMS)])
-    @hyp_settings(max_examples=60, deadline=None)
-    @given(data=st.data(), shape=st.sampled_from(["one", "equal", "heavy", "tiny"]),
+    @pytest.mark.parametrize("side", ["guided", "sorted"])
+    @hyp_settings(max_examples=120, deadline=None)
+    @given(m=st.integers(2, 256), shape=st.sampled_from(["one", "equal", "heavy", "tiny"]),
            seed=st.integers(0, 2**32 - 1))
-    def test_equals_searchsorted(self, atoms, data, shape, seed):
+    def test_equals_searchsorted(self, side, m, shape, seed):
         rng = np.random.default_rng(seed)
-        m = data.draw(st.integers(*atoms))
         cdf = np.cumsum(_weights(shape, m, rng))
         cdf[-1] = 1.0
+        guide, scan = _guide_table(cdf)
+        if side == "guided":
+            assume(scan <= GUIDE_SCAN_MAX)
+        else:
+            # any bound at or above the true scan is valid; this one takes
+            # the sorted search for every weight shape
+            scan = max(scan, GUIDE_SCAN_MAX + 1)
         # keys lie in [0, 1), as the generator draws them: each CDF entry and
-        # its neighbouring floats, the ends of the range, and uniform filler
+        # each bucket edge k/K with their neighbouring floats, the ends of the
+        # range, and uniform filler
+        k = cdf.shape[0]
+        bucket_edges = np.arange(k + 1) / k
         edges = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+                                bucket_edges, np.nextafter(bucket_edges, 0.0),
+                                np.nextafter(bucket_edges, 1.0),
                                 [0.0, np.nextafter(1.0, 0.0)], rng.random(4 * m)])
-        keys = rng.permutation(edges[edges < 1.0])
+        keys = rng.permutation(edges[(edges >= 0.0) & (edges < 1.0)])
         want = np.searchsorted(cdf, keys, side="right")
-        got = _atom_indices(cdf, keys)
+        got = _atom_indices(cdf, guide, scan, keys)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+
+    def test_guide_table(self):
+        # one atom: every key in [0, 1) picks it without a step
+        guide, scan = _guide_table(np.array([1.0]))
+        assert scan == 0 and guide.tolist() == [0, 0]
+        # equal weights spread the entries about one to a bucket; a heavy tail
+        # piles more atoms into one bucket than the guided search will scan
+        rng = np.random.default_rng(3)
+        for shape, above in (("equal", False), ("heavy", True), ("tiny", True)):
+            cdf = np.cumsum(_weights(shape, 100_000, rng))
+            cdf[-1] = 1.0
+            assert (_guide_table(cdf)[1] > GUIDE_SCAN_MAX) is above
 
 
 class TestExactCorrelation:

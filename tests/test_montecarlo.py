@@ -3,15 +3,24 @@ import pytest
 
 from leggettsim import sphere
 from leggettsim.models import (
+    GUIDE_SCAN_MAX,
     Coupling,
     LeggettModel,
     SettingsPair,
+    SubensembleDistribution,
     exact_model_correlation,
     isotropic_product,
     mirrored_grid,
+    outcome_law,
     point_mass,
 )
-from leggettsim.montecarlo import BLOCK_SIZE, CorrelationEstimate, estimate_correlation, estimate_marginals
+from leggettsim.montecarlo import (
+    BLOCK_SIZE,
+    CorrelationEstimate,
+    _sample_sums,
+    estimate_correlation,
+    estimate_marginals,
+)
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -148,3 +157,40 @@ class TestMultiBlock:
         model = LeggettModel(isotropic_product(100, sphere.make_rng(3, 0)), Coupling.INDEPENDENT)
         estimate_correlation(model, self.SETTINGS, 3 * BLOCK_SIZE, seed=1)
         assert len(calls) == 2
+
+
+class TestSearchPaths:
+    """Integer sums over three blocks of a 100000-atom model on each side of
+    the guide-table scan gate, pinned exactly."""
+
+    N = TestMultiBlock.N
+    SETTINGS = TestMultiBlock.SETTINGS
+    # (weights, coupling) -> integer sums of AB, A and B over the N draws,
+    # taken from the sampler that searched sorted keys above 32 atoms
+    GOLDEN_SUMS = {
+        ("isotropic", "independent"): (-123, -985, -349),
+        ("isotropic", "comonotone"): (43537, -985, -557),
+        ("isotropic", "antimonotone"): (-43487, -985, -545),
+        ("heavy", "independent"): (-22025, -46805, 59545),
+        ("heavy", "comonotone"): (23417, -46805, 59479),
+        ("heavy", "antimonotone"): (-117519, -46805, 59955),
+    }
+
+    @staticmethod
+    def _distribution(weights):
+        d = isotropic_product(100_000, sphere.make_rng(31, 100_000))
+        if weights == "isotropic":
+            return d
+        # u**-2 for uniform u: a Pareto tail of index 1/2
+        w = sphere.make_rng(7, 0).random(100_000) ** -2.0
+        return SubensembleDistribution(d.u, d.v, w / w.sum())
+
+    @pytest.mark.parametrize("weights, guided", [("isotropic", True), ("heavy", False)])
+    def test_golden(self, weights, guided):
+        d = self._distribution(weights)
+        for coupling in Coupling:
+            model = LeggettModel(d, coupling)
+            assert (outcome_law(model, self.SETTINGS).scan <= GUIDE_SCAN_MAX) is guided
+            sums = _sample_sums(model, self.SETTINGS, self.N, 2026, 5)
+            assert sums == self.GOLDEN_SUMS[weights, coupling.value]
+            assert all(type(x) is int for x in sums)
