@@ -123,12 +123,20 @@ class FeasibilityCertificate:
     margin: float = 0.0  # proven slack of the infeasibility proof
 
     def to_dict(self) -> dict:
+        """JSON-ready form. A witness is written as its support, since a
+        phase-1 witness is a basic solution with at most one nonzero
+        weight per LP row; NaN and inf count as nonzero and are kept."""
         out = {"status": self.status.value, "grid_hash": self.grid_hash, "margin": self.margin}
         if self.weights is not None:
-            out["weights"] = [float(x) for x in self.weights]
+            index = np.flatnonzero(self.weights)
+            out["witness"] = {
+                "n_atoms": int(self.weights.shape[0]),
+                "index": index.tolist(),
+                "weight": self.weights[index].tolist(),
+            }
         if self.farkas_ub is not None:
-            out["farkas_ub"] = [float(x) for x in self.farkas_ub]
-            out["farkas_eq"] = [float(x) for x in self.farkas_eq]
+            out["farkas_ub"] = self.farkas_ub.tolist()
+            out["farkas_eq"] = self.farkas_eq.tolist()
         return out
 
     @classmethod
@@ -137,7 +145,7 @@ class FeasibilityCertificate:
         return cls(
             status=status,
             grid_hash=data["grid_hash"],
-            weights=np.asarray(data["weights"], dtype=np.float64) if "weights" in data else None,
+            weights=_witness_weights(data["witness"]) if "witness" in data else None,
             farkas_ub=np.asarray(data["farkas_ub"], dtype=np.float64) if "farkas_ub" in data else None,
             farkas_eq=np.asarray(data["farkas_eq"], dtype=np.float64) if "farkas_eq" in data else None,
             margin=float(data.get("margin", 0.0)),
@@ -151,11 +159,44 @@ class FeasibilityCertificate:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _witness_weights(witness) -> np.ndarray:
+    """The dense float64 weights of a witness written by ``to_dict``."""
+    if not isinstance(witness, dict) or set(witness) != {"n_atoms", "index", "weight"}:
+        raise ValueError("witness must be an object with keys n_atoms, index and weight")
+    n_atoms, index, weight = witness["n_atoms"], witness["index"], witness["weight"]
+    if not _is_integer(n_atoms) or n_atoms < 1:
+        raise ValueError(f"witness n_atoms must be an integer >= 1, got {n_atoms!r}")
+    if not isinstance(index, list) or not isinstance(weight, list):
+        raise ValueError("witness index and weight must be lists")
+    if len(index) != len(weight):
+        raise ValueError(f"witness has {len(index)} indices but {len(weight)} weights")
+    if not all(_is_integer(i) for i in index):
+        raise ValueError("witness indices must be integers")
+    if not all(_is_integer(x) or isinstance(x, float) for x in weight):
+        raise ValueError("witness weights must be numbers")
+    if index and not (0 <= index[0] and index[-1] < n_atoms
+                      and all(i < j for i, j in zip(index, index[1:]))):
+        raise ValueError(f"witness indices must increase strictly within [0, {n_atoms})")
+    try:
+        values = np.asarray(weight, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float64 range
+        raise ValueError("witness weights must be float64 numbers") from None
+    weights = np.zeros(n_atoms, dtype=np.float64)
+    weights[index] = values
+    return weights
+
+
 def build_atom_grid(n_u: int, n_v: int, n_mirrored: int = 0) -> AtomGrid:
     """Candidate atoms: the product of two Fibonacci lattices, plus an
     optional mirrored sub-grid (v = -u) covering anticorrelated models."""
     if n_u < 1 or n_v < 1:
         raise ValueError("lattice sizes must be >= 1")
+    if n_mirrored < 0:
+        raise ValueError("mirrored grid size must be >= 0")
     gu = sphere.sphere_grid(n_u)
     gv = sphere.sphere_grid(n_v)
     u = np.repeat(gu, n_v, axis=0)

@@ -300,7 +300,9 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _grid_from_spec(spec: dict) -> certify.AtomGrid:
+def _grid_from_spec(spec) -> certify.AtomGrid:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"a grid must be an object with n_u, n_v and n_mirrored, got {spec!r}")
     _check_keys(spec, {"n_u", "n_v", "n_mirrored"})
     return certify.build_atom_grid(
         _integer(spec["n_u"], "n_u"), _integer(spec["n_v"], "n_v"),
@@ -310,11 +312,15 @@ def _grid_from_spec(spec: dict) -> certify.AtomGrid:
 
 def _grid_from_config(config: dict, grid_flag: int | None) -> certify.AtomGrid:
     spec = config.get("grid")
-    if spec is None:
-        n = grid_flag if grid_flag is not None else 500
-        side = int(np.ceil(np.sqrt(max(1, n))))
-        return certify.build_atom_grid(side, side, n_mirrored=side * 2)
-    return _grid_from_spec(spec)
+    if spec is not None:
+        if grid_flag is not None:
+            raise ConfigError("--grid cannot be combined with a config 'grid' block")
+        return _grid_from_spec(spec)
+    n = grid_flag if grid_flag is not None else 500
+    if n < 1:
+        raise ConfigError(f"--grid must be >= 1, got {n}")
+    side = int(np.ceil(np.sqrt(n)))
+    return certify.build_atom_grid(side, side, n_mirrored=side * 2)
 
 
 def _targets_from_config(config: dict, seed: int) -> list[certify.TargetConstraint]:
@@ -405,6 +411,8 @@ def cmd_optimize(args) -> int:
         raise ConfigError("budget must be >= 1")
     grid_specs = config.get("grids", [{"n_u": 22, "n_v": 22, "n_mirrored": 64},
                                       {"n_u": 44, "n_v": 44, "n_mirrored": 256}])
+    if not isinstance(grid_specs, list) or not grid_specs:
+        raise ConfigError(f"grids must be a non-empty list of grid objects, got {grid_specs!r}")
     grids = [_grid_from_spec(spec) for spec in grid_specs]
     include_marginals = _include_marginals(config)
     result = optimize.optimize_settings(family, grids, budget, seed, include_marginals)

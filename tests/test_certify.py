@@ -101,6 +101,12 @@ class TestAtomGrid:
         with pytest.raises(ValueError):
             AtomGrid(u, v)
 
+    @pytest.mark.parametrize("sizes", [(0, 3, 0), (3, 0, 0), (3, 3, -3)],
+                             ids=["n_u", "n_v", "n_mirrored"])
+    def test_negative_lattice_size_rejected(self, sizes):
+        with pytest.raises(ValueError):
+            build_atom_grid(*sizes)
+
     def test_read_only(self):
         grid = build_atom_grid(3, 3)
         with pytest.raises(ValueError):
@@ -398,6 +404,13 @@ class TestVerifyCertificate:
             verify_certificate(p, bad)
 
 
+def feasible_problem():
+    return build_problem(build_atom_grid(6, 6, 4), [
+        TargetConstraint(settings=SettingsPair(X, Y), e=0.0),
+        TargetConstraint(settings=SettingsPair(Z, X), e=-0.3),
+    ])
+
+
 class TestSerialization:
     def test_certificate_round_trip(self, tmp_path):
         p = two_atom_infeasible_problem()
@@ -408,3 +421,52 @@ class TestSerialization:
         assert restored.status is CertStatus.INFEASIBLE
         assert restored.margin == cert.margin
         assert verify_certificate(p, restored)
+
+    def test_feasible_round_trip(self, tmp_path):
+        p = feasible_problem()
+        cert = solve(p)
+        assert cert.status is CertStatus.FEASIBLE
+        path = tmp_path / "cert.json"
+        cert.save(path)
+        restored = FeasibilityCertificate.load(path)
+        assert restored.status is CertStatus.FEASIBLE
+        assert restored.weights.dtype == np.float64
+        np.testing.assert_array_equal(restored.weights, cert.weights)
+        assert verify_certificate(p, restored)
+
+    def test_witness_written_as_support(self):
+        # a basic solution has at most one nonzero weight per LP row: the
+        # four bound rows and the normalization
+        p = feasible_problem()
+        witness = solve(p).to_dict()["witness"]
+        assert witness["n_atoms"] == p.n_atoms == 40
+        assert 1 <= len(witness["index"]) <= 5
+        assert witness["index"] == sorted(set(witness["index"]))
+        assert len(witness["weight"]) == len(witness["index"])
+        assert all(w != 0.0 for w in witness["weight"])
+
+    @pytest.mark.parametrize("witness", [
+        {"n_atoms": 0, "index": [], "weight": []},
+        {"n_atoms": 2.0, "index": [0], "weight": [1.0]},
+        {"n_atoms": True, "index": [0], "weight": [1.0]},
+        {"n_atoms": "3", "index": [0], "weight": [1.0]},
+        {"n_atoms": 3, "index": [1.0], "weight": [1.0]},
+        {"n_atoms": 3, "index": [False], "weight": [1.0]},
+        {"n_atoms": 3, "index": [2, 1], "weight": [0.5, 0.5]},
+        {"n_atoms": 3, "index": [1, 1], "weight": [0.5, 0.5]},
+        {"n_atoms": 3, "index": [-1], "weight": [1.0]},
+        {"n_atoms": 3, "index": [3], "weight": [1.0]},
+        {"n_atoms": 3, "index": [0, 1], "weight": [1.0]},
+        {"n_atoms": 3, "index": [0], "weight": [0.5, 0.5]},
+        {"n_atoms": 3, "index": [0], "weight": ["1.0"]},
+        {"n_atoms": 3, "index": [0], "weight": [10**400]},
+        {"n_atoms": 3, "index": [0]},
+        [1.0, 0.0, 0.0],
+    ], ids=["zero-atoms", "float-atoms", "bool-atoms", "string-atoms", "float-index",
+            "bool-index", "decreasing", "repeated", "negative", "past-end",
+            "short-weight", "short-index", "string-weight", "huge-weight", "missing-key",
+            "dense-list"])
+    def test_malformed_witness_rejected(self, witness):
+        data = {"status": "feasible", "grid_hash": "0" * 64, "margin": 0.0, "witness": witness}
+        with pytest.raises(ValueError):
+            FeasibilityCertificate.from_dict(data)

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from leggettsim import certify
 from leggettsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERDICT, main
+from leggettsim.models import SettingsPair
 
 
 def write_config(tmp_path: Path, data: dict, name: str = "config.json") -> str:
@@ -266,6 +268,44 @@ class TestCertify:
         config = write_config(tmp_path, {"grid": {"n_u": 4, "n_v": 4}})
         assert main(["certify", "--config", config]) == EXIT_CONFIG
 
+    def test_feasible_report_verifies(self, tmp_path):
+        # the witness in the report is its support; re-read, it must still
+        # verify against the problem the config describes
+        targets = [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0], "e": 0.0},
+                   {"a": [0.0, 0.0, 1.0], "b": [1.0, 0.0, 0.0], "e": -0.3}]
+        config = write_config(tmp_path, {"targets": targets,
+                                         "grid": {"n_u": 8, "n_v": 8, "n_mirrored": 8}})
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--config", config, "--output", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["status"] == "feasible"
+        cert = certify.FeasibilityCertificate.from_dict(report["certificate"])
+        problem = certify.build_problem(
+            certify.build_atom_grid(8, 8, 8),
+            [certify.TargetConstraint(SettingsPair(np.array(t["a"]), np.array(t["b"])), t["e"])
+             for t in targets],
+        )
+        assert report["certificate"]["witness"]["n_atoms"] == problem.n_atoms == 72
+        assert len(report["certificate"]["witness"]["index"]) <= len(targets) * 2 + 1
+        assert certify.verify_certificate(problem, cert)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_grid_flag_below_one_rejected(self, tmp_path, n):
+        config = write_config(tmp_path, {"targets": {"from": "singlet", "settings": {"random": 1}}})
+        assert main(["certify", "--config", config, f"--grid={n}"]) == EXIT_CONFIG
+
+    def test_grid_flag_with_grid_block_rejected(self, tmp_path):
+        config = write_config(tmp_path, {"targets": {"from": "singlet", "settings": {"random": 1}},
+                                         "grid": {"n_u": 4, "n_v": 4}})
+        assert main(["certify", "--config", config, "--grid", "9"]) == EXIT_CONFIG
+
+    def test_grid_flag_sizes_default_grid(self, tmp_path):
+        config = write_config(tmp_path, {"targets": {"from": "singlet", "settings": {"random": 1}}})
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--config", config, "--grid", "9", "--output", str(out)]) == EXIT_OK
+        # a 3 x 3 product lattice plus 6 mirrored atoms
+        assert json.loads(out.read_text())["n_atoms"] == 15
+
 
 class TestOptimize:
     def test_small_run(self, tmp_path):
@@ -283,6 +323,14 @@ class TestOptimize:
     def test_bad_budget(self, tmp_path):
         config = write_config(tmp_path, {"budget": 0})
         assert main(["optimize", "--config", config]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("grids", [[], {"n_u": 4, "n_v": 4}, [[4, 4, 4]], "grid"],
+                             ids=["empty", "object", "list-of-lists", "string"])
+    def test_grids_must_be_list_of_objects(self, tmp_path, capsys, grids):
+        config = write_config(tmp_path, {"budget": 1, "grids": grids})
+        assert main(["optimize", "--config", config]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "grid" in err and "object" in err
 
 
 class TestIntegerFields:
@@ -324,6 +372,14 @@ class TestIntegerFields:
                              ids=[f"{c}-{'.'.join(map(str, p))}" for c, _, p in FIELDS])
     def test_rejected(self, tmp_path, command, config, path, bad):
         path_arg = write_config(tmp_path, self._with(config, path, bad))
+        assert main([command, "--config", path_arg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, config, path", [
+        ("certify", CERTIFY, ("grid", "n_mirrored")),
+        ("optimize", OPTIMIZE, ("grids", 0, "n_mirrored")),
+    ], ids=["certify", "optimize"])
+    def test_negative_mirrored_rejected(self, tmp_path, command, config, path):
+        path_arg = write_config(tmp_path, self._with(config, path, -3))
         assert main([command, "--config", path_arg]) == EXIT_CONFIG
 
     def test_integral_float_accepted(self, tmp_path):
