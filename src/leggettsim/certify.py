@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels, sphere
-from .models import SettingsPair, SubensembleDistribution
+from .models import SettingsPair, SubensembleDistribution, float_array, is_integer
 from .simplex import SolverFailure, phase1_simplex
 
 FEAS_TOL = 1e-9
@@ -141,14 +141,21 @@ class FeasibilityCertificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FeasibilityCertificate":
-        status = CertStatus(data["status"])
+        """Read the form ``to_dict`` writes; anything else raises ValueError.
+        Numbers must be JSON numbers (booleans and numeric strings are
+        refused), and the Farkas multipliers come as a pair or not at all."""
+        if not isinstance(data, dict) or not isinstance(data.get("grid_hash"), str):
+            raise ValueError("a certificate must be an object with a grid_hash string")
+        if ("farkas_ub" in data) != ("farkas_eq" in data):
+            raise ValueError("farkas_ub and farkas_eq must be given together")
+        farkas = "farkas_ub" in data
         return cls(
-            status=status,
+            status=CertStatus(data.get("status")),
             grid_hash=data["grid_hash"],
             weights=_witness_weights(data["witness"]) if "witness" in data else None,
-            farkas_ub=np.asarray(data["farkas_ub"], dtype=np.float64) if "farkas_ub" in data else None,
-            farkas_eq=np.asarray(data["farkas_eq"], dtype=np.float64) if "farkas_eq" in data else None,
-            margin=float(data.get("margin", 0.0)),
+            farkas_ub=float_array(data["farkas_ub"], "farkas_ub") if farkas else None,
+            farkas_eq=float_array(data["farkas_eq"], "farkas_eq") if farkas else None,
+            margin=float(float_array([data.get("margin", 0.0)], "margin")[0]),
         )
 
     def save(self, path) -> None:
@@ -159,32 +166,21 @@ class FeasibilityCertificate:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def _is_integer(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _witness_weights(witness) -> np.ndarray:
     """The dense float64 weights of a witness written by ``to_dict``."""
     if not isinstance(witness, dict) or set(witness) != {"n_atoms", "index", "weight"}:
         raise ValueError("witness must be an object with keys n_atoms, index and weight")
-    n_atoms, index, weight = witness["n_atoms"], witness["index"], witness["weight"]
-    if not _is_integer(n_atoms) or n_atoms < 1:
+    n_atoms, index = witness["n_atoms"], witness["index"]
+    if not is_integer(n_atoms) or n_atoms < 1:
         raise ValueError(f"witness n_atoms must be an integer >= 1, got {n_atoms!r}")
-    if not isinstance(index, list) or not isinstance(weight, list):
-        raise ValueError("witness index and weight must be lists")
-    if len(index) != len(weight):
-        raise ValueError(f"witness has {len(index)} indices but {len(weight)} weights")
-    if not all(_is_integer(i) for i in index):
-        raise ValueError("witness indices must be integers")
-    if not all(_is_integer(x) or isinstance(x, float) for x in weight):
-        raise ValueError("witness weights must be numbers")
+    if not isinstance(index, list) or not all(map(is_integer, index)):
+        raise ValueError("witness index must be a list of integers")
+    values = float_array(witness["weight"], "witness weight")
+    if len(index) != len(values):
+        raise ValueError(f"witness has {len(index)} indices but {len(values)} weights")
     if index and not (0 <= index[0] and index[-1] < n_atoms
                       and all(i < j for i, j in zip(index, index[1:]))):
         raise ValueError(f"witness indices must increase strictly within [0, {n_atoms})")
-    try:
-        values = np.asarray(weight, dtype=np.float64)
-    except OverflowError:  # an integer beyond the float64 range
-        raise ValueError("witness weights must be float64 numbers") from None
     weights = np.zeros(n_atoms, dtype=np.float64)
     weights[index] = values
     return weights

@@ -1,10 +1,11 @@
 """Batch command-line harness.
 
 Subcommands: identity-check, simulate, chsh, bounds, certify, optimize.
-Each run is driven by a single JSON config document (unknown keys are
-rejected) plus a few overriding flags; reports embed the tool version,
-the seed, and a hash of the effective config, and identical config+seed
-runs produce byte-identical outputs.
+Each run is driven by a single JSON config document, read through one
+table of fields per subcommand (unknown keys are rejected), plus the few
+overriding flags that table names. Reports embed the tool version, the
+seed, and a hash of the config as loaded, and identical config+seed runs
+produce byte-identical outputs.
 
 Exit codes: 0 success, 1 invariant/verdict failure, 2 configuration
 error, 3 solver failure.
@@ -15,14 +16,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, certify, models, optimize, quantum, sphere
-from .bounds import averaged_bounds, check_bounds, pointwise_identity
-from .models import Coupling, LeggettModel, SettingsPair
+from .bounds import DEFAULT_K_SIGMA, averaged_bounds, check_bounds, pointwise_identity
+from .models import Coupling, LeggettModel, SettingsPair, is_integer, is_number
 from .montecarlo import estimate_correlation
 from .simplex import SolverFailure
 
@@ -31,146 +35,263 @@ EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
+REQUIRED = object()
+
 
 class ConfigError(ValueError):
     pass
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    return data
+class Field(NamedTuple):
+    """One field of a config object: ``read(value, name)`` checks and converts
+    its value. A field without a default is required; with a default of None,
+    leaving it out or giving null means "not given". ``flag`` (name, argparse
+    type) overrides the config value; with ``config=False`` the field is that
+    flag alone."""
+
+    name: str
+    read: Callable[[object, str], object]
+    default: object = REQUIRED
+    flag: tuple[str, type] | None = None
+    config: bool = True
 
 
-def _check_keys(config: dict, allowed: set[str]) -> None:
-    unknown = set(config) - allowed
+def _fields(table: tuple[Field, ...], spec, where: str, args=None) -> dict:
+    """Read an object through its table: reject unknown keys, then take each
+    field from its flag, the object or its default, in that order, and read
+    it. ``partial(_fields, table)`` is the reader of a nested object."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be an object, got {spec!r}")
+    unknown = set(spec) - {f.name for f in table if f.config}
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    out = {}
+    for f in table:
+        value, name = (getattr(args, f.name) if f.flag else None), f.name
+        if value is not None:
+            name = f.flag[0]
+        elif f.name in spec:
+            value = spec[f.name]
+        elif f.default is REQUIRED:
+            raise ConfigError(f"{where} requires {f.name!r}")
+        else:
+            value = f.default
+        out[f.name] = None if value is None and f.default is None else f.read(value, name)
+    return out
 
 
-def _integer(value, name: str) -> int:
-    """A count or seed read from JSON: an integer, or a float with no fractional part.
+def _variant(spec, where: str, key: str, tables: dict) -> tuple[str, dict]:
+    """Read an object whose ``key`` names the table the rest of it is read through."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise ConfigError(f"{where} must be an object with a {key!r} key, got {spec!r}")
+    table = _choice(tables)(spec[key], key)
+    return spec[key], _fields(table, {k: v for k, v in spec.items() if k != key}, where)
 
-    Booleans, fractional numbers and strings are rejected rather than truncated.
-    """
-    if isinstance(value, int) and not isinstance(value, bool):
+
+def _integer(lo: int, hi: float = math.inf):
+    """Reader of a count or seed in [lo, hi): a JSON integer, or a float with no
+    fractional part. Booleans, fractions and strings are refused, not truncated."""
+    def read(value, name: str) -> int:
+        n = int(value) if isinstance(value, float) and value.is_integer() else value
+        if not (is_integer(n) and lo <= n < hi):
+            raise ConfigError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
+        return n
+    return read
+
+
+def _real(lo: float = -math.inf, hi: float = math.inf):
+    """Reader of a finite real number in [lo, hi]: a JSON integer or float.
+    Booleans and strings are rejected rather than converted."""
+    def read(value, name: str) -> float:
+        # the float64 range check comes first, so float() cannot overflow
+        if not (is_number(value) and abs(value) <= sys.float_info.max and lo <= value <= hi):
+            raise ConfigError(f"{name} must be a finite number in [{lo}, {hi}], got {value!r}")
+        return float(value)
+    return read
+
+
+def _typed(kind: type, what: str):
+    """Reader of a value of JSON type ``kind``, taken as it is."""
+    def read(value, name: str):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
         return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return read
 
 
-def _real(value, name: str) -> float:
-    """A real number read from JSON: an integer or a float.
+_text = _typed(str, "a string")
+COUNT = _integer(1)
+REAL = _real()
 
-    Booleans and strings are rejected rather than converted.
-    """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+def _choice(options: dict):
+    """Reader of one of the string keys of ``options``, read as its value."""
+    def read(value, name: str):
+        if not isinstance(value, str) or value not in options:
+            raise ConfigError(f"{name} must be one of {sorted(options)}, got {value!r}")
+        return options[value]
+    return read
+
+
+def _list_of(read, what: str):
+    """Reader of a non-empty list whose items are read by ``read``."""
+    def read_list(value, name: str) -> list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a non-empty list of {what}, got {value!r}")
+        return [read(item, f"{name}[{i}]") for i, item in enumerate(value)]
+    return read_list
 
 
 def _direction(value, name: str) -> np.ndarray:
     """A direction read from JSON: a list of three numbers, normalized."""
     if not isinstance(value, list) or len(value) != 3:
         raise ConfigError(f"{name} must be a list of three numbers, got {value!r}")
-    return sphere.normalize([_real(x, name) for x in value])
+    return sphere.normalize([REAL(x, name) for x in value])
 
 
-def _seed(args, config: dict) -> int:
-    """The run's seed, from the flag or the config.
+def _load_json(path: str, what: str, parse=lambda data: data):
+    """The JSON document at ``path`` as ``parse`` reads it; a file that
+    cannot be read, or that ``parse`` refuses, is a ConfigError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    try:
+        return parse(json.loads(text))
+    except ValueError as exc:
+        raise ConfigError(f"invalid {what} {path}: {exc}") from exc
 
-    It keys a Philox stream next to a stream id, and NumPy reads that key
-    exactly only for 0 <= seed < 2**63; a seed outside exits 2.
-    """
-    seed = args.seed if args.seed is not None else _integer(config.get("seed", 0), "seed")
-    if not 0 <= seed < 2**63:
-        raise ConfigError(f"seed must lie in [0, 2**63), got {seed}")
-    return seed
 
-
-def _config_hash(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        _write_text(output, text)
     sys.stdout.write(text)
 
 
-def _report_json(payload: dict, output: str | None) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", output)
+def _report_json(payload: dict, f: dict, config_hash: str) -> None:
+    head = {"tool_version": __version__, "seed": f["seed"], "config_hash": config_hash}
+    _emit(json.dumps(head | payload, sort_keys=True, indent=2) + "\n", f["output"])
 
 
-def _build_model(spec, seed: int) -> LeggettModel:
+# -- readers of the nested objects ---------------------------------------
+# A spec that draws from the run's seed (a random model, random settings,
+# targets built from either) is read into a function of that seed.
+
+COUPLING = Field("coupling", _choice({c.value: c for c in Coupling}), "independent")
+RANDOM_MODEL = (Field("atoms", COUNT, 1000), COUPLING)
+MODEL_GENERATORS = {
+    "point-mass": (Field("u", _direction), Field("v", _direction), COUPLING),
+    "isotropic": RANDOM_MODEL,
+    "mirrored": RANDOM_MODEL,
+}
+MODEL_FILE = (Field("file", _text),)
+SETTINGS_PAIR = (Field("a", _direction), Field("b", _direction))
+RANDOM_SETTINGS = (Field("random", COUNT),)
+
+
+def _model(spec, name: str):
+    """A model file path, {"file": path}, or an object naming a generator."""
     if isinstance(spec, str):
         spec = {"file": spec}
-    if not isinstance(spec, dict):
-        raise ConfigError("model spec must be a path or an object")
-    if "file" in spec:
-        _check_keys(spec, {"file"})
-        path = Path(spec["file"])
-        if not path.exists():
-            raise ConfigError(f"model file not found: {path}")
-        try:
-            return LeggettModel.load(path)
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"invalid model file {path}: {exc}") from exc
-    _check_keys(spec, {"generator", "atoms", "coupling", "u", "v"})
-    coupling = Coupling(spec.get("coupling", "independent"))
-    generator = spec.get("generator")
+    if isinstance(spec, dict) and "file" in spec:
+        path = _fields(MODEL_FILE, spec, name)["file"]
+        model = _load_json(path, "model file", LeggettModel.from_dict)
+        return lambda seed: model
+    generator, m = _variant(spec, name, "generator", MODEL_GENERATORS)
     if generator == "point-mass":
-        dist = models.point_mass(_direction(spec["u"], "u"), _direction(spec["v"], "v"))
-    elif generator == "isotropic":
-        dist = models.isotropic_product(_integer(spec.get("atoms", 1000), "atoms"), sphere.make_rng(seed, 1))
-    elif generator == "mirrored":
-        dist = models.mirrored(_integer(spec.get("atoms", 1000), "atoms"), sphere.make_rng(seed, 1))
-    else:
-        raise ConfigError(f"unknown model generator: {generator!r}")
-    return LeggettModel(dist, coupling)
+        model = LeggettModel(models.point_mass(m["u"], m["v"]), m["coupling"])
+        return lambda seed: model
+    draw = models.isotropic_product if generator == "isotropic" else models.mirrored
+    return lambda seed: LeggettModel(draw(m["atoms"], sphere.make_rng(seed, 1)), m["coupling"])
 
 
-def _settings_list(spec, seed: int) -> list[SettingsPair]:
+def _settings(spec, name: str):
+    """A list of {"a", "b"} settings pairs, or {"random": count}."""
     if isinstance(spec, dict):
-        _check_keys(spec, {"random"})
-        count = _integer(spec["random"], "random")
-        if count < 1:
-            raise ConfigError("random settings count must be >= 1")
-        rng = sphere.make_rng(seed, 2)
-        a = sphere.random_unit_vectors(rng, count)
-        b = sphere.random_unit_vectors(rng, count)
-        return [SettingsPair(a[i], b[i]) for i in range(count)]
-    if not isinstance(spec, list) or not spec:
-        raise ConfigError("settings must be a non-empty list or {'random': count}")
-    out = []
-    for item in spec:
-        _check_keys(item, {"a", "b"})
-        out.append(SettingsPair(_direction(item["a"], "a"), _direction(item["b"], "b")))
-    return out
+        count = _fields(RANDOM_SETTINGS, spec, name)["random"]
+
+        def draw(seed: int) -> list[SettingsPair]:
+            rng = sphere.make_rng(seed, 2)
+            a = sphere.random_unit_vectors(rng, count)
+            b = sphere.random_unit_vectors(rng, count)
+            return [SettingsPair(a[i], b[i]) for i in range(count)]
+        return draw
+    read = _list_of(partial(_fields, SETTINGS_PAIR), "{'a', 'b'} objects, or {'random': count}")
+    pairs = [SettingsPair(p["a"], p["b"]) for p in read(spec, name)]
+    return lambda seed: pairs
+
+
+def _family(value, name: str) -> optimize.SettingsFamily:
+    return optimize.settings_family(_text(value, name))
+
+
+CORRELATION = _real(-1.0, 1.0)
+TARGET = (*SETTINGS_PAIR, Field("e", CORRELATION), Field("ma", CORRELATION, None), Field("mb", CORRELATION, None))
+FAMILY_TARGETS = (Field("from", _choice({"singlet": "singlet"})), Field("family", _family),
+                  Field("params", _list_of(REAL, "numbers")))
+TARGET_SOURCES = {
+    "singlet": (Field("settings", _settings),),
+    "model": (Field("model", _model), Field("settings", _settings)),
+}
+
+
+def _targets(spec, name: str):
+    """A list of {a, b, e, ma, mb} targets, or an object that takes them
+    from the singlet (over settings or a settings family) or from a model."""
+    if isinstance(spec, list):
+        read = _list_of(partial(_fields, TARGET), "target objects")
+        targets = [certify.TargetConstraint(SettingsPair(t["a"], t["b"]), t["e"], t["ma"], t["mb"])
+                   for t in read(spec, name)]
+        return lambda seed: targets
+    if isinstance(spec, dict) and "family" in spec:
+        f = _fields(FAMILY_TARGETS, spec, name)
+        family = f["family"]
+        if len(f["params"]) != family.n_params:
+            raise ConfigError(f"family {family.name!r} takes {family.n_params} params")
+        targets = family.build(np.array(f["params"]))
+        return lambda seed: targets
+    source, f = _variant(spec, name, "from", TARGET_SOURCES)
+    if source == "singlet":
+        return lambda seed: [certify.TargetConstraint(s, quantum.singlet_correlation(s), 0.0, 0.0)
+                             for s in f["settings"](seed)]
+
+    def from_model(seed: int) -> list[certify.TargetConstraint]:
+        model = f["model"](seed)
+        return [certify.TargetConstraint(s, models.exact_model_correlation(model, s),
+                                         *models.exact_model_marginals(model, s))
+                for s in f["settings"](seed)]
+    return from_model
+
+
+GRID = (Field("n_u", COUNT), Field("n_v", COUNT), Field("n_mirrored", _integer(0), 0))
+SCENARIO = tuple(Field(name, _direction) for name in ("a", "a_prime", "b", "b_prime"))
+
+
+def _grid(value, name: str) -> certify.AtomGrid:
+    return certify.build_atom_grid(**_fields(GRID, value, name))
+
+
+# -- the subcommands -----------------------------------------------------
+
+# a seed keys a Philox stream, whose key NumPy reads exactly only in [0, 2**63)
+SEED = Field("seed", _integer(0, 2**63), 0, flag=("--seed", int))
+OUTPUT = Field("output", _text, None, flag=("--output", str))
+INCLUDE_MARGINALS = Field("include_marginals", _typed(bool, "true or false"), False)
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def cmd_identity_check(args) -> int:
-    config = _load_config(args.config)
-    _check_keys(config, set())
-    lines = [f"leggettsim {__version__} identity-check config_hash={_config_hash(config)}"]
+def cmd_identity_check(f: dict, config_hash: str) -> int:
+    lines = [f"leggettsim {__version__} identity-check config_hash={config_hash}"]
     failures = 0
     for a in (-1, 1):
         for b in (-1, 1):
@@ -179,7 +300,7 @@ def cmd_identity_check(args) -> int:
             failures += 0 if ok else 1
             lines.append(f"A={a:+d} B={b:+d} lhs={_fmt(lhs)} mid={_fmt(mid)} rhs={_fmt(rhs)} {'ok' if ok else 'FAIL'}")
     lines.append(f"{4 - failures}/4 identities hold")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit("\n".join(lines) + "\n", f["output"])
     return EXIT_OK if failures == 0 else EXIT_VERDICT
 
 
@@ -189,27 +310,16 @@ CSV_COLUMNS = [
 ]
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    _check_keys(config, {"model", "settings", "samples", "seed", "k_sigma", "output"})
-    seed = _seed(args, config)
-    n = args.samples if args.samples is not None else _integer(config.get("samples", 10000), "samples")
-    if n < 1:
-        raise ConfigError("samples must be >= 1")
-    k_sigma = args.k_sigma if args.k_sigma is not None else _real(config.get("k_sigma", 4.0), "k_sigma")
-    output = args.output or config.get("output")
-    if "model" not in config or "settings" not in config:
-        raise ConfigError("simulate config requires 'model' and 'settings'")
-    model = _build_model(config["model"], seed)
-    settings = _settings_list(config["settings"], seed)
-
+def cmd_simulate(f: dict, config_hash: str) -> int:
+    seed, n, output = f["seed"], f["samples"], f["output"]
+    model = f["model"](seed)
     rows = []
     all_ok = True
-    for idx, s in enumerate(settings):
+    for idx, s in enumerate(f["settings"](seed)):
         est = estimate_correlation(model, s, n, seed, stream_id=10 + idx)
         exact = models.exact_model_correlation(model, s)
         b = averaged_bounds(model.distribution, s)
-        verdict = check_bounds(est.mean, est.se, b, k_sigma)
+        verdict = check_bounds(est.mean, est.se, b, f["k_sigma"])
         all_ok = all_ok and verdict.satisfied
         rows.append([
             str(idx),
@@ -221,66 +331,35 @@ def cmd_simulate(args) -> int:
         ])
     csv_text = "\n".join([",".join(CSV_COLUMNS)] + [",".join(r) for r in rows]) + "\n"
     if output:
-        Path(output).write_text(csv_text, encoding="utf-8", newline="\n")
-        meta = {
-            "tool_version": __version__,
-            "seed": seed,
-            "config_hash": _config_hash(config),
-            "rows": len(rows),
-        }
-        Path(str(output) + ".meta.json").write_text(
-            json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_text(output, csv_text)
+        meta = {"tool_version": __version__, "seed": seed, "config_hash": config_hash, "rows": len(rows)}
+        _write_text(str(output) + ".meta.json", json.dumps(meta, sort_keys=True, indent=2) + "\n")
     else:
         sys.stdout.write(csv_text)
     sys.stdout.write(
-        f"leggettsim {__version__} simulate seed={seed} config_hash={_config_hash(config)} "
+        f"leggettsim {__version__} simulate seed={seed} config_hash={config_hash} "
         f"rows={len(rows)} verdict={'satisfied' if all_ok else 'violated'}\n"
     )
     return EXIT_OK if all_ok else EXIT_VERDICT
 
 
-def _scenario_from_config(config: dict) -> quantum.ChshScenario:
-    spec = config.get("scenario")
-    if spec is None:
-        return quantum.standard_planar_scenario()
-    names = ("a", "a_prime", "b", "b_prime")
-    _check_keys(spec, set(names))
-    return quantum.ChshScenario(*(_direction(spec[name], name) for name in names))
-
-
-def cmd_chsh(args) -> int:
-    config = _load_config(args.config)
-    _check_keys(config, {"scenario", "model", "seed", "output"})
-    seed = _seed(args, config)
-    scenario = _scenario_from_config(config)
-    s_singlet = quantum.chsh_value(scenario, quantum.singlet_correlation)
+def cmd_chsh(f: dict, config_hash: str) -> int:
+    scenario = quantum.standard_planar_scenario() if f["scenario"] is None else f["scenario"]
     payload = {
-        "tool_version": __version__,
-        "seed": seed,
-        "config_hash": _config_hash(config),
         "classical_bound": quantum.CLASSICAL_CHSH_BOUND,
-        "singlet_S": s_singlet,
+        "singlet_S": quantum.chsh_value(scenario, quantum.singlet_correlation),
     }
-    if "model" in config:
-        model = _build_model(config["model"], seed)
-        payload["model_S"] = quantum.chsh_value(
-            scenario, lambda s: models.exact_model_correlation(model, s)
-        )
-    _report_json(payload, args.output or config.get("output"))
+    if f["model"] is not None:
+        model = f["model"](f["seed"])
+        payload["model_S"] = quantum.chsh_value(scenario, lambda s: models.exact_model_correlation(model, s))
+    _report_json(payload, f, config_hash)
     return EXIT_OK
 
 
-def cmd_bounds(args) -> int:
-    config = _load_config(args.config)
-    _check_keys(config, {"model", "settings", "seed", "output"})
-    seed = _seed(args, config)
-    if "model" not in config or "settings" not in config:
-        raise ConfigError("bounds config requires 'model' and 'settings'")
-    model = _build_model(config["model"], seed)
-    settings = _settings_list(config["settings"], seed)
+def cmd_bounds(f: dict, config_hash: str) -> int:
+    model = f["model"](f["seed"])
     entries = []
-    for idx, s in enumerate(settings):
+    for idx, s in enumerate(f["settings"](f["seed"])):
         b = averaged_bounds(model.distribution, s)
         entries.append({
             "experiment_id": idx,
@@ -290,183 +369,100 @@ def cmd_bounds(args) -> int:
             "upper": b.upper,
             "exact": models.exact_model_correlation(model, s),
         })
-    payload = {
-        "tool_version": __version__,
-        "seed": seed,
-        "config_hash": _config_hash(config),
-        "bounds": entries,
-    }
-    _report_json(payload, args.output or config.get("output"))
+    _report_json({"bounds": entries}, f, config_hash)
     return EXIT_OK
 
 
-def _grid_from_spec(spec) -> certify.AtomGrid:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"a grid must be an object with n_u, n_v and n_mirrored, got {spec!r}")
-    _check_keys(spec, {"n_u", "n_v", "n_mirrored"})
-    return certify.build_atom_grid(
-        _integer(spec["n_u"], "n_u"), _integer(spec["n_v"], "n_v"),
-        _integer(spec.get("n_mirrored", 0), "n_mirrored"),
-    )
-
-
-def _grid_from_config(config: dict, grid_flag: int | None) -> certify.AtomGrid:
-    spec = config.get("grid")
-    if spec is not None:
-        if grid_flag is not None:
-            raise ConfigError("--grid cannot be combined with a config 'grid' block")
-        return _grid_from_spec(spec)
-    n = grid_flag if grid_flag is not None else 500
-    if n < 1:
-        raise ConfigError(f"--grid must be >= 1, got {n}")
-    side = int(np.ceil(np.sqrt(n)))
-    return certify.build_atom_grid(side, side, n_mirrored=side * 2)
-
-
-def _targets_from_config(config: dict, seed: int) -> list[certify.TargetConstraint]:
-    spec = config.get("targets")
-    if spec is None:
-        raise ConfigError("certify config requires 'targets'")
-    if isinstance(spec, list):
-        out = []
-        for item in spec:
-            _check_keys(item, {"a", "b", "e", "ma", "mb"})
-            out.append(certify.TargetConstraint(
-                settings=SettingsPair(_direction(item["a"], "a"), _direction(item["b"], "b")),
-                e=_real(item["e"], "e"),
-                ma=None if item.get("ma") is None else _real(item["ma"], "ma"),
-                mb=None if item.get("mb") is None else _real(item["mb"], "mb"),
-            ))
-        return out
-    _check_keys(spec, {"from", "model", "settings", "family", "params"})
-    source = spec.get("from")
-    if source == "singlet":
-        if "family" in spec:
-            family = optimize.settings_family(spec["family"])
-            params = spec["params"]
-            if not isinstance(params, list) or len(params) != family.n_params:
-                raise ConfigError(f"family {family.name!r} takes {family.n_params} params")
-            params = np.array([_real(x, "params") for x in params])
-            return family.build(params)
-        settings = _settings_list(spec["settings"], seed)
-        out = []
-        for s in settings:
-            out.append(certify.TargetConstraint(
-                settings=s, e=quantum.singlet_correlation(s), ma=0.0, mb=0.0
-            ))
-        return out
-    if source == "model":
-        model = _build_model(spec["model"], seed)
-        settings = _settings_list(spec["settings"], seed)
-        out = []
-        for s in settings:
-            ma, mb = models.exact_model_marginals(model, s)
-            out.append(certify.TargetConstraint(
-                settings=s, e=models.exact_model_correlation(model, s), ma=ma, mb=mb
-            ))
-        return out
-    raise ConfigError("targets 'from' must be 'singlet' or 'model'")
-
-
-def _include_marginals(config: dict) -> bool:
-    value = config.get("include_marginals", False)
-    if not isinstance(value, bool):
-        raise ConfigError("include_marginals must be true or false")
-    return value
-
-
-def cmd_certify(args) -> int:
-    config = _load_config(args.config)
-    _check_keys(config, {"grid", "targets", "include_marginals", "seed", "output"})
-    seed = _seed(args, config)
-    grid = _grid_from_config(config, args.grid)
-    constraints = _targets_from_config(config, seed)
-    include_marginals = _include_marginals(config)
-    problem = certify.build_problem(grid, constraints, include_marginals=include_marginals)
+def cmd_certify(f: dict, config_hash: str) -> int:
+    if f["grid"] is not None and f["grid_size"] is not None:
+        raise ConfigError("--grid cannot be combined with a config 'grid' block")
+    # --grid N: a k x k product lattice, k = ceil(sqrt(N)), plus 2k mirrored atoms
+    side = int(np.ceil(np.sqrt(f["grid_size"] or 500)))
+    grid = f["grid"] or certify.build_atom_grid(side, side, n_mirrored=side * 2)
+    constraints = f["targets"](f["seed"])
+    problem = certify.build_problem(grid, constraints, include_marginals=f["include_marginals"])
     cert = certify.solve(problem)
     verified = certify.verify_certificate(problem, cert)
-    payload = {
-        "tool_version": __version__,
-        "seed": seed,
-        "config_hash": _config_hash(config),
+    _report_json({
         "n_atoms": problem.n_atoms,
         "n_constraints": len(constraints),
-        "include_marginals": include_marginals,
+        "include_marginals": f["include_marginals"],
         "status": cert.status.value,
         "margin": cert.margin,
         "verified": verified,
         "certificate": cert.to_dict(),
-    }
-    _report_json(payload, args.output or config.get("output"))
+    }, f, config_hash)
     return EXIT_OK if verified else EXIT_VERDICT
 
 
-def cmd_optimize(args) -> int:
-    config = _load_config(args.config)
-    _check_keys(config, {"family", "budget", "grids", "include_marginals", "seed", "output"})
-    seed = _seed(args, config)
-    family = optimize.settings_family(config.get("family", "orthogonal-doublets"))
-    budget = _integer(config.get("budget", 300), "budget")
-    if budget < 1:
-        raise ConfigError("budget must be >= 1")
-    grid_specs = config.get("grids", [{"n_u": 22, "n_v": 22, "n_mirrored": 64},
-                                      {"n_u": 44, "n_v": 44, "n_mirrored": 256}])
-    if not isinstance(grid_specs, list) or not grid_specs:
-        raise ConfigError(f"grids must be a non-empty list of grid objects, got {grid_specs!r}")
-    grids = [_grid_from_spec(spec) for spec in grid_specs]
-    include_marginals = _include_marginals(config)
-    result = optimize.optimize_settings(family, grids, budget, seed, include_marginals)
-    payload = {
-        "tool_version": __version__,
-        "seed": seed,
-        "config_hash": _config_hash(config),
+def cmd_optimize(f: dict, config_hash: str) -> int:
+    result = optimize.optimize_settings(f["family"], f["grids"], f["budget"], f["seed"], f["include_marginals"])
+    _report_json({
         "family": result.family,
         "params": [float(x) for x in result.params],
         "margin": result.margin,
         "margins_per_grid": list(result.margins),
         "evaluations": result.evaluations,
-        "grid_atoms": [g.n_atoms for g in grids],
-    }
-    _report_json(payload, args.output or config.get("output"))
+        "grid_atoms": [g.n_atoms for g in f["grids"]],
+    }, f, config_hash)
     return EXIT_OK
+
+
+# subcommand -> (handler, the fields of its config and its flags)
+COMMANDS = {
+    "identity-check": (cmd_identity_check, (OUTPUT._replace(config=False),)),
+    "simulate": (cmd_simulate, (
+        Field("model", _model), Field("settings", _settings),
+        Field("samples", COUNT, 10000, flag=("--samples", int)),
+        Field("k_sigma", _real(0.0), DEFAULT_K_SIGMA, flag=("--k-sigma", float)),
+        SEED, OUTPUT,
+    )),
+    "chsh": (cmd_chsh, (
+        Field("scenario", lambda value, name: quantum.ChshScenario(**_fields(SCENARIO, value, name)), None),
+        Field("model", _model, None), SEED, OUTPUT,
+    )),
+    "bounds": (cmd_bounds, (Field("model", _model), Field("settings", _settings), SEED, OUTPUT)),
+    "certify": (cmd_certify, (
+        Field("grid", _grid, None),
+        Field("grid_size", COUNT, None, flag=("--grid", int), config=False),
+        Field("targets", _targets), INCLUDE_MARGINALS, SEED, OUTPUT,
+    )),
+    "optimize": (cmd_optimize, (
+        Field("family", _family, "orthogonal-doublets"),
+        Field("budget", COUNT, 300),
+        Field("grids", _list_of(_grid, "grid objects"),
+              [{"n_u": 22, "n_v": 22, "n_mirrored": 64}, {"n_u": 44, "n_v": 44, "n_mirrored": 256}]),
+        INCLUDE_MARGINALS, SEED, OUTPUT,
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="leggettsim", description=__doc__)
     parser.add_argument("--version", action="version", version=f"leggettsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "identity-check": cmd_identity_check,
-        "simulate": cmd_simulate,
-        "chsh": cmd_chsh,
-        "bounds": cmd_bounds,
-        "certify": cmd_certify,
-        "optimize": cmd_optimize,
-    }
-    for name, fn in commands.items():
+    for name, (handler, table) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--output", type=str, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--k-sigma", dest="k_sigma", type=float, default=None)
-        p.set_defaults(handler=fn)
+        if any(f.config for f in table):
+            p.add_argument("--config", type=str, default=None)
+        for f in table:
+            if f.flag:
+                p.add_argument(f.flag[0], dest=f.name, type=f.flag[1], default=None)
+        p.set_defaults(handler=handler, table=table)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
+        config = {} if getattr(args, "config", None) is None else _load_json(args.config, "config")
+        fields = _fields(args.table, config, "config", args)
+        canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))  # the config as loaded
+        return args.handler(fields, hashlib.sha256(canonical.encode("utf-8")).hexdigest())
     except SolverFailure as exc:
         sys.stderr.write(f"solver failure: {exc}\n")
         return EXIT_SOLVER
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:  # a ConfigError, or a library constructor refusing its input
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
 

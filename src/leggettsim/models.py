@@ -34,6 +34,31 @@ LOAD_RENORM_TOL = 1e-9
 GUIDE_SCAN_MAX = 16
 
 
+def is_integer(x) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_number(x) -> bool:
+    """A JSON number: an int or a float that is not a bool (a numeric string is not one)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def float_array(values, name: str, length: int | None = None) -> np.ndarray:
+    """A JSON list of numbers (of ``length`` entries, when given) as float64.
+
+    Anything else raises ValueError, as does an integer beyond the float64
+    range, which numpy would raise as OverflowError.
+    """
+    if (not isinstance(values, list) or not all(map(is_number, values))
+            or (length is not None and len(values) != length)):
+        raise ValueError(f"{name} must be a list of {length or 'any number of'} numbers")
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{name} must be float64 numbers") from None
+
+
 class Coupling(enum.Enum):
     """Joint conditional law for (A, B) given fixed marginals."""
 
@@ -175,10 +200,19 @@ class LeggettModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LeggettModel":
+        """Read the form ``to_dict`` writes. Anything else raises ValueError:
+        unknown or missing keys, a non-list ``atoms``, or a component or
+        weight that is not a JSON number (booleans and numeric strings
+        included)."""
+        if not isinstance(data, dict) or set(data) != {"atoms", "coupling"}:
+            raise ValueError("a model must be an object with keys atoms and coupling")
         atoms = data["atoms"]
-        u = np.array([atom["u"] for atom in atoms], dtype=np.float64)
-        v = np.array([atom["v"] for atom in atoms], dtype=np.float64)
-        w = np.array([atom["w"] for atom in atoms], dtype=np.float64)
+        if not isinstance(atoms, list) or not all(isinstance(a, dict) and set(a) == {"u", "v", "w"}
+                                                  for a in atoms):
+            raise ValueError("atoms must be a list of objects with keys u, v and w")
+        u = np.array([float_array(atom["u"], "u", 3) for atom in atoms])
+        v = np.array([float_array(atom["v"], "v", 3) for atom in atoms])
+        w = float_array([atom["w"] for atom in atoms], "atom weights")
         total = float(w.sum())
         if abs(total - 1.0) > LOAD_RENORM_TOL:
             raise ValueError(f"atom weights sum to {total!r}, outside the 1e-9 load tolerance")

@@ -470,3 +470,33 @@ class TestSerialization:
         data = {"status": "feasible", "grid_hash": "0" * 64, "margin": 0.0, "witness": witness}
         with pytest.raises(ValueError):
             FeasibilityCertificate.from_dict(data)
+
+    @pytest.mark.parametrize("change", [
+        {"margin": "0.5"},
+        {"margin": True},
+        {"margin": 10**400},
+        {"farkas_ub": ["1", True]},
+        {"farkas_ub": [1.0, True]},
+        {"farkas_ub": 1.0},
+        {"farkas_ub": [10**400, 0.0]},
+        {"farkas_eq": ["0"]},
+        {"farkas_eq": None},
+        {"farkas_ub": None},
+        {"status": "maybe"},
+        {"status": None},
+        {"grid_hash": 5},
+        {"grid_hash": None},
+    ], ids=["string-margin", "bool-margin", "huge-margin", "string-farkas", "bool-farkas",
+            "scalar-farkas", "huge-farkas", "string-farkas-eq", "ub-without-eq", "eq-without-ub",
+            "bad-status", "missing-status", "int-hash", "missing-hash"])
+    def test_malformed_farkas_certificate_rejected(self, change):
+        # None drops the key
+        data = solve(two_atom_infeasible_problem()).to_dict()
+        assert data["status"] == "infeasible"
+        for key, value in change.items():
+            if value is None:
+                del data[key]
+            else:
+                data[key] = value
+        with pytest.raises(ValueError):
+            FeasibilityCertificate.from_dict(data)

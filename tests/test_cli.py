@@ -1,12 +1,18 @@
+import argparse
 import hashlib
 import json
+import math
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings as hyp_settings
+from hypothesis import strategies as st
 
-from leggettsim import certify
-from leggettsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERDICT, main
+from leggettsim import certify, cli
+from leggettsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERDICT, build_parser, main
 from leggettsim.models import SettingsPair
 
 
@@ -506,3 +512,205 @@ class TestSeedRange:
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1]
         assert hashlib.sha256(csvs[0]).hexdigest() == self.LARGEST_SEED_SHA256
+
+
+class TestModelFileTypes:
+    """A model file takes the config's type rules: its numbers must be JSON
+    numbers, and unknown keys are rejected."""
+
+    ATOM = {"u": [1, 0, 0], "v": [0, 1, 0], "w": 1}
+
+    @pytest.mark.parametrize("model", [
+        {"atoms": [{**ATOM, "u": ["1", "0", "0"]}], "coupling": "independent"},
+        {"atoms": [{**ATOM, "w": "1"}], "coupling": "independent"},
+        {"atoms": [{**ATOM, "u": [True, False, False]}], "coupling": "independent"},
+        {"atoms": [{**ATOM, "w": True}], "coupling": "independent"},
+        {"atoms": [{**ATOM, "extra": 1}], "coupling": "independent"},
+        {"atoms": [ATOM], "coupling": "independent", "extra": 1},
+        {"atoms": ATOM, "coupling": "independent"},
+    ], ids=["string-component", "string-weight", "bool-component", "bool-weight",
+            "unknown-atom-key", "unknown-key", "atoms-object"])
+    def test_rejected(self, tmp_path, capsys, model):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        config = write_config(tmp_path, {"model": {"file": str(path)},
+                                         "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}]})
+        out = tmp_path / "bounds.json"
+        assert main(["bounds", "--config", config, "--output", str(out)]) == EXIT_CONFIG
+        assert "invalid model file" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestFileErrors:
+    """A file that cannot be read or written exits 2 with a message, not 1
+    (the verdict-failure code) with a traceback."""
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert main(["chsh", "--config", str(tmp_path)]) == EXIT_CONFIG
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_model_file_is_a_directory(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"model": {"file": str(tmp_path)},
+                                         "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}]})
+        assert main(["bounds", "--config", config]) == EXIT_CONFIG
+        assert "cannot read model file" in capsys.readouterr().err
+
+    def test_output_directory_missing(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.txt"
+        assert main(["identity-check", "--output", str(out)]) == EXIT_CONFIG
+        assert "cannot write" in capsys.readouterr().err
+
+
+class TestFlags:
+    """Each subcommand takes only the flags its table names."""
+
+    FLAGS = {
+        "identity-check": {"--output"},
+        "simulate": {"--config", "--seed", "--output", "--samples", "--k-sigma"},
+        "chsh": {"--config", "--seed", "--output"},
+        "bounds": {"--config", "--seed", "--output"},
+        "certify": {"--config", "--seed", "--output", "--grid"},
+        "optimize": {"--config", "--seed", "--output"},
+    }
+
+    def test_flags_per_subcommand(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+                 for name, p in sub.choices.items()}
+        assert flags == self.FLAGS
+        assert sum(map(len, flags.values())) == 19
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--grid", "5"],
+        ["identity-check", "--samples", "5"],
+        ["bounds", "--k-sigma", "1"],
+        ["identity-check", "--config", "config.json"],
+    ])
+    def test_flag_not_taken(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+
+
+def _tables() -> list:
+    """Every table of fields in the CLI: the subcommands' and the nested objects'."""
+    def is_table(t):
+        return isinstance(t, tuple) and t and all(isinstance(f, cli.Field) for f in t)
+
+    found = [table for _, table in cli.COMMANDS.values()]
+    for value in vars(cli).values():
+        for t in value.values() if isinstance(value, dict) else [value]:
+            if is_table(t) and all(t is not seen for seen in found):
+                found.append(t)
+    return found
+
+
+class TestSchemaKinds:
+    """Every field of every table takes a value of each JSON kind in turn:
+    main returns 0 or 2 and never raises, and a kind the field does not take
+    exits 2 and writes no output."""
+
+    PAIR = {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}
+    POINT_MASS = {"generator": "point-mass", "u": [1.0, 0.0, 0.0], "v": [0.0, 1.0, 0.0],
+                  "coupling": "independent"}
+    ISOTROPIC = {"generator": "isotropic", "atoms": 10, "coupling": "independent"}
+    GRID = {"n_u": 4, "n_v": 4, "n_mirrored": 4}
+    TARGET = {**PAIR, "e": 0.0, "ma": 0.0, "mb": 0.0}
+    SIMULATE = {"model": POINT_MASS, "settings": [PAIR], "samples": 100, "k_sigma": 4.0,
+                "seed": 1, "output": "out"}
+    CHSH = {"scenario": {"a": [1.0, 0.0, 0.0], "a_prime": [0.0, 1.0, 0.0],
+                         "b": [1.0, 1.0, 0.0], "b_prime": [1.0, -1.0, 0.0]},
+            "model": ISOTROPIC, "seed": 1, "output": "out"}
+    CERTIFY = {"grid": GRID, "targets": [TARGET], "include_marginals": True, "seed": 1, "output": "out"}
+    SINGLET = {**CERTIFY, "targets": {"from": "singlet", "settings": [PAIR]}}
+    OPTIMIZE = {"family": "orthogonal-doublets", "budget": 1, "grids": [GRID],
+                "include_marginals": False, "seed": 1, "output": "out"}
+    # (subcommand, config, path to an object, the table that object is read through)
+    OBJECTS = [
+        ("identity-check", {}, (), cli.COMMANDS["identity-check"][1]),
+        ("simulate", SIMULATE, (), cli.COMMANDS["simulate"][1]),
+        ("simulate", SIMULATE, ("model",), cli.MODEL_GENERATORS["point-mass"]),
+        ("simulate", {**SIMULATE, "model": ISOTROPIC}, ("model",), cli.MODEL_GENERATORS["isotropic"]),
+        ("simulate", {**SIMULATE, "model": {**ISOTROPIC, "generator": "mirrored"}}, ("model",),
+         cli.MODEL_GENERATORS["mirrored"]),
+        ("simulate", {**SIMULATE, "model": {"file": "model.json"}}, ("model",), cli.MODEL_FILE),
+        ("simulate", SIMULATE, ("settings", 0), cli.SETTINGS_PAIR),
+        ("simulate", {**SIMULATE, "settings": {"random": 2}}, ("settings",), cli.RANDOM_SETTINGS),
+        ("chsh", CHSH, (), cli.COMMANDS["chsh"][1]),
+        ("chsh", CHSH, ("scenario",), cli.SCENARIO),
+        ("bounds", {"model": POINT_MASS, "settings": [PAIR], "seed": 1, "output": "out"}, (),
+         cli.COMMANDS["bounds"][1]),
+        ("certify", CERTIFY, (), cli.COMMANDS["certify"][1]),
+        ("certify", CERTIFY, ("grid",), cli.GRID),
+        ("certify", CERTIFY, ("targets", 0), cli.TARGET),
+        ("certify", {**CERTIFY, "targets": {"from": "singlet", "family": "orthogonal-doublets",
+                                            "params": [0.94, 3.46, 2.11, 2.34]}},
+         ("targets",), cli.FAMILY_TARGETS),
+        ("certify", SINGLET, ("targets",), cli.TARGET_SOURCES["singlet"]),
+        ("certify", {**CERTIFY, "targets": {"from": "model", "model": POINT_MASS, "settings": [PAIR]}},
+         ("targets",), cli.TARGET_SOURCES["model"]),
+        ("optimize", OPTIMIZE, (), cli.COMMANDS["optimize"][1]),
+        ("optimize", OPTIMIZE, ("grids", 0), cli.GRID),
+    ]
+    # the keys that pick a model's or a target source's table
+    VARIANT_KEYS = [("simulate", SIMULATE, ("model",), cli.Field("generator", cli._text)),
+                    ("certify", SINGLET, ("targets",), cli.Field("from", cli._text))]
+    FIELDS = [(command, config, path + (f.name,), f)
+              for command, config, path, table in OBJECTS for f in table if f.config]
+    FIELDS += [(command, config, path + (f.name,), f) for command, config, path, f in VARIANT_KEYS]
+    # the kinds, other than null, that each field takes; null is taken by a
+    # field whose default is None
+    TAKES = {"output": {"string"}, "file": {"string"}, "model": {"string"}, "coupling": {"string"},
+             "generator": {"string"}, "family": {"string"}, "from": {"string"}, "include_marginals": {"boolean"},
+             "k_sigma": {"fraction"}, "e": {"fraction"}, "ma": {"fraction"}, "mb": {"fraction"}}
+    KINDS = st.one_of(
+        st.tuples(st.just("null"), st.none()),
+        st.tuples(st.just("boolean"), st.booleans()),
+        st.tuples(st.just("string"), st.text(max_size=6)),
+        st.tuples(st.just("list"), st.lists(st.none() | st.booleans() | st.text(max_size=2), max_size=3)),
+        st.tuples(st.just("object"), st.dictionaries(st.text(max_size=3), st.none(), max_size=2)),
+        st.tuples(st.just("nan"), st.just(math.nan)),
+        st.tuples(st.just("inf"), st.sampled_from([math.inf, -math.inf])),
+        st.tuples(st.just("fraction"), st.floats(0.01, 0.99)),
+        st.tuples(st.just("negative"), st.integers(-100, -2) | st.floats(-100.0, -1.5)),
+    )
+    MODEL = {"atoms": [{"u": [1.0, 0.0, 0.0], "v": [0.0, 1.0, 0.0], "w": 1.0}], "coupling": "independent"}
+
+    def test_every_table_walked(self):
+        walked = [table for _, _, _, table in self.OBJECTS]
+        assert all(any(t is w for w in walked) for t in _tables())
+
+    @pytest.mark.parametrize("command, config, path, field", FIELDS,
+                             ids=[f"{c}-{'.'.join(map(str, p))}" for c, _, p, _ in FIELDS])
+    @hyp_settings(max_examples=4, deadline=None)
+    @given(kind=KINDS)
+    @example(kind=("null", None))
+    @example(kind=("boolean", True))
+    @example(kind=("string", "x"))
+    @example(kind=("list", []))
+    @example(kind=("object", {}))
+    @example(kind=("nan", math.nan))
+    @example(kind=("inf", math.inf))
+    @example(kind=("inf", -math.inf))
+    @example(kind=("fraction", 0.5))
+    @example(kind=("negative", -2))
+    def test_kind(self, command, config, path, field, kind):
+        name, value = kind
+        config = TestIntegerFields._with(config, path, value)
+        takes = self.TAKES.get(field.name, set()) | ({"null"} if field.default is None else set())
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            try:
+                Path("model.json").write_text(json.dumps(self.MODEL))
+                Path("config.json").write_text(json.dumps(config))
+                before = set(os.listdir())
+                code = main([command, "--config", "config.json"])
+                after = set(os.listdir())
+            finally:
+                os.chdir(cwd)
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        if name not in takes:
+            assert code == EXIT_CONFIG
+        if code == EXIT_CONFIG:
+            assert after == before

@@ -309,6 +309,33 @@ class TestSerialization:
         with pytest.raises(ValueError):
             LeggettModel.from_dict(data)
 
+    ATOM = {"u": [1.0, 0.0, 0.0], "v": [0.0, 1.0, 0.0], "w": 1.0}
+
+    @pytest.mark.parametrize("data", [
+        {"atoms": [{**ATOM, "u": ["1", "0", "0"]}], "coupling": "independent"},
+        {"atoms": [{**ATOM, "w": "1"}], "coupling": "independent"},
+        {"atoms": [{**ATOM, "v": [False, True, False]}], "coupling": "independent"},
+        {"atoms": [{**ATOM, "w": True}], "coupling": "independent"},
+        {"atoms": [{**ATOM, "w": 10**400}], "coupling": "independent"},
+        {"atoms": [{**ATOM, "u": [1.0, 0.0]}], "coupling": "independent"},
+        {"atoms": [{**ATOM, "u": 1.0}], "coupling": "independent"},
+        {"atoms": [{**ATOM, "x": 0.0}], "coupling": "independent"},
+        {"atoms": [{"u": [1.0, 0.0, 0.0], "v": [0.0, 1.0, 0.0]}], "coupling": "independent"},
+        {"atoms": [[1.0, 0.0, 0.0]], "coupling": "independent"},
+        {"atoms": ATOM, "coupling": "independent"},
+        {"atoms": "atoms", "coupling": "independent"},
+        {"atoms": [ATOM], "coupling": "independent", "typo": 1},
+        {"atoms": [ATOM]},
+        {"atoms": [ATOM], "coupling": ["independent"]},
+        [ATOM],
+    ], ids=["string-component", "string-weight", "bool-component", "bool-weight", "huge-weight",
+            "two-components", "scalar-vector", "unknown-atom-key", "missing-weight", "atom-list",
+            "atoms-object", "atoms-string", "unknown-key", "missing-coupling", "list-coupling",
+            "top-level-list"])
+    def test_malformed_model_rejected(self, data):
+        with pytest.raises(ValueError):
+            LeggettModel.from_dict(data)
+
     def test_json_schema(self, rng):
         text = json.dumps(LeggettModel(point_mass(X, Y), Coupling.INDEPENDENT).to_dict())
         data = json.loads(text)
