@@ -75,16 +75,9 @@ class AtomGrid:
     grid_hash: str = field(init=False)
 
     def __post_init__(self):
-        u = np.array(self.u, dtype=np.float64, order="C")
-        v = np.array(self.v, dtype=np.float64, order="C")
-        if u.ndim != 2 or u.shape != v.shape or u.shape[1] != 3:
+        u, v = sphere.unit_copy(self.u), sphere.unit_copy(self.v)
+        if u.ndim != 2 or u.shape != v.shape:
             raise ValueError("atom grids must be matching (m, 3) arrays")
-        if u.shape[0] == 0:
-            raise ValueError("atom grid must be non-empty")
-        if not (sphere.is_unit(u) and sphere.is_unit(v)):
-            raise ValueError("grid atoms must be unit vectors")
-        u.setflags(write=False)
-        v.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "grid_hash", grid_hash(u, v))
@@ -317,11 +310,11 @@ def _gamma(n: int) -> float:
 
 # A priori bound on |A[i, j] - A_exact[i, j]| for every entry build_problem
 # writes, where A_exact uses the normalized grid vectors and settings in
-# exact arithmetic. Grid atoms (AtomGrid) and settings (SettingsPair) pass
-# sphere.is_unit, so a squared norm is within tau of 1 (the tolerance plus
-# the rounding of that test); a clamped 3-term dot is then off by at most
-# gamma_3 (1 + tau) + tau, since clamping to [-1, 1] only moves it toward
-# the exact value. A row entry
+# exact arithmetic. Grid atoms (AtomGrid) and settings (SettingsPair) are
+# read-only copies checked by sphere.unit_copy, so a squared norm is within
+# tau of 1 (the tolerance plus the rounding of that test); a clamped 3-term
+# dot is then off by at most gamma_3 (1 + tau) + tau, since clamping to
+# [-1, 1] only moves it toward the exact value. A row entry
 # |alpha +- beta| adds two such errors and one rounding of a sum of size
 # <= 2. tau uses 2 gamma_3 where (UNIT_NORM_TOL + gamma_3)/(1 - gamma_3)
 # suffices; the surplus covers the rounding of the slack terms built from

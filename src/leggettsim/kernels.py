@@ -1,16 +1,32 @@
-"""Elementwise numpy kernels for sampling and the bound integrals.
+"""The couplings, and elementwise numpy kernels for sampling and the bound
+integrals.
 
-Outcome draws come back as +/-1 int8 arrays, built from the comparison
-masks. Aggregation (means, weighted sums) happens in the callers.
+Each coupling's joint law P(A=1, B=1) and its sampling rule sit together
+here. Outcome draws come back as +/-1 int8 arrays, built from the
+comparison masks. Aggregation (means, weighted sums) happens in the callers.
 """
 
 from __future__ import annotations
 
+import enum
+
 import numpy as np
 
-COUPLING_INDEPENDENT = 0
-COUPLING_COMONOTONE = 1
-COUPLING_ANTIMONOTONE = 2
+
+class Coupling(enum.Enum):
+    """Joint conditional law for (A, B) given fixed marginals."""
+
+    INDEPENDENT = "independent"
+    COMONOTONE = "comonotone"
+    ANTIMONOTONE = "antimonotone"
+
+    def p_pp(self, pa, pb):
+        """P(A=1, B=1) under the coupling, for scalar or array marginals."""
+        if self is Coupling.INDEPENDENT:
+            return pa * pb
+        if self is Coupling.COMONOTONE:
+            return np.minimum(pa, pb)
+        return pa - np.minimum(pa, 1.0 - pb)
 
 
 def numba_enabled() -> bool:
@@ -18,12 +34,13 @@ def numba_enabled() -> bool:
     return False
 
 
-def draw_outcomes(pa, pb, u1, u2, coupling: int):
-    """Map per-draw marginals (pa, pb) and uniforms to +/-1 int8 outcome arrays."""
+def draw_outcomes(pa, pb, u1, u2, coupling: Coupling):
+    """Map per-draw marginals (pa, pb) and uniforms to +/-1 int8 outcome arrays
+    whose joint law is the coupling's."""
     a_plus = u1 < pa
-    if coupling == COUPLING_INDEPENDENT:
+    if coupling is Coupling.INDEPENDENT:
         b_plus = u2 < pb
-    elif coupling == COUPLING_COMONOTONE:
+    elif coupling is Coupling.COMONOTONE:
         # shared uniform realizes the min-coupling
         b_plus = u1 < pb
     else:

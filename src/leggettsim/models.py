@@ -8,14 +8,13 @@ coupling only decides how the two outcomes correlate beyond that.
 
 Sampling draws an atom by its weight through a guide table over the weight
 CDF (Chen and Asau, 1974; Devroye, *Non-Uniform Random Variate Generation*,
-1986, III.2.4), or through a binary search of sorted keys where uneven
-weights crowd many atoms into one bucket; both pick the atom
-``np.searchsorted`` picks. Outcomes come back as +/-1 int8 arrays.
+1986, III.2.4), or, where uneven weights crowd many atoms into one
+bucket, through ``np.searchsorted`` of the CDF; both pick the same atom.
+The couplings live in ``kernels``. Outcomes come back as +/-1 int8 arrays.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,13 +23,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels, sphere
+from .kernels import Coupling
 
 WEIGHT_SUM_TOL = 1e-12
 # JSON loads renormalize weight sums within this tolerance, reject beyond it.
 LOAD_RENORM_TOL = 1e-9
-# Above this guide-table scan the sampler sorts its keys and binary-searches
-# the CDF instead: per 65536 keys a scan pass costs 0.11-0.29 ms, the sorted
-# search 1.7-5.3 ms (crossover 13-24 passes on a 2-vCPU Xeon, numpy 2.4).
+# Above this guide-table scan the sampler binary-searches the CDF instead:
+# per 65536 keys a scan pass costs 0.14-0.37 ms, the binary search 0.9-5.0 ms
+# on uneven laws of 32 to 100000 atoms (2-vCPU Xeon, numpy 2.4).
 GUIDE_SCAN_MAX = 16
 
 
@@ -59,22 +59,6 @@ def float_array(values, name: str, length: int | None = None) -> np.ndarray:
         raise ValueError(f"{name} must be float64 numbers") from None
 
 
-class Coupling(enum.Enum):
-    """Joint conditional law for (A, B) given fixed marginals."""
-
-    INDEPENDENT = "independent"
-    COMONOTONE = "comonotone"
-    ANTIMONOTONE = "antimonotone"
-
-    @property
-    def code(self) -> int:
-        return {
-            Coupling.INDEPENDENT: kernels.COUPLING_INDEPENDENT,
-            Coupling.COMONOTONE: kernels.COUPLING_COMONOTONE,
-            Coupling.ANTIMONOTONE: kernels.COUPLING_ANTIMONOTONE,
-        }[self]
-
-
 @dataclass(frozen=True)
 class SettingsPair:
     """Measurement directions chosen by the two experimenters."""
@@ -83,12 +67,9 @@ class SettingsPair:
     b: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.float64)
-        b = np.asarray(self.b, dtype=np.float64)
-        if not (sphere.is_unit(a) and sphere.is_unit(b)):
-            raise ValueError("settings must be unit vectors")
-        a.setflags(write=False)
-        b.setflags(write=False)
+        a, b = sphere.unit_copy(self.a), sphere.unit_copy(self.b)
+        if a.ndim != 1 or b.ndim != 1:
+            raise ValueError("each setting must be a single unit 3-vector")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -119,27 +100,22 @@ class SubensembleDistribution:
     w: np.ndarray
 
     def __post_init__(self):
-        u = np.atleast_2d(np.asarray(self.u, dtype=np.float64))
-        v = np.atleast_2d(np.asarray(self.v, dtype=np.float64))
+        u = np.atleast_2d(sphere.unit_copy(self.u))
+        v = np.atleast_2d(sphere.unit_copy(self.v))
         w = np.atleast_1d(np.asarray(self.w, dtype=np.float64))
-        if u.shape != v.shape or u.shape[0] != w.shape[0] or u.shape[1] != 3:
+        if u.shape != v.shape or u.shape[0] != w.shape[0]:
             raise ValueError("atom arrays must have shapes (m, 3), (m, 3), (m,)")
-        if w.shape[0] == 0:
-            raise ValueError("distribution needs at least one atom")
         if not np.all(np.isfinite(w)):
             raise ValueError("atom weights must be finite")
         if np.any(w < 0):
             raise ValueError("atom weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError("atom weights must sum to 1 within 1e-12")
-        if not (sphere.is_unit(u) and sphere.is_unit(v)):
-            raise ValueError("hidden vectors must be unit vectors")
         keep = w > 0.0
-        u, v, w = u[keep], v[keep], w[keep]
-        if w.shape[0] == 0:
-            raise ValueError("distribution needs at least one atom of positive weight")
-        for arr in (u, v, w):
-            arr.setflags(write=False)
+        w = w[keep]
+        w.setflags(write=False)
+        if w.shape[0] < u.shape[0]:
+            u, v = sphere.unit_copy(u[keep]), sphere.unit_copy(v[keep])
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
@@ -236,15 +212,6 @@ def conditional_marginals(u, v, settings: SettingsPair) -> tuple[float, float]:
     return pa, pb
 
 
-def _p_pp(pa, pb, coupling: Coupling):
-    """P(A=1, B=1) under the coupling, for scalar or array marginals."""
-    if coupling is Coupling.INDEPENDENT:
-        return pa * pb
-    if coupling is Coupling.COMONOTONE:
-        return np.minimum(pa, pb)
-    return pa - np.minimum(pa, 1.0 - pb)
-
-
 def joint_conditional_law(pa: float, pb: float, coupling: Coupling) -> np.ndarray:
     """Joint law over outcome pairs, ordered (++, +-, -+, --).
 
@@ -253,7 +220,7 @@ def joint_conditional_law(pa: float, pb: float, coupling: Coupling) -> np.ndarra
     """
     if not (0.0 <= pa <= 1.0 and 0.0 <= pb <= 1.0):
         raise ValueError("marginal probabilities must lie in [0, 1]")
-    p_pp = _p_pp(pa, pb, coupling)
+    p_pp = coupling.p_pp(pa, pb)
     p_pm = pa - p_pp
     p_mp = pb - p_pp
     p_mm = 1.0 - pa - pb + p_pp
@@ -272,7 +239,7 @@ def _conditional_correlations(alpha: np.ndarray, beta: np.ndarray, coupling: Cou
     pa = (1.0 + alpha) / 2.0
     pb = (1.0 + beta) / 2.0
     # E(AB) = 4 p_pp - 2 pa - 2 pb + 1
-    return 4.0 * _p_pp(pa, pb, coupling) - 2.0 * pa - 2.0 * pb + 1.0
+    return 4.0 * coupling.p_pp(pa, pb) - 2.0 * pa - 2.0 * pb + 1.0
 
 
 def exact_model_correlation(model: LeggettModel, settings: SettingsPair) -> float:
@@ -298,7 +265,7 @@ class OutcomeLaw(NamedTuple):
     ``pa`` and ``pb`` are the Malus marginals P(A=1), P(B=1) of each atom,
     ``cdf`` the cumulative atom weights with the last entry set to 1.0,
     ``guide`` and ``scan`` the guide table of ``cdf`` (see ``_guide_table``),
-    and ``coupling`` the ``kernels`` code of the model's coupling.
+    and ``coupling`` the model's coupling.
     """
 
     pa: np.ndarray
@@ -306,7 +273,7 @@ class OutcomeLaw(NamedTuple):
     cdf: np.ndarray
     guide: np.ndarray
     scan: int
-    coupling: int
+    coupling: Coupling
 
 
 def outcome_law(model: LeggettModel, settings: SettingsPair) -> OutcomeLaw:
@@ -321,7 +288,7 @@ def outcome_law(model: LeggettModel, settings: SettingsPair) -> OutcomeLaw:
     cdf = np.cumsum(d.w)
     cdf[-1] = 1.0
     guide, scan = _guide_table(cdf)
-    return OutcomeLaw(pa, pb, cdf, guide, scan, model.coupling.code)
+    return OutcomeLaw(pa, pb, cdf, guide, scan, model.coupling)
 
 
 def _guide_table(cdf: np.ndarray) -> tuple[np.ndarray, int]:
@@ -349,14 +316,10 @@ def _atom_indices(cdf: np.ndarray, guide: np.ndarray, scan: int, keys: np.ndarra
     times past every CDF entry <= it; the last entry is 1.0 and lies in a
     bucket no key reaches, so no step leaves the array. A ``scan`` above
     GUIDE_SCAN_MAX (weights so uneven that many atoms share a bucket)
-    searches the keys in sorted order instead and scatters the indices back
-    to draw order. Both pick the same atom for every key.
+    binary-searches the CDF instead.
     """
     if scan > GUIDE_SCAN_MAX:
-        order = np.argsort(keys)
-        idx = np.empty(keys.shape[0], dtype=np.intp)
-        idx[order] = np.searchsorted(cdf, keys[order], side="right")
-        return idx
+        return np.searchsorted(cdf, keys, side="right")
     idx = guide.take((keys * cdf.shape[0]).astype(np.intp))
     for _ in range(scan):
         idx += cdf.take(idx) <= keys

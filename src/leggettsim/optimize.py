@@ -19,7 +19,7 @@ import numpy as np
 from . import sphere
 from .certify import AtomGrid, CertStatus, TargetConstraint, build_problem, solve
 from .models import SettingsPair
-from .quantum import singlet_correlation
+from .quantum import planar_scenario, singlet_correlation
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,7 @@ class SettingsFamily:
         return self.lower.shape[0]
 
 
-def _singlet_constraint(a: np.ndarray, b: np.ndarray) -> TargetConstraint:
-    s = SettingsPair(a, b)
+def _singlet_constraint(s: SettingsPair) -> TargetConstraint:
     return TargetConstraint(settings=s, e=singlet_correlation(s), ma=0.0, mb=0.0)
 
 
@@ -55,24 +54,14 @@ def _orthogonal_doublets(params: np.ndarray) -> list[TargetConstraint]:
         m = np.cos(psis[i]) * axes[j] + np.sin(psis[i]) * axes[k]
         b_plus = np.cos(theta / 2.0) * m + np.sin(theta / 2.0) * e
         b_minus = np.cos(theta / 2.0) * m - np.sin(theta / 2.0) * e
-        out.append(_singlet_constraint(m, sphere.normalize(b_plus)))
-        out.append(_singlet_constraint(m, sphere.normalize(b_minus)))
+        out.append(_singlet_constraint(SettingsPair(m, sphere.normalize(b_plus))))
+        out.append(_singlet_constraint(SettingsPair(m, sphere.normalize(b_minus))))
     return out
 
 
 def _planar_chsh(params: np.ndarray) -> list[TargetConstraint]:
     """Four CHSH-style pairs with all directions in the xy-plane."""
-
-    def vec(t: float) -> np.ndarray:
-        return np.array([np.cos(t), np.sin(t), 0.0])
-
-    a, ap, b, bp = (vec(t) for t in params)
-    return [
-        _singlet_constraint(a, b),
-        _singlet_constraint(a, bp),
-        _singlet_constraint(ap, b),
-        _singlet_constraint(ap, bp),
-    ]
+    return [_singlet_constraint(s) for s in planar_scenario(*params).pairs()]
 
 
 _FAMILIES = {

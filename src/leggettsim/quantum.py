@@ -24,12 +24,11 @@ class ChshScenario:
     b_prime: np.ndarray
 
     def __post_init__(self):
-        for name in ("a", "a_prime", "b", "b_prime"):
-            vec = np.asarray(getattr(self, name), dtype=np.float64)
-            if not sphere.is_unit(vec):
-                raise ValueError(f"{name} must be a unit vector")
-            vec.setflags(write=False)
-            object.__setattr__(self, name, vec)
+        # SettingsPair checks and copies the directions, two at a time
+        for x, y in (("a", "b"), ("a_prime", "b_prime")):
+            pair = SettingsPair(getattr(self, x), getattr(self, y))
+            object.__setattr__(self, x, pair.a)
+            object.__setattr__(self, y, pair.b)
 
     def pairs(self) -> list[SettingsPair]:
         return [

@@ -49,6 +49,26 @@ def is_unit(vec, tol: float = UNIT_NORM_TOL) -> bool:
     return bool(np.all(np.abs(np.sum(arr * arr, axis=-1) - 1.0) <= tol))
 
 
+def unit_copy(vecs) -> np.ndarray:
+    """A checked, read-only, C-ordered float64 copy of a unit 3-vector or a
+    non-empty (m, 3) batch of them.
+
+    Anything else raises ValueError: another shape, a NaN, or a squared
+    norm off 1 by more than UNIT_NORM_TOL. The copy keeps later writes to
+    the caller's array from reaching the checked vectors. It is made after
+    the check, so a large batch never holds its copy and the check's
+    temporaries at once.
+    """
+    arr = np.asarray(vecs, dtype=np.float64)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != 3 or arr.size == 0:
+        raise ValueError(f"expected a 3-vector or a non-empty (m, 3) batch, got shape {arr.shape}")
+    if not is_unit(arr):
+        raise ValueError("vectors must be finite with unit norm")
+    out = np.array(arr, order="C")
+    out.setflags(write=False)
+    return out
+
+
 def dot(a, b) -> float:
     """Inner product of two unit vectors, clamped to [-1, 1].
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from leggettsim import kernels
+from leggettsim.kernels import Coupling
 
 
 @pytest.fixture
@@ -16,12 +17,12 @@ def draw_inputs(rng):
 
 class TestKernelSemantics:
     def test_outcomes_are_plus_minus_one(self, draw_inputs):
-        a, b = kernels.draw_outcomes(*draw_inputs, kernels.COUPLING_INDEPENDENT)
+        a, b = kernels.draw_outcomes(*draw_inputs, Coupling.INDEPENDENT)
         assert set(np.unique(a)) <= {-1.0, 1.0}
         assert set(np.unique(b)) <= {-1.0, 1.0}
 
-    @pytest.mark.parametrize("coupling", [kernels.COUPLING_INDEPENDENT, kernels.COUPLING_COMONOTONE,
-                                          kernels.COUPLING_ANTIMONOTONE])
+    @pytest.mark.parametrize("coupling", [Coupling.INDEPENDENT, Coupling.COMONOTONE,
+                                          Coupling.ANTIMONOTONE])
     def test_outcomes_are_int8(self, draw_inputs, coupling):
         a, b = kernels.draw_outcomes(*draw_inputs, coupling)
         for x in (a, b):
@@ -33,7 +34,7 @@ class TestKernelSemantics:
         pb = np.array([0.5, 0.5])
         u1 = np.array([0.1, 0.9])
         u2 = np.array([0.9, 0.1])
-        a, b = kernels.draw_outcomes(pa, pb, u1, u2, kernels.COUPLING_COMONOTONE)
+        a, b = kernels.draw_outcomes(pa, pb, u1, u2, Coupling.COMONOTONE)
         assert np.array_equal(a, b)
 
     def test_antimonotone_flips(self):
@@ -41,7 +42,7 @@ class TestKernelSemantics:
         pb = np.array([0.5, 0.5])
         u1 = np.array([0.1, 0.9])
         u2 = np.array([0.5, 0.5])
-        a, b = kernels.draw_outcomes(pa, pb, u1, u2, kernels.COUPLING_ANTIMONOTONE)
+        a, b = kernels.draw_outcomes(pa, pb, u1, u2, Coupling.ANTIMONOTONE)
         assert np.array_equal(a, -b)
 
     def test_abs_sum_diff_values(self, rng):

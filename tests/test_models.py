@@ -45,6 +45,36 @@ class TestSettingsAndOutcomes:
         with pytest.raises(ValueError):
             SettingsPair(np.array([2.0, 0.0, 0.0]), Y)
 
+    @pytest.mark.parametrize("bad", [
+        [1.0, 0.0],
+        np.array([X, Y]),
+        [np.nan, 0.0, 0.0],
+        [[1.0, 0.0, 0.0]],
+    ], ids=["2-vector", "(2, 3)", "nan", "(1, 3)"])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_settings_reject_malformed_vectors(self, bad, side):
+        with pytest.raises(ValueError):
+            SettingsPair(**{"a": X, "b": Y, side: bad})
+
+    def test_settings_copy_the_callers_arrays(self):
+        a, b = X.copy(), Y.copy()
+        s = SettingsPair(a, b)
+        # the caller's arrays stay writeable, and writing to them leaves
+        # the checked settings as they were
+        assert a.flags.writeable and b.flags.writeable
+        a[:] = [0.0, 0.0, 5.0]
+        b[0] = np.nan
+        assert s.a.tolist() == [1.0, 0.0, 0.0] and s.b.tolist() == [0.0, 1.0, 0.0]
+        with pytest.raises(ValueError):
+            s.a[0] = 0.5
+
+    def test_settings_copy_a_view_of_a_batch(self):
+        batch = np.array([X, Y])
+        s = SettingsPair(batch[0], batch[1])
+        batch[0] = [0.0, 0.0, 5.0]
+        assert s.a.tolist() == [1.0, 0.0, 0.0]
+        assert exact_model_correlation(LeggettModel(point_mass(X, Y), Coupling.INDEPENDENT), s) == 1.0
+
     def test_outcomes_restricted(self):
         with pytest.raises(ValueError):
             OutcomePair(0, 1)
@@ -192,8 +222,8 @@ def _weights(shape: str, m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 class TestAtomIndices:
-    """The guide-table search and the sorted-key search must both pick
-    exactly the atoms searchsorted picks."""
+    """Both search paths, the guide-table scan and the fallback above
+    GUIDE_SCAN_MAX, must pick exactly the atoms searchsorted picks."""
 
     @pytest.mark.parametrize("side", ["guided", "sorted"])
     @hyp_settings(max_examples=120, deadline=None)

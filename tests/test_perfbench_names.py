@@ -1,0 +1,96 @@
+"""The names the benchmark harness looks up in the package still resolve.
+
+perfbench/tracing.py wraps functions by name in the namespaces their
+callers use, and names each span after the module that defines the
+function; perfbench/workloads.py pins per-pass counts of some of those
+spans. Moving a function between modules breaks only a traced benchmark
+run, so these tests read both files (without changing them) and check
+the names against the package.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from leggettsim import kernels
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# pinned per-pass metrics that tracing.pass_metrics derives from spans
+# other than the one in their name, and the spans each reads
+DERIVED = {
+    "certify.verify_per_solve": ("certify.verify_certificate", "certify.solve"),
+    "certify.infeasible_frac": ("certify.solve",),
+    "montecarlo.blocks": ("montecarlo.estimate_correlation", "sphere.make_rng"),
+}
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    """tracing and workloads, loaded from their files under private names."""
+    loaded = {}
+    for name in ("tracing", "workloads"):
+        spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses looks the module up while defining classes
+        spec.loader.exec_module(module)
+        loaded[name] = module
+    yield loaded["tracing"], loaded["workloads"]
+    for name in ("tracing", "workloads"):
+        sys.modules.pop(f"_perfbench_{name}", None)
+
+
+@pytest.fixture(scope="module")
+def workloads(perfbench, tmp_path_factory):
+    _, wl = perfbench
+    workdir = tmp_path_factory.mktemp("perfbench")
+    return [make(wl.DEFAULT_SEED, workdir) for make in wl.WORKLOADS.values()]
+
+
+def _span_name(tracer, fn) -> str:
+    """The span the tracer records for a call of fn: the wrapper is called
+    with a keyword fn does not take, so fn fails before its body runs."""
+    with pytest.raises(TypeError):
+        tracer._wrap(fn)(_not_an_argument=None)
+    return tracer.spans[-1][0]
+
+
+def _wrapped(tracing):
+    for module_name, names in tracing.WRAPPED.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            yield module_name, name, getattr(module, name, None)
+
+
+def test_wrapped_names_resolve(perfbench):
+    tracing, _ = perfbench
+    missing = [f"{module}.{name}" for module, name, fn in _wrapped(tracing) if not callable(fn)]
+    assert missing == []
+
+
+def test_pinned_spans_are_traced(perfbench, workloads):
+    tracing, _ = perfbench
+    tracer = tracing.Tracer()
+    traced = {_span_name(tracer, fn) for _, _, fn in _wrapped(tracing)}
+    for workload in workloads:
+        for metric in workload.expected:
+            if metric in DERIVED:
+                spans = DERIVED[metric]
+            else:
+                assert metric.endswith(".calls"), f"{workload.name}: no span known for {metric}"
+                spans = (metric.removesuffix(".calls"),)
+            assert set(spans) <= traced, f"{workload.name} pins {metric}, but no wrapped function records {spans}"
+
+
+def test_probe_points_resolve(workloads):
+    for workload in workloads:
+        module_name, name = workload.probe_at
+        assert callable(getattr(importlib.import_module(module_name), name, None)), workload.name
+
+
+def test_provenance_stub():
+    # perfbench/run.py records it in every result's provenance
+    assert kernels.numba_enabled() is False

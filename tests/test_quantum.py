@@ -81,6 +81,24 @@ class TestChsh:
             s2 = chsh_value(ChshScenario(*(rot @ v for v in vecs)), singlet_correlation)
             assert s2 == pytest.approx(s1, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [[1.0, 0.0], np.array([X, Y]), [np.nan, 0.0, 0.0]],
+                             ids=["2-vector", "(2, 3)", "nan"])
+    @pytest.mark.parametrize("name", ["a", "a_prime", "b", "b_prime"])
+    def test_rejects_malformed_vectors(self, bad, name):
+        vecs = {"a": X, "a_prime": Y, "b": X, "b_prime": Y, name: bad}
+        with pytest.raises(ValueError):
+            ChshScenario(**vecs)
+
+    def test_copies_the_callers_arrays(self):
+        vecs = [X.copy(), Y.copy(), X.copy(), Y.copy()]
+        sc = ChshScenario(*vecs)
+        assert all(v.flags.writeable for v in vecs)
+        for v in vecs:
+            v[:] = [0.0, 0.0, 5.0]
+        assert [sc.a.tolist(), sc.a_prime.tolist(), sc.b.tolist(), sc.b_prime.tolist()] == [
+            X.tolist(), Y.tolist(), X.tolist(), Y.tolist()]
+        assert [singlet_correlation(p) for p in sc.pairs()] == [-1.0, -0.0, -0.0, -1.0]
+
     def test_planar_scenario_builder(self):
         sc = planar_scenario(0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
         assert np.allclose(sc.a, X)

@@ -51,6 +51,29 @@ class TestConstruction:
         assert sphere.is_unit(out)
 
 
+class TestUnitCopy:
+    @pytest.mark.parametrize("vecs", [[0.6, 0.8, 0.0], [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]])
+    def test_read_only_copy(self, vecs):
+        arr = np.array(vecs)
+        out = sphere.unit_copy(arr)
+        assert out.dtype == np.float64 and out.flags.c_contiguous and not out.flags.writeable
+        assert not np.shares_memory(out, arr) and arr.flags.writeable
+        assert out.tolist() == arr.tolist()
+
+    def test_fortran_order_input(self):
+        arr = np.asfortranarray(sphere.sphere_grid(5))
+        assert sphere.unit_copy(arr).flags.c_contiguous
+
+    @pytest.mark.parametrize("vecs", [
+        1.0, [1.0, 0.0], [[1.0, 0.0]], np.empty((0, 3)), np.ones((1, 1, 3)) / np.sqrt(3.0),
+        [2.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [[1.0, 0.0, 0.0], [0.0, 0.5, 0.0]],
+        ["a", "b", "c"], [[1.0, 0.0, 0.0], [0.0, 1.0]],
+    ])
+    def test_rejects(self, vecs):
+        with pytest.raises(ValueError):
+            sphere.unit_copy(vecs)
+
+
 class TestRandomUnitVectors:
     def test_unit_norm_invariant(self, rng):
         v = sphere.random_unit_vector(rng)
