@@ -22,7 +22,7 @@ class TestKernelSemantics:
         assert set(np.unique(b)) <= {-1.0, 1.0}
 
     @pytest.mark.parametrize("coupling", [Coupling.INDEPENDENT, Coupling.COMONOTONE,
-                                          Coupling.ANTIMONOTONE])
+                                          Coupling.ANTIMONOTONE], ids=["0", "1", "2"])
     def test_outcomes_are_int8(self, draw_inputs, coupling):
         a, b = kernels.draw_outcomes(*draw_inputs, coupling)
         for x in (a, b):
