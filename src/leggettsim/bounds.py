@@ -27,9 +27,6 @@ class LeggettBounds:
     lower: float
     upper: float
 
-    def contains(self, value: float, tol: float = 0.0) -> bool:
-        return self.lower - tol <= value <= self.upper + tol
-
 
 @dataclass(frozen=True)
 class BoundsVerdict:
@@ -57,8 +54,6 @@ def conditional_bounds(u, v, settings: SettingsPair) -> LeggettBounds:
 
 def averaged_bounds(distribution: SubensembleDistribution, settings: SettingsPair) -> LeggettBounds:
     """Bounds on E(AB) with the integrals reduced to atom-weighted sums."""
-    if distribution.n_atoms == 0:
-        raise ValueError("distribution has no atoms")
     alpha = sphere.dots(distribution.u, settings.a)
     beta = sphere.dots(distribution.v, settings.b)
     plus, minus = kernels.abs_sum_diff(alpha, beta)

@@ -6,11 +6,11 @@ weighting of the atoms satisfies every averaged bound (and optionally the
 marginal constraints). An AtomGrid is checked for unit norms and hashed
 once, when it is built; build_problem then only computes the LP rows, so
 a search that solves many problems on one grid pays for neither again.
-Feasible problems return a witness; infeasible problems return a Farkas
-combination. verify_certificate recomputes either in float64 and charges
-an a priori bound on every rounding against it, in the sums and in the
-LP entries themselves, so an accepted infeasibility certificate proves
-that no weighting of the given grid exists.
+Feasible problems return a witness (its support); infeasible problems
+return Farkas multipliers. verify_certificate recomputes either in float64
+and charges an a priori bound on every rounding against it, in the sums
+and in the LP entries themselves, so an accepted infeasibility
+certificate proves that no weighting of the given grid exists.
 """
 
 from __future__ import annotations
@@ -107,25 +107,32 @@ class CertificationProblem:
 
 
 @dataclass(frozen=True)
+class Witness:
+    """A feasible weighting by its support: weight[k] on atom index[k] of
+    n_atoms, zero elsewhere."""
+
+    n_atoms: int
+    index: np.ndarray  # strictly increasing atom indices in [0, n_atoms)
+    weight: np.ndarray  # float64; NaN and inf count as nonzero and are kept
+
+
+@dataclass(frozen=True)
 class FeasibilityCertificate:
     status: CertStatus
     grid_hash: str
-    weights: np.ndarray | None = None  # feasible witness
+    witness: Witness | None = None  # feasible witness
     farkas_ub: np.ndarray | None = None  # multipliers on the inequality rows, >= 0
     farkas_eq: np.ndarray | None = None  # multipliers on the marginal equality rows
-    margin: float = 0.0  # proven slack of the infeasibility proof
+    margin: float = 0.0  # the computed Farkas gap over the largest multiplier
 
     def to_dict(self) -> dict:
-        """JSON-ready form. A witness is written as its support, since a
-        phase-1 witness is a basic solution with at most one nonzero
-        weight per LP row; NaN and inf count as nonzero and are kept."""
+        """JSON-ready form; the witness is written as the record it is held in."""
         out = {"status": self.status.value, "grid_hash": self.grid_hash, "margin": self.margin}
-        if self.weights is not None:
-            index = np.flatnonzero(self.weights)
+        if self.witness is not None:
             out["witness"] = {
-                "n_atoms": int(self.weights.shape[0]),
-                "index": index.tolist(),
-                "weight": self.weights[index].tolist(),
+                "n_atoms": int(self.witness.n_atoms),
+                "index": self.witness.index.tolist(),
+                "weight": self.witness.weight.tolist(),
             }
         if self.farkas_ub is not None:
             out["farkas_ub"] = self.farkas_ub.tolist()
@@ -145,7 +152,7 @@ class FeasibilityCertificate:
         return cls(
             status=CertStatus(data.get("status")),
             grid_hash=data["grid_hash"],
-            weights=_witness_weights(data["witness"]) if "witness" in data else None,
+            witness=_read_witness(data["witness"]) if "witness" in data else None,
             farkas_ub=float_array(data["farkas_ub"], "farkas_ub") if farkas else None,
             farkas_eq=float_array(data["farkas_eq"], "farkas_eq") if farkas else None,
             margin=float(float_array([data.get("margin", 0.0)], "margin")[0]),
@@ -159,13 +166,14 @@ class FeasibilityCertificate:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def _witness_weights(witness) -> np.ndarray:
-    """The dense float64 weights of a witness written by ``to_dict``."""
+def _read_witness(witness) -> Witness:
+    """The record of a witness written by ``to_dict``, checked for form only:
+    its atom count is compared with a problem's when it is verified."""
     if not isinstance(witness, dict) or set(witness) != {"n_atoms", "index", "weight"}:
         raise ValueError("witness must be an object with keys n_atoms, index and weight")
     n_atoms, index = witness["n_atoms"], witness["index"]
-    if not is_integer(n_atoms) or n_atoms < 1:
-        raise ValueError(f"witness n_atoms must be an integer >= 1, got {n_atoms!r}")
+    if not is_integer(n_atoms) or not 1 <= n_atoms < 2**63:
+        raise ValueError(f"witness n_atoms must be an integer in [1, 2**63), got {n_atoms!r}")
     if not isinstance(index, list) or not all(map(is_integer, index)):
         raise ValueError("witness index must be a list of integers")
     values = float_array(witness["weight"], "witness weight")
@@ -174,9 +182,7 @@ def _witness_weights(witness) -> np.ndarray:
     if index and not (0 <= index[0] and index[-1] < n_atoms
                       and all(i < j for i, j in zip(index, index[1:]))):
         raise ValueError(f"witness indices must increase strictly within [0, {n_atoms})")
-    weights = np.zeros(n_atoms, dtype=np.float64)
-    weights[index] = values
-    return weights
+    return Witness(n_atoms, np.array(index, dtype=np.int64), values)
 
 
 def build_atom_grid(n_u: int, n_v: int, n_mirrored: int = 0) -> AtomGrid:
@@ -240,21 +246,18 @@ def build_problem(
     )
 
 
-def _farkas_margin(problem: CertificationProblem, lam: np.ndarray, mu: np.ndarray) -> float:
-    """Proven infeasibility slack of the multiplier pair, scale-normalized.
+def _farkas_combination(problem: CertificationProblem, lam, mu) -> tuple[np.ndarray, float, float]:
+    """The combination lam^T A_ub + mu^T A_eq, its right-hand side
+    lam^T b_ub + mu^T b_eq, and the largest of lam >= 0 and |mu|.
 
-    For any w in the simplex: (lam^T A_ub + mu^T A_eq) w >= min over
-    columns, while the constraints force it <= lam^T b_ub + mu^T b_eq.
-    A positive gap therefore excludes every admissible w.
+    For any w in the simplex the combination times w is at least its
+    smallest entry, while the rows force it to at most the right-hand
+    side, so a positive gap between the two excludes every admissible w.
     """
-    combo = lam @ problem.A_ub
-    if mu.size:
-        combo = combo + mu @ problem.A_eq
-    value = float(lam @ problem.b_ub) + (float(mu @ problem.b_eq) if mu.size else 0.0)
-    scale = max(float(np.max(np.abs(lam), initial=0.0)), float(np.max(np.abs(mu), initial=0.0)))
-    if scale <= 0.0:
-        return -math.inf
-    return (float(np.min(combo)) - value) / scale
+    combo = lam @ problem.A_ub + mu @ problem.A_eq
+    value = float(lam @ problem.b_ub + mu @ problem.b_eq)
+    scale = max(float(np.max(lam, initial=0.0)), float(np.max(np.abs(mu), initial=0.0)))
+    return combo, value, scale
 
 
 def solve(problem: CertificationProblem) -> FeasibilityCertificate:
@@ -268,33 +271,31 @@ def solve(problem: CertificationProblem) -> FeasibilityCertificate:
 
     if result.feasible:
         w = np.clip(result.x, 0.0, None)
+        index = np.flatnonzero(w)
         cert = FeasibilityCertificate(
-            status=CertStatus.FEASIBLE, grid_hash=problem.grid_hash, weights=w
+            status=CertStatus.FEASIBLE,
+            grid_hash=problem.grid_hash,
+            witness=Witness(m, index, w[index]),
         )
-        if not verify_certificate(problem, cert):
-            raise SolverFailure("phase-1 witness failed independent verification")
-        return cert
-
-    p = problem.b_ub.shape[0]
-    q = problem.b_eq.shape[0]
-    # multipliers g on the original rows satisfy g^T A <= 0 (columns) and
-    # g^T b > 0; the certificate stores lam = -g_ub >= 0, mu = -g_eq, and
-    # drops the normalization row (it cancels in the margin).
-    g = result.y
-    lam = np.clip(-g[:p], 0.0, None)
-    mu = -g[p : p + q]
-    margin = _farkas_margin(problem, lam, mu)
-    if not margin > 0.0:
-        raise SolverFailure("infeasible solve produced a non-positive Farkas margin")
-    cert = FeasibilityCertificate(
-        status=CertStatus.INFEASIBLE,
-        grid_hash=problem.grid_hash,
-        farkas_ub=lam,
-        farkas_eq=mu,
-        margin=margin,
-    )
+    else:
+        # the multipliers y on the original rows satisfy y^T A <= 0 (columns)
+        # and y^T b > 0; the certificate stores lam = -y_ub >= 0, mu = -y_eq,
+        # and drops the last, normalization row (it cancels in the margin).
+        p = problem.b_ub.shape[0]
+        lam = np.clip(-result.y[:p], 0.0, None)
+        mu = -result.y[p:-1]
+        combo, value, scale = _farkas_combination(problem, lam, mu)
+        cert = FeasibilityCertificate(
+            status=CertStatus.INFEASIBLE,
+            grid_hash=problem.grid_hash,
+            farkas_ub=lam,
+            farkas_eq=mu,
+            margin=(float(np.min(combo)) - value) / scale if scale > 0.0 else 0.0,
+        )
+    # the verifier also rejects a gap that is not positive: its proven gap
+    # is never larger than the computed one
     if not verify_certificate(problem, cert):
-        raise SolverFailure("Farkas certificate failed independent verification")
+        raise SolverFailure(f"{cert.status.value} certificate failed independent verification")
     return cert
 
 
@@ -340,26 +341,27 @@ def verify_certificate(problem: CertificationProblem, cert: FeasibilityCertifica
 
     A FEASIBLE certificate is accepted when its weights are finite, none is
     below -FEAS_TOL, and every row residual and the normalization residual
-    stay within FEAS_TOL after adding the bound.
+    stay within FEAS_TOL after adding the bound. Only the witness's support
+    columns are read; a witness for another atom count raises ValueError.
     """
     if cert.grid_hash != problem.grid_hash:
         return False
     if cert.status is CertStatus.FEASIBLE:
-        w = cert.weights
-        if w is None or w.shape != (problem.n_atoms,):
+        wit = cert.witness
+        if wit is None or wit.n_atoms != problem.n_atoms:
             raise ValueError("witness has wrong dimensions")
+        w = wit.weight
         if not np.all(np.isfinite(w)) or np.any(w < -FEAS_TOL):
             return False
+        A_ub, A_eq = problem.A_ub[:, wit.index], problem.A_eq[:, wit.index]
         # n_atoms terms per dot, plus the rounded right-hand sides 1 +- e,
         # the subtraction and the evaluation of the bound itself
         g = _gamma(problem.n_atoms + 3)
         abs_w = np.abs(w)
         w_norm = float(np.sum(abs_w))
         entry = w_norm * _ENTRY_ERR
-        ub = (problem.A_ub @ w - problem.b_ub
-              + g * (np.abs(problem.A_ub) @ abs_w + np.abs(problem.b_ub)) + entry)
-        eq = (np.abs(problem.A_eq @ w - problem.b_eq)
-              + g * (np.abs(problem.A_eq) @ abs_w + np.abs(problem.b_eq)) + entry)
+        ub = A_ub @ w - problem.b_ub + g * (np.abs(A_ub) @ abs_w + np.abs(problem.b_ub)) + entry
+        eq = np.abs(A_eq @ w - problem.b_eq) + g * (np.abs(A_eq) @ abs_w + np.abs(problem.b_eq)) + entry
         total = abs(float(np.sum(w)) - 1.0) + g * (w_norm + 1.0)
         return bool(np.all(ub <= FEAS_TOL) and np.all(eq <= FEAS_TOL) and total <= FEAS_TOL)
 
@@ -370,13 +372,11 @@ def verify_certificate(problem: CertificationProblem, cert: FeasibilityCertifica
         raise ValueError("Farkas vector has wrong dimensions")
     if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(mu))) or np.any(lam < 0.0):
         return False
-    scale = max(float(np.max(lam, initial=0.0)), float(np.max(np.abs(mu), initial=0.0)))
+    combo, value, scale = _farkas_combination(problem, lam, mu)
     if scale <= 0.0:
         return False
     abs_mu = np.abs(mu)
-    combo = lam @ problem.A_ub + mu @ problem.A_eq
     combo_abs = lam @ np.abs(problem.A_ub) + abs_mu @ np.abs(problem.A_eq)
-    value = float(lam @ problem.b_ub + mu @ problem.b_eq)
     value_abs = float(lam @ np.abs(problem.b_ub) + abs_mu @ np.abs(problem.b_eq))
     # one term per row, plus one each for joining the two dots, the rounded
     # right-hand sides 1 +- e, the subtraction and the evaluation of the bound
@@ -389,9 +389,11 @@ def verify_certificate(problem: CertificationProblem, cert: FeasibilityCertifica
 
 def witness_distribution(problem: CertificationProblem, cert: FeasibilityCertificate) -> SubensembleDistribution:
     """Convert a feasible witness into a model distribution."""
-    if cert.status is not CertStatus.FEASIBLE or cert.weights is None:
-        raise ValueError("only feasible certificates carry a witness")
-    w = cert.weights / math.fsum(map(float, cert.weights))
+    wit = cert.witness
+    if cert.status is not CertStatus.FEASIBLE or wit is None or wit.n_atoms != problem.n_atoms:
+        raise ValueError("only a feasible certificate on the problem's atoms carries a witness")
+    w = wit.weight / math.fsum(map(float, wit.weight))
     keep = w > 0.0
-    return SubensembleDistribution(problem.grid.u[keep], problem.grid.v[keep], w[keep])
+    atoms = wit.index[keep]
+    return SubensembleDistribution(problem.grid.u[atoms], problem.grid.v[atoms], w[keep])
 

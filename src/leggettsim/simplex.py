@@ -2,7 +2,8 @@
 
 Minimizes the sum of artificial variables with a fixed pivoting rule
 (most-negative reduced cost, lowest column index on ties; lowest row
-index on ratio-test ties; Bland's rule after a pivot budget), so results
+index on ratio-test ties; after a pivot budget, Bland's rule, which
+takes the lowest-index basic variable on ratio-test ties), so results
 are bit-stable across runs. On infeasibility the optimal simplex
 multipliers provide a Farkas-style dual vector for the original row
 orientation.
@@ -104,7 +105,10 @@ def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase
             # phase-1 objective is bounded below by 0; unboundedness signals breakdown
             raise SolverFailure("no admissible pivot row (numerical breakdown)")
         ratios = xb[rows] / col[rows]
-        i = int(rows[ratios.argmin()])  # argmin takes the lowest index on ties
+        i = int(rows[ratios.argmin()])  # argmin takes the lowest row on ties
+        if it >= bland_after:  # Bland: the lowest-index basic variable on ties
+            tied = rows[ratios == ratios.min()]
+            i = int(tied[basis[tied].argmin()])
         piv = col[i]
         row = binv[i]  # a view: it follows binv through the update below
         row /= piv

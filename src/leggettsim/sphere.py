@@ -80,14 +80,8 @@ def dot(a, b) -> float:
 
 
 def dots(vecs, ref) -> np.ndarray:
-    """Row-wise clamped inner products of an (n, 3) batch against a vector
-    (or a matching (n, 3) batch)."""
-    arr = np.asarray(vecs, dtype=np.float64)
-    ref = np.asarray(ref, dtype=np.float64)
-    if ref.ndim == 1:
-        vals = arr @ ref
-    else:
-        vals = np.sum(arr * ref, axis=-1)
+    """Row-wise clamped inner products of an (n, 3) batch against one 3-vector."""
+    vals = np.asarray(vecs, dtype=np.float64) @ np.asarray(ref, dtype=np.float64)
     return np.clip(vals, -1.0, 1.0)
 
 

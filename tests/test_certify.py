@@ -15,6 +15,7 @@ from leggettsim.certify import (
     CertStatus,
     FeasibilityCertificate,
     TargetConstraint,
+    Witness,
     build_atom_grid,
     build_problem,
     solve,
@@ -73,6 +74,13 @@ def exact_farkas_gap(problem, lam, mu) -> Fraction:
         for j in range(problem.n_atoms)
     ]
     return min(combo) - exact_dot(lam, problem.b_ub) - exact_dot(mu, problem.b_eq)
+
+
+def dense_weights(witness) -> np.ndarray:
+    """The witness's weights on every atom of the grid."""
+    w = np.zeros(witness.n_atoms)
+    w[witness.index] = witness.weight
+    return w
 
 
 def exact_witness_ok(problem, w) -> bool:
@@ -167,7 +175,7 @@ class TestBuildProblem:
         assert p.b_ub[1] == 0.0
         cert = solve(p)
         assert cert.status is CertStatus.FEASIBLE
-        assert np.allclose(p.A_ub[1] @ cert.weights, 0.0, atol=1e-9)
+        assert np.allclose(p.A_ub[1] @ dense_weights(cert.witness), 0.0, atol=1e-9)
 
     def test_invalid_target_rejected(self):
         with pytest.raises(ValueError):
@@ -278,10 +286,11 @@ class TestVerifyCertificate:
         p = build_problem(build_atom_grid(4, 4), [TargetConstraint(settings=SettingsPair(X, Y), e=0.0)])
         cert = solve(p)
         assert cert.status is CertStatus.FEASIBLE
-        bad = np.array(cert.weights)
+        bad = np.array(cert.witness.weight)
         bad[0] += 0.1
         tampered = FeasibilityCertificate(
-            status=CertStatus.FEASIBLE, grid_hash=cert.grid_hash, weights=bad
+            status=CertStatus.FEASIBLE, grid_hash=cert.grid_hash,
+            witness=dataclasses.replace(cert.witness, weight=bad),
         )
         assert not verify_certificate(p, tampered)
 
@@ -320,9 +329,14 @@ class TestVerifyCertificate:
         else:
             p = two_atom_marginal_problem()
         cert = solve(p)
-        values = np.array(getattr(cert, field))
-        values[0] = bad
-        tampered = dataclasses.replace(cert, **{field: values})
+        if field == "weights":
+            values = np.array(cert.witness.weight)
+            values[0] = bad
+            tampered = dataclasses.replace(cert, witness=dataclasses.replace(cert.witness, weight=values))
+        else:
+            values = np.array(getattr(cert, field))
+            values[0] = bad
+            tampered = dataclasses.replace(cert, **{field: values})
         round_tripped = FeasibilityCertificate.from_dict(json.loads(json.dumps(tampered.to_dict())))
         assert not verify_certificate(p, tampered)
         assert not verify_certificate(p, round_tripped)
@@ -384,7 +398,7 @@ class TestVerifyCertificate:
             gap = float(np.min(lam @ p.A_ub + mu @ p.A_eq)) - float(lam @ p.b_ub + mu @ p.b_eq)
             b_ub[i] += (gap - slack) / lam[i]
         else:
-            b_ub[0] = float(p.A_ub[0] @ cert.weights) - FEAS_TOL + slack
+            b_ub[0] = float(p.A_ub[0] @ dense_weights(cert.witness)) - FEAS_TOL + slack
         edge = dataclasses.replace(p, b_ub=b_ub)
         edge_cert = dataclasses.replace(cert, margin=0.0)
         for problem, certificate in ((p, cert), (edge, edge_cert)):
@@ -393,12 +407,13 @@ class TestVerifyCertificate:
             if cert.status is CertStatus.INFEASIBLE:
                 assert exact_farkas_gap(problem, cert.farkas_ub, cert.farkas_eq) > 0
             else:
-                assert exact_witness_ok(problem, cert.weights)
+                assert exact_witness_ok(problem, dense_weights(cert.witness))
 
     def test_dimension_mismatch_raises(self):
         p = two_atom_infeasible_problem()
         bad = FeasibilityCertificate(
-            status=CertStatus.FEASIBLE, grid_hash=p.grid_hash, weights=np.array([1.0])
+            status=CertStatus.FEASIBLE, grid_hash=p.grid_hash,
+            witness=Witness(1, np.array([0]), np.array([1.0])),
         )
         with pytest.raises(ValueError):
             verify_certificate(p, bad)
@@ -430,8 +445,10 @@ class TestSerialization:
         cert.save(path)
         restored = FeasibilityCertificate.load(path)
         assert restored.status is CertStatus.FEASIBLE
-        assert restored.weights.dtype == np.float64
-        np.testing.assert_array_equal(restored.weights, cert.weights)
+        assert restored.witness.weight.dtype == np.float64
+        assert restored.witness.n_atoms == cert.witness.n_atoms
+        np.testing.assert_array_equal(restored.witness.index, cert.witness.index)
+        np.testing.assert_array_equal(restored.witness.weight, cert.witness.weight)
         assert verify_certificate(p, restored)
 
     def test_witness_written_as_support(self):
@@ -444,6 +461,26 @@ class TestSerialization:
         assert witness["index"] == sorted(set(witness["index"]))
         assert len(witness["weight"]) == len(witness["index"])
         assert all(w != 0.0 for w in witness["weight"])
+
+    def test_unallocatable_witness_checked_by_count(self):
+        # a loaded witness stays a support: one that claims more atoms than
+        # memory could hold loads, and a problem of another size rejects it
+        # with ValueError (a dense copy would have raised MemoryError)
+        p = feasible_problem()
+        data = solve(p).to_dict()
+        data["witness"]["n_atoms"] = 10**15
+        cert = FeasibilityCertificate.from_dict(data)
+        assert cert.witness.n_atoms == 10**15
+        with pytest.raises(ValueError):
+            verify_certificate(p, cert)
+        with pytest.raises(ValueError):
+            witness_distribution(p, cert)
+
+    def test_witness_count_beyond_int64_rejected(self):
+        witness = {"n_atoms": 2**63, "index": [2**63 - 1], "weight": [1.0]}
+        data = {"status": "feasible", "grid_hash": "0" * 64, "margin": 0.0, "witness": witness}
+        with pytest.raises(ValueError):
+            FeasibilityCertificate.from_dict(data)
 
     @pytest.mark.parametrize("witness", [
         {"n_atoms": 0, "index": [], "weight": []},

@@ -312,6 +312,31 @@ class TestCertify:
         # a 3 x 3 product lattice plus 6 mirrored atoms
         assert json.loads(out.read_text())["n_atoms"] == 15
 
+    # sha256 of the certify report at a fixed config: an infeasible problem
+    # with marginal rows (so farkas_eq is non-empty) on 168 atoms, and a
+    # feasible one on 72; any change to the LP rows, the pivots, the
+    # multipliers, the margin or the certificate's JSON form moves them
+    GOLDEN_REPORTS = {
+        "infeasible": ({"targets": {"from": "singlet", "family": "orthogonal-doublets",
+                                    "params": [0.6, 0.3, 0.9, 1.4]},
+                        "grid": {"n_u": 12, "n_v": 12, "n_mirrored": 24},
+                        "include_marginals": True},
+                       "19a0bc48e212bed0f3fa2f2ecde2f3c947b60e2ac7634fb16045c7233e914512"),
+        "feasible": ({"targets": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0], "e": 0.0},
+                                  {"a": [0.0, 0.0, 1.0], "b": [1.0, 0.0, 0.0], "e": -0.3}],
+                      "grid": {"n_u": 8, "n_v": 8, "n_mirrored": 8}},
+                     "3c0cc99fc66157b5ddc0ccab44e3bc816d12e59ab27a937d4362e2ac896a7f2c"),
+    }
+
+    @pytest.mark.parametrize("status", sorted(GOLDEN_REPORTS))
+    def test_golden_report(self, tmp_path, status):
+        data, digest = self.GOLDEN_REPORTS[status]
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--config", write_config(tmp_path, data),
+                     "--output", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["status"] == status
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestOptimize:
     def test_small_run(self, tmp_path):

@@ -125,3 +125,21 @@ class TestPivotPath:
         assert not result.feasible
         assert result.iterations == pivots
         assert not result.bland_used
+
+    def test_bland_fallback_does_not_cycle(self):
+        # the most-negative rule cycles on this LP, and so does Bland's
+        # entering rule when ratio ties go to the lowest row rather than to
+        # the lowest-index basic variable (the solver then hit its cap)
+        A_ub = np.array([[3.0, 1.0, 0.0, -1.0, -1.0], [-1.0, 2.0, -2.0, 2.0, -3.0],
+                         [2.0, -1.0, 0.0, 3.0, 0.0], [-3.0, 3.0, 2.0, -2.0, 3.0]])
+        b_ub = np.zeros(4)
+        A_eq, b_eq = np.array([[-3.0, -3.0, -3.0, -3.0, -2.0]]), np.array([1.0])
+        result = phase1_simplex(A_ub, b_ub, A_eq, b_eq)
+        assert not result.feasible
+        assert result.bland_used
+        # y^T [A | slacks] <= 0 on every column while y^T b > 0: no x >= 0
+        # with nonnegative slacks meets the rows
+        y = result.y
+        assert np.all(y @ np.vstack([A_ub, A_eq]) <= 1e-9)
+        assert np.all(y[: len(b_ub)] <= 1e-9)
+        assert y @ np.concatenate([b_ub, b_eq]) > 0
