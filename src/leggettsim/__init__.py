@@ -17,6 +17,7 @@ from .models import (
     conditional_marginals,
     exact_model_correlation,
     joint_conditional_law,
+    outcome_law,
     sample_outcomes,
 )
 from .quantum import ChshScenario, chsh_value, singlet_correlation
@@ -70,6 +71,7 @@ __all__ = [
     "joint_conditional_law",
     "make_rng",
     "optimize_settings",
+    "outcome_law",
     "pointwise_identity",
     "random_unit_vectors",
     "sample_outcomes",

@@ -3,7 +3,9 @@
 For +/-1 outcomes, -1 + |A+B| = AB = 1 - |A-B| holds pointwise. Taking
 conditional expectations given (u, v) and then averaging over the
 subensemble distribution turns this into two-sided bounds on E(AB) that
-every model with Malus-law conditional marginals must satisfy.
+every model with Malus-law conditional marginals must satisfy. They read
+only the weights and each atom's u.a and v.b from a setting's
+``OutcomeLaw``: no coupling, and no further assumption, enters them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, sphere
-from .models import SettingsPair, SubensembleDistribution
+from .models import OutcomeLaw, SettingsPair
 
 DEFAULT_K_SIGMA = 4.0
 
@@ -32,7 +34,6 @@ class LeggettBounds:
 class BoundsVerdict:
     satisfied: bool
     margin: float  # distance to the nearest bound before allowance; negative when outside
-    k_sigma: float
 
 
 def pointwise_identity(a_outcome: int, b_outcome: int) -> tuple[float, float, float]:
@@ -52,14 +53,11 @@ def conditional_bounds(u, v, settings: SettingsPair) -> LeggettBounds:
     return LeggettBounds(lower=-1.0 + abs(alpha + beta), upper=1.0 - abs(alpha - beta))
 
 
-def averaged_bounds(distribution: SubensembleDistribution, settings: SettingsPair) -> LeggettBounds:
-    """Bounds on E(AB) with the integrals reduced to atom-weighted sums."""
-    alpha = sphere.dots(distribution.u, settings.a)
-    beta = sphere.dots(distribution.v, settings.b)
-    plus, minus = kernels.abs_sum_diff(alpha, beta)
-    lower = -1.0 + float(distribution.w @ plus)
-    upper = 1.0 - float(distribution.w @ minus)
-    return LeggettBounds(lower=lower, upper=upper)
+def averaged_bounds(law: OutcomeLaw) -> LeggettBounds:
+    """Bounds on E(AB) with the integrals reduced to atom-weighted sums of
+    the law's ``alpha`` = u.a and ``beta`` = v.b; its coupling is not read."""
+    plus, minus = kernels.abs_sum_diff(law.alpha, law.beta)
+    return LeggettBounds(lower=-1.0 + float(law.w @ plus), upper=1.0 - float(law.w @ minus))
 
 
 def check_bounds(value: float, se: float, b: LeggettBounds, k_sigma: float = DEFAULT_K_SIGMA) -> BoundsVerdict:
@@ -71,4 +69,4 @@ def check_bounds(value: float, se: float, b: LeggettBounds, k_sigma: float = DEF
     allowance = k_sigma * se
     satisfied = (b.lower - allowance <= value) and (value <= b.upper + allowance)
     margin = min(value - b.lower, b.upper - value)
-    return BoundsVerdict(satisfied=satisfied, margin=margin, k_sigma=k_sigma)
+    return BoundsVerdict(satisfied=satisfied, margin=margin)

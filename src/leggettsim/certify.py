@@ -91,7 +91,6 @@ class AtomGrid:
 class CertificationProblem:
     grid: AtomGrid
     constraints: tuple[TargetConstraint, ...]
-    include_marginals: bool
     A_ub: np.ndarray
     b_ub: np.ndarray
     A_eq: np.ndarray  # marginal equality rows only (possibly empty)
@@ -109,11 +108,22 @@ class CertificationProblem:
 @dataclass(frozen=True)
 class Witness:
     """A feasible weighting by its support: weight[k] on atom index[k] of
-    n_atoms, zero elsewhere."""
+    n_atoms, zero elsewhere. A record that breaks the shape rules below
+    raises ValueError when it is built, so the verifier can index by it."""
 
-    n_atoms: int
-    index: np.ndarray  # strictly increasing atom indices in [0, n_atoms)
-    weight: np.ndarray  # float64; NaN and inf count as nonzero and are kept
+    n_atoms: int  # an int in [1, 2**63)
+    index: np.ndarray  # 1-D int64, strictly increasing within [0, n_atoms)
+    weight: np.ndarray  # float64, one per index; NaN and inf count as nonzero and are kept
+
+    def __post_init__(self):
+        n, index, weight = self.n_atoms, self.index, self.weight
+        if not (is_integer(n) and 1 <= n < 2**63):
+            raise ValueError(f"witness n_atoms must be an integer in [1, 2**63), got {n!r}")
+        if not (isinstance(index, np.ndarray) and index.dtype == np.int64 and index.ndim == 1 and (
+                index.size == 0 or (index[0] >= 0 and index[-1] < n and np.all(index[1:] > index[:-1])))):
+            raise ValueError(f"witness index must be a 1-D int64 array increasing strictly within [0, {n})")
+        if not (isinstance(weight, np.ndarray) and weight.dtype == np.float64 and weight.shape == index.shape):
+            raise ValueError(f"witness has {index.size} indices but weights of shape {np.shape(weight)}")
 
 
 @dataclass(frozen=True)
@@ -167,22 +177,16 @@ class FeasibilityCertificate:
 
 
 def _read_witness(witness) -> Witness:
-    """The record of a witness written by ``to_dict``, checked for form only:
-    its atom count is compared with a problem's when it is verified."""
+    """The record of a witness written by ``to_dict``. The JSON types are
+    checked here and the record's own rules by ``Witness``; its atom count
+    is compared with a problem's when it is verified."""
     if not isinstance(witness, dict) or set(witness) != {"n_atoms", "index", "weight"}:
         raise ValueError("witness must be an object with keys n_atoms, index and weight")
-    n_atoms, index = witness["n_atoms"], witness["index"]
-    if not is_integer(n_atoms) or not 1 <= n_atoms < 2**63:
-        raise ValueError(f"witness n_atoms must be an integer in [1, 2**63), got {n_atoms!r}")
-    if not isinstance(index, list) or not all(map(is_integer, index)):
-        raise ValueError("witness index must be a list of integers")
-    values = float_array(witness["weight"], "witness weight")
-    if len(index) != len(values):
-        raise ValueError(f"witness has {len(index)} indices but {len(values)} weights")
-    if index and not (0 <= index[0] and index[-1] < n_atoms
-                      and all(i < j for i, j in zip(index, index[1:]))):
-        raise ValueError(f"witness indices must increase strictly within [0, {n_atoms})")
-    return Witness(n_atoms, np.array(index, dtype=np.int64), values)
+    index = witness["index"]
+    if not isinstance(index, list) or not all(is_integer(i) and -2**63 <= i < 2**63 for i in index):
+        raise ValueError("witness index must be a list of int64 integers")
+    weight = float_array(witness["weight"], "witness weight")
+    return Witness(witness["n_atoms"], np.array(index, dtype=np.int64), weight)
 
 
 def build_atom_grid(n_u: int, n_v: int, n_mirrored: int = 0) -> AtomGrid:
@@ -238,7 +242,6 @@ def build_problem(
     return CertificationProblem(
         grid=grid,
         constraints=constraints,
-        include_marginals=include_marginals,
         A_ub=np.asarray(rows_ub),
         b_ub=np.asarray(rhs_ub),
         A_eq=np.asarray(rows_eq) if rows_eq else np.empty((0, grid.n_atoms)),

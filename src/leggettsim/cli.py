@@ -264,9 +264,9 @@ def _targets(spec, name: str):
 
     def from_model(seed: int) -> list[certify.TargetConstraint]:
         model = f["model"](seed)
-        return [certify.TargetConstraint(s, models.exact_model_correlation(model, s),
-                                         *models.exact_model_marginals(model, s))
-                for s in f["settings"](seed)]
+        laws = ((s, models.outcome_law(model, s)) for s in f["settings"](seed))
+        return [certify.TargetConstraint(s, models.exact_model_correlation(law),
+                                         *models.exact_model_marginals(law)) for s, law in laws]
     return from_model
 
 
@@ -310,25 +310,28 @@ CSV_COLUMNS = [
 ]
 
 
+def _simulate_row(f: dict, model: LeggettModel, idx: int, s: SettingsPair) -> list[str]:
+    """One CSV row; its law is freed on return, so no two settings' laws are held at once."""
+    law = models.outcome_law(model, s)
+    est = estimate_correlation(law, f["samples"], f["seed"], stream_id=10 + idx)
+    exact = models.exact_model_correlation(law)
+    b = averaged_bounds(law)
+    verdict = check_bounds(est.mean, est.se, b, f["k_sigma"])
+    return [
+        str(idx),
+        _fmt(s.a[0]), _fmt(s.a[1]), _fmt(s.a[2]),
+        _fmt(s.b[0]), _fmt(s.b[1]), _fmt(s.b[2]),
+        str(f["samples"]), _fmt(est.mean), _fmt(est.se), _fmt(exact),
+        _fmt(b.lower), _fmt(b.upper), _fmt(verdict.margin),
+        "satisfied" if verdict.satisfied else "violated",
+    ]
+
+
 def cmd_simulate(f: dict, config_hash: str) -> int:
-    seed, n, output = f["seed"], f["samples"], f["output"]
+    seed, output = f["seed"], f["output"]
     model = f["model"](seed)
-    rows = []
-    all_ok = True
-    for idx, s in enumerate(f["settings"](seed)):
-        est = estimate_correlation(model, s, n, seed, stream_id=10 + idx)
-        exact = models.exact_model_correlation(model, s)
-        b = averaged_bounds(model.distribution, s)
-        verdict = check_bounds(est.mean, est.se, b, f["k_sigma"])
-        all_ok = all_ok and verdict.satisfied
-        rows.append([
-            str(idx),
-            _fmt(s.a[0]), _fmt(s.a[1]), _fmt(s.a[2]),
-            _fmt(s.b[0]), _fmt(s.b[1]), _fmt(s.b[2]),
-            str(n), _fmt(est.mean), _fmt(est.se), _fmt(exact),
-            _fmt(b.lower), _fmt(b.upper), _fmt(verdict.margin),
-            "satisfied" if verdict.satisfied else "violated",
-        ])
+    rows = [_simulate_row(f, model, idx, s) for idx, s in enumerate(f["settings"](seed))]
+    all_ok = all(row[-1] == "satisfied" for row in rows)
     csv_text = "\n".join([",".join(CSV_COLUMNS)] + [",".join(r) for r in rows]) + "\n"
     if output:
         _write_text(output, csv_text)
@@ -351,7 +354,8 @@ def cmd_chsh(f: dict, config_hash: str) -> int:
     }
     if f["model"] is not None:
         model = f["model"](f["seed"])
-        payload["model_S"] = quantum.chsh_value(scenario, lambda s: models.exact_model_correlation(model, s))
+        payload["model_S"] = quantum.chsh_value(
+            scenario, lambda s: models.exact_model_correlation(models.outcome_law(model, s)))
     _report_json(payload, f, config_hash)
     return EXIT_OK
 
@@ -360,14 +364,15 @@ def cmd_bounds(f: dict, config_hash: str) -> int:
     model = f["model"](f["seed"])
     entries = []
     for idx, s in enumerate(f["settings"](f["seed"])):
-        b = averaged_bounds(model.distribution, s)
+        law = models.outcome_law(model, s)
+        b = averaged_bounds(law)
         entries.append({
             "experiment_id": idx,
             "a": [float(x) for x in s.a],
             "b": [float(x) for x in s.b],
             "lower": b.lower,
             "upper": b.upper,
-            "exact": models.exact_model_correlation(model, s),
+            "exact": models.exact_model_correlation(law),
         })
     _report_json({"bounds": entries}, f, config_hash)
     return EXIT_OK

@@ -5,6 +5,9 @@ A model is a settings-independent distribution over hidden vector pairs
 of the two +/-1 outcomes. The conditional marginals are always the
 Malus-law values P(A=1) = (1 + u.a)/2 and P(B=1) = (1 + v.b)/2; the
 coupling only decides how the two outcomes correlate beyond that.
+``outcome_law`` is the one place where a model's atoms meet a settings
+pair: the draws, the exact values and ``bounds.averaged_bounds`` all read
+the u.a and v.b it takes once per atom.
 
 Sampling draws an atom by its weight through a guide table over the weight
 CDF (Chen and Asau, 1974; Devroye, *Non-Uniform Random Variate Generation*,
@@ -229,45 +232,20 @@ def joint_conditional_law(pa: float, pb: float, coupling: Coupling) -> np.ndarra
     return np.clip(law, 0.0, 1.0)
 
 
-def _conditional_correlations(alpha: np.ndarray, beta: np.ndarray, coupling: Coupling) -> np.ndarray:
-    """E(AB | u, v) per atom from the joint conditional law.
-
-    With marginals (1+alpha)/2 and (1+beta)/2 the three couplings give
-    alpha*beta, 1 - |alpha - beta| and -1 + |alpha + beta| respectively;
-    computed here via the law's p_pp term so the same formula covers all.
-    """
-    pa = (1.0 + alpha) / 2.0
-    pb = (1.0 + beta) / 2.0
-    # E(AB) = 4 p_pp - 2 pa - 2 pb + 1
-    return 4.0 * coupling.p_pp(pa, pb) - 2.0 * pa - 2.0 * pb + 1.0
-
-
-def exact_model_correlation(model: LeggettModel, settings: SettingsPair) -> float:
-    """Closed-form E(AB) for the model: atom-weighted conditional means."""
-    d = model.distribution
-    alpha = sphere.dots(d.u, settings.a)
-    beta = sphere.dots(d.v, settings.b)
-    value = float(d.w @ _conditional_correlations(alpha, beta, model.coupling))
-    return min(1.0, max(-1.0, value))
-
-
-def exact_model_marginals(model: LeggettModel, settings: SettingsPair) -> tuple[float, float]:
-    """Closed-form (E(A), E(B)) for the model."""
-    d = model.distribution
-    mean_a = float(d.w @ sphere.dots(d.u, settings.a))
-    mean_b = float(d.w @ sphere.dots(d.v, settings.b))
-    return mean_a, mean_b
-
-
 class OutcomeLaw(NamedTuple):
-    """Per-atom sampling law of one (model, settings) pair.
+    """A model's atoms projected onto one settings pair.
 
-    ``pa`` and ``pb`` are the Malus marginals P(A=1), P(B=1) of each atom,
+    ``w`` are the atom weights and ``alpha``, ``beta`` each atom's u.a and
+    v.b; the averaged bounds read only these three. ``pa`` and ``pb`` are
+    the Malus marginals P(A=1) = (1 + alpha)/2 and P(B=1) = (1 + beta)/2,
     ``cdf`` the cumulative atom weights with the last entry set to 1.0,
     ``guide`` and ``scan`` the guide table of ``cdf`` (see ``_guide_table``),
     and ``coupling`` the model's coupling.
     """
 
+    w: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
     pa: np.ndarray
     pb: np.ndarray
     cdf: np.ndarray
@@ -277,18 +255,28 @@ class OutcomeLaw(NamedTuple):
 
 
 def outcome_law(model: LeggettModel, settings: SettingsPair) -> OutcomeLaw:
-    """The law ``sample_outcome_arrays`` draws from.
-
-    It depends only on the model and the settings, so an estimate builds it
-    once and reuses it for every block of draws.
-    """
+    """The one projection of a model's atoms onto a settings pair, built
+    once per setting and read by its draws, exact values and bounds."""
     d = model.distribution
-    pa = (1.0 + sphere.dots(d.u, settings.a)) / 2.0
-    pb = (1.0 + sphere.dots(d.v, settings.b)) / 2.0
+    alpha = sphere.dots(d.u, settings.a)
+    beta = sphere.dots(d.v, settings.b)
     cdf = np.cumsum(d.w)
     cdf[-1] = 1.0
     guide, scan = _guide_table(cdf)
-    return OutcomeLaw(pa, pb, cdf, guide, scan, model.coupling)
+    return OutcomeLaw(d.w, alpha, beta, (1.0 + alpha) / 2.0, (1.0 + beta) / 2.0, cdf, guide, scan, model.coupling)
+
+
+def exact_model_correlation(law: OutcomeLaw) -> float:
+    """Closed-form E(AB): the weighted mean of E(AB | u, v) = 4 p_pp - 2 pa - 2 pb + 1,
+    which the three couplings make alpha*beta, 1 - |alpha - beta| and -1 + |alpha + beta|."""
+    pa, pb = law.pa, law.pb
+    value = float(law.w @ (4.0 * law.coupling.p_pp(pa, pb) - 2.0 * pa - 2.0 * pb + 1.0))
+    return min(1.0, max(-1.0, value))
+
+
+def exact_model_marginals(law: OutcomeLaw) -> tuple[float, float]:
+    """Closed-form (E(A), E(B))."""
+    return float(law.w @ law.alpha), float(law.w @ law.beta)
 
 
 def _guide_table(cdf: np.ndarray) -> tuple[np.ndarray, int]:

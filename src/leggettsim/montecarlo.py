@@ -2,10 +2,11 @@
 
 The sample budget is split into fixed-size blocks, each drawn from a
 disjoint counter region of the same Philox stream, so the estimate is
-identical no matter how the blocks are scheduled. The sampling law (per-atom
-Malus marginals, weight CDF and its guide table) is built once per estimate
-and shared by all its blocks. Each block's +/-1 int8 outcomes are summed
-exactly in int64.
+identical no matter how the blocks are scheduled. An estimate takes a
+setting's ``OutcomeLaw`` (per-atom Malus marginals, weight CDF and its guide
+table), built by the caller once per setting, so the law the blocks draw
+from is the one the exact values and the bounds read. Each block's +/-1
+int8 outcomes are summed exactly in int64.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sphere
-from .models import LeggettModel, SettingsPair, outcome_law, sample_outcome_arrays
+from .models import OutcomeLaw, sample_outcome_arrays
 
 BLOCK_SIZE = 1 << 16
 
@@ -35,43 +36,31 @@ class CorrelationEstimate:
         return cls(mean=mean, n=n, se=se)
 
 
-def _sample_sums(
-    model: LeggettModel, settings: SettingsPair, n: int, seed: int, stream_id: int
-) -> tuple[int, int, int]:
+def _sample_sums(law: OutcomeLaw, n: int, seed: int, stream_id: int) -> tuple[int, int, int]:
     """Integer sums of AB, A, B over n draws (exact, order-independent)."""
     if n < 1:
         raise ValueError("sample count must be >= 1")
-    sum_ab = 0
-    sum_a = 0
-    sum_b = 0
-    law = outcome_law(model, settings)
-    offset = 0
-    block = 0
-    while offset < n:
-        m = min(BLOCK_SIZE, n - offset)
+    sum_ab = sum_a = sum_b = 0
+    for block, offset in enumerate(range(0, n, BLOCK_SIZE)):
         rng = sphere.make_rng(seed, stream_id, block=block)
-        a, b = sample_outcome_arrays(law, m, rng)
+        a, b = sample_outcome_arrays(law, min(BLOCK_SIZE, n - offset), rng)
         sum_ab += int(np.sum(a * b, dtype=np.int64))
         sum_a += int(np.sum(a, dtype=np.int64))
         sum_b += int(np.sum(b, dtype=np.int64))
-        offset += m
-        block += 1
     return sum_ab, sum_a, sum_b
 
 
-def estimate_correlation(
-    model: LeggettModel, settings: SettingsPair, n: int, seed: int, stream_id: int = 0
-) -> CorrelationEstimate:
-    """Estimate E(AB) from n draws; deterministic given (seed, stream_id)."""
-    sum_ab, _, _ = _sample_sums(model, settings, n, seed, stream_id)
+def estimate_correlation(law: OutcomeLaw, n: int, seed: int, stream_id: int = 0) -> CorrelationEstimate:
+    """Estimate E(AB) from n draws of ``law``; deterministic given (seed, stream_id)."""
+    sum_ab, _, _ = _sample_sums(law, n, seed, stream_id)
     return CorrelationEstimate.from_mean(sum_ab / n, n)
 
 
 def estimate_marginals(
-    model: LeggettModel, settings: SettingsPair, n: int, seed: int, stream_id: int = 0
+    law: OutcomeLaw, n: int, seed: int, stream_id: int = 0
 ) -> tuple[CorrelationEstimate, CorrelationEstimate]:
     """Estimate (E(A), E(B)) from the same n draws."""
-    _, sum_a, sum_b = _sample_sums(model, settings, n, seed, stream_id)
+    _, sum_a, sum_b = _sample_sums(law, n, seed, stream_id)
     return (
         CorrelationEstimate.from_mean(sum_a / n, n),
         CorrelationEstimate.from_mean(sum_b / n, n),

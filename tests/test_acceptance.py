@@ -32,6 +32,7 @@ from leggettsim.models import (
     isotropic_product,
     joint_conditional_law,
     mirrored,
+    outcome_law,
 )
 from leggettsim.montecarlo import estimate_correlation
 from leggettsim.optimize import optimize_settings, settings_family
@@ -116,8 +117,9 @@ def test_criterion_3_averaged_bounds():
         model = _random_model(rng)
         for _ in range(100):
             s = SettingsPair(*sphere.random_unit_vectors(rng, 2))
-            b = averaged_bounds(model.distribution, s)
-            value = exact_model_correlation(model, s)
+            law = outcome_law(model, s)
+            b = averaged_bounds(law)
+            value = exact_model_correlation(law)
             assert b.lower - 1e-12 <= value <= b.upper + 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -130,9 +132,9 @@ def test_criterion_4_monte_carlo_vs_oracle():
     hits = 0
     for k in range(100):
         model = _random_model(rng)
-        s = SettingsPair(*sphere.random_unit_vectors(rng, 2))
-        est = estimate_correlation(model, s, 100_000, seed=5000 + k)
-        exact = exact_model_correlation(model, s)
+        law = outcome_law(model, SettingsPair(*sphere.random_unit_vectors(rng, 2)))
+        est = estimate_correlation(law, 100_000, seed=5000 + k)
+        exact = exact_model_correlation(law)
         se = max(est.se, 1e-12)
         if abs(est.mean - exact) <= 4 * se or est.mean == exact:
             hits += 1
@@ -146,7 +148,7 @@ def test_criterion_5_chsh():
     start = time.perf_counter()
     rng = sphere.make_rng(1004, 0)
     model = LeggettModel(isotropic_product(40, rng), Coupling.INDEPENDENT)
-    corr = lambda s: exact_model_correlation(model, s)
+    corr = lambda s: exact_model_correlation(outcome_law(model, s))
     worst = 0.0
     for _ in range(10_000):
         scenario = ChshScenario(*sphere.random_unit_vectors(rng, 4))

@@ -19,6 +19,7 @@ from leggettsim.models import (
     conditional_marginals,
     exact_model_correlation,
     joint_conditional_law,
+    outcome_law,
     point_mass,
 )
 
@@ -29,6 +30,11 @@ Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
 
 OUTCOME_VALUES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+
+def bounds_of(d: SubensembleDistribution, s: SettingsPair) -> LeggettBounds:
+    """averaged_bounds of d at s; the coupling is not read, so any one does."""
+    return averaged_bounds(outcome_law(LeggettModel(d, Coupling.INDEPENDENT), s))
 
 
 class TestPointwiseIdentity:
@@ -95,7 +101,7 @@ class TestAveragedBounds:
         for _ in range(20):
             u, v, a, b = sphere.random_unit_vectors(rng, 4)
             s = SettingsPair(a, b)
-            avg = averaged_bounds(point_mass(u, v), s)
+            avg = bounds_of(point_mass(u, v), s)
             cond = conditional_bounds(u, v, s)
             assert avg.lower == pytest.approx(cond.lower, abs=1e-15)
             assert avg.upper == pytest.approx(cond.upper, abs=1e-15)
@@ -108,7 +114,7 @@ class TestAveragedBounds:
         p = SubensembleDistribution(u[:2], v[:2], [0.5, 0.5])
         q = SubensembleDistribution(u[2:], v[2:], [0.25, 0.75])
         mix = SubensembleDistribution(u, v, np.concatenate([lam * p.w, (1 - lam) * q.w]))
-        bp, bq, bm = (averaged_bounds(d, s) for d in (p, q, mix))
+        bp, bq, bm = (bounds_of(d, s) for d in (p, q, mix))
         assert bm.lower == pytest.approx(-1 + lam * (bp.lower + 1) + (1 - lam) * (bq.lower + 1), abs=1e-12)
         assert bm.upper == pytest.approx(1 - lam * (1 - bp.upper) - (1 - lam) * (1 - bq.upper), abs=1e-12)
 
@@ -120,7 +126,7 @@ class TestAveragedBounds:
         v = np.tile(gv, (100, 1))
         dist = SubensembleDistribution(u, v, np.full(10_000, 1e-4))
         s = SettingsPair(X, sphere.unit_vector(0.3, -0.5, 0.8))
-        grid_lower = averaged_bounds(dist, s).lower
+        grid_lower = bounds_of(dist, s).lower
 
         rng = sphere.make_rng(31, 0)
         n = 1_000_000
@@ -139,18 +145,29 @@ class TestAveragedBounds:
                 w = rng.random(8)
                 w /= w.sum()
                 d = SubensembleDistribution(u, v, w)
-                model = LeggettModel(d, coupling)
-                s = SettingsPair(*sphere.random_unit_vectors(rng, 2))
-                b = averaged_bounds(d, s)
-                value = exact_model_correlation(model, s)
+                law = outcome_law(LeggettModel(d, coupling), SettingsPair(*sphere.random_unit_vectors(rng, 2)))
+                b = averaged_bounds(law)
+                value = exact_model_correlation(law)
                 assert b.lower - 1e-12 <= value <= b.upper + 1e-12
+
+    def test_same_for_every_coupling(self, rng):
+        # the paper's point: the bounds follow from the Malus marginals and the
+        # pointwise identity alone, so no coupling enters them, to the last bit
+        w = rng.random(50)
+        d = SubensembleDistribution(sphere.random_unit_vectors(rng, 50), sphere.random_unit_vectors(rng, 50),
+                                    w / w.sum())
+        s = SettingsPair(*sphere.random_unit_vectors(rng, 2))
+        laws = [outcome_law(LeggettModel(d, coupling), s) for coupling in Coupling]
+        bounds = [averaged_bounds(law) for law in laws]
+        assert len({(b.lower.hex(), b.upper.hex()) for b in bounds}) == 1
+        assert len({exact_model_correlation(law) for law in laws}) == 3
 
     def test_ordering_and_range(self, rng):
         for _ in range(100):
             u = sphere.random_unit_vectors(rng, 5)
             v = sphere.random_unit_vectors(rng, 5)
             d = SubensembleDistribution(u, v, np.full(5, 0.2))
-            b = averaged_bounds(d, SettingsPair(*sphere.random_unit_vectors(rng, 2)))
+            b = bounds_of(d, SettingsPair(*sphere.random_unit_vectors(rng, 2)))
             assert -1.0 - 1e-12 <= b.lower <= b.upper <= 1.0 + 1e-12
 
     def test_rotation_invariance(self, rng):
@@ -160,8 +177,8 @@ class TestAveragedBounds:
         a, b = sphere.random_unit_vectors(rng, 2)
         rot = random_rotation(rng)
         d_rot = SubensembleDistribution(u @ rot.T, v @ rot.T, np.full(6, 1 / 6))
-        b1 = averaged_bounds(d, SettingsPair(a, b))
-        b2 = averaged_bounds(d_rot, SettingsPair(rot @ a, rot @ b))
+        b1 = bounds_of(d, SettingsPair(a, b))
+        b2 = bounds_of(d_rot, SettingsPair(rot @ a, rot @ b))
         assert b2.lower == pytest.approx(b1.lower, abs=1e-12)
         assert b2.upper == pytest.approx(b1.upper, abs=1e-12)
 

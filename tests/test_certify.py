@@ -28,6 +28,7 @@ from leggettsim.models import (
     SettingsPair,
     SubensembleDistribution,
     exact_model_correlation,
+    outcome_law,
 )
 from leggettsim.optimize import optimize_settings, settings_family
 
@@ -235,14 +236,14 @@ class TestSolve:
         constraints = []
         for _ in range(4):
             s = SettingsPair(*sphere.random_unit_vectors(rng, 2))
-            constraints.append(TargetConstraint(settings=s, e=exact_model_correlation(model, s)))
+            constraints.append(TargetConstraint(settings=s, e=exact_model_correlation(outcome_law(model, s))))
         p = build_problem(grid, constraints)
         cert = solve(p)
         assert cert.status is CertStatus.FEASIBLE
         assert verify_certificate(p, cert)
         witness = witness_distribution(p, cert)
         for c in constraints:
-            b = averaged_bounds(witness, c.settings)
+            b = averaged_bounds(outcome_law(LeggettModel(witness, Coupling.INDEPENDENT), c.settings))
             assert b.lower - 1e-9 <= c.e <= b.upper + 1e-9
 
     def test_grid_superset_preserves_feasibility(self, rng):
@@ -384,7 +385,7 @@ class TestVerifyCertificate:
             ma = float(w_model @ sphere.dots(u, s.a))
             mb = float(w_model @ sphere.dots(v, s.b))
             if from_model:
-                e = exact_model_correlation(model, s)
+                e = exact_model_correlation(outcome_law(model, s))
             constraints.append(TargetConstraint(settings=s, e=e, ma=ma, mb=mb))
         p = build_problem(grid, constraints, include_marginals=marginals)
         cert = solve(p)
@@ -417,6 +418,58 @@ class TestVerifyCertificate:
         )
         with pytest.raises(ValueError):
             verify_certificate(p, bad)
+
+
+def _i64(*values) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
+
+
+def _f64(*values) -> np.ndarray:
+    return np.array(values, dtype=np.float64)
+
+
+class TestWitness:
+    """A Witness checks its own shape rules when it is built, so a record made
+    in memory cannot reach the verifier with indices it would wrap or overrun."""
+
+    def test_shifted_support_rejected(self):
+        # the 16-atom problem of test_perturbed_weight_rejected: shifted by -16
+        # the indices wrap round to the same columns, so such a record verified
+        p = build_problem(build_atom_grid(4, 4), [TargetConstraint(settings=SettingsPair(X, Y), e=0.0)])
+        wit = solve(p).witness
+        assert wit.n_atoms == 16
+        for shift in (-16, 16):
+            with pytest.raises(ValueError):
+                Witness(16, wit.index + shift, wit.weight)
+            with pytest.raises(ValueError):
+                dataclasses.replace(wit, index=wit.index + shift)
+
+    @pytest.mark.parametrize("n_atoms, index, weight", [
+        (16, _i64(-1, 3), _f64(0.5, 0.5)),
+        (16, _i64(3, 16), _f64(0.5, 0.5)),
+        (16, _i64(3, 3), _f64(0.5, 0.5)),
+        (16, _i64(5, 3), _f64(0.5, 0.5)),
+        (16, _i64(3, 5), _f64(1.0)),
+        (16, _i64(3), _f64(0.5, 0.5)),
+        (16, _i64(3).astype(np.int32), _f64(1.0)),
+        (16, _f64(3.0), _f64(1.0)),
+        (16, [3], _f64(1.0)),
+        (16, _i64(3).reshape(1, 1), _f64(1.0).reshape(1, 1)),
+        (16, _i64(3), _f64(1.0).astype(np.float32)),
+        (16, _i64(3), _i64(1)),
+        (0, _i64(), _f64()),
+        (2**63, _i64(3), _f64(1.0)),
+        (16.0, _i64(3), _f64(1.0)),
+        (True, _i64(0), _f64(1.0)),
+    ], ids=["negative", "past-end", "duplicate", "unsorted", "short-weight", "short-index",
+            "int32-index", "float-index", "list-index", "2d-index", "float32-weight", "int-weight",
+            "zero-atoms", "atoms-beyond-int64", "float-atoms", "bool-atoms"])
+    def test_malformed_record_rejected(self, n_atoms, index, weight):
+        with pytest.raises(ValueError):
+            Witness(n_atoms, index, weight)
+
+    def test_empty_support_accepted(self):
+        assert Witness(3, _i64(), _f64()).index.size == 0
 
 
 def feasible_problem():

@@ -73,7 +73,7 @@ class TestSettingsAndOutcomes:
         s = SettingsPair(batch[0], batch[1])
         batch[0] = [0.0, 0.0, 5.0]
         assert s.a.tolist() == [1.0, 0.0, 0.0]
-        assert exact_model_correlation(LeggettModel(point_mass(X, Y), Coupling.INDEPENDENT), s) == 1.0
+        assert exact_model_correlation(outcome_law(LeggettModel(point_mass(X, Y), Coupling.INDEPENDENT), s)) == 1.0
 
     def test_outcomes_restricted(self):
         with pytest.raises(ValueError):
@@ -194,9 +194,9 @@ class TestSampling:
 
     def test_isotropic_mean_near_zero(self):
         model = LeggettModel(isotropic_product(1000, sphere.make_rng(11, 0)), Coupling.INDEPENDENT)
-        s = SettingsPair(X, Y)
-        a, _ = sample_outcome_arrays(outcome_law(model, s), 100_000, sphere.make_rng(11, 1))
-        exact_a, _ = exact_model_marginals(model, s)
+        law = outcome_law(model, SettingsPair(X, Y))
+        a, _ = sample_outcome_arrays(law, 100_000, sphere.make_rng(11, 1))
+        exact_a, _ = exact_model_marginals(law)
         se = 1.0 / np.sqrt(100_000)
         assert abs(a.mean() - exact_a) <= 4 * se
 
@@ -271,12 +271,12 @@ class TestAtomIndices:
 class TestExactCorrelation:
     def test_point_mass_aligned(self):
         model = LeggettModel(point_mass(X, Y), Coupling.INDEPENDENT)
-        assert exact_model_correlation(model, SettingsPair(X, Y)) == 1.0
+        assert exact_model_correlation(outcome_law(model, SettingsPair(X, Y))) == 1.0
 
     def test_two_atom_symmetry(self):
         d = SubensembleDistribution(np.array([X, -X]), np.array([Y, Y]), [0.5, 0.5])
         model = LeggettModel(d, Coupling.INDEPENDENT)
-        assert exact_model_correlation(model, SettingsPair(X, Y)) == 0.0
+        assert exact_model_correlation(outcome_law(model, SettingsPair(X, Y))) == 0.0
 
     def test_product_formula(self):
         # dots (0.5, -0.5) -> -0.25, checked against the enumeration oracle
@@ -284,7 +284,7 @@ class TestExactCorrelation:
         v = sphere.unit_vector(-0.5, 0.0, np.sqrt(0.75))
         model = LeggettModel(point_mass(u, v), Coupling.INDEPENDENT)
         s = SettingsPair(X, X)
-        value = exact_model_correlation(model, s)
+        value = exact_model_correlation(outcome_law(model, s))
         assert value == pytest.approx(-0.25, abs=1e-12)
         assert value == pytest.approx(law_correlation(0.75, 0.25, Coupling.INDEPENDENT), abs=1e-12)
 
@@ -296,14 +296,14 @@ class TestExactCorrelation:
             for coupling in Coupling:
                 model = LeggettModel(point_mass(u, v), coupling)
                 pa, pb = conditional_marginals(u, v, s)
-                assert exact_model_correlation(model, s) == pytest.approx(
+                assert exact_model_correlation(outcome_law(model, s)) == pytest.approx(
                     law_correlation(pa, pb, coupling), abs=1e-12
                 )
 
     def test_mirrored_same_setting(self):
         # v = -u isotropic and a = b gives E(AB) = -E[(u.a)^2] = -1/3
         model = LeggettModel(mirrored(200_000, sphere.make_rng(13, 0)), Coupling.INDEPENDENT)
-        assert exact_model_correlation(model, SettingsPair(Z, Z)) == pytest.approx(-1 / 3, abs=5e-3)
+        assert exact_model_correlation(outcome_law(model, SettingsPair(Z, Z))) == pytest.approx(-1 / 3, abs=5e-3)
 
 
 class TestSerialization:

@@ -39,53 +39,54 @@ class TestCorrelationEstimate:
 class TestEstimateCorrelation:
     def test_point_mass_degenerate(self):
         model = LeggettModel(point_mass(X, Y), Coupling.INDEPENDENT)
-        est = estimate_correlation(model, SettingsPair(X, Y), 100, seed=1)
+        est = estimate_correlation(outcome_law(model, SettingsPair(X, Y)), 100, seed=1)
         assert est.mean == 1.0 and est.se == 0.0 and est.n == 100
 
     def test_orthogonal_point_mass(self):
         model = LeggettModel(point_mass(Z, Z), Coupling.INDEPENDENT)
-        est = estimate_correlation(model, SettingsPair(X, Y), 100_000, seed=2)
+        est = estimate_correlation(outcome_law(model, SettingsPair(X, Y)), 100_000, seed=2)
         assert abs(est.mean - 0.0) <= 4 * est.se
 
     def test_mirrored_same_setting(self):
         # oracle: exact correlation on a dense deterministic mirrored grid is -1/3
         model = LeggettModel(mirrored_grid(10_000), Coupling.INDEPENDENT)
-        s = SettingsPair(X, X)
-        exact = exact_model_correlation(model, s)
+        law = outcome_law(model, SettingsPair(X, X))
+        exact = exact_model_correlation(law)
         assert exact == pytest.approx(-1 / 3, abs=1e-3)
-        est = estimate_correlation(model, s, 100_000, seed=3)
+        est = estimate_correlation(law, 100_000, seed=3)
         assert abs(est.mean - exact) <= 4 * est.se
 
     def test_reproducible(self):
         model = LeggettModel(isotropic_product(50, sphere.make_rng(5, 0)), Coupling.COMONOTONE)
-        s = SettingsPair(X, Z)
-        a = estimate_correlation(model, s, 70_001, seed=9, stream_id=4)
-        b = estimate_correlation(model, s, 70_001, seed=9, stream_id=4)
-        c = estimate_correlation(model, s, 70_001, seed=9, stream_id=5)
+        law = outcome_law(model, SettingsPair(X, Z))
+        a = estimate_correlation(law, 70_001, seed=9, stream_id=4)
+        b = estimate_correlation(law, 70_001, seed=9, stream_id=4)
+        c = estimate_correlation(law, 70_001, seed=9, stream_id=5)
         assert a == b
         assert a != c
 
     def test_invalid_count(self):
         model = LeggettModel(point_mass(X, Y), Coupling.INDEPENDENT)
         with pytest.raises(ValueError):
-            estimate_correlation(model, SettingsPair(X, Y), 0, seed=1)
+            estimate_correlation(outcome_law(model, SettingsPair(X, Y)), 0, seed=1)
 
     def test_in_range(self):
         model = LeggettModel(isotropic_product(20, sphere.make_rng(6, 0)), Coupling.ANTIMONOTONE)
+        law = outcome_law(model, SettingsPair(X, Y))
         for seed in range(5):
-            est = estimate_correlation(model, SettingsPair(X, Y), 1000, seed=seed)
+            est = estimate_correlation(law, 1000, seed=seed)
             assert -1.0 <= est.mean <= 1.0
 
     def test_convergence_rate(self):
         # 1/sqrt(n): quadrupling n should roughly halve the mean abs error
         model = LeggettModel(isotropic_product(30, sphere.make_rng(7, 0)), Coupling.INDEPENDENT)
-        s = SettingsPair(X, Z)
-        exact = exact_model_correlation(model, s)
+        law = outcome_law(model, SettingsPair(X, Z))
+        exact = exact_model_correlation(law)
         err_small = np.mean(
-            [abs(estimate_correlation(model, s, 10_000, seed=k).mean - exact) for k in range(50)]
+            [abs(estimate_correlation(law, 10_000, seed=k).mean - exact) for k in range(50)]
         )
         err_large = np.mean(
-            [abs(estimate_correlation(model, s, 40_000, seed=k, stream_id=1).mean - exact) for k in range(50)]
+            [abs(estimate_correlation(law, 40_000, seed=k, stream_id=1).mean - exact) for k in range(50)]
         )
         ratio = err_small / err_large
         assert 2.0 * 0.7 <= ratio <= 2.0 * 1.3
@@ -94,12 +95,12 @@ class TestEstimateCorrelation:
 class TestEstimateMarginals:
     def test_point_mass_aligned(self):
         model = LeggettModel(point_mass(X, Y), Coupling.INDEPENDENT)
-        est_a, _ = estimate_marginals(model, SettingsPair(X, Y), 500, seed=1)
+        est_a, _ = estimate_marginals(outcome_law(model, SettingsPair(X, Y)), 500, seed=1)
         assert est_a.mean == 1.0
 
     def test_isotropic_near_zero(self):
         model = LeggettModel(isotropic_product(500, sphere.make_rng(8, 0)), Coupling.INDEPENDENT)
-        est_a, est_b = estimate_marginals(model, SettingsPair(X, Y), 100_000, seed=4)
+        est_a, est_b = estimate_marginals(outcome_law(model, SettingsPair(X, Y)), 100_000, seed=4)
         # exact means are the weighted mean vectors dotted with the settings
         d = model.distribution
         exact_a = float(d.w @ (d.u @ X))
@@ -110,7 +111,7 @@ class TestEstimateMarginals:
     def test_known_dot(self):
         u = sphere.unit_vector(0.6, 0.8, 0.0)
         model = LeggettModel(point_mass(u, Z), Coupling.INDEPENDENT)
-        est_a, _ = estimate_marginals(model, SettingsPair(X, Z), 100_000, seed=5)
+        est_a, _ = estimate_marginals(outcome_law(model, SettingsPair(X, Z)), 100_000, seed=5)
         assert abs(est_a.mean - 0.6) <= 4 * est_a.se
 
 
@@ -138,14 +139,16 @@ class TestMultiBlock:
     def test_golden(self, atoms, coupling):
         model = LeggettModel(isotropic_product(atoms, sphere.make_rng(31, atoms)), Coupling(coupling))
         sum_ab, sum_a, sum_b = self.GOLDEN_SUMS[atoms, coupling]
-        est = estimate_correlation(model, self.SETTINGS, self.N, seed=2026, stream_id=5)
-        est_a, est_b = estimate_marginals(model, self.SETTINGS, self.N, seed=2026, stream_id=5)
+        law = outcome_law(model, self.SETTINGS)
+        est = estimate_correlation(law, self.N, seed=2026, stream_id=5)
+        est_a, est_b = estimate_marginals(law, self.N, seed=2026, stream_id=5)
         assert est == CorrelationEstimate.from_mean(sum_ab / self.N, self.N)
         assert est_a == CorrelationEstimate.from_mean(sum_a / self.N, self.N)
         assert est_b == CorrelationEstimate.from_mean(sum_b / self.N, self.N)
 
     def test_law_built_once_per_estimate(self, monkeypatch):
-        # one sphere.dots call per side for the whole estimate, not per block
+        # one sphere.dots call per side, from outcome_law on, for the whole
+        # estimate, not per block
         calls = []
         dots = sphere.dots
 
@@ -155,7 +158,7 @@ class TestMultiBlock:
 
         monkeypatch.setattr(sphere, "dots", counting_dots)
         model = LeggettModel(isotropic_product(100, sphere.make_rng(3, 0)), Coupling.INDEPENDENT)
-        estimate_correlation(model, self.SETTINGS, 3 * BLOCK_SIZE, seed=1)
+        estimate_correlation(outcome_law(model, self.SETTINGS), 3 * BLOCK_SIZE, seed=1)
         assert len(calls) == 2
 
 
@@ -189,8 +192,8 @@ class TestSearchPaths:
     def test_golden(self, weights, guided):
         d = self._distribution(weights)
         for coupling in Coupling:
-            model = LeggettModel(d, coupling)
-            assert (outcome_law(model, self.SETTINGS).scan <= GUIDE_SCAN_MAX) is guided
-            sums = _sample_sums(model, self.SETTINGS, self.N, 2026, 5)
+            law = outcome_law(LeggettModel(d, coupling), self.SETTINGS)
+            assert (law.scan <= GUIDE_SCAN_MAX) is guided
+            sums = _sample_sums(law, self.N, 2026, 5)
             assert sums == self.GOLDEN_SUMS[weights, coupling.value]
             assert all(type(x) is int for x in sums)

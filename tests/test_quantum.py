@@ -3,7 +3,7 @@ import pytest
 
 from leggettsim import sphere
 from leggettsim.models import Coupling, LeggettModel, SettingsPair, isotropic_product
-from leggettsim.models import exact_model_correlation
+from leggettsim.models import exact_model_correlation, outcome_law
 from leggettsim.quantum import (
     CLASSICAL_CHSH_BOUND,
     TSIRELSON_BOUND,
@@ -65,7 +65,7 @@ class TestChsh:
     def test_separable_models_respect_classical_bound(self):
         rng = sphere.make_rng(21, 0)
         model = LeggettModel(isotropic_product(50, rng), Coupling.INDEPENDENT)
-        corr = lambda s: exact_model_correlation(model, s)
+        corr = lambda s: exact_model_correlation(outcome_law(model, s))
         worst = 0.0
         for _ in range(10_000):
             vecs = sphere.random_unit_vectors(rng, 4)

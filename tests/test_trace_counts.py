@@ -1,0 +1,70 @@
+"""Per-setting layer calls of ``simulate`` and ``bounds``, traced by the
+benchmark's tracer.
+
+perfbench/tracing.py is loaded from its file under a private name, as
+tests/test_perfbench_names.py loads it, and is not changed. Each setting's
+atoms are projected once (two ``sphere.dots`` calls: u.a and v.b), and each
+layer the tracer wraps in the CLI is called once per setting, so the
+benchmark's per-layer spans stay filled.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from leggettsim.cli import EXIT_OK, main
+from leggettsim.montecarlo import BLOCK_SIZE
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SETTINGS = 2
+CONFIG = {
+    "model": {"generator": "isotropic", "atoms": 50, "coupling": "comonotone"},
+    "settings": {"random": SETTINGS},
+}
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks the module up while defining classes
+    spec.loader.exec_module(module)
+    yield module
+    sys.modules.pop(spec.name, None)
+
+
+def _traced(tracing, tmp_path, command: str, config: dict):
+    """Calls per span name, and (parent, child) edge counts, of one CLI run."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = main([command, "--config", str(path), "--output", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == EXIT_OK
+    layers, edges = tracing.summarize(tracer.spans, 0)
+    return {name: layer.calls for name, layer in layers.items()}, edges
+
+
+def test_simulate_projects_each_setting_once(tracing, tmp_path):
+    # two blocks per setting
+    calls, edges = _traced(tracing, tmp_path, "simulate", {**CONFIG, "samples": BLOCK_SIZE + 1})
+    assert calls["sphere.dots"] == 2 * SETTINGS
+    assert calls["montecarlo.estimate_correlation"] == SETTINGS
+    assert calls["bounds.averaged_bounds"] == SETTINGS
+    assert calls["models.exact_model_correlation"] == SETTINGS
+    assert calls["models.sample_outcome_arrays"] == 2 * SETTINGS
+    assert edges[("montecarlo.estimate_correlation", "sphere.make_rng")] == 2 * SETTINGS
+
+
+def test_bounds_projects_each_setting_once(tracing, tmp_path):
+    calls, _ = _traced(tracing, tmp_path, "bounds", CONFIG)
+    assert calls["sphere.dots"] == 2 * SETTINGS
+    assert calls["bounds.averaged_bounds"] == SETTINGS
+    assert calls["models.exact_model_correlation"] == SETTINGS
+    assert "montecarlo.estimate_correlation" not in calls
