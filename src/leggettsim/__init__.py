@@ -18,7 +18,6 @@ from .models import (
     exact_model_correlation,
     joint_conditional_law,
     outcome_law,
-    sample_outcomes,
 )
 from .quantum import ChshScenario, chsh_value, singlet_correlation
 from .bounds import (
@@ -74,7 +73,6 @@ __all__ = [
     "outcome_law",
     "pointwise_identity",
     "random_unit_vectors",
-    "sample_outcomes",
     "settings_family",
     "singlet_correlation",
     "solve",

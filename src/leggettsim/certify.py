@@ -109,7 +109,8 @@ class CertificationProblem:
 class Witness:
     """A feasible weighting by its support: weight[k] on atom index[k] of
     n_atoms, zero elsewhere. A record that breaks the shape rules below
-    raises ValueError when it is built, so the verifier can index by it."""
+    raises ValueError when it is built, so the verifier can index by it;
+    it then holds read-only copies, so no later write gets past the check."""
 
     n_atoms: int  # an int in [1, 2**63)
     index: np.ndarray  # 1-D int64, strictly increasing within [0, n_atoms)
@@ -124,6 +125,10 @@ class Witness:
             raise ValueError(f"witness index must be a 1-D int64 array increasing strictly within [0, {n})")
         if not (isinstance(weight, np.ndarray) and weight.dtype == np.float64 and weight.shape == index.shape):
             raise ValueError(f"witness has {index.size} indices but weights of shape {np.shape(weight)}")
+        for name, arr in (("index", index), ("weight", weight)):
+            arr = arr.copy()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,16 @@ the u.a and v.b it takes once per atom.
 
 Sampling draws an atom by its weight through a guide table over the weight
 CDF (Chen and Asau, 1974; Devroye, *Non-Uniform Random Variate Generation*,
-1986, III.2.4), or, where uneven weights crowd many atoms into one
-bucket, through ``np.searchsorted`` of the CDF; both pick the same atom.
-The couplings live in ``kernels``. Outcomes come back as +/-1 int8 arrays.
+1986, III.2.4), built once per distribution, and a binary search inside
+each key's bucket: one search for any weights, a few passes longer where
+uneven weights crowd many atoms into one bucket. The couplings live in
+``kernels``. Outcomes come back as +/-1 int8 arrays.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -31,10 +32,6 @@ from .kernels import Coupling
 WEIGHT_SUM_TOL = 1e-12
 # JSON loads renormalize weight sums within this tolerance, reject beyond it.
 LOAD_RENORM_TOL = 1e-9
-# Above this guide-table scan the sampler binary-searches the CDF instead:
-# per 65536 keys a scan pass costs 0.14-0.37 ms, the binary search 0.9-5.0 ms
-# on uneven laws of 32 to 100000 atoms (2-vCPU Xeon, numpy 2.4).
-GUIDE_SCAN_MAX = 16
 
 
 def is_integer(x) -> bool:
@@ -78,36 +75,25 @@ class SettingsPair:
 
 
 @dataclass(frozen=True)
-class OutcomePair:
-    """One run's pair of +/-1 results."""
-
-    A: int
-    B: int
-
-    def __post_init__(self):
-        if self.A not in (-1, 1) or self.B not in (-1, 1):
-            raise ValueError("outcomes must be -1 or +1")
-
-
-@dataclass(frozen=True)
 class SubensembleDistribution:
     """Atomic (weighted point-mass) distribution over hidden pairs (u, v).
 
     Arrays are immutable after construction; zero-weight atoms are pruned
     and weights must sum to 1 within 1e-12. Nothing in the structure can
-    reference measurement settings.
+    reference measurement settings, so the weight CDF (last entry set to
+    1.0) and its guide table (see ``_guide_table``), which the sampler
+    reads, are built here once.
     """
 
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
+    cdf: np.ndarray = field(init=False, repr=False)
+    guide: np.ndarray = field(init=False, repr=False)
+    scan: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        u = np.atleast_2d(sphere.unit_copy(self.u))
-        v = np.atleast_2d(sphere.unit_copy(self.v))
         w = np.atleast_1d(np.asarray(self.w, dtype=np.float64))
-        if u.shape != v.shape or u.shape[0] != w.shape[0]:
-            raise ValueError("atom arrays must have shapes (m, 3), (m, 3), (m,)")
         if not np.all(np.isfinite(w)):
             raise ValueError("atom weights must be finite")
         if np.any(w < 0):
@@ -115,13 +101,26 @@ class SubensembleDistribution:
         if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError("atom weights must sum to 1 within 1e-12")
         keep = w > 0.0
+        # the table is built before the vectors are copied, so its
+        # temporaries never sit beside those copies
+        cdf = np.cumsum(w[keep])
+        cdf[-1] = 1.0
+        guide, scan = _guide_table(cdf)
+        u = np.atleast_2d(sphere.unit_copy(self.u))
+        v = np.atleast_2d(sphere.unit_copy(self.v))
+        if u.shape != v.shape or u.shape[0] != w.shape[0]:
+            raise ValueError("atom arrays must have shapes (m, 3), (m, 3), (m,)")
         w = w[keep]
-        w.setflags(write=False)
         if w.shape[0] < u.shape[0]:
             u, v = sphere.unit_copy(u[keep]), sphere.unit_copy(v[keep])
+        for arr in (w, cdf, guide):
+            arr.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
+        object.__setattr__(self, "cdf", cdf)
+        object.__setattr__(self, "guide", guide)
+        object.__setattr__(self, "scan", scan)
 
     @property
     def n_atoms(self) -> int:
@@ -238,9 +237,8 @@ class OutcomeLaw(NamedTuple):
     ``w`` are the atom weights and ``alpha``, ``beta`` each atom's u.a and
     v.b; the averaged bounds read only these three. ``pa`` and ``pb`` are
     the Malus marginals P(A=1) = (1 + alpha)/2 and P(B=1) = (1 + beta)/2,
-    ``cdf`` the cumulative atom weights with the last entry set to 1.0,
-    ``guide`` and ``scan`` the guide table of ``cdf`` (see ``_guide_table``),
-    and ``coupling`` the model's coupling.
+    ``cdf``, ``guide`` and ``scan`` the distribution's weight table (see
+    ``SubensembleDistribution``), and ``coupling`` the model's coupling.
     """
 
     w: np.ndarray
@@ -260,10 +258,8 @@ def outcome_law(model: LeggettModel, settings: SettingsPair) -> OutcomeLaw:
     d = model.distribution
     alpha = sphere.dots(d.u, settings.a)
     beta = sphere.dots(d.v, settings.b)
-    cdf = np.cumsum(d.w)
-    cdf[-1] = 1.0
-    guide, scan = _guide_table(cdf)
-    return OutcomeLaw(d.w, alpha, beta, (1.0 + alpha) / 2.0, (1.0 + beta) / 2.0, cdf, guide, scan, model.coupling)
+    return OutcomeLaw(d.w, alpha, beta, (1.0 + alpha) / 2.0, (1.0 + beta) / 2.0,
+                      d.cdf, d.guide, d.scan, model.coupling)
 
 
 def exact_model_correlation(law: OutcomeLaw) -> float:
@@ -280,17 +276,19 @@ def exact_model_marginals(law: OutcomeLaw) -> tuple[float, float]:
 
 
 def _guide_table(cdf: np.ndarray) -> tuple[np.ndarray, int]:
-    """Guide table of ``cdf`` with one bucket per atom (Chen and Asau, 1974).
+    """Guide table of ``cdf`` with K = len(cdf) + 1 buckets (Chen and Asau, 1974).
 
-    Bucket k holds the keys x with ``int(x * K) == k``, K = len(cdf).
-    ``guide[k]`` counts the CDF entries whose own bucket lies below k, and
-    ``scan`` is the largest number of entries in any one bucket a key in
-    [0, 1) can reach. x -> fl(x * K) is monotone, so every entry in a lower
-    bucket than a key is <= it and every entry in a higher one is > it: the
-    key's ``searchsorted(cdf, key, side="right")`` index lies in
-    ``[guide[k], guide[k + 1]]``, at most ``scan`` steps above ``guide[k]``.
+    Bucket k holds the keys x with ``int(x * K) == k``. ``guide[k]`` counts
+    the CDF entries whose own bucket lies below k, and ``scan`` is the
+    largest number of entries in any one bucket a key in [0, 1) can reach.
+    x -> fl(x * K) is monotone, so every entry in a lower bucket than a key
+    is <= it and every entry in a higher one is > it: the key's atom, the
+    first index whose entry is > it, lies in ``[guide[k], guide[k + 1]]``,
+    at most ``scan`` steps above ``guide[k]``. With K one more than the
+    atom count, equal weights put each entry but the last, 1.0, in a bucket
+    of its own, and the last in bucket K, which no key reaches: scan 1.
     """
-    n_buckets = cdf.shape[0]
+    n_buckets = cdf.shape[0] + 1
     counts = np.bincount((cdf * n_buckets).astype(np.intp), minlength=n_buckets + 1)
     guide = np.zeros(n_buckets + 1, dtype=np.intp)
     np.cumsum(counts[:n_buckets], out=guide[1:])
@@ -298,19 +296,20 @@ def _guide_table(cdf: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _atom_indices(cdf: np.ndarray, guide: np.ndarray, scan: int, keys: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, keys, side="right")`` for keys in [0, 1).
+    """For each key in [0, 1), the first index whose CDF entry is > it.
 
-    Each key starts at the guide entry of its bucket and steps up ``scan``
-    times past every CDF entry <= it; the last entry is 1.0 and lies in a
-    bucket no key reaches, so no step leaves the array. A ``scan`` above
-    GUIDE_SCAN_MAX (weights so uneven that many atoms share a bucket)
-    binary-searches the CDF instead.
+    Each key starts at the guide entry of its bucket (K = len(guide) - 1
+    buckets), below its atom by at most ``scan``, and closes the gap by a
+    binary search: steps P/2, ..., 2, 1 with P = 2**scan.bit_length() > scan,
+    each taken where the entry just below the step's end is <= the key.
+    That is scan.bit_length() passes for any weights. A probe past the end
+    reads the last entry, 1.0, which no key reaches.
     """
-    if scan > GUIDE_SCAN_MAX:
-        return np.searchsorted(cdf, keys, side="right")
-    idx = guide.take((keys * cdf.shape[0]).astype(np.intp))
-    for _ in range(scan):
-        idx += cdf.take(idx) <= keys
+    idx = guide.take((keys * (guide.shape[0] - 1)).astype(np.intp))
+    step = (1 << scan.bit_length()) >> 1
+    while step:
+        idx += step * (cdf.take(idx + (step - 1), mode="clip") <= keys)
+        step >>= 1
     return idx
 
 
@@ -318,9 +317,8 @@ def sample_outcome_arrays(law: OutcomeLaw, n: int, rng: np.random.Generator) -> 
     """n independent draws of (A, B) as two +/-1 int8 arrays from ``law``.
 
     Uniforms are drawn in the order atom keys, then u1, then u2. Each key
-    picks atom ``np.searchsorted(law.cdf, key, side="right")``, whichever
-    way ``_atom_indices`` finds it, so a seeded stream gives the same
-    outcomes however the search is done.
+    picks the first atom whose CDF entry is > it, so a seeded stream gives
+    the same outcomes however the search finds that atom.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
@@ -328,9 +326,3 @@ def sample_outcome_arrays(law: OutcomeLaw, n: int, rng: np.random.Generator) -> 
     u1 = rng.random(n)
     u2 = rng.random(n)  # unused by the non-product couplings, drawn for stream stability
     return kernels.draw_outcomes(law.pa.take(idx), law.pb.take(idx), u1, u2, law.coupling)
-
-
-def sample_outcomes(model: LeggettModel, settings: SettingsPair, rng: np.random.Generator) -> OutcomePair:
-    """One draw: pick an atom by weight, then an outcome pair from its law."""
-    a, b = sample_outcome_arrays(outcome_law(model, settings), 1, rng)
-    return OutcomePair(int(a[0]), int(b[0]))

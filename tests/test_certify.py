@@ -471,6 +471,24 @@ class TestWitness:
     def test_empty_support_accepted(self):
         assert Witness(3, _i64(), _f64()).index.size == 0
 
+    def test_read_only(self):
+        # the same 16-atom problem: a write into the solved witness raised
+        # nothing, left indices [-14, -10], and the certificate still verified
+        p = build_problem(build_atom_grid(4, 4), [TargetConstraint(settings=SettingsPair(X, Y), e=0.0)])
+        cert = solve(p)
+        for arr in (cert.witness.index, cert.witness.weight):
+            with pytest.raises(ValueError):
+                arr[:] -= 16
+        assert cert.witness.index.min() >= 0
+        assert verify_certificate(p, cert)
+
+    def test_source_arrays_copied(self):
+        index, weight = _i64(3, 5), _f64(0.25, 0.75)
+        wit = Witness(16, index, weight)
+        index[:] = [-1, 40]
+        weight[:] = np.nan
+        assert wit.index.tolist() == [3, 5] and wit.weight.tolist() == [0.25, 0.75]
+
 
 def feasible_problem():
     return build_problem(build_atom_grid(6, 6, 4), [

@@ -2,15 +2,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings as hyp_settings
+from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from leggettsim import sphere
 from leggettsim.models import (
-    GUIDE_SCAN_MAX,
     Coupling,
     LeggettModel,
-    OutcomePair,
     SettingsPair,
     SubensembleDistribution,
     conditional_marginals,
@@ -23,7 +21,6 @@ from leggettsim.models import (
     outcome_law,
     point_mass,
     sample_outcome_arrays,
-    sample_outcomes,
 )
 from leggettsim.models import _atom_indices, _guide_table
 
@@ -75,10 +72,6 @@ class TestSettingsAndOutcomes:
         assert s.a.tolist() == [1.0, 0.0, 0.0]
         assert exact_model_correlation(outcome_law(LeggettModel(point_mass(X, Y), Coupling.INDEPENDENT), s)) == 1.0
 
-    def test_outcomes_restricted(self):
-        with pytest.raises(ValueError):
-            OutcomePair(0, 1)
-
 
 class TestSubensembleDistribution:
     def test_weights_must_sum_to_one(self):
@@ -105,8 +98,9 @@ class TestSubensembleDistribution:
 
     def test_arrays_immutable(self, rng):
         d = isotropic_product(10, rng)
-        with pytest.raises(ValueError):
-            d.w[0] = 0.5
+        for arr in (d.w, d.cdf, d.guide):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     @pytest.mark.parametrize("make", [
         lambda n: isotropic_product(n, np.random.default_rng(0)),
@@ -182,10 +176,8 @@ class TestJointConditionalLaw:
 class TestSampling:
     def test_point_mass_degenerate(self, rng):
         model = LeggettModel(point_mass(X, Y), Coupling.INDEPENDENT)
-        s = SettingsPair(X, Y)
-        for _ in range(50):
-            o = sample_outcomes(model, s, rng)
-            assert (o.A, o.B) == (1, 1)
+        a, b = sample_outcome_arrays(outcome_law(model, SettingsPair(X, Y)), 50, rng)
+        assert np.all(a == 1) and np.all(b == 1)
 
     def test_point_mass_antialigned(self, rng):
         model = LeggettModel(point_mass(-X, Y), Coupling.INDEPENDENT)
@@ -221,29 +213,27 @@ def _weights(shape: str, m: int, rng: np.random.Generator) -> np.ndarray:
     return w / w.sum()
 
 
-class TestAtomIndices:
-    """Both search paths, the guide-table scan and the fallback above
-    GUIDE_SCAN_MAX, must pick exactly the atoms searchsorted picks."""
+def _cdf(w: np.ndarray) -> np.ndarray:
+    cdf = np.cumsum(w)
+    cdf[-1] = 1.0
+    return cdf
 
-    @pytest.mark.parametrize("side", ["guided", "sorted"])
-    @hyp_settings(max_examples=120, deadline=None)
+
+class TestAtomIndices:
+    """The guided binary search must pick exactly the atoms searchsorted
+    picks, for any weights."""
+
+    @hyp_settings(max_examples=240, deadline=None)
     @given(m=st.integers(2, 256), shape=st.sampled_from(["one", "equal", "heavy", "tiny"]),
            seed=st.integers(0, 2**32 - 1))
-    def test_equals_searchsorted(self, side, m, shape, seed):
+    def test_equals_searchsorted(self, m, shape, seed):
         rng = np.random.default_rng(seed)
-        cdf = np.cumsum(_weights(shape, m, rng))
-        cdf[-1] = 1.0
+        cdf = _cdf(_weights(shape, m, rng))
         guide, scan = _guide_table(cdf)
-        if side == "guided":
-            assume(scan <= GUIDE_SCAN_MAX)
-        else:
-            # any bound at or above the true scan is valid; this one takes
-            # the sorted search for every weight shape
-            scan = max(scan, GUIDE_SCAN_MAX + 1)
         # keys lie in [0, 1), as the generator draws them: each CDF entry and
         # each bucket edge k/K with their neighbouring floats, the ends of the
         # range, and uniform filler
-        k = cdf.shape[0]
+        k = cdf.shape[0] + 1
         bucket_edges = np.arange(k + 1) / k
         edges = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
                                 bucket_edges, np.nextafter(bucket_edges, 0.0),
@@ -255,17 +245,35 @@ class TestAtomIndices:
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
+    def test_last_atom_holds_the_weight(self):
+        # the first 999 entries share bucket 0; a key in any later bucket
+        # starts at the last atom, index 999, and its first step of 512 probes
+        # index 1510, where a read that is not clipped raises IndexError
+        w = np.full(1000, 1e-9)
+        w[-1] = 1.0
+        cdf = _cdf(w / w.sum())
+        guide, scan = _guide_table(cdf)
+        assert scan == 999 and guide[1] == 999
+        keys = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], 0.0), [0.0, 0.5, np.nextafter(1.0, 0.0)]])
+        np.testing.assert_array_equal(_atom_indices(cdf, guide, scan, keys),
+                                      np.searchsorted(cdf, keys, side="right"))
+
+    def test_equal_weights_scan_once(self):
+        # weights as the generators make them: one more bucket than atoms
+        # gives every entry below 1.0 a bucket of its own, a single pass per key
+        for m in [*range(2, 3001), 100_000]:
+            assert _guide_table(_cdf(np.full(m, 1.0 / m)))[1] == 1, m
+
     def test_guide_table(self):
-        # one atom: every key in [0, 1) picks it without a step
+        # one atom: its entry, 1.0, lies in bucket 2, which no key reaches, so
+        # every key picks it without a step
         guide, scan = _guide_table(np.array([1.0]))
-        assert scan == 0 and guide.tolist() == [0, 0]
-        # equal weights spread the entries about one to a bucket; a heavy tail
-        # piles more atoms into one bucket than the guided search will scan
+        assert scan == 0 and guide.tolist() == [0, 0, 0]
+        # equal weights put one entry in a bucket; a heavy tail or one
+        # dominant atom piles many into one
         rng = np.random.default_rng(3)
-        for shape, above in (("equal", False), ("heavy", True), ("tiny", True)):
-            cdf = np.cumsum(_weights(shape, 100_000, rng))
-            cdf[-1] = 1.0
-            assert (_guide_table(cdf)[1] > GUIDE_SCAN_MAX) is above
+        for shape, want in (("equal", 1), ("heavy", 656), ("tiny", 69436)):
+            assert _guide_table(_cdf(_weights(shape, 100_000, rng)))[1] == want, shape
 
 
 class TestExactCorrelation:

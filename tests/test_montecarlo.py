@@ -3,7 +3,6 @@ import pytest
 
 from leggettsim import sphere
 from leggettsim.models import (
-    GUIDE_SCAN_MAX,
     Coupling,
     LeggettModel,
     SettingsPair,
@@ -163,8 +162,8 @@ class TestMultiBlock:
 
 
 class TestSearchPaths:
-    """Integer sums over three blocks of a 100000-atom model on each side of
-    the guide-table scan gate, pinned exactly."""
+    """Integer sums over three blocks of a 100000-atom model with equal and
+    with heavy-tailed weights, pinned exactly."""
 
     N = TestMultiBlock.N
     SETTINGS = TestMultiBlock.SETTINGS
@@ -188,12 +187,12 @@ class TestSearchPaths:
         w = sphere.make_rng(7, 0).random(100_000) ** -2.0
         return SubensembleDistribution(d.u, d.v, w / w.sum())
 
-    @pytest.mark.parametrize("weights, guided", [("isotropic", True), ("heavy", False)])
-    def test_golden(self, weights, guided):
+    @pytest.mark.parametrize("weights, scan", [("isotropic", 1), ("heavy", 4007)])
+    def test_golden(self, weights, scan):
         d = self._distribution(weights)
         for coupling in Coupling:
             law = outcome_law(LeggettModel(d, coupling), self.SETTINGS)
-            assert (law.scan <= GUIDE_SCAN_MAX) is guided
+            assert law.scan == scan
             sums = _sample_sums(law, self.N, 2026, 5)
             assert sums == self.GOLDEN_SUMS[weights, coupling.value]
             assert all(type(x) is int for x in sums)
