@@ -221,15 +221,21 @@ def _cdf(w: np.ndarray) -> np.ndarray:
 
 class TestAtomIndices:
     """The guided binary search must pick exactly the atoms searchsorted
-    picks, for any weights."""
+    picks, for any weights and any scan bound at or above the table's."""
 
-    @hyp_settings(max_examples=240, deadline=None)
+    @pytest.mark.parametrize("side", ["guided", "sorted"])
+    @hyp_settings(max_examples=120, deadline=None)
     @given(m=st.integers(2, 256), shape=st.sampled_from(["one", "equal", "heavy", "tiny"]),
            seed=st.integers(0, 2**32 - 1))
-    def test_equals_searchsorted(self, m, shape, seed):
+    def test_equals_searchsorted(self, side, m, shape, seed):
         rng = np.random.default_rng(seed)
         cdf = _cdf(_weights(shape, m, rng))
         guide, scan = _guide_table(cdf)
+        if side == "sorted":
+            # any bound at or above the true scan is valid; the atom count,
+            # the widest gap there is, makes each key's search span the
+            # whole sorted CDF above its guide entry
+            scan = max(scan, cdf.shape[0])
         # keys lie in [0, 1), as the generator draws them: each CDF entry and
         # each bucket edge k/K with their neighbouring floats, the ends of the
         # range, and uniform filler
