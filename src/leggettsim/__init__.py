@@ -28,7 +28,7 @@ from .bounds import (
     conditional_bounds,
     pointwise_identity,
 )
-from .montecarlo import CorrelationEstimate, estimate_correlation, estimate_marginals
+from .montecarlo import CorrelationEstimate, estimate_correlation
 from .certify import (
     AtomGrid,
     CertificationProblem,
@@ -65,7 +65,6 @@ __all__ = [
     "conditional_marginals",
     "dot",
     "estimate_correlation",
-    "estimate_marginals",
     "exact_model_correlation",
     "joint_conditional_law",
     "make_rng",

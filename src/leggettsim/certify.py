@@ -17,18 +17,17 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import kernels, sphere
 from .models import SettingsPair, SubensembleDistribution, float_array, is_integer
-from .simplex import SolverFailure, phase1_simplex
-
-FEAS_TOL = 1e-9
+# The solver calls a problem feasible when its phase-1 objective is at most
+# FEAS_TOL, so the verifier's tolerance must be at least that threshold, or
+# a feasible solve could fail verification; both read this one constant.
+from .simplex import FEAS_TOL, SolverFailure, phase1_simplex
 
 
 class CertStatus(enum.Enum):
@@ -173,13 +172,6 @@ class FeasibilityCertificate:
             margin=float(float_array([data.get("margin", 0.0)], "margin")[0]),
         )
 
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "FeasibilityCertificate":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
 
 def _read_witness(witness) -> Witness:
     """The record of a witness written by ``to_dict``. The JSON types are
@@ -271,8 +263,7 @@ def _farkas_combination(problem: CertificationProblem, lam, mu) -> tuple[np.ndar
 def solve(problem: CertificationProblem) -> FeasibilityCertificate:
     """Phase-1 feasibility solve over {w >= 0, sum w = 1, constraint rows}."""
     m = problem.n_atoms
-    ones = np.ones((1, m))
-    A_eq = np.vstack([problem.A_eq, ones]) if problem.A_eq.size else ones
+    A_eq = np.concatenate([problem.A_eq, np.ones((1, m))])
     b_eq = np.concatenate([problem.b_eq, [1.0]])
 
     result = phase1_simplex(problem.A_ub, problem.b_ub, A_eq, b_eq)
@@ -400,8 +391,10 @@ def witness_distribution(problem: CertificationProblem, cert: FeasibilityCertifi
     wit = cert.witness
     if cert.status is not CertStatus.FEASIBLE or wit is None or wit.n_atoms != problem.n_atoms:
         raise ValueError("only a feasible certificate on the problem's atoms carries a witness")
-    w = wit.weight / math.fsum(map(float, wit.weight))
-    keep = w > 0.0
+    # the verifier accepts weights down to -FEAS_TOL: drop them before
+    # normalizing, so the kept weights sum to 1 (a NaN is kept, and refused)
+    keep = ~(wit.weight <= 0.0)
+    w = wit.weight[keep]
     atoms = wit.index[keep]
-    return SubensembleDistribution(problem.grid.u[atoms], problem.grid.v[atoms], w[keep])
+    return SubensembleDistribution(problem.grid.u[atoms], problem.grid.v[atoms], w / math.fsum(w))
 

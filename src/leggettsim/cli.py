@@ -259,8 +259,7 @@ def _targets(spec, name: str):
         return lambda seed: targets
     source, f = _variant(spec, name, "from", TARGET_SOURCES)
     if source == "singlet":
-        return lambda seed: [certify.TargetConstraint(s, quantum.singlet_correlation(s), 0.0, 0.0)
-                             for s in f["settings"](seed)]
+        return lambda seed: [optimize.singlet_target(s) for s in f["settings"](seed)]
 
     def from_model(seed: int) -> list[certify.TargetConstraint]:
         model = f["model"](seed)

@@ -36,7 +36,7 @@ def numba_enabled() -> bool:
 
 def draw_outcomes(pa, pb, u1, u2, coupling: Coupling):
     """Map per-draw marginals (pa, pb) and uniforms to +/-1 int8 outcome arrays
-    whose joint law is the coupling's."""
+    whose joint law is the coupling's. Only the independent coupling reads u2."""
     a_plus = u1 < pa
     if coupling is Coupling.INDEPENDENT:
         b_plus = u2 < pb

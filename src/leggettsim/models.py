@@ -19,9 +19,7 @@ uneven weights crowd many atoms into one bucket. The couplings live in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -79,10 +77,10 @@ class SubensembleDistribution:
     """Atomic (weighted point-mass) distribution over hidden pairs (u, v).
 
     Arrays are immutable after construction; zero-weight atoms are pruned
-    and weights must sum to 1 within 1e-12. Nothing in the structure can
-    reference measurement settings, so the weight CDF (last entry set to
-    1.0) and its guide table (see ``_guide_table``), which the sampler
-    reads, are built here once.
+    and the weights, a 1-D array, must sum to 1 within 1e-12. Nothing in
+    the structure can reference measurement settings, so the weight CDF
+    (last entry set to 1.0) and its guide table (see ``_guide_table``),
+    which the sampler reads, are built here once.
     """
 
     u: np.ndarray
@@ -93,7 +91,9 @@ class SubensembleDistribution:
     scan: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.w, dtype=np.float64))
+        w = np.asarray(self.w, dtype=np.float64)
+        if w.ndim != 1:
+            raise ValueError(f"atom weights must be a 1-D array, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
             raise ValueError("atom weights must be finite")
         if np.any(w < 0):
@@ -152,13 +152,6 @@ def mirrored(n_atoms: int, rng: np.random.Generator) -> SubensembleDistribution:
     return SubensembleDistribution(u, -u, np.full(n_atoms, 1.0 / n_atoms))
 
 
-def mirrored_grid(n_atoms: int) -> SubensembleDistribution:
-    """Deterministic mirrored distribution on a Fibonacci lattice."""
-    _check_atom_count(n_atoms)
-    u = sphere.sphere_grid(n_atoms)
-    return SubensembleDistribution(u, -u, np.full(n_atoms, 1.0 / n_atoms))
-
-
 @dataclass(frozen=True)
 class LeggettModel:
     """A subensemble distribution plus a conditional coupling rule."""
@@ -198,13 +191,6 @@ class LeggettModel:
         u = sphere.normalize(u)
         v = sphere.normalize(v)
         return cls(SubensembleDistribution(u, v, w), Coupling(data["coupling"]))
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "LeggettModel":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def conditional_marginals(u, v, settings: SettingsPair) -> tuple[float, float]:
@@ -316,13 +302,15 @@ def _atom_indices(cdf: np.ndarray, guide: np.ndarray, scan: int, keys: np.ndarra
 def sample_outcome_arrays(law: OutcomeLaw, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n independent draws of (A, B) as two +/-1 int8 arrays from ``law``.
 
-    Uniforms are drawn in the order atom keys, then u1, then u2. Each key
-    picks the first atom whose CDF entry is > it, so a seeded stream gives
-    the same outcomes however the search finds that atom.
+    Uniforms are drawn in the order atom keys, u1, then u2, which only the
+    independent coupling reads and so draws. u2 comes last, so skipping it
+    moves no other draw of the call. Each key picks the first atom whose
+    CDF entry is > it, so a seeded stream gives the same outcomes however
+    the search finds that atom.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
     idx = _atom_indices(law.cdf, law.guide, law.scan, rng.random(n))
     u1 = rng.random(n)
-    u2 = rng.random(n)  # unused by the non-product couplings, drawn for stream stability
+    u2 = rng.random(n) if law.coupling is Coupling.INDEPENDENT else None
     return kernels.draw_outcomes(law.pa.take(idx), law.pb.take(idx), u1, u2, law.coupling)

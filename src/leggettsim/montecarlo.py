@@ -1,4 +1,4 @@
-"""Monte Carlo estimation of correlations and marginals with seeded streams.
+"""Monte Carlo estimation of correlations with seeded streams.
 
 The sample budget is split into fixed-size blocks, each drawn from a
 disjoint counter region of the same Philox stream, so the estimate is
@@ -6,7 +6,7 @@ identical no matter how the blocks are scheduled. An estimate takes a
 setting's ``OutcomeLaw`` (per-atom Malus marginals, weight CDF and its guide
 table), built by the caller once per setting, so the law the blocks draw
 from is the one the exact values and the bounds read. Each block's +/-1
-int8 outcomes are summed exactly in int64.
+products AB are summed exactly in int64.
 """
 
 from __future__ import annotations
@@ -36,32 +36,13 @@ class CorrelationEstimate:
         return cls(mean=mean, n=n, se=se)
 
 
-def _sample_sums(law: OutcomeLaw, n: int, seed: int, stream_id: int) -> tuple[int, int, int]:
-    """Integer sums of AB, A, B over n draws (exact, order-independent)."""
+def estimate_correlation(law: OutcomeLaw, n: int, seed: int, stream_id: int = 0) -> CorrelationEstimate:
+    """Estimate E(AB) from n draws of ``law``; deterministic given (seed, stream_id)."""
     if n < 1:
         raise ValueError("sample count must be >= 1")
-    sum_ab = sum_a = sum_b = 0
+    sum_ab = 0
     for block, offset in enumerate(range(0, n, BLOCK_SIZE)):
         rng = sphere.make_rng(seed, stream_id, block=block)
         a, b = sample_outcome_arrays(law, min(BLOCK_SIZE, n - offset), rng)
         sum_ab += int(np.sum(a * b, dtype=np.int64))
-        sum_a += int(np.sum(a, dtype=np.int64))
-        sum_b += int(np.sum(b, dtype=np.int64))
-    return sum_ab, sum_a, sum_b
-
-
-def estimate_correlation(law: OutcomeLaw, n: int, seed: int, stream_id: int = 0) -> CorrelationEstimate:
-    """Estimate E(AB) from n draws of ``law``; deterministic given (seed, stream_id)."""
-    sum_ab, _, _ = _sample_sums(law, n, seed, stream_id)
     return CorrelationEstimate.from_mean(sum_ab / n, n)
-
-
-def estimate_marginals(
-    law: OutcomeLaw, n: int, seed: int, stream_id: int = 0
-) -> tuple[CorrelationEstimate, CorrelationEstimate]:
-    """Estimate (E(A), E(B)) from the same n draws."""
-    _, sum_a, sum_b = _sample_sums(law, n, seed, stream_id)
-    return (
-        CorrelationEstimate.from_mean(sum_a / n, n),
-        CorrelationEstimate.from_mean(sum_b / n, n),
-    )

@@ -37,7 +37,8 @@ class SettingsFamily:
         return self.lower.shape[0]
 
 
-def _singlet_constraint(s: SettingsPair) -> TargetConstraint:
+def singlet_target(s: SettingsPair) -> TargetConstraint:
+    """The singlet's correlation -a.b at ``s``, with its zero marginals."""
     return TargetConstraint(settings=s, e=singlet_correlation(s), ma=0.0, mb=0.0)
 
 
@@ -57,14 +58,14 @@ def _orthogonal_doublets(params: np.ndarray) -> list[TargetConstraint]:
         m = np.cos(psis[i]) * axes[j] + np.sin(psis[i]) * axes[k]
         b_plus = np.cos(theta / 2.0) * m + np.sin(theta / 2.0) * e
         b_minus = np.cos(theta / 2.0) * m - np.sin(theta / 2.0) * e
-        out.append(_singlet_constraint(SettingsPair(m, sphere.normalize(b_plus))))
-        out.append(_singlet_constraint(SettingsPair(m, sphere.normalize(b_minus))))
+        out.append(singlet_target(SettingsPair(m, sphere.normalize(b_plus))))
+        out.append(singlet_target(SettingsPair(m, sphere.normalize(b_minus))))
     return out
 
 
 def _planar_chsh(params: np.ndarray) -> list[TargetConstraint]:
     """Four CHSH-style pairs with all directions in the xy-plane."""
-    return [_singlet_constraint(s) for s in planar_scenario(*params).pairs()]
+    return [singlet_target(s) for s in planar_scenario(*params).pairs()]
 
 
 _FAMILIES = {

@@ -44,9 +44,9 @@ def unit_vector(x: float, y: float, z: float) -> np.ndarray:
     return normalize([x, y, z])
 
 
-def is_unit(vec, tol: float = UNIT_NORM_TOL) -> bool:
+def is_unit(vec) -> bool:
     arr = np.asarray(vec, dtype=np.float64)
-    return bool(np.all(np.abs(np.sum(arr * arr, axis=-1) - 1.0) <= tol))
+    return bool(np.all(np.abs(np.sum(arr * arr, axis=-1) - 1.0) <= UNIT_NORM_TOL))
 
 
 def unit_copy(vecs) -> np.ndarray:
@@ -83,11 +83,6 @@ def dots(vecs, ref) -> np.ndarray:
     """Row-wise clamped inner products of an (n, 3) batch against one 3-vector."""
     vals = np.asarray(vecs, dtype=np.float64) @ np.asarray(ref, dtype=np.float64)
     return np.clip(vals, -1.0, 1.0)
-
-
-def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
-    """One uniform point on the sphere (normalized Gaussian triple)."""
-    return random_unit_vectors(rng, 1)[0]
 
 
 def random_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:

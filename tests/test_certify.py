@@ -144,10 +144,10 @@ class TestAtomGrid:
             hashes.append(1)
             return grid_hash(u, v)
 
-        def counting_is_unit(vec, *args, **kwargs):
+        def counting_is_unit(vec):
             if np.ndim(vec) == 2:
                 unit_checks.append(len(vec))
-            return is_unit(vec, *args, **kwargs)
+            return is_unit(vec)
 
         monkeypatch.setattr(certify, "grid_hash", counting_hash)
         monkeypatch.setattr(sphere, "is_unit", counting_is_unit)
@@ -489,6 +489,20 @@ class TestWitness:
         weight[:] = np.nan
         assert wit.index.tolist() == [3, 5] and wit.weight.tolist() == [0.25, 0.75]
 
+    def test_distribution_drops_tolerated_negative_weight(self):
+        # the verifier accepts a weight down to -FEAS_TOL; the distribution
+        # drops it and normalizes what is left
+        p = feasible_problem()
+        cert = solve(p)
+        wit = cert.witness
+        assert wit.index[0] > 0 and wit.index.size == 2
+        moved = Witness(p.n_atoms, np.r_[0, wit.index], np.r_[-5e-10, wit.weight + [5e-10, 0.0]])
+        cert = dataclasses.replace(cert, witness=moved)
+        assert verify_certificate(p, cert)
+        d = witness_distribution(p, cert)
+        assert d.n_atoms == 2 and abs(float(d.w.sum()) - 1.0) <= 1e-12
+        np.testing.assert_array_equal(d.u, p.grid.u[wit.index])
+
 
 def feasible_problem():
     return build_problem(build_atom_grid(6, 6, 4), [
@@ -502,8 +516,8 @@ class TestSerialization:
         p = two_atom_infeasible_problem()
         cert = solve(p)
         path = tmp_path / "cert.json"
-        cert.save(path)
-        restored = FeasibilityCertificate.load(path)
+        path.write_text(json.dumps(cert.to_dict()), encoding="utf-8")
+        restored = FeasibilityCertificate.from_dict(json.loads(path.read_text(encoding="utf-8")))
         assert restored.status is CertStatus.INFEASIBLE
         assert restored.margin == cert.margin
         assert verify_certificate(p, restored)
@@ -513,8 +527,8 @@ class TestSerialization:
         cert = solve(p)
         assert cert.status is CertStatus.FEASIBLE
         path = tmp_path / "cert.json"
-        cert.save(path)
-        restored = FeasibilityCertificate.load(path)
+        path.write_text(json.dumps(cert.to_dict()), encoding="utf-8")
+        restored = FeasibilityCertificate.from_dict(json.loads(path.read_text(encoding="utf-8")))
         assert restored.status is CertStatus.FEASIBLE
         assert restored.witness.weight.dtype == np.float64
         assert restored.witness.n_atoms == cert.witness.n_atoms

@@ -17,7 +17,6 @@ from leggettsim.models import (
     isotropic_product,
     joint_conditional_law,
     mirrored,
-    mirrored_grid,
     outcome_law,
     point_mass,
     sample_outcome_arrays,
@@ -105,8 +104,7 @@ class TestSubensembleDistribution:
     @pytest.mark.parametrize("make", [
         lambda n: isotropic_product(n, np.random.default_rng(0)),
         lambda n: mirrored(n, np.random.default_rng(0)),
-        mirrored_grid,
-    ], ids=["isotropic", "mirrored", "mirrored_grid"])
+    ], ids=["isotropic", "mirrored"])
     def test_generators_reject_zero_atoms(self, make):
         with pytest.raises(ValueError):
             make(0)
@@ -114,6 +112,12 @@ class TestSubensembleDistribution:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             SubensembleDistribution(np.empty((0, 3)), np.empty((0, 3)), [])
+
+    def test_2d_weights_rejected(self):
+        # an (m, 1) array holding a zero weight must be refused before the
+        # pruning step indexes the atoms with it
+        with pytest.raises(ValueError):
+            SubensembleDistribution(np.eye(3)[:2], np.eye(3)[:2], [[1.0], [0.0]])
 
 
 class TestConditionalMarginals:
@@ -196,6 +200,19 @@ class TestSampling:
         model = LeggettModel(point_mass(X, Y), Coupling.INDEPENDENT)
         with pytest.raises(ValueError):
             sample_outcome_arrays(outcome_law(model, SettingsPair(X, Y)), 0, rng)
+
+    @pytest.mark.parametrize("coupling, draws", [
+        (Coupling.INDEPENDENT, 3), (Coupling.COMONOTONE, 2), (Coupling.ANTIMONOTONE, 2),
+    ], ids=["independent", "comonotone", "antimonotone"])
+    def test_uniforms_drawn(self, coupling, draws):
+        # keys and u1 for every coupling; u2 only where the coupling reads it
+        n = 1000
+        law = outcome_law(LeggettModel(isotropic_product(10, sphere.make_rng(2, 0)), coupling),
+                          SettingsPair(X, Y))
+        rng, ref = sphere.make_rng(3, 0), sphere.make_rng(3, 0)
+        sample_outcome_arrays(law, n, rng)
+        ref.random(draws * n)
+        assert rng.random(8).tolist() == ref.random(8).tolist()
 
 
 def _weights(shape: str, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -331,8 +348,10 @@ class TestSerialization:
     def test_file_round_trip(self, rng, tmp_path):
         model = LeggettModel(mirrored(5, rng), Coupling.COMONOTONE)
         path = tmp_path / "model.json"
-        model.save(path)
-        assert LeggettModel.load(path).coupling is Coupling.COMONOTONE
+        path.write_text(json.dumps(model.to_dict()), encoding="utf-8")
+        restored = LeggettModel.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        assert np.allclose(restored.distribution.v, model.distribution.v)
+        assert restored.coupling is Coupling.COMONOTONE
 
     def test_small_weight_drift_renormalized(self):
         data = {

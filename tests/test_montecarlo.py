@@ -9,21 +9,34 @@ from leggettsim.models import (
     SubensembleDistribution,
     exact_model_correlation,
     isotropic_product,
-    mirrored_grid,
     outcome_law,
     point_mass,
+    sample_outcome_arrays,
 )
-from leggettsim.montecarlo import (
-    BLOCK_SIZE,
-    CorrelationEstimate,
-    _sample_sums,
-    estimate_correlation,
-    estimate_marginals,
-)
+from leggettsim.montecarlo import BLOCK_SIZE, CorrelationEstimate, estimate_correlation
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
+
+
+def block_sums(law, n, seed, stream_id):
+    """Integer sums of AB, A and B over n draws, drawn block by block from
+    the streams estimate_correlation uses."""
+    sums = [0, 0, 0]
+    for block, offset in enumerate(range(0, n, BLOCK_SIZE)):
+        rng = sphere.make_rng(seed, stream_id, block=block)
+        a, b = sample_outcome_arrays(law, min(BLOCK_SIZE, n - offset), rng)
+        for i, x in enumerate((a * b, a, b)):
+            sums[i] += int(np.sum(x, dtype=np.int64))
+    return tuple(sums)
+
+
+def sample_marginals(law, n, seed):
+    """Sample means of A and B over n draws, with their standard errors."""
+    a, b = sample_outcome_arrays(law, n, sphere.make_rng(seed, 0))
+    return (CorrelationEstimate.from_mean(float(a.mean()), n),
+            CorrelationEstimate.from_mean(float(b.mean()), n))
 
 
 class TestCorrelationEstimate:
@@ -48,7 +61,8 @@ class TestEstimateCorrelation:
 
     def test_mirrored_same_setting(self):
         # oracle: exact correlation on a dense deterministic mirrored grid is -1/3
-        model = LeggettModel(mirrored_grid(10_000), Coupling.INDEPENDENT)
+        u = sphere.sphere_grid(10_000)
+        model = LeggettModel(SubensembleDistribution(u, -u, np.full(10_000, 1e-4)), Coupling.INDEPENDENT)
         law = outcome_law(model, SettingsPair(X, X))
         exact = exact_model_correlation(law)
         assert exact == pytest.approx(-1 / 3, abs=1e-3)
@@ -92,14 +106,16 @@ class TestEstimateCorrelation:
 
 
 class TestEstimateMarginals:
+    """Sample means of A and B, as drawn for the correlation estimates."""
+
     def test_point_mass_aligned(self):
         model = LeggettModel(point_mass(X, Y), Coupling.INDEPENDENT)
-        est_a, _ = estimate_marginals(outcome_law(model, SettingsPair(X, Y)), 500, seed=1)
+        est_a, _ = sample_marginals(outcome_law(model, SettingsPair(X, Y)), 500, seed=1)
         assert est_a.mean == 1.0
 
     def test_isotropic_near_zero(self):
         model = LeggettModel(isotropic_product(500, sphere.make_rng(8, 0)), Coupling.INDEPENDENT)
-        est_a, est_b = estimate_marginals(outcome_law(model, SettingsPair(X, Y)), 100_000, seed=4)
+        est_a, est_b = sample_marginals(outcome_law(model, SettingsPair(X, Y)), 100_000, seed=4)
         # exact means are the weighted mean vectors dotted with the settings
         d = model.distribution
         exact_a = float(d.w @ (d.u @ X))
@@ -110,7 +126,7 @@ class TestEstimateMarginals:
     def test_known_dot(self):
         u = sphere.unit_vector(0.6, 0.8, 0.0)
         model = LeggettModel(point_mass(u, Z), Coupling.INDEPENDENT)
-        est_a, _ = estimate_marginals(outcome_law(model, SettingsPair(X, Z)), 100_000, seed=5)
+        est_a, _ = sample_marginals(outcome_law(model, SettingsPair(X, Z)), 100_000, seed=5)
         assert abs(est_a.mean - 0.6) <= 4 * est_a.se
 
 
@@ -137,13 +153,11 @@ class TestMultiBlock:
     @pytest.mark.parametrize("atoms, coupling", sorted(GOLDEN_SUMS))
     def test_golden(self, atoms, coupling):
         model = LeggettModel(isotropic_product(atoms, sphere.make_rng(31, atoms)), Coupling(coupling))
-        sum_ab, sum_a, sum_b = self.GOLDEN_SUMS[atoms, coupling]
         law = outcome_law(model, self.SETTINGS)
+        sums = block_sums(law, self.N, 2026, 5)
+        assert sums == self.GOLDEN_SUMS[atoms, coupling]
         est = estimate_correlation(law, self.N, seed=2026, stream_id=5)
-        est_a, est_b = estimate_marginals(law, self.N, seed=2026, stream_id=5)
-        assert est == CorrelationEstimate.from_mean(sum_ab / self.N, self.N)
-        assert est_a == CorrelationEstimate.from_mean(sum_a / self.N, self.N)
-        assert est_b == CorrelationEstimate.from_mean(sum_b / self.N, self.N)
+        assert est == CorrelationEstimate.from_mean(sums[0] / self.N, self.N)
 
     def test_law_built_once_per_estimate(self, monkeypatch):
         # one sphere.dots call per side, from outcome_law on, for the whole
@@ -193,6 +207,7 @@ class TestSearchPaths:
         for coupling in Coupling:
             law = outcome_law(LeggettModel(d, coupling), self.SETTINGS)
             assert law.scan == scan
-            sums = _sample_sums(law, self.N, 2026, 5)
+            sums = block_sums(law, self.N, 2026, 5)
             assert sums == self.GOLDEN_SUMS[weights, coupling.value]
-            assert all(type(x) is int for x in sums)
+            est = estimate_correlation(law, self.N, seed=2026, stream_id=5)
+            assert est == CorrelationEstimate.from_mean(sums[0] / self.N, self.N)

@@ -17,20 +17,17 @@ class TestDot:
         assert sphere.dot([1, 0, 0], [-1, 0, 0]) == -1.0
 
     def test_clamped(self, rng):
-        for _ in range(200):
-            a = sphere.random_unit_vector(rng)
+        for a in sphere.random_unit_vectors(rng, 200):
             assert -1.0 <= sphere.dot(a, a) <= 1.0
 
     def test_symmetric(self, rng):
         for _ in range(100):
-            a = sphere.random_unit_vector(rng)
-            b = sphere.random_unit_vector(rng)
+            a, b = sphere.random_unit_vectors(rng, 2)
             assert sphere.dot(a, b) == sphere.dot(b, a)
 
     def test_rotation_invariant(self, rng):
         for _ in range(100):
-            a = sphere.random_unit_vector(rng)
-            b = sphere.random_unit_vector(rng)
+            a, b = sphere.random_unit_vectors(rng, 2)
             rot = random_rotation(rng)
             assert sphere.dot(rot @ a, rot @ b) == pytest.approx(sphere.dot(a, b), abs=1e-12)
 
@@ -76,8 +73,8 @@ class TestUnitCopy:
 
 class TestRandomUnitVectors:
     def test_unit_norm_invariant(self, rng):
-        v = sphere.random_unit_vector(rng)
-        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        v = sphere.random_unit_vectors(rng, 1000)
+        assert np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 1e-12)
 
     def test_mean_vector_small(self):
         # CLT: each coordinate mean is O(1/sqrt(n))
@@ -118,8 +115,7 @@ class TestSphereGrid:
     def test_mean_dot_near_zero(self, rng):
         # exact spherical average of u.a is 0 for any fixed a
         pts = sphere.sphere_grid(1000)
-        for _ in range(5):
-            a = sphere.random_unit_vector(rng)
+        for a in sphere.random_unit_vectors(rng, 5):
             assert abs(np.mean(pts @ a)) <= 0.01
 
     def test_deterministic(self):
