@@ -55,9 +55,11 @@ class TargetConstraint:
 
 
 def grid_hash(u: np.ndarray, v: np.ndarray) -> str:
+    """sha256 of the float64 bytes of u, then v, read from the array buffers
+    (C-ordered float64 arrays, as AtomGrid holds, are not copied)."""
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(u, dtype=np.float64).tobytes())
-    h.update(np.ascontiguousarray(v, dtype=np.float64).tobytes())
+    h.update(np.ascontiguousarray(u, dtype=np.float64))
+    h.update(np.ascontiguousarray(v, dtype=np.float64))
     return h.hexdigest()
 
 
@@ -193,14 +195,15 @@ def build_atom_grid(n_u: int, n_v: int, n_mirrored: int = 0) -> AtomGrid:
         raise ValueError("lattice sizes must be >= 1")
     if n_mirrored < 0:
         raise ValueError("mirrored grid size must be >= 0")
-    gu = sphere.sphere_grid(n_u)
-    gv = sphere.sphere_grid(n_v)
-    u = np.repeat(gu, n_v, axis=0)
-    v = np.tile(gv, (n_u, 1))
+    n = n_u * n_v
+    u = np.empty((n + n_mirrored, 3))
+    v = np.empty((n + n_mirrored, 3))
+    # atom i * n_v + k pairs lattice point i of u with point k of v
+    u[:n].reshape(n_u, n_v, 3)[:] = sphere.sphere_grid(n_u)[:, None]
+    v[:n].reshape(n_u, n_v, 3)[:] = sphere.sphere_grid(n_v)
     if n_mirrored > 0:
-        gm = sphere.sphere_grid(n_mirrored)
-        u = np.vstack([u, gm])
-        v = np.vstack([v, -gm])
+        u[n:] = sphere.sphere_grid(n_mirrored)
+        np.negative(u[n:], out=v[n:])
     return AtomGrid(u, v)
 
 
@@ -209,40 +212,45 @@ def build_problem(
 ) -> CertificationProblem:
     """Assemble the LP rows: per settings pair j, the averaged bounds become
 
-        sum_i w_i |u_i.a_j + v_i.b_j| <= 1 + E_j
-        sum_i w_i |u_i.a_j - v_i.b_j| <= 1 - E_j
+        sum_i w_i |u_i.a_j + v_i.b_j| <= 1 + E_j    (row 2j of A_ub)
+        sum_i w_i |u_i.a_j - v_i.b_j| <= 1 - E_j    (row 2j + 1)
 
-    plus, when requested, equality rows pinning the marginal means. The
-    grid was checked when it was built, so only the rows are computed."""
+    plus, when requested, the equality rows u.a_j = ma_j and v.b_j = mb_j
+    (rows 2j and 2j + 1 of A_eq). The grid was checked when it was built, so
+    only the rows are computed. Each row pair is written straight into the
+    preallocated matrix, and pairs that share a setting a (the same float64
+    bits) share one u.a projection, so no more than one alpha, one beta and
+    the temporary of sphere.dots are held besides A_ub."""
     constraints = tuple(constraints)
     if len(constraints) == 0:
         raise ValueError("constraint list must be non-empty")
+    if include_marginals and any(c.ma is None or c.mb is None for c in constraints):
+        raise ValueError("include_marginals requires target marginals on every constraint")
     u, v = grid.u, grid.v
+    k = len(constraints)
+    A_ub = np.empty((2 * k, grid.n_atoms))
+    A_eq = np.empty((2 * k if include_marginals else 0, grid.n_atoms))
 
-    rows_ub, rhs_ub, rows_eq, rhs_eq = [], [], [], []
-    for c in constraints:
-        alpha = sphere.dots(u, c.settings.a)
-        beta = sphere.dots(v, c.settings.b)
-        plus, minus = kernels.abs_sum_diff(alpha, beta)
-        rows_ub.append(plus)
-        rhs_ub.append(1.0 + c.e)
-        rows_ub.append(minus)
-        rhs_ub.append(1.0 - c.e)
-        if include_marginals:
-            if c.ma is None or c.mb is None:
-                raise ValueError("include_marginals requires target marginals on every constraint")
-            rows_eq.append(alpha)
-            rhs_eq.append(c.ma)
-            rows_eq.append(beta)
-            rhs_eq.append(c.mb)
+    pairs_of_a: dict[bytes, list[int]] = {}
+    for j, c in enumerate(constraints):
+        pairs_of_a.setdefault(c.settings.a.tobytes(), []).append(j)
+    for js in pairs_of_a.values():
+        alpha = sphere.dots(u, constraints[js[0]].settings.a)
+        for j in js:
+            beta = sphere.dots(v, constraints[j].settings.b)
+            kernels.abs_sum_diff(alpha, beta, out=(A_ub[2 * j], A_ub[2 * j + 1]))
+            if include_marginals:
+                A_eq[2 * j], A_eq[2 * j + 1] = alpha, beta
+            del beta  # no stale row is held through the next projection
+        del alpha
 
     return CertificationProblem(
         grid=grid,
         constraints=constraints,
-        A_ub=np.asarray(rows_ub),
-        b_ub=np.asarray(rhs_ub),
-        A_eq=np.asarray(rows_eq) if rows_eq else np.empty((0, grid.n_atoms)),
-        b_eq=np.asarray(rhs_eq),
+        A_ub=A_ub,
+        b_ub=np.asarray([rhs for c in constraints for rhs in (1.0 + c.e, 1.0 - c.e)]),
+        A_eq=A_eq,
+        b_eq=np.asarray([m for c in constraints for m in (c.ma, c.mb)] if include_marginals else []),
     )
 
 

@@ -48,6 +48,16 @@ def draw_outcomes(pa, pb, u1, u2, coupling: Coupling):
     return a_plus.view(np.int8) * 2 - 1, b_plus.view(np.int8) * 2 - 1
 
 
-def abs_sum_diff(alpha, beta):
-    """Elementwise (|alpha + beta|, |alpha - beta|) for the bound integrals."""
-    return np.abs(alpha + beta), np.abs(alpha - beta)
+def abs_sum_diff(alpha, beta, out=None):
+    """Elementwise (|alpha + beta|, |alpha - beta|) for the bound integrals.
+
+    With ``out`` a pair of arrays of the inputs' shape, the two results are
+    written there (build_problem passes two rows of its LP matrix) and that
+    pair is returned; the values are the same either way.
+    """
+    if out is None:
+        return np.abs(alpha + beta), np.abs(alpha - beta)
+    plus, minus = out
+    np.abs(np.add(alpha, beta, out=plus), out=plus)
+    np.abs(np.subtract(alpha, beta, out=minus), out=minus)
+    return plus, minus

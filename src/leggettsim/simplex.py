@@ -45,6 +45,9 @@ class Phase1Result:
 
 
 def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase1Result:
+    """Phase 1 on {x >= 0, A_ub x <= b_ub, A_eq x = b_eq}. Mismatched shapes
+    and non-finite entries raise ValueError; a breakdown or the iteration cap
+    raises SolverFailure."""
     A_ub = np.atleast_2d(np.asarray(A_ub, dtype=np.float64))
     A_eq = np.atleast_2d(np.asarray(A_eq, dtype=np.float64))
     b_ub = np.atleast_1d(np.asarray(b_ub, dtype=np.float64))
@@ -57,6 +60,8 @@ def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase
     m = p + q
 
     b = np.concatenate([b_ub, b_eq])
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand sides must be finite")
 
     # orient every row to a nonnegative right-hand side; remember the flips
     flip = np.where(b < 0.0, -1.0, 1.0)
@@ -81,8 +86,12 @@ def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase
     cost = np.zeros(total)
     cost[n + p :] = 1.0
 
-    # reduced costs for basis of artificials: r = c - sum of rows
+    # reduced costs for basis of artificials: r = c - sum of rows. A NaN or
+    # inf entry of A_ub or A_eq makes its column's sum non-finite, so this
+    # one check on the sums refuses it without another pass over the matrix.
     r = cost - cols.sum(axis=0)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("constraint matrices must be finite (or a column sum overflowed)")
 
     if max_iter is None:
         max_iter = 200 * (m + n) + 1000

@@ -45,8 +45,18 @@ def unit_vector(x: float, y: float, z: float) -> np.ndarray:
 
 
 def is_unit(vec) -> bool:
+    """Whether every 3-vector of ``vec`` (shape (3,) or (n, 3)) is finite with
+    a squared norm within UNIT_NORM_TOL of 1.
+
+    The squares are summed column by column, x*x + y*y then + z*z: the same
+    order, and so the same bits, as ``np.sum(vec * vec, axis=-1)``, without
+    its per-row reduction or its (n, 3) temporary.
+    """
     arr = np.asarray(vec, dtype=np.float64)
-    return bool(np.all(np.abs(np.sum(arr * arr, axis=-1) - 1.0) <= UNIT_NORM_TOL))
+    sq = arr[..., 0] * arr[..., 0]
+    sq += arr[..., 1] * arr[..., 1]
+    sq += arr[..., 2] * arr[..., 2]
+    return bool(np.all(np.abs(sq - 1.0) <= UNIT_NORM_TOL))
 
 
 def unit_copy(vecs) -> np.ndarray:

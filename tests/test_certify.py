@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -98,6 +99,57 @@ def exact_witness_ok(problem, w) -> bool:
     )
 
 
+def traced_peak(fn, *args):
+    """fn(*args), and the most memory it held at once on top of what was held
+    before the call, as tracemalloc counts it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def stacked_lattices(n_u: int, n_v: int, n_mirrored: int):
+    """The atoms as build_atom_grid used to make them, by repeat, tile and vstack."""
+    gu, gv = sphere.sphere_grid(n_u), sphere.sphere_grid(n_v)
+    u, v = np.repeat(gu, n_v, axis=0), np.tile(gv, (n_u, 1))
+    if n_mirrored > 0:
+        gm = sphere.sphere_grid(n_mirrored)
+        u, v = np.vstack([u, gm]), np.vstack([v, -gm])
+    return u, v
+
+
+def per_pair_rows(grid, constraints, include_marginals: bool):
+    """(A_ub, b_ub, A_eq, b_eq) as build_problem used to make them: two dots
+    per settings pair, then the list of rows stacked."""
+    rows_ub, rows_eq = [], []
+    for c in constraints:
+        alpha, beta = sphere.dots(grid.u, c.settings.a), sphere.dots(grid.v, c.settings.b)
+        rows_ub += [np.abs(alpha + beta), np.abs(alpha - beta)]
+        rows_eq += [alpha, beta]
+    return (
+        np.asarray(rows_ub),
+        np.asarray([rhs for c in constraints for rhs in (1.0 + c.e, 1.0 - c.e)]),
+        np.asarray(rows_eq) if include_marginals else np.empty((0, grid.n_atoms)),
+        np.asarray([m for c in constraints for m in (c.ma, c.mb)] if include_marginals else []),
+    )
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# settings the property below draws from: axes (whose dots hold signed
+# zeros) and a few random directions, so that pairs share or repeat settings
+SETTINGS_POOL = [X, Y, Z, -X, *sphere.random_unit_vectors(make_rng(11, 0), 4)]
+
+
 class TestAtomGrid:
     @pytest.mark.parametrize("u, v", [
         (np.array([[1.0, 1.0, 0.0]]), np.array([X])),
@@ -160,7 +212,58 @@ class TestAtomGrid:
         assert unit_checks == []
 
 
+    @pytest.mark.parametrize("sizes", [(1, 7, 0), (7, 1, 0), (1, 1, 0), (5, 6, 0), (5, 6, 9), (1, 3, 4)])
+    def test_same_atoms_as_stacked_lattices(self, sizes):
+        grid = build_atom_grid(*sizes)
+        u, v = stacked_lattices(*sizes)
+        assert same_bits(grid.u, u) and same_bits(grid.v, v)
+
+    # digests of the benchmark's and the optimizer's grids; a change means
+    # different atoms, and certificates written for the old ones stop matching
+    @pytest.mark.parametrize("sizes, digest", [
+        ((96, 96, 1024), "3c75c7092f75b713433eea3b8aa9a2c77f67f5e72827148e70231e559a8f1b58"),
+        ((192, 192, 4096), "78aae95a508c216d50f0ad445c40f3a6dbdff61a5d55830b40f9546cfc2c06f8"),
+        ((24, 24, 64), "dc10e2a6b1874d6eae7c5bbf1d1f7c67fcc5f85777a5241b6039eea6ec35999c"),
+        ((48, 48, 256), "e1b5b4961c44062c9f6cfab81949190da6272e55b06e288ea11b023727924ce1"),
+    ])
+    def test_golden_grid_hash(self, sizes, digest):
+        grid = build_atom_grid(*sizes)
+        assert grid.grid_hash == digest == certify.grid_hash(*stacked_lattices(*sizes))
+
+    def test_build_memory(self):
+        # the lattices are written in place: what is held at the peak is the
+        # two built arrays and AtomGrid's two checked copies of them, plus
+        # 16 KiB for the Python objects around them (about 2.5 KB measured)
+        grid, peak = traced_peak(build_atom_grid, 192, 192, 4096)
+        assert peak <= 2 * (grid.u.nbytes + grid.v.nbytes) + 16 * 1024
+
+
 class TestBuildProblem:
+    @given(
+        sizes=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 3)),
+        pairs=st.lists(st.tuples(st.sampled_from(range(len(SETTINGS_POOL))),
+                                 st.sampled_from(range(len(SETTINGS_POOL))),
+                                 *[st.floats(-1.0, 1.0)] * 3), min_size=1, max_size=6),
+        include_marginals=st.booleans(),
+    )
+    @hyp_settings(max_examples=60, deadline=None)
+    def test_same_rows_as_per_pair_stacking(self, sizes, pairs, include_marginals):
+        grid = build_atom_grid(*sizes)
+        constraints = [TargetConstraint(SettingsPair(SETTINGS_POOL[i], SETTINGS_POOL[k]), e, ma, mb)
+                       for i, k, e, ma, mb in pairs]
+        p = build_problem(grid, constraints, include_marginals=include_marginals)
+        want = per_pair_rows(grid, constraints, include_marginals)
+        for got, expected in zip((p.A_ub, p.b_ub, p.A_eq, p.b_eq), want):
+            assert same_bits(got, expected)
+
+    def test_build_memory(self):
+        # the rows are written into A_ub: besides it, build_problem holds one
+        # alpha, one beta and the temporary of sphere.dots (3 rows measured)
+        grid = build_atom_grid(192, 192, 4096)
+        constraints = settings_family("orthogonal-doublets").build(np.array([0.94, 3.46, 2.11, 2.34]))
+        problem, peak = traced_peak(build_problem, grid, constraints)
+        assert peak <= problem.A_ub.nbytes + 4 * grid.u[:, 0].nbytes
+
     def test_orthogonal_atom_contributes_zero(self):
         u = np.array([Z])
         v = np.array([Z])

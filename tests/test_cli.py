@@ -617,6 +617,43 @@ class TestFlags:
         assert exc.value.code == EXIT_CONFIG
 
 
+class TestParserReuse:
+    """main builds its parser once per process; no flag of one call reaches the next."""
+
+    SIMULATE = {"model": POINT_MASS_MODEL, "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}]}
+    CERTIFY = {"targets": {"from": "singlet", "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}]}}
+
+    def test_built_once_across_calls(self, monkeypatch, tmp_path):
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        try:
+            config = write_config(tmp_path, self.SIMULATE)
+            for name, flags in (("a", ["--samples", "7"]), ("b", [])):
+                assert main(["simulate", "--config", config, "--output", str(tmp_path / name), *flags]) == EXIT_OK
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+        samples = [(tmp_path / name).read_text(encoding="utf-8").splitlines()[1].split(",")[7] for name in "ab"]
+        assert samples == ["7", "10000"]
+
+    def test_no_flag_carried_over(self, tmp_path):
+        config = write_config(tmp_path, self.CERTIFY)
+        reports = []
+        for flags in (["--grid", "16", "--seed", "5"], []):
+            out = tmp_path / f"certify{len(reports)}.json"
+            assert main(["certify", "--config", config, "--output", str(out), *flags]) == EXIT_OK
+            reports.append(json.loads(out.read_text(encoding="utf-8")))
+        # --grid 16: a 4 x 4 lattice plus 8 mirrored atoms; no flag: the
+        # default 23 x 23 lattice plus 46
+        assert [(r["n_atoms"], r["seed"]) for r in reports] == [(24, 5), (575, 0)]
+
+
 def _tables() -> list:
     """Every table of fields in the CLI: the subcommands' and the nested objects'."""
     def is_table(t):

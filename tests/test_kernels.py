@@ -51,3 +51,11 @@ class TestKernelSemantics:
         plus, minus = kernels.abs_sum_diff(alpha, beta)
         assert np.array_equal(plus, np.abs(alpha + beta))
         assert np.array_equal(minus, np.abs(alpha - beta))
+
+    def test_abs_sum_diff_into_out(self, rng):
+        alpha = rng.uniform(-1, 1, 100)
+        beta = rng.uniform(-1, 1, 100)
+        rows = np.full((2, 100), np.nan)
+        plus, minus = kernels.abs_sum_diff(alpha, beta, out=(rows[0], rows[1]))
+        assert np.shares_memory(plus, rows[0]) and np.shares_memory(minus, rows[1])
+        assert rows.tobytes() == np.array(kernels.abs_sum_diff(alpha, beta)).tobytes()

@@ -103,6 +103,18 @@ class TestBoundary:
         with pytest.raises(ValueError):
             phase1_simplex(np.ones((2, 3)), np.ones(3), np.ones((1, 3)), np.ones(1))
 
+    @pytest.mark.parametrize("where, index, bad", [
+        ("b_ub", 1, np.nan), ("A_ub", (1, 0), np.nan), ("A_ub", (0, 1), np.inf),
+    ])
+    def test_non_finite_input_rejected(self, where, index, bad):
+        # a NaN right-hand side used to give feasible=False, objective=nan, and
+        # a NaN or inf entry a SolverFailure; both are bad input, not results
+        lp = {"A_ub": np.array([[1.0, 2.0], [0.5, -1.0]]), "b_ub": np.array([1.0, 0.5]),
+              "A_eq": np.ones((1, 2)), "b_eq": np.ones(1)}
+        lp[where][index] = bad
+        with pytest.raises(ValueError, match="finite"):
+            phase1_simplex(**lp)
+
     def test_iteration_cap(self):
         # the artificial basis needs two pivots to leave x1 + x2 = 2, x1 - x2 = 0
         A_eq, b_eq = np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([2.0, 0.0])

@@ -71,6 +71,40 @@ class TestUnitCopy:
             sphere.unit_copy(vecs)
 
 
+def axis_sum_is_unit(vec) -> bool:
+    """The check is_unit replaced: the squared norms by a reduction over the last axis."""
+    arr = np.asarray(vec, dtype=np.float64)
+    return bool(np.all(np.abs(np.sum(arr * arr, axis=-1) - 1.0) <= sphere.UNIT_NORM_TOL))
+
+
+class TestIsUnit:
+    """is_unit sums the squares column by column, in the order of the axis sum."""
+
+    def test_agrees_at_the_tolerance(self, rng):
+        # rows scaled so that their squared norms land within a few ulps of
+        # 1 +- UNIT_NORM_TOL, on both sides of the edge
+        rows = sphere.random_unit_vectors(rng, 200)
+        edge = 1.0 + sphere.UNIT_NORM_TOL * np.array([-1.0, 1.0])
+        offsets = np.arange(-4, 5) * np.finfo(np.float64).eps
+        verdicts = []
+        for sq in (edge[:, None] + offsets).ravel():
+            scaled = rows * np.sqrt(sq)
+            assert sphere.is_unit(scaled) == axis_sum_is_unit(scaled)
+            for row in scaled:
+                verdicts.append(sphere.is_unit(row))
+                assert verdicts[-1] == axis_sum_is_unit(row)
+        assert set(verdicts) == {True, False}
+
+    @pytest.mark.parametrize("row", [
+        [np.nan, 0.0, 0.0], [0.0, 0.0, np.inf], [-np.inf, 0.0, 0.0], [np.inf, np.nan, 0.0],
+        [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.6, 0.0, -0.8], [1.0 + 1e-12, 0.0, 0.0],
+    ])
+    def test_agrees_on_special_rows(self, row):
+        batch = np.array([[0.0, 1.0, 0.0], row])
+        assert sphere.is_unit(row) == axis_sum_is_unit(row)
+        assert sphere.is_unit(batch) == axis_sum_is_unit(batch)
+
+
 class TestRandomUnitVectors:
     def test_unit_norm_invariant(self, rng):
         v = sphere.random_unit_vectors(rng, 1000)

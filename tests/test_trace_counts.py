@@ -1,11 +1,12 @@
-"""Per-setting layer calls of ``simulate`` and ``bounds``, traced by the
+"""Layer calls of ``simulate``, ``bounds`` and ``certify``, traced by the
 benchmark's tracer.
 
 perfbench/tracing.py is loaded from its file under a private name, as
 tests/test_perfbench_names.py loads it, and is not changed. Each setting's
 atoms are projected once (two ``sphere.dots`` calls: u.a and v.b), and each
 layer the tracer wraps in the CLI is called once per setting, so the
-benchmark's per-layer spans stay filled.
+benchmark's per-layer spans stay filled. A ``certify`` call builds and
+hashes its grid once and projects each distinct setting once.
 """
 
 import importlib.util
@@ -68,3 +69,18 @@ def test_bounds_projects_each_setting_once(tracing, tmp_path):
     assert calls["bounds.averaged_bounds"] == SETTINGS
     assert calls["models.exact_model_correlation"] == SETTINGS
     assert "montecarlo.estimate_correlation" not in calls
+
+
+def test_certify_builds_each_layer_once(tracing, tmp_path):
+    # the six orthogonal doublets share three settings a among them
+    calls, _ = _traced(tracing, tmp_path, "certify", {
+        "targets": {"from": "singlet", "family": "orthogonal-doublets", "params": [0.94, 3.46, 2.11, 2.34]},
+        "grid": {"n_u": 8, "n_v": 8, "n_mirrored": 16},
+    })
+    assert calls["certify.build_atom_grid"] == 1
+    assert calls["certify.grid_hash"] == 1
+    assert calls["sphere.dots"] == 9
+    assert calls["kernels.abs_sum_diff"] == 6
+    assert calls["certify.solve"] == 1
+    # solve verifies its certificate, and cmd_certify verifies it again
+    assert calls["certify.verify_certificate"] == 2
