@@ -441,7 +441,11 @@ COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser for every subcommand, built on first use. It depends
+    only on COMMANDS, and parse_args keeps nothing of a call: each one fills
+    a new namespace from the defaults."""
     parser = argparse.ArgumentParser(prog="leggettsim", description=__doc__)
     parser.add_argument("--version", action="version", version=f"leggettsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -456,19 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main reads argv with, built on first use. It depends only
-    on COMMANDS, and parse_args keeps nothing of a call: each one fills a
-    new namespace from the defaults."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code. The parser is built once
     per process, so an in-process caller (tests, the benchmark) pays for it
     once; every other step, from reading the config on, runs afresh."""
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = {} if getattr(args, "config", None) is None else _load_json(args.config, "config")
         fields = _fields(args.table, config, "config", args)

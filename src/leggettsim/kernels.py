@@ -55,9 +55,8 @@ def abs_sum_diff(alpha, beta, out=None):
     written there (build_problem passes two rows of its LP matrix) and that
     pair is returned; the values are the same either way.
     """
-    if out is None:
-        return np.abs(alpha + beta), np.abs(alpha - beta)
-    plus, minus = out
-    np.abs(np.add(alpha, beta, out=plus), out=plus)
-    np.abs(np.subtract(alpha, beta, out=minus), out=minus)
+    plus = np.add(alpha, beta, out=None if out is None else out[0])
+    minus = np.subtract(alpha, beta, out=None if out is None else out[1])
+    np.abs(plus, out=plus)
+    np.abs(minus, out=minus)
     return plus, minus

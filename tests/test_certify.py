@@ -233,9 +233,9 @@ class TestAtomGrid:
     def test_build_memory(self):
         # the lattices are written in place: what is held at the peak is the
         # two built arrays and AtomGrid's two checked copies of them, plus
-        # 16 KiB for the Python objects around them (about 2.5 KB measured)
+        # 4 KiB for the Python objects around them (1.0-2.5 KB measured)
         grid, peak = traced_peak(build_atom_grid, 192, 192, 4096)
-        assert peak <= 2 * (grid.u.nbytes + grid.v.nbytes) + 16 * 1024
+        assert peak <= 2 * (grid.u.nbytes + grid.v.nbytes) + 4 * 1024
 
 
 class TestBuildProblem:

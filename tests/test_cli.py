@@ -623,22 +623,13 @@ class TestParserReuse:
     SIMULATE = {"model": POINT_MASS_MODEL, "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}]}
     CERTIFY = {"targets": {"from": "singlet", "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}]}}
 
-    def test_built_once_across_calls(self, monkeypatch, tmp_path):
-        built = []
-
-        def counting_build_parser():
-            built.append(1)
-            return build_parser()
-
-        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-        cli._parser.cache_clear()
-        try:
-            config = write_config(tmp_path, self.SIMULATE)
-            for name, flags in (("a", ["--samples", "7"]), ("b", [])):
-                assert main(["simulate", "--config", config, "--output", str(tmp_path / name), *flags]) == EXIT_OK
-        finally:
-            cli._parser.cache_clear()
-        assert built == [1]
+    def test_built_once_across_calls(self, tmp_path):
+        build_parser.cache_clear()
+        config = write_config(tmp_path, self.SIMULATE)
+        for name, flags in (("a", ["--samples", "7"]), ("b", [])):
+            assert main(["simulate", "--config", config, "--output", str(tmp_path / name), *flags]) == EXIT_OK
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
         samples = [(tmp_path / name).read_text(encoding="utf-8").splitlines()[1].split(",")[7] for name in "ab"]
         assert samples == ["7", "10000"]
 
