@@ -1,22 +1,21 @@
 """Simulation and certification toolkit for Leggett-type hidden-variable models.
 
 Builds hidden-variable models with Malus-law conditional marginals, checks the
-pointwise / conditional / averaged correlation bounds they must obey, and uses
+averaged correlation bounds they must obey (the pointwise identity taken first
+over each atom's conditional law, then over the atoms), and uses
 linear-programming feasibility (with Farkas infeasibility certificates) to show
 that quantum singlet correlations admit no such model.
 """
 
 __version__ = "0.1.0"
 
-from .sphere import dot, make_rng, random_unit_vectors, sphere_grid, unit_vector
+from .sphere import make_rng, random_unit_vectors, sphere_grid
 from .models import (
     Coupling,
     LeggettModel,
     SettingsPair,
     SubensembleDistribution,
-    conditional_marginals,
     exact_model_correlation,
-    joint_conditional_law,
     outcome_law,
 )
 from .quantum import ChshScenario, chsh_value, singlet_correlation
@@ -25,7 +24,6 @@ from .bounds import (
     LeggettBounds,
     averaged_bounds,
     check_bounds,
-    conditional_bounds,
     pointwise_identity,
 )
 from .montecarlo import CorrelationEstimate, estimate_correlation
@@ -61,12 +59,8 @@ __all__ = [
     "build_problem",
     "check_bounds",
     "chsh_value",
-    "conditional_bounds",
-    "conditional_marginals",
-    "dot",
     "estimate_correlation",
     "exact_model_correlation",
-    "joint_conditional_law",
     "make_rng",
     "optimize_settings",
     "outcome_law",
@@ -76,6 +70,5 @@ __all__ = [
     "singlet_correlation",
     "solve",
     "sphere_grid",
-    "unit_vector",
     "verify_certificate",
 ]

@@ -1,11 +1,13 @@
 """The derivation chain: pointwise identity, conditional and averaged bounds.
 
 For +/-1 outcomes, -1 + |A+B| = AB = 1 - |A-B| holds pointwise. Taking
-conditional expectations given (u, v) and then averaging over the
-subensemble distribution turns this into two-sided bounds on E(AB) that
-every model with Malus-law conditional marginals must satisfy. They read
-only the weights and each atom's u.a and v.b from a setting's
-``OutcomeLaw``: no coupling, and no further assumption, enters them.
+conditional expectations given (u, v) turns it into
+-1 + |u.a + v.b| <= E(AB|u,v) <= 1 - |u.a - v.b|, and averaging that over
+the subensemble distribution into two-sided bounds on E(AB) that every
+model with Malus-law conditional marginals must satisfy. ``averaged_bounds``
+forms those averages from a setting's ``OutcomeLaw``, reading only the
+weights and each atom's u.a and v.b: no coupling, and no further
+assumption, enters them.
 """
 
 from __future__ import annotations
@@ -13,18 +15,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import kernels, sphere
-from .models import OutcomeLaw, SettingsPair
+from . import kernels
+from .models import OutcomeLaw
 
 DEFAULT_K_SIGMA = 4.0
 
 
 @dataclass(frozen=True)
 class LeggettBounds:
-    """Two-sided bounds on a correlation; lower <= upper always holds
-    because |x+y| + |x-y| <= 2 for x, y in [-1, 1]."""
+    """Two-sided bounds on a correlation. lower <= upper holds in exact
+    arithmetic, because |x+y| + |x-y| <= 2 for x, y in [-1, 1]; in float64
+    the two can cross by a few ulps."""
 
     lower: float
     upper: float
@@ -46,18 +47,14 @@ def pointwise_identity(a_outcome: int, b_outcome: int) -> tuple[float, float, fl
     return lhs, mid, rhs
 
 
-def conditional_bounds(u, v, settings: SettingsPair) -> LeggettBounds:
-    """Bounds on E(AB | u, v): -1 + |u.a + v.b| <= E(AB|u,v) <= 1 - |u.a - v.b|."""
-    alpha = sphere.dot(u, settings.a)
-    beta = sphere.dot(v, settings.b)
-    return LeggettBounds(lower=-1.0 + abs(alpha + beta), upper=1.0 - abs(alpha - beta))
-
-
 def averaged_bounds(law: OutcomeLaw) -> LeggettBounds:
     """Bounds on E(AB) with the integrals reduced to atom-weighted sums of
-    the law's ``alpha`` = u.a and ``beta`` = v.b; its coupling is not read."""
+    the law's ``alpha`` = u.a and ``beta`` = v.b; its coupling is not read.
+    Clamped like ``exact_model_correlation``: a weight sum a few ulps over 1
+    must not put ``lower`` above 1."""
     plus, minus = kernels.abs_sum_diff(law.alpha, law.beta)
-    return LeggettBounds(lower=-1.0 + float(law.w @ plus), upper=1.0 - float(law.w @ minus))
+    return LeggettBounds(lower=min(1.0, -1.0 + float(law.w @ plus)),
+                         upper=max(-1.0, 1.0 - float(law.w @ minus)))
 
 
 def check_bounds(value: float, se: float, b: LeggettBounds, k_sigma: float = DEFAULT_K_SIGMA) -> BoundsVerdict:

@@ -473,7 +473,7 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         sys.stderr.write(f"solver failure: {exc}\n")
         return EXIT_SOLVER
-    except ValueError as exc:  # a ConfigError, or a library constructor refusing its input
+    except (ValueError, MemoryError) as exc:  # a ConfigError, a refused input, or a size numpy cannot allocate
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
 

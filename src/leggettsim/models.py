@@ -193,30 +193,6 @@ class LeggettModel:
         return cls(SubensembleDistribution(u, v, w), Coupling(data["coupling"]))
 
 
-def conditional_marginals(u, v, settings: SettingsPair) -> tuple[float, float]:
-    """Malus-law conditional probabilities (P(A=1), P(B=1)) given (u, v)."""
-    pa = (1.0 + sphere.dot(u, settings.a)) / 2.0
-    pb = (1.0 + sphere.dot(v, settings.b)) / 2.0
-    return pa, pb
-
-
-def joint_conditional_law(pa: float, pb: float, coupling: Coupling) -> np.ndarray:
-    """Joint law over outcome pairs, ordered (++, +-, -+, --).
-
-    All three couplings reproduce the marginals exactly; they differ only
-    in where the off-diagonal mass goes.
-    """
-    if not (0.0 <= pa <= 1.0 and 0.0 <= pb <= 1.0):
-        raise ValueError("marginal probabilities must lie in [0, 1]")
-    p_pp = coupling.p_pp(pa, pb)
-    p_pm = pa - p_pp
-    p_mp = pb - p_pp
-    p_mm = 1.0 - pa - pb + p_pp
-    law = np.array([p_pp, p_pm, p_mp, p_mm])
-    # guard against rounding at the boundary of the probability simplex
-    return np.clip(law, 0.0, 1.0)
-
-
 class OutcomeLaw(NamedTuple):
     """A model's atoms projected onto one settings pair.
 
@@ -257,8 +233,8 @@ def exact_model_correlation(law: OutcomeLaw) -> float:
 
 
 def exact_model_marginals(law: OutcomeLaw) -> tuple[float, float]:
-    """Closed-form (E(A), E(B))."""
-    return float(law.w @ law.alpha), float(law.w @ law.beta)
+    """Closed-form (E(A), E(B)), clamped like ``exact_model_correlation``."""
+    return min(1.0, max(-1.0, float(law.w @ law.alpha))), min(1.0, max(-1.0, float(law.w @ law.beta)))
 
 
 def _guide_table(cdf: np.ndarray) -> tuple[np.ndarray, int]:

@@ -7,7 +7,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import sphere
 from .models import SettingsPair
 
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
@@ -57,7 +56,7 @@ def standard_planar_scenario() -> ChshScenario:
 
 def singlet_correlation(settings: SettingsPair) -> float:
     """Singlet-state prediction E(AB) = -a.b (marginals are zero)."""
-    return -sphere.dot(settings.a, settings.b)
+    return -min(1.0, max(-1.0, float(np.dot(settings.a, settings.b))))
 
 
 def chsh_value(scenario: ChshScenario, corr: Callable[[SettingsPair], float]) -> float:

@@ -39,11 +39,6 @@ def normalize(vec) -> np.ndarray:
     return arr / norm
 
 
-def unit_vector(x: float, y: float, z: float) -> np.ndarray:
-    """Construct a unit vector from components, normalizing them."""
-    return normalize([x, y, z])
-
-
 def is_unit(vec) -> bool:
     """Whether every 3-vector of ``vec`` (shape (3,) or (n, 3)) is finite with
     a squared norm within UNIT_NORM_TOL of 1.
@@ -79,20 +74,11 @@ def unit_copy(vecs) -> np.ndarray:
     return out
 
 
-def dot(a, b) -> float:
-    """Inner product of two unit vectors, clamped to [-1, 1].
-
-    The clamp absorbs rounding so that (1 + dot)/2 is always a valid
-    probability downstream.
-    """
-    val = float(np.dot(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)))
-    return min(1.0, max(-1.0, val))
-
-
 def dots(vecs, ref) -> np.ndarray:
-    """Row-wise clamped inner products of an (n, 3) batch against one 3-vector."""
+    """Row-wise inner products of an (n, 3) batch against one 3-vector,
+    clamped to [-1, 1] in place, so a call allocates one (n,) array."""
     vals = np.asarray(vecs, dtype=np.float64) @ np.asarray(ref, dtype=np.float64)
-    return np.clip(vals, -1.0, 1.0)
+    return np.clip(vals, -1.0, 1.0, out=vals)
 
 
 def random_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:

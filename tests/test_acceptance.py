@@ -27,10 +27,8 @@ from leggettsim.models import (
     LeggettModel,
     SettingsPair,
     SubensembleDistribution,
-    conditional_marginals,
     exact_model_correlation,
     isotropic_product,
-    joint_conditional_law,
     mirrored,
     outcome_law,
 )
@@ -38,12 +36,12 @@ from leggettsim.montecarlo import estimate_correlation
 from leggettsim.optimize import optimize_settings, settings_family
 from leggettsim.quantum import ChshScenario, chsh_value, singlet_correlation, standard_planar_scenario
 
+from conftest import law_correlation, point_law
+
 # Frozen regression value: worst-grid infeasibility margin found by the
 # seeded optimizer run in criterion 7 (budget 300, seed 2026, grids
 # 24x24+64 and 48x48+256). Established once, pinned thereafter.
 PINNED_VIOLATION_MARGIN = 0.46824942463078556
-
-OUTCOME_VALUES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
 
 def _report(criterion: int, label: str, elapsed: float) -> None:
@@ -99,11 +97,9 @@ def test_criterion_2_conditional_bounds():
         assert np.all(e_ab <= upper + 1e-12)
     # cross-check the vectorized formulas against the enumeration oracle
     for i in range(100):
-        s = SettingsPair(a[i], b[i])
-        pa, pb = conditional_marginals(u[i], v[i], s)
+        law = point_law(u[i], v[i], SettingsPair(a[i], b[i]))
         for coupling in Coupling:
-            law = joint_conditional_law(pa, pb, coupling)
-            oracle = sum(p * ai * bi for p, (ai, bi) in zip(law, OUTCOME_VALUES))
+            oracle = law_correlation(law.pa[0], law.pb[0], coupling)
             assert abs(oracle - values[coupling][i]) <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0

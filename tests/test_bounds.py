@@ -8,7 +8,6 @@ from leggettsim.bounds import (
     LeggettBounds,
     averaged_bounds,
     check_bounds,
-    conditional_bounds,
     pointwise_identity,
 )
 from leggettsim.models import (
@@ -16,20 +15,16 @@ from leggettsim.models import (
     LeggettModel,
     SettingsPair,
     SubensembleDistribution,
-    conditional_marginals,
     exact_model_correlation,
-    joint_conditional_law,
     outcome_law,
     point_mass,
 )
 
-from conftest import random_rotation
+from conftest import edge_distribution, law_correlation, point_law, random_rotation
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
-
-OUTCOME_VALUES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
 
 def bounds_of(d: SubensembleDistribution, s: SettingsPair) -> LeggettBounds:
@@ -57,19 +52,21 @@ class TestPointwiseIdentity:
 
 
 class TestConditionalBounds:
+    """The bounds given (u, v): the averaged bounds of the one-atom model at (u, v)."""
+
     def test_aligned_forces_one(self):
-        b = conditional_bounds(X, Y, SettingsPair(X, Y))
+        b = averaged_bounds(point_law(X, Y, SettingsPair(X, Y)))
         assert b.lower == b.upper == 1.0
 
     def test_orthogonal_vacuous(self):
-        b = conditional_bounds(Z, Z, SettingsPair(X, Y))
+        b = averaged_bounds(point_law(Z, Z, SettingsPair(X, Y)))
         assert (b.lower, b.upper) == (-1.0, 1.0)
 
     def test_half_dots(self):
         # dots (0.5, -0.5): lower = -1 + |0| = -1, upper = 1 - |1| = 0
-        u = sphere.unit_vector(0.5, np.sqrt(0.75), 0.0)
-        v = sphere.unit_vector(-0.5, np.sqrt(0.75), 0.0)
-        b = conditional_bounds(u, v, SettingsPair(X, X))
+        u = sphere.normalize([0.5, np.sqrt(0.75), 0.0])
+        v = sphere.normalize([-0.5, np.sqrt(0.75), 0.0])
+        b = averaged_bounds(point_law(u, v, SettingsPair(X, X)))
         assert b.lower == pytest.approx(-1.0, abs=1e-12)
         assert b.upper == pytest.approx(0.0, abs=1e-12)
 
@@ -77,21 +74,19 @@ class TestConditionalBounds:
         # machine check of the conditional inequality over random configurations
         for _ in range(1000):
             u, v, a, b = sphere.random_unit_vectors(rng, 4)
-            s = SettingsPair(a, b)
-            bd = conditional_bounds(u, v, s)
+            law = point_law(u, v, SettingsPair(a, b))
+            bd = averaged_bounds(law)
             assert bd.lower <= bd.upper
-            pa, pb = conditional_marginals(u, v, s)
             for coupling in Coupling:
-                law = joint_conditional_law(pa, pb, coupling)
-                e_ab = sum(p * ai * bi for p, (ai, bi) in zip(law, OUTCOME_VALUES))
+                e_ab = law_correlation(law.pa[0], law.pb[0], coupling)
                 assert bd.lower - 1e-12 <= e_ab <= bd.upper + 1e-12
 
     def test_rotation_invariance(self, rng):
         for _ in range(50):
             u, v, a, b = sphere.random_unit_vectors(rng, 4)
             rot = random_rotation(rng)
-            b1 = conditional_bounds(u, v, SettingsPair(a, b))
-            b2 = conditional_bounds(rot @ u, rot @ v, SettingsPair(rot @ a, rot @ b))
+            b1 = averaged_bounds(point_law(u, v, SettingsPair(a, b)))
+            b2 = averaged_bounds(point_law(rot @ u, rot @ v, SettingsPair(rot @ a, rot @ b)))
             assert b2.lower == pytest.approx(b1.lower, abs=1e-12)
             assert b2.upper == pytest.approx(b1.upper, abs=1e-12)
 
@@ -102,9 +97,11 @@ class TestAveragedBounds:
             u, v, a, b = sphere.random_unit_vectors(rng, 4)
             s = SettingsPair(a, b)
             avg = bounds_of(point_mass(u, v), s)
-            cond = conditional_bounds(u, v, s)
-            assert avg.lower == pytest.approx(cond.lower, abs=1e-15)
-            assert avg.upper == pytest.approx(cond.upper, abs=1e-15)
+            # the conditional bounds, from the clamped dots of the one atom
+            alpha = min(1.0, max(-1.0, float(np.dot(u, a))))
+            beta = min(1.0, max(-1.0, float(np.dot(v, b))))
+            assert avg.lower == pytest.approx(-1.0 + abs(alpha + beta), abs=1e-15)
+            assert avg.upper == pytest.approx(1.0 - abs(alpha - beta), abs=1e-15)
 
     def test_mixture_linearity(self, rng):
         u = sphere.random_unit_vectors(rng, 4)
@@ -125,7 +122,7 @@ class TestAveragedBounds:
         u = np.repeat(gu, 100, axis=0)
         v = np.tile(gv, (100, 1))
         dist = SubensembleDistribution(u, v, np.full(10_000, 1e-4))
-        s = SettingsPair(X, sphere.unit_vector(0.3, -0.5, 0.8))
+        s = SettingsPair(X, sphere.normalize([0.3, -0.5, 0.8]))
         grid_lower = bounds_of(dist, s).lower
 
         rng = sphere.make_rng(31, 0)
@@ -169,6 +166,11 @@ class TestAveragedBounds:
             d = SubensembleDistribution(u, v, np.full(5, 0.2))
             b = bounds_of(d, SettingsPair(*sphere.random_unit_vectors(rng, 2)))
             assert -1.0 - 1e-12 <= b.lower <= b.upper <= 1.0 + 1e-12
+
+    def test_clamped_at_the_edge(self):
+        for b, expected in ((Y, 1.0), (-Y, -1.0)):
+            bd = bounds_of(edge_distribution(), SettingsPair(X, b))
+            assert bd.lower == bd.upper == expected
 
     def test_rotation_invariance(self, rng):
         u = sphere.random_unit_vectors(rng, 6)

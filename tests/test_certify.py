@@ -258,11 +258,11 @@ class TestBuildProblem:
 
     def test_build_memory(self):
         # the rows are written into A_ub: besides it, build_problem holds one
-        # alpha, one beta and the temporary of sphere.dots (3 rows measured)
+        # alpha and one beta, each clamped in place by sphere.dots (2 rows measured)
         grid = build_atom_grid(192, 192, 4096)
         constraints = settings_family("orthogonal-doublets").build(np.array([0.94, 3.46, 2.11, 2.34]))
         problem, peak = traced_peak(build_problem, grid, constraints)
-        assert peak <= problem.A_ub.nbytes + 4 * grid.u[:, 0].nbytes
+        assert peak <= problem.A_ub.nbytes + 2.5 * grid.u[:, 0].nbytes
 
     def test_orthogonal_atom_contributes_zero(self):
         u = np.array([Z])

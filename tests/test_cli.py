@@ -30,6 +30,15 @@ POINT_MASS_MODEL = {
 }
 
 
+# conftest.edge_distribution as a model file: weights that sum to 1 + 2**-52
+# once renormalized on load, so the weighted sums over them round past +-1
+EDGE_MODEL = {
+    "atoms": [{"u": [1.0, 0.0, 0.0], "v": [0.0, 1.0, 0.0], "w": w}
+              for w in (0.258, 0.119, 0.111, 0.408, 0.104)],
+    "coupling": "independent",
+}
+
+
 class TestIdentityCheck:
     def test_passes(self, capsys):
         assert main(["identity-check"]) == EXIT_OK
@@ -89,6 +98,18 @@ class TestSimulate:
                      "--samples", "4001", "--k-sigma", "0", "--output", str(out)])
         assert code == EXIT_VERDICT
         assert "violated" in out.read_text()
+
+    def test_valid_model_at_the_edge_satisfied(self, tmp_path):
+        # the exact value and the lower bound are both 1: a lower bound that
+        # rounded to 1 + 4e-16 failed the noiseless estimate at se = 0
+        config = write_config(tmp_path, {
+            "model": {"file": write_config(tmp_path, EDGE_MODEL, "model.json")},
+            "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}],
+        })
+        out = tmp_path / "rows.csv"
+        assert main(["simulate", "--config", config, "--samples", "1000", "--output", str(out)]) == EXIT_OK
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[9:] == ["0.0", "1.0", "1.0", "1.0", "0.0", "satisfied"]
 
     def test_zero_samples_rejected(self, tmp_path):
         config = write_config(tmp_path, {
@@ -201,6 +222,17 @@ class TestBounds:
         assert entry["upper"] == pytest.approx(1.0)
         assert entry["exact"] == pytest.approx(1.0)
 
+    def test_edge_model_bounds_ordered(self, tmp_path):
+        config = write_config(tmp_path, {
+            "model": {"file": write_config(tmp_path, EDGE_MODEL, "model.json")},
+            "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]},
+                         {"a": [1.0, 0.0, 0.0], "b": [0.0, -1.0, 0.0]}],
+        })
+        out = tmp_path / "bounds.json"
+        assert main(["bounds", "--config", config, "--output", str(out)]) == EXIT_OK
+        entries = json.loads(out.read_text())["bounds"]
+        assert [(e["lower"], e["upper"], e["exact"]) for e in entries] == [(1.0, 1.0, 1.0), (-1.0, -1.0, -1.0)]
+
 
 class TestCertify:
     def test_single_pair_feasible(self, tmp_path):
@@ -226,6 +258,19 @@ class TestCertify:
         # admit *some* distribution matching the bounds, not the atoms themselves
         out = tmp_path / "cert.json"
         assert main(["certify", "--config", config, "--seed", "11", "--output", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["verified"] is True
+
+    def test_edge_model_targets_with_marginals(self, tmp_path):
+        # the model's marginals sum to 1 + 2**-52 over its weights; clamped
+        # to 1 they are valid targets, where they stopped the run with exit 2
+        config = write_config(tmp_path, {
+            "targets": {"from": "model", "model": {"file": write_config(tmp_path, EDGE_MODEL, "model.json")},
+                        "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}]},
+            "include_marginals": True,
+            "grid": {"n_u": 4, "n_v": 4},
+        })
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--config", config, "--output", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["verified"] is True
 
     def test_doublet_family_infeasible(self, tmp_path):
@@ -336,6 +381,24 @@ class TestCertify:
                      "--output", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["status"] == status
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestAllocationFailure:
+    """A size numpy cannot allocate is a configuration error. These sizes
+    exceed the address space, so numpy refuses them before touching memory."""
+
+    @pytest.mark.parametrize("command, config", [
+        ("simulate", {"model": {"generator": "isotropic", "atoms": 1e15},
+                      "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}]}),
+        ("certify", {"targets": {"from": "singlet", "settings": {"random": 1e13}},
+                     "grid": {"n_u": 4, "n_v": 4}}),
+    ], ids=["simulate-atoms", "certify-settings"])
+    def test_exit_config(self, tmp_path, capsys, command, config):
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, config), "--output", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
 class TestOptimize:

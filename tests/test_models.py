@@ -11,11 +11,9 @@ from leggettsim.models import (
     LeggettModel,
     SettingsPair,
     SubensembleDistribution,
-    conditional_marginals,
     exact_model_correlation,
     exact_model_marginals,
     isotropic_product,
-    joint_conditional_law,
     mirrored,
     outcome_law,
     point_mass,
@@ -23,17 +21,11 @@ from leggettsim.models import (
 )
 from leggettsim.models import _atom_indices, _guide_table
 
+from conftest import edge_distribution, joint_law, law_correlation, point_law
+
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
-
-OUTCOME_VALUES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-
-
-def law_correlation(pa, pb, coupling):
-    """Oracle: E(AB) by exhaustive enumeration of the four-outcome law."""
-    law = joint_conditional_law(pa, pb, coupling)
-    return sum(p * a * b for p, (a, b) in zip(law, OUTCOME_VALUES))
 
 
 class TestSettingsAndOutcomes:
@@ -122,37 +114,34 @@ class TestSubensembleDistribution:
 
 class TestConditionalMarginals:
     def test_orthogonal(self):
-        pa, pb = conditional_marginals(X, X, SettingsPair(Y, Y))
-        assert pa == 0.5 and pb == 0.5
+        law = point_law(X, X, SettingsPair(Y, Y))
+        assert law.pa[0] == 0.5 and law.pb[0] == 0.5
 
     def test_aligned(self):
-        pa, _ = conditional_marginals(X, Y, SettingsPair(X, Y))
-        assert pa == 1.0
+        assert point_law(X, Y, SettingsPair(X, Y)).pa[0] == 1.0
 
     def test_direct_formula(self):
-        u = sphere.unit_vector(0.6, 0.8, 0.0)
-        pa, _ = conditional_marginals(u, Z, SettingsPair(X, Z))
-        assert pa == pytest.approx(0.8, abs=1e-12)
+        u = sphere.normalize([0.6, 0.8, 0.0])
+        assert point_law(u, Z, SettingsPair(X, Z)).pa[0] == pytest.approx(0.8, abs=1e-12)
 
 
 class TestJointConditionalLaw:
+    """Each coupling's P(A=1, B=1), read through the reference four-outcome law."""
+
     def test_degenerate_marginals(self):
         for coupling in Coupling:
-            law = joint_conditional_law(1.0, 1.0, coupling)
-            assert law[0] == 1.0 and np.all(law[1:] == 0.0)
+            law = point_law(X, Y, SettingsPair(X, Y), coupling)
+            joint = joint_law(law.pa[0], law.pb[0], law.coupling)
+            assert joint[0] == 1.0 and np.all(joint[1:] == 0.0)
 
     def test_independent_uniform(self):
-        law = joint_conditional_law(0.5, 0.5, Coupling.INDEPENDENT)
-        assert np.allclose(law, 0.25)
+        law = point_law(Z, Z, SettingsPair(X, Y), Coupling.INDEPENDENT)
+        assert np.allclose(joint_law(law.pa[0], law.pb[0], law.coupling), 0.25)
 
     def test_comonotone_uniform(self):
         # min-coupling: all mass on the diagonal
-        law = joint_conditional_law(0.5, 0.5, Coupling.COMONOTONE)
-        assert np.allclose(law, [0.5, 0.0, 0.0, 0.5])
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            joint_conditional_law(1.2, 0.5, Coupling.INDEPENDENT)
+        law = point_law(Z, Z, SettingsPair(X, Y), Coupling.COMONOTONE)
+        assert np.allclose(joint_law(law.pa[0], law.pb[0], law.coupling), [0.5, 0.0, 0.0, 0.5])
 
     @hyp_settings(max_examples=200, deadline=None)
     @given(
@@ -161,7 +150,7 @@ class TestJointConditionalLaw:
         coupling=st.sampled_from(list(Coupling)),
     )
     def test_is_probability_law_with_exact_marginals(self, pa, pb, coupling):
-        law = joint_conditional_law(pa, pb, coupling)
+        law = joint_law(pa, pb, coupling)
         assert np.all(law >= 0.0)
         assert sum(law) == pytest.approx(1.0, abs=1e-12)
         assert law[0] + law[1] == pytest.approx(pa, abs=1e-12)
@@ -171,10 +160,11 @@ class TestJointConditionalLaw:
         for _ in range(1000):
             u, v, a, b = sphere.random_unit_vectors(rng, 4)
             coupling = list(Coupling)[int(rng.integers(3))]
-            pa, pb = conditional_marginals(u, v, SettingsPair(a, b))
-            law = joint_conditional_law(pa, pb, coupling)
-            assert abs((law[0] + law[1]) - pa) <= 1e-12
-            assert abs((law[0] + law[2]) - pb) <= 1e-12
+            law = point_law(u, v, SettingsPair(a, b), coupling)
+            pa, pb = law.pa[0], law.pb[0]
+            joint = joint_law(pa, pb, coupling)
+            assert abs((joint[0] + joint[1]) - pa) <= 1e-12
+            assert abs((joint[0] + joint[2]) - pb) <= 1e-12
 
 
 class TestSampling:
@@ -311,8 +301,8 @@ class TestExactCorrelation:
 
     def test_product_formula(self):
         # dots (0.5, -0.5) -> -0.25, checked against the enumeration oracle
-        u = sphere.unit_vector(0.5, np.sqrt(0.75), 0.0)
-        v = sphere.unit_vector(-0.5, 0.0, np.sqrt(0.75))
+        u = sphere.normalize([0.5, np.sqrt(0.75), 0.0])
+        v = sphere.normalize([-0.5, 0.0, np.sqrt(0.75)])
         model = LeggettModel(point_mass(u, v), Coupling.INDEPENDENT)
         s = SettingsPair(X, X)
         value = exact_model_correlation(outcome_law(model, s))
@@ -325,11 +315,14 @@ class TestExactCorrelation:
             u, v, a, b = sphere.random_unit_vectors(rng, 4)
             s = SettingsPair(a, b)
             for coupling in Coupling:
-                model = LeggettModel(point_mass(u, v), coupling)
-                pa, pb = conditional_marginals(u, v, s)
-                assert exact_model_correlation(outcome_law(model, s)) == pytest.approx(
-                    law_correlation(pa, pb, coupling), abs=1e-12
+                law = point_law(u, v, s, coupling)
+                assert exact_model_correlation(law) == pytest.approx(
+                    law_correlation(law.pa[0], law.pb[0], coupling), abs=1e-12
                 )
+
+    def test_marginals_clamped(self):
+        law = outcome_law(LeggettModel(edge_distribution(), Coupling.INDEPENDENT), SettingsPair(X, -Y))
+        assert exact_model_marginals(law) == (1.0, -1.0)
 
     def test_mirrored_same_setting(self):
         # v = -u isotropic and a = b gives E(AB) = -E[(u.a)^2] = -1/3

@@ -124,7 +124,7 @@ class TestEstimateMarginals:
         assert abs(est_b.mean - exact_b) <= 4 * est_b.se
 
     def test_known_dot(self):
-        u = sphere.unit_vector(0.6, 0.8, 0.0)
+        u = sphere.normalize([0.6, 0.8, 0.0])
         model = LeggettModel(point_mass(u, Z), Coupling.INDEPENDENT)
         est_a, _ = sample_marginals(outcome_law(model, SettingsPair(X, Z)), 100_000, seed=5)
         assert abs(est_a.mean - 0.6) <= 4 * est_a.se
@@ -134,7 +134,7 @@ class TestMultiBlock:
     """Estimates over three blocks, the last one partial, pinned exactly."""
 
     N = 2 * BLOCK_SIZE + 17
-    SETTINGS = SettingsPair(sphere.unit_vector(1.0, 2.0, 2.0), sphere.unit_vector(-2.0, 1.0, 0.5))
+    SETTINGS = SettingsPair(sphere.normalize([1.0, 2.0, 2.0]), sphere.normalize([-2.0, 1.0, 0.5]))
     # (atoms, coupling) -> integer sums of AB, A and B over the N draws,
     # taken from the sampler that rebuilt the law and searched unsorted keys
     # in every block

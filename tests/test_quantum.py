@@ -28,13 +28,20 @@ class TestSingletCorrelation:
         assert singlet_correlation(SettingsPair(X, Y)) == 0.0
 
     def test_sixty_degrees(self):
-        b = sphere.unit_vector(np.cos(np.pi / 3), np.sin(np.pi / 3), 0.0)
+        b = sphere.normalize([np.cos(np.pi / 3), np.sin(np.pi / 3), 0.0])
         assert singlet_correlation(SettingsPair(X, b)) == pytest.approx(-0.5, abs=1e-12)
 
     def test_bounded(self, rng):
         for _ in range(200):
             a, b = sphere.random_unit_vectors(rng, 2)
             assert abs(singlet_correlation(SettingsPair(a, b))) <= 1.0
+
+    def test_clamped(self):
+        # a.a rounds to 1 + 2**-52 for this unit vector; the prediction stays in [-1, 1]
+        a = sphere.normalize([1.0, 1.0, 1.0])
+        assert float(np.dot(a, a)) > 1.0
+        assert singlet_correlation(SettingsPair(a, a)) == -1.0
+        assert singlet_correlation(SettingsPair(a, -a)) == 1.0
 
     def test_rotation_invariant(self, rng):
         for _ in range(50):

@@ -6,35 +6,43 @@ from leggettsim import sphere
 from conftest import random_rotation
 
 
+def dot(a, b) -> float:
+    """sphere.dots over a batch of one."""
+    return float(sphere.dots(np.asarray(a, dtype=np.float64)[None, :], b)[0])
+
+
 class TestDot:
     def test_identical(self):
-        assert sphere.dot([1, 0, 0], [1, 0, 0]) == 1.0
+        assert dot([1, 0, 0], [1, 0, 0]) == 1.0
 
     def test_orthogonal(self):
-        assert sphere.dot([1, 0, 0], [0, 1, 0]) == 0.0
+        assert dot([1, 0, 0], [0, 1, 0]) == 0.0
 
     def test_antiparallel(self):
-        assert sphere.dot([1, 0, 0], [-1, 0, 0]) == -1.0
+        assert dot([1, 0, 0], [-1, 0, 0]) == -1.0
 
     def test_clamped(self, rng):
         for a in sphere.random_unit_vectors(rng, 200):
-            assert -1.0 <= sphere.dot(a, a) <= 1.0
+            assert -1.0 <= dot(a, a) <= 1.0
+        # this unit vector's product with itself rounds to 1 + 2**-52
+        a = sphere.normalize([1.0, 1.0, 1.0])
+        assert float(np.dot(a, a)) > 1.0 and dot(a, a) == 1.0 and dot(a, -a) == -1.0
 
     def test_symmetric(self, rng):
         for _ in range(100):
             a, b = sphere.random_unit_vectors(rng, 2)
-            assert sphere.dot(a, b) == sphere.dot(b, a)
+            assert dot(a, b) == dot(b, a)
 
     def test_rotation_invariant(self, rng):
         for _ in range(100):
             a, b = sphere.random_unit_vectors(rng, 2)
             rot = random_rotation(rng)
-            assert sphere.dot(rot @ a, rot @ b) == pytest.approx(sphere.dot(a, b), abs=1e-12)
+            assert dot(rot @ a, rot @ b) == pytest.approx(dot(a, b), abs=1e-12)
 
 
 class TestConstruction:
-    def test_unit_vector_normalizes(self):
-        v = sphere.unit_vector(3.0, 4.0, 0.0)
+    def test_normalize_single_vector(self):
+        v = sphere.normalize([3.0, 4.0, 0.0])
         assert np.allclose(v, [0.6, 0.8, 0.0])
         assert sphere.is_unit(v)
 
