@@ -23,9 +23,10 @@ DEFAULT_K_SIGMA = 4.0
 
 @dataclass(frozen=True)
 class LeggettBounds:
-    """Two-sided bounds on a correlation. lower <= upper holds in exact
-    arithmetic, because |x+y| + |x-y| <= 2 for x, y in [-1, 1]; in float64
-    the two can cross by a few ulps."""
+    """Two-sided bounds on a correlation, with lower <= upper. That holds in
+    exact arithmetic, because |x+y| + |x-y| <= 2 for x, y in [-1, 1];
+    ``averaged_bounds`` keeps it in float64, where the two sums can round
+    across each other."""
 
     lower: float
     upper: float
@@ -51,10 +52,13 @@ def averaged_bounds(law: OutcomeLaw) -> LeggettBounds:
     """Bounds on E(AB) with the integrals reduced to atom-weighted sums of
     the law's ``alpha`` = u.a and ``beta`` = v.b; its coupling is not read.
     Clamped like ``exact_model_correlation``: a weight sum a few ulps over 1
-    must not put ``lower`` above 1."""
+    must not put ``lower`` above 1. ``upper`` is raised to ``lower`` where
+    rounding crosses them (at u = a, |1 + beta| and |1 - beta| round apart
+    by an ulp); widening a bound is conservative. As ``lower`` is at least
+    -1, that also clamps ``upper`` at -1."""
     plus, minus = kernels.abs_sum_diff(law.alpha, law.beta)
-    return LeggettBounds(lower=min(1.0, -1.0 + float(law.w @ plus)),
-                         upper=max(-1.0, 1.0 - float(law.w @ minus)))
+    lower = min(1.0, -1.0 + float(law.w @ plus))
+    return LeggettBounds(lower=lower, upper=max(lower, 1.0 - float(law.w @ minus)))
 
 
 def check_bounds(value: float, se: float, b: LeggettBounds, k_sigma: float = DEFAULT_K_SIGMA) -> BoundsVerdict:

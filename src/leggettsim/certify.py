@@ -79,9 +79,26 @@ class AtomGrid:
         u, v = sphere.unit_copy(self.u), sphere.unit_copy(self.v)
         if u.ndim != 2 or u.shape != v.shape:
             raise ValueError("atom grids must be matching (m, 3) arrays")
+        self._hold(u, v)
+
+    def _hold(self, u: np.ndarray, v: np.ndarray) -> None:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "grid_hash", grid_hash(u, v))
+
+    @classmethod
+    def _adopt(cls, u: np.ndarray, v: np.ndarray) -> "AtomGrid":
+        """The grid of two matching C-ordered float64 (m, 3) arrays that no
+        other code holds, as ``build_atom_grid`` builds them: they get the
+        unit-norm check and are frozen in place rather than copied, so a
+        build never holds its atoms twice."""
+        if not (sphere.is_unit(u) and sphere.is_unit(v)):
+            raise ValueError("vectors must be finite with unit norm")
+        u.setflags(write=False)
+        v.setflags(write=False)
+        grid = object.__new__(cls)
+        grid._hold(u, v)
+        return grid
 
     @property
     def n_atoms(self) -> int:
@@ -204,7 +221,7 @@ def build_atom_grid(n_u: int, n_v: int, n_mirrored: int = 0) -> AtomGrid:
     if n_mirrored > 0:
         u[n:] = sphere.sphere_grid(n_mirrored)
         np.negative(u[n:], out=v[n:])
-    return AtomGrid(u, v)
+    return AtomGrid._adopt(u, v)
 
 
 def build_problem(

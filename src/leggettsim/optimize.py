@@ -42,22 +42,32 @@ def singlet_target(s: SettingsPair) -> TargetConstraint:
     return TargetConstraint(settings=s, e=singlet_correlation(s), ma=0.0, mb=0.0)
 
 
+# rows of the identity, as Python floats
+_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
 def _orthogonal_doublets(params: np.ndarray) -> list[TargetConstraint]:
     """Six pairs: for each coordinate axis e, Bob measures the two
     directions cos(t/2) m +/- sin(t/2) e with m orthogonal to e (rotated
     by the per-axis angle), while Alice measures m. The two bound rows of
     such a doublet jointly cap the mean of |v.e|, and no distribution on
-    the sphere can keep that small along three orthogonal axes at once."""
+    the sphere can keep that small along three orthogonal axes at once.
+
+    The 3-vectors are formed in Python floats, term by term as numpy's
+    elementwise products and sums of the axis rows would form them (the
+    products with 0.0 included, as they fix the sign of a zero), so the
+    targets have the bits of that arithmetic at a fraction of its calls."""
     theta, psis = params[0], params[1:]
-    axes = np.eye(3)
+    ct, st = float(np.cos(theta / 2.0)), float(np.sin(theta / 2.0))
     others = [(1, 2), (2, 0), (0, 1)]
     out = []
     for i in range(3):
-        e = axes[i]
+        e = _AXES[i]
         j, k = others[i]
-        m = np.cos(psis[i]) * axes[j] + np.sin(psis[i]) * axes[k]
-        b_plus = np.cos(theta / 2.0) * m + np.sin(theta / 2.0) * e
-        b_minus = np.cos(theta / 2.0) * m - np.sin(theta / 2.0) * e
+        cp, sp = float(np.cos(psis[i])), float(np.sin(psis[i]))
+        m = [cp * aj + sp * ak for aj, ak in zip(_AXES[j], _AXES[k])]
+        b_plus = [ct * mt + st * et for mt, et in zip(m, e)]
+        b_minus = [ct * mt - st * et for mt, et in zip(m, e)]
         out.append(singlet_target(SettingsPair(m, sphere.normalize(b_plus))))
         out.append(singlet_target(SettingsPair(m, sphere.normalize(b_minus))))
     return out

@@ -10,13 +10,18 @@ orientation.
 
 The solver works in revised form. The column matrix [A | slacks | I] is
 built once, with A_ub and A_eq written straight into it and the rows with
-a negative right-hand side negated in place; the state is the inverse of
-the basis columns (m x m, m the number of rows), the basic values and the
-reduced costs. A pivot forms the entering column as binv @ cols[:, j] and
-updates the reduced costs with one product of the new pivot row of binv
-against the columns, instead of rewriting an m x (columns) tableau. On
-the small bases of the certification LPs a pivot's cost is mostly numpy
-call overhead, so the loop makes as few calls as its arithmetic allows.
+a negative right-hand side negated in place; the state is one m x (m + 1)
+array [binv | xb], the inverse of the basis columns (m the number of rows)
+beside the basic values, and the reduced costs. A pivot forms the entering
+column as binv @ cols[:, j], finds its row by one masked division into a
+buffer of inf, scales that row of the state and subtracts one outer
+product from all of it, and updates the reduced costs with one product of
+the new pivot row of binv against the columns, instead of rewriting an
+m x (columns) tableau. Every element sees the same operations in the same
+order as when binv and xb were two arrays, so the results are the same to
+the bit. On the small bases of the certification LPs a pivot's cost is
+mostly numpy call overhead, so the loop makes as few calls as its
+arithmetic allows.
 """
 
 from __future__ import annotations
@@ -79,10 +84,16 @@ def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase
     cols[:, n + p :] = np.eye(m)
 
     # revised form: the tableau is binv @ cols, with binv the inverse of
-    # the basis columns (the tableau's artificial block), and xb its rhs
+    # the basis columns (the tableau's artificial block), and xb its rhs.
+    # Both live in one (m, m + 1) array [binv | xb], so one row scaling and
+    # one outer product update them together.
     basis = np.arange(n + p, n + p + m)
-    binv = np.eye(m)
-    xb = b.copy()
+    state = np.empty((m, m + 1))
+    state[:, :m] = np.eye(m)
+    state[:, m] = b
+    binv = state[:, :m]
+    xb = state[:, m]
+    ratios = np.empty(m)
     cost = np.zeros(total)
     cost[n + p :] = 1.0
 
@@ -109,28 +120,33 @@ def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase
                 break
             j = int(candidates[0])
         col = binv @ cols[:, j]
-        rows = (col > PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:
-            # phase-1 objective is bounded below by 0; unboundedness signals breakdown
-            raise SolverFailure("no admissible pivot row (numerical breakdown)")
-        ratios = xb[rows] / col[rows]
-        i = int(rows[ratios.argmin()])  # argmin takes the lowest row on ties
+        # ratio test in one pass: rows without an admissible pivot keep inf,
+        # and argmin takes the lowest row on ties
+        admissible = col > PIVOT_TOL
+        ratios.fill(np.inf)
+        np.divide(xb, col, out=ratios, where=admissible)
+        i = int(ratios.argmin())
+        if ratios[i] == np.inf:
+            # no admissible row, or every admissible ratio overflowed
+            rows = admissible.nonzero()[0]
+            if rows.size == 0:
+                # phase-1 objective is bounded below by 0; unboundedness signals breakdown
+                raise SolverFailure("no admissible pivot row (numerical breakdown)")
+            i = int(rows[0])
         if it >= bland_after:  # Bland: the lowest-index basic variable on ties
-            tied = rows[ratios == ratios.min()]
+            tied = ((ratios == ratios[i]) & admissible).nonzero()[0]
             i = int(tied[basis[tied].argmin()])
-        piv = col[i]
-        row = binv[i]  # a view: it follows binv through the update below
-        row /= piv
-        xb[i] /= piv
+        row = state[i]  # a view: it follows state through the update below
+        row /= col[i]
         col[i] = 0.0
-        binv -= col[:, None] * row  # the outer product; leaves row i as is
-        xb -= col * xb[i]
-        r -= (r[j] * row) @ cols
+        state -= col[:, None] * row  # the outer product; leaves row i as is
+        r -= (r[j] * row[:m]) @ cols
         r[j] = 0.0
         basis[i] = j
     else:
         raise SolverFailure("simplex iteration cap exceeded")
 
+    xb = xb.copy()  # contiguous, so the products below sum as they always have
     objective = float(cost[basis] @ xb)
 
     x = np.zeros(total)

@@ -4,9 +4,19 @@ All vectors are float64 numpy arrays. Single vectors have shape (3,),
 batches have shape (n, 3). Random streams are counter-based (Philox) and
 keyed by a (seed, stream_id) pair, so a given stream is reproducible
 regardless of how work is scheduled.
+
+``unit_copy`` and ``normalize`` take a single 3-vector through Python
+floats, where a few float operations cost less than the numpy calls that
+a batch needs. The squared norm is x*x + y*y + z*z, summed left to right:
+the order of ``is_unit``'s column sums and of the last-axis reduction in
+``np.linalg.norm(axis=-1)``. Each step rounds once in binary64, and
+``math.sqrt`` is correctly rounded like ``np.sqrt``, so a 3-vector gets
+the same bits, and the same verdict, as a batch of one.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,6 +43,12 @@ def make_rng(seed: int, stream_id: int = 0, block: int = 0) -> np.random.Generat
 def normalize(vec) -> np.ndarray:
     """Scale a 3-vector (or (n, 3) batch) to unit norm."""
     arr = np.asarray(vec, dtype=np.float64)
+    if arr.shape == (3,):
+        x, y, z = arr.tolist()
+        n = math.sqrt(x * x + y * y + z * z)
+        if n < _MIN_NORM:
+            raise ValueError("cannot normalize a (near-)zero vector")
+        return np.array([x / n, y / n, z / n])
     norm = np.linalg.norm(arr, axis=-1, keepdims=True)
     if np.any(norm < _MIN_NORM):
         raise ValueError("cannot normalize a (near-)zero vector")
@@ -65,9 +81,14 @@ def unit_copy(vecs) -> np.ndarray:
     temporaries at once.
     """
     arr = np.asarray(vecs, dtype=np.float64)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != 3 or arr.size == 0:
+    if arr.shape == (3,):
+        x, y, z = arr.tolist()
+        unit = abs(x * x + y * y + z * z - 1.0) <= UNIT_NORM_TOL
+    elif arr.ndim != 2 or arr.shape[-1] != 3 or arr.size == 0:
         raise ValueError(f"expected a 3-vector or a non-empty (m, 3) batch, got shape {arr.shape}")
-    if not is_unit(arr):
+    else:
+        unit = is_unit(arr)
+    if not unit:
         raise ValueError("vectors must be finite with unit norm")
     out = np.array(arr, order="C")
     out.setflags(write=False)

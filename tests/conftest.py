@@ -55,6 +55,26 @@ def law_correlation(pa: float, pb: float, coupling: Coupling) -> float:
     return sum(p * a * b for p, (a, b) in zip(joint_law(pa, pb, coupling), OUTCOME_VALUES))
 
 
+def numpy_orthogonal_doublets(params) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Reference: the (a, b) settings of the orthogonal-doublets family as
+    numpy arithmetic on the rows of np.eye(3) forms them, with b scaled by
+    np.linalg.norm(axis=-1). ``optimize`` forms the same vectors in Python
+    floats and must match these bit for bit."""
+    theta, psis = params[0], params[1:]
+    axes = np.eye(3)
+    others = [(1, 2), (2, 0), (0, 1)]
+    out = []
+    for i in range(3):
+        e = axes[i]
+        j, k = others[i]
+        m = np.cos(psis[i]) * axes[j] + np.sin(psis[i]) * axes[k]
+        b_plus = np.cos(theta / 2.0) * m + np.sin(theta / 2.0) * e
+        b_minus = np.cos(theta / 2.0) * m - np.sin(theta / 2.0) * e
+        for b in (b_plus, b_minus):
+            out.append((m, b / np.linalg.norm(b, axis=-1, keepdims=True)))
+    return out
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return make_rng(12345, 0)

@@ -167,6 +167,15 @@ class TestAveragedBounds:
             b = bounds_of(d, SettingsPair(*sphere.random_unit_vectors(rng, 2)))
             assert -1.0 - 1e-12 <= b.lower <= b.upper <= 1.0 + 1e-12
 
+    def test_never_crossed(self, rng):
+        # at u = a the atom's bound terms are |1 + beta| and |1 - beta|, and
+        # these round apart: before upper was raised to lower, about one law
+        # in eight here had lower - upper = 1.1e-16
+        for _ in range(4000):
+            a, v, b = sphere.random_unit_vectors(rng, 3)
+            bd = averaged_bounds(point_law(a, v, SettingsPair(a, b)))
+            assert bd.lower <= bd.upper
+
     def test_clamped_at_the_edge(self):
         for b, expected in ((Y, 1.0), (-Y, -1.0)):
             bd = bounds_of(edge_distribution(), SettingsPair(X, b))

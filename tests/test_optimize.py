@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
 from leggettsim import certify, sphere
 from leggettsim.certify import CertStatus, TargetConstraint, build_atom_grid, build_problem, solve
@@ -13,7 +17,10 @@ from leggettsim.optimize import (
 from leggettsim.quantum import singlet_correlation
 from leggettsim.simplex import phase1_simplex
 
+from conftest import numpy_orthogonal_doublets
+
 SMALL_GRID = build_atom_grid(12, 12, n_mirrored=24)
+DOUBLETS = settings_family("orthogonal-doublets")
 
 
 class TestFamilies:
@@ -28,6 +35,31 @@ class TestFamilies:
         for c in constraints:
             assert c.e == pytest.approx(singlet_correlation(c.settings), abs=1e-12)
             assert c.ma == 0.0 and c.mb == 0.0
+
+    @staticmethod
+    def assert_numpy_bits(params):
+        targets = DOUBLETS.build(params)
+        reference = numpy_orthogonal_doublets(params)
+        assert len(targets) == len(reference) == 6
+        for t, (a, b) in zip(targets, reference):
+            assert t.settings.a.tobytes() == a.tobytes()
+            assert t.settings.b.tobytes() == b.tobytes()
+            assert t.e.hex() == singlet_correlation(SettingsPair(a, b)).hex()
+
+    def test_doublets_match_numpy_at_box_edges(self):
+        # every corner and edge midpoint of the box, and a seeded sample in
+        # it; psi in (pi, 3pi/2) makes both products with 0.0 negative, so
+        # m holds a -0.0 that a change of order would turn into 0.0
+        levels = [(lo, 0.5 * (lo + hi), hi) for lo, hi in zip(DOUBLETS.lower, DOUBLETS.upper)]
+        rng = sphere.make_rng(17, 0)
+        sample = DOUBLETS.lower + (DOUBLETS.upper - DOUBLETS.lower) * rng.random((500, DOUBLETS.n_params))
+        for params in itertools.chain(itertools.product(*levels), sample):
+            self.assert_numpy_bits(np.array(params))
+
+    @hyp_settings(max_examples=200, deadline=None)
+    @given(st.tuples(*(st.floats(lo, hi) for lo, hi in zip(DOUBLETS.lower, DOUBLETS.upper))))
+    def test_doublets_match_numpy(self, params):
+        self.assert_numpy_bits(np.array(params))
 
     def test_planar_chsh_structure(self):
         fam = settings_family("planar-chsh")

@@ -2,6 +2,7 @@
 own proof, a feasible point row by row and an infeasible one as a Farkas
 combination in exact rational arithmetic."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -124,28 +125,45 @@ class TestBoundary:
             phase1_simplex(*none, A_eq, b_eq, max_iter=1)
 
 
+def output_digest(result) -> str:
+    """sha256 of the bytes of x, then y, then the hex form of the objective."""
+    h = hashlib.sha256()
+    for part in (result.x.tobytes(), result.y.tobytes(), result.objective.hex().encode()):
+        h.update(part)
+    return h.hexdigest()
+
+
+def readme_problem(grid):
+    constraints = settings_family("orthogonal-doublets").build(np.array([0.94, 3.46, 2.11, 2.34]))
+    problem = build_problem(build_atom_grid(*grid), constraints)
+    return problem.A_ub, problem.b_ub, np.ones((1, problem.n_atoms)), np.ones(1)
+
+
+# the most-negative rule cycles on this LP, and so does Bland's entering rule
+# when ratio ties go to the lowest row rather than to the lowest-index basic
+# variable (the solver then hit its cap)
+BLAND_LP = (
+    np.array([[3.0, 1.0, 0.0, -1.0, -1.0], [-1.0, 2.0, -2.0, 2.0, -3.0],
+              [2.0, -1.0, 0.0, 3.0, 0.0], [-3.0, 3.0, 2.0, -2.0, 3.0]]),
+    np.zeros(4),
+    np.array([[-3.0, -3.0, -3.0, -3.0, -2.0]]),
+    np.array([1.0]),
+)
+
+
 class TestPivotPath:
     # pivots of the README problem on the two optimizer grids, counted on the
     # dense-tableau solver this one replaced; a change here means a changed
     # pivot path, and with it possibly changed pinned margins
     @pytest.mark.parametrize("grid, pivots", [((24, 24, 64), 26), ((48, 48, 256), 30)])
     def test_readme_problem_iterations(self, grid, pivots):
-        constraints = settings_family("orthogonal-doublets").build(np.array([0.94, 3.46, 2.11, 2.34]))
-        problem = build_problem(build_atom_grid(*grid), constraints)
-        ones = np.ones((1, problem.n_atoms))
-        result = phase1_simplex(problem.A_ub, problem.b_ub, ones, np.ones(1))
+        result = phase1_simplex(*readme_problem(grid))
         assert not result.feasible
         assert result.iterations == pivots
         assert not result.bland_used
 
     def test_bland_fallback_does_not_cycle(self):
-        # the most-negative rule cycles on this LP, and so does Bland's
-        # entering rule when ratio ties go to the lowest row rather than to
-        # the lowest-index basic variable (the solver then hit its cap)
-        A_ub = np.array([[3.0, 1.0, 0.0, -1.0, -1.0], [-1.0, 2.0, -2.0, 2.0, -3.0],
-                         [2.0, -1.0, 0.0, 3.0, 0.0], [-3.0, 3.0, 2.0, -2.0, 3.0]])
-        b_ub = np.zeros(4)
-        A_eq, b_eq = np.array([[-3.0, -3.0, -3.0, -3.0, -2.0]]), np.array([1.0])
+        A_ub, b_ub, A_eq, b_eq = BLAND_LP
         result = phase1_simplex(A_ub, b_ub, A_eq, b_eq)
         assert not result.feasible
         assert result.bland_used
@@ -155,3 +173,21 @@ class TestPivotPath:
         assert np.all(y @ np.vstack([A_ub, A_eq]) <= 1e-9)
         assert np.all(y[: len(b_ub)] <= 1e-9)
         assert y @ np.concatenate([b_ub, b_eq]) > 0
+
+
+class TestOutputBytes:
+    """The exact bytes of x, y and the objective, measured on the solver that
+    kept its basis inverse and basic values as two arrays. A change to the
+    arithmetic of the pivot state shows here even where the pivot count and
+    the rounded margins hold."""
+
+    @pytest.mark.parametrize("lp, digest", [
+        (lambda: readme_problem((24, 24, 64)),
+         "e5ebd9fb3aab74ccd955d8fb82182d8250ded504d4c77f9fc26d9a4ed1fcf851"),
+        (lambda: readme_problem((48, 48, 256)),
+         "b452139c668b7416e1a248693a7a642f5fcf1382f28e56c013b15fbf061b0e4e"),
+        (lambda: BLAND_LP,
+         "011c6350edb34e48375bb4a58e6a7d0b8c60798dfa5fb4d79ba9436858926e71"),
+    ], ids=["readme-640", "readme-2560", "bland"])
+    def test_pinned_digest(self, lp, digest):
+        assert output_digest(phase1_simplex(*lp())) == digest

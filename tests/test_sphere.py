@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
 from leggettsim import sphere
 
@@ -111,6 +113,65 @@ class TestIsUnit:
         batch = np.array([[0.0, 1.0, 0.0], row])
         assert sphere.is_unit(row) == axis_sum_is_unit(row)
         assert sphere.is_unit(batch) == axis_sum_is_unit(batch)
+
+
+def outcome(fn, vec):
+    """The bytes fn returns for vec, or the ValueError it raises."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(vec).tobytes()
+    except ValueError:
+        return ValueError
+
+
+# any float, and the special ones: signed zeros, infinities, NaN, squares
+# that overflow and a subnormal
+COMPONENT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1.0, 1.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e154, -1e155, 1e300, 5e-324]),
+)
+
+
+@st.composite
+def near_unit_edge(draw) -> np.ndarray:
+    """A direction scaled so that its squared norm lands within a few ulps
+    of 1 +- UNIT_NORM_TOL, on either side of the edge."""
+    direction = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+        lambda t: sum(x * x for x in t) > 0.01)))
+    sq = 1.0 + draw(st.sampled_from([-1.0, 1.0])) * sphere.UNIT_NORM_TOL
+    sq += draw(st.integers(-4, 4)) * np.finfo(np.float64).eps
+    return direction / np.linalg.norm(direction) * np.sqrt(sq)
+
+
+VECTORS = st.one_of(st.tuples(COMPONENT, COMPONENT, COMPONENT).map(np.array), near_unit_edge())
+
+
+class TestThreeVectorPath:
+    """unit_copy and normalize take a single 3-vector through Python floats;
+    they must give the bits, and the verdict, of a batch of one."""
+
+    @hyp_settings(max_examples=400, deadline=None)
+    @given(VECTORS)
+    def test_unit_copy_matches_batch(self, vec):
+        assert outcome(sphere.unit_copy, vec) == outcome(lambda v: sphere.unit_copy(v[None])[0], vec)
+
+    @hyp_settings(max_examples=400, deadline=None)
+    @given(VECTORS)
+    def test_normalize_matches_batch(self, vec):
+        assert outcome(sphere.normalize, vec) == outcome(lambda v: sphere.normalize(v[None])[0], vec)
+
+    @pytest.mark.parametrize("row", [
+        [np.nan, 0.0, 0.0], [0.0, 0.0, np.inf], [-np.inf, 0.0, 0.0], [0.0, 0.0, 0.0],
+        [-0.0, 1.0, -0.0], [0.6, 0.0, -0.8], [1e155, 0.0, 0.0], [1e-200, 0.0, 0.0],
+        [1.0 + 1e-12, 0.0, 0.0], [1.0 - 1e-12, 0.0, 0.0], [3.0, 4.0, 0.0],
+    ])
+    def test_special_rows(self, row):
+        vec = np.array(row)
+        assert outcome(sphere.unit_copy, vec) == outcome(lambda v: sphere.unit_copy(v[None])[0], vec)
+        assert outcome(sphere.normalize, vec) == outcome(lambda v: sphere.normalize(v[None])[0], vec)
+        with np.errstate(over="ignore"):
+            assert (outcome(sphere.unit_copy, vec) is ValueError) != axis_sum_is_unit(vec)
 
 
 class TestRandomUnitVectors:
