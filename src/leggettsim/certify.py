@@ -10,7 +10,10 @@ Feasible problems return a witness (its support); infeasible problems
 return Farkas multipliers. verify_certificate recomputes either in float64
 and charges an a priori bound on every rounding against it, in the sums
 and in the LP entries themselves, so an accepted infeasibility
-certificate proves that no weighting of the given grid exists.
+certificate proves that no weighting of the given grid exists. The bound
+rows are absolute values, A_ub >= 0, which a CertificationProblem checks
+when it is built: the verifier then reads the sums of absolute terms of
+its products with A_ub from those products themselves.
 """
 
 from __future__ import annotations
@@ -107,12 +110,25 @@ class AtomGrid:
 
 @dataclass(frozen=True)
 class CertificationProblem:
+    """The LP rows of a grid and its targets, as ``build_problem`` writes them.
+
+    Every entry of A_ub is some |u.a +- v.b|, so A_ub >= 0; a matrix with a
+    negative or NaN entry raises ValueError when the problem is built. The
+    verifier relies on it: lam^T A_ub is then also the sum of the absolute
+    terms of that product.
+    """
+
     grid: AtomGrid
     constraints: tuple[TargetConstraint, ...]
     A_ub: np.ndarray
     b_ub: np.ndarray
     A_eq: np.ndarray  # marginal equality rows only (possibly empty)
     b_eq: np.ndarray
+
+    def __post_init__(self):
+        # written so that NaN fails too
+        if not self.A_ub.min(initial=0.0) >= 0.0:
+            raise ValueError("the bound rows A_ub must be nonnegative and not NaN")
 
     @property
     def grid_hash(self) -> str:
@@ -271,18 +287,20 @@ def build_problem(
     )
 
 
-def _farkas_combination(problem: CertificationProblem, lam, mu) -> tuple[np.ndarray, float, float]:
-    """The combination lam^T A_ub + mu^T A_eq, its right-hand side
-    lam^T b_ub + mu^T b_eq, and the largest of lam >= 0 and |mu|.
+def _farkas_combination(problem: CertificationProblem, lam, mu) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The combination lam^T A_ub + mu^T A_eq, its first term lam^T A_ub,
+    its right-hand side lam^T b_ub + mu^T b_eq, and the largest of
+    lam >= 0 and |mu|.
 
     For any w in the simplex the combination times w is at least its
     smallest entry, while the rows force it to at most the right-hand
     side, so a positive gap between the two excludes every admissible w.
     """
-    combo = lam @ problem.A_ub + mu @ problem.A_eq
+    lam_a = lam @ problem.A_ub
+    combo = lam_a + mu @ problem.A_eq
     value = float(lam @ problem.b_ub + mu @ problem.b_eq)
-    scale = max(float(np.max(lam, initial=0.0)), float(np.max(np.abs(mu), initial=0.0)))
-    return combo, value, scale
+    scale = max(float(lam.max(initial=0.0)), float(np.abs(mu).max(initial=0.0)))
+    return combo, lam_a, value, scale
 
 
 def solve(problem: CertificationProblem) -> FeasibilityCertificate:
@@ -294,7 +312,7 @@ def solve(problem: CertificationProblem) -> FeasibilityCertificate:
     result = phase1_simplex(problem.A_ub, problem.b_ub, A_eq, b_eq)
 
     if result.feasible:
-        w = np.clip(result.x, 0.0, None)
+        w = np.maximum(result.x, 0.0)
         index = np.flatnonzero(w)
         cert = FeasibilityCertificate(
             status=CertStatus.FEASIBLE,
@@ -306,15 +324,15 @@ def solve(problem: CertificationProblem) -> FeasibilityCertificate:
         # and y^T b > 0; the certificate stores lam = -y_ub >= 0, mu = -y_eq,
         # and drops the last, normalization row (it cancels in the margin).
         p = problem.b_ub.shape[0]
-        lam = np.clip(-result.y[:p], 0.0, None)
+        lam = np.maximum(-result.y[:p], 0.0)
         mu = -result.y[p:-1]
-        combo, value, scale = _farkas_combination(problem, lam, mu)
+        combo, _, value, scale = _farkas_combination(problem, lam, mu)
         cert = FeasibilityCertificate(
             status=CertStatus.INFEASIBLE,
             grid_hash=problem.grid_hash,
             farkas_ub=lam,
             farkas_eq=mu,
-            margin=(float(np.min(combo)) - value) / scale if scale > 0.0 else 0.0,
+            margin=(float(combo.min()) - value) / scale if scale > 0.0 else 0.0,
         )
     # the verifier also rejects a gap that is not positive: its proven gap
     # is never larger than the computed one
@@ -375,40 +393,52 @@ def verify_certificate(problem: CertificationProblem, cert: FeasibilityCertifica
         if wit is None or wit.n_atoms != problem.n_atoms:
             raise ValueError("witness has wrong dimensions")
         w = wit.weight
-        if not np.all(np.isfinite(w)) or np.any(w < -FEAS_TOL):
+        if not np.isfinite(w).all() or (w < -FEAS_TOL).any():
             return False
         A_ub, A_eq = problem.A_ub[:, wit.index], problem.A_eq[:, wit.index]
         # n_atoms terms per dot, plus the rounded right-hand sides 1 +- e,
         # the subtraction and the evaluation of the bound itself
         g = _gamma(problem.n_atoms + 3)
         abs_w = np.abs(w)
-        w_norm = float(np.sum(abs_w))
+        w_norm = float(abs_w.sum())
         entry = w_norm * _ENTRY_ERR
-        ub = A_ub @ w - problem.b_ub + g * (np.abs(A_ub) @ abs_w + np.abs(problem.b_ub)) + entry
+        # A_ub >= 0 (CertificationProblem): it is its own absolute value
+        ub = A_ub @ w - problem.b_ub + g * (A_ub @ abs_w + np.abs(problem.b_ub)) + entry
         eq = np.abs(A_eq @ w - problem.b_eq) + g * (np.abs(A_eq) @ abs_w + np.abs(problem.b_eq)) + entry
-        total = abs(float(np.sum(w)) - 1.0) + g * (w_norm + 1.0)
-        return bool(np.all(ub <= FEAS_TOL) and np.all(eq <= FEAS_TOL) and total <= FEAS_TOL)
+        total = abs(float(w.sum()) - 1.0) + g * (w_norm + 1.0)
+        return bool((ub <= FEAS_TOL).all() and (eq <= FEAS_TOL).all() and total <= FEAS_TOL)
 
     lam, mu = cert.farkas_ub, cert.farkas_eq
     if lam is None or mu is None:
         return False
     if lam.shape != (problem.b_ub.shape[0],) or mu.shape != (problem.b_eq.shape[0],):
         raise ValueError("Farkas vector has wrong dimensions")
-    if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(mu))) or np.any(lam < 0.0):
+    if not (np.isfinite(lam).all() and np.isfinite(mu).all()) or (lam < 0.0).any():
         return False
-    combo, value, scale = _farkas_combination(problem, lam, mu)
+    gap, scale = _proven_gap(problem, lam, mu)
     if scale <= 0.0:
         return False
+    margin = gap / scale
+    return margin > 0.0 and margin >= cert.margin - FEAS_TOL
+
+
+def _proven_gap(problem: CertificationProblem, lam, mu) -> tuple[float, float]:
+    """The Farkas gap of finite multipliers lam >= 0 and mu less the a priori
+    bound on its rounding, and their scale (see ``_farkas_combination``).
+
+    With lam >= 0 and A_ub >= 0, lam^T A_ub is its own sum of absolute
+    terms, so the one product serves the combination and its bound.
+    """
+    combo, lam_a, value, scale = _farkas_combination(problem, lam, mu)
     abs_mu = np.abs(mu)
-    combo_abs = lam @ np.abs(problem.A_ub) + abs_mu @ np.abs(problem.A_eq)
+    combo_abs = lam_a + abs_mu @ np.abs(problem.A_eq)
     value_abs = float(lam @ np.abs(problem.b_ub) + abs_mu @ np.abs(problem.b_eq))
     # one term per row, plus one each for joining the two dots, the rounded
     # right-hand sides 1 +- e, the subtraction and the evaluation of the bound
     g = _gamma(lam.size + mu.size + 4)
-    entry = float(np.sum(lam) + np.sum(abs_mu)) * _ENTRY_ERR
-    gap = float(np.min(combo - g * combo_abs)) - value - g * value_abs - entry
-    margin = gap / scale
-    return margin > 0.0 and margin >= cert.margin - FEAS_TOL
+    entry = float(lam.sum() + abs_mu.sum()) * _ENTRY_ERR
+    gap = float((combo - g * combo_abs).min()) - value - g * value_abs - entry
+    return gap, scale
 
 
 def witness_distribution(problem: CertificationProblem, cert: FeasibilityCertificate) -> SubensembleDistribution:

@@ -80,7 +80,9 @@ class SubensembleDistribution:
     and the weights, a 1-D array, must sum to 1 within 1e-12. Nothing in
     the structure can reference measurement settings, so the weight CDF
     (last entry set to 1.0) and its guide table (see ``_guide_table``),
-    which the sampler reads, are built here once.
+    which the sampler reads, are built here once. ``cdf`` holds one entry
+    per atom followed by the padding of ``_padded``, which the sampler's
+    probes read past the last atom.
     """
 
     u: np.ndarray
@@ -106,6 +108,7 @@ class SubensembleDistribution:
         cdf = np.cumsum(w[keep])
         cdf[-1] = 1.0
         guide, scan = _guide_table(cdf)
+        cdf = _padded(cdf, scan)
         u = np.atleast_2d(sphere.unit_copy(self.u))
         v = np.atleast_2d(sphere.unit_copy(self.v))
         if u.shape != v.shape or u.shape[0] != w.shape[0]:
@@ -257,6 +260,12 @@ def _guide_table(cdf: np.ndarray) -> tuple[np.ndarray, int]:
     return guide, int(counts[:n_buckets].max())
 
 
+def _padded(cdf: np.ndarray, scan: int) -> np.ndarray:
+    """``cdf`` followed by P - 1 entries of 1.0, P = 2**scan.bit_length(),
+    as ``_atom_indices`` reads it."""
+    return np.concatenate([cdf, np.ones((1 << scan.bit_length()) - 1)])
+
+
 def _atom_indices(cdf: np.ndarray, guide: np.ndarray, scan: int, keys: np.ndarray) -> np.ndarray:
     """For each key in [0, 1), the first index whose CDF entry is > it.
 
@@ -264,14 +273,19 @@ def _atom_indices(cdf: np.ndarray, guide: np.ndarray, scan: int, keys: np.ndarra
     buckets), below its atom by at most ``scan``, and closes the gap by a
     binary search: steps P/2, ..., 2, 1 with P = 2**scan.bit_length() > scan,
     each taken where the entry just below the step's end is <= the key.
-    That is scan.bit_length() passes for any weights. A probe past the end
-    reads the last entry, 1.0, which no key reaches.
+    That is scan.bit_length() passes for any weights. ``cdf`` is padded as
+    ``_padded`` pads it: a key's index never passes its atom, so a probe
+    lands at most P/2 - 1 entries past the last atom and reads 1.0, which
+    no key reaches. The probes of a step are one ``take`` from the view
+    that starts step - 1 entries in.
     """
     idx = guide.take((keys * (guide.shape[0] - 1)).astype(np.intp))
     step = (1 << scan.bit_length()) >> 1
-    while step:
-        idx += step * (cdf.take(idx + (step - 1), mode="clip") <= keys)
+    while step > 1:
+        idx += step * (cdf[step - 1 :].take(idx) <= keys)
         step >>= 1
+    if step:
+        idx += cdf.take(idx) <= keys
     return idx
 
 

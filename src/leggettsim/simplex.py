@@ -13,19 +13,23 @@ built once, with A_ub and A_eq written straight into it and the rows with
 a negative right-hand side negated in place; the state is one m x (m + 1)
 array [binv | xb], the inverse of the basis columns (m the number of rows)
 beside the basic values, and the reduced costs. A pivot forms the entering
-column as binv @ cols[:, j], finds its row by one masked division into a
-buffer of inf, scales that row of the state and subtracts one outer
-product from all of it, and updates the reduced costs with one product of
-the new pivot row of binv against the columns, instead of rewriting an
-m x (columns) tableau. Every element sees the same operations in the same
-order as when binv and xb were two arrays, so the results are the same to
-the bit. On the small bases of the certification LPs a pivot's cost is
-mostly numpy call overhead, so the loop makes as few calls as its
-arithmetic allows.
+column as binv @ cols[:, j], finds its row by the ratio test, scales that
+row of the state and subtracts one outer product from all of it, and
+updates the reduced costs with one product of the new pivot row of binv
+against the columns, instead of rewriting an m x (columns) tableau. Every
+element sees the same operations in the same order as when binv and xb
+were two arrays, so the results are the same to the bit. On the small
+bases of the certification LPs a pivot's cost is mostly numpy call
+overhead, so the loop makes as few calls as its arithmetic allows: the
+ratio test (``_pivot_row``) runs over the column and the basic values as
+Python floats, whose division is the same IEEE binary64 division as
+numpy's, and picks the row that ``argmin`` over a masked division into a
+buffer of inf picked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +53,38 @@ class Phase1Result:
     bland_used: bool  # whether Bland's rule chose any pivot
 
 
+def _pivot_row(col: list[float], xb: list[float], basis=None) -> int:
+    """The ratio test: the row i with col[i] > PIVOT_TOL that minimizes
+    xb[i] / col[i], the lowest such row on ties.
+
+    It picks the row that ``argmin`` picks over a buffer of inf holding the
+    admissible ratios: the first NaN ratio if there is one, and the first
+    admissible row when every admissible ratio overflows to inf. With
+    ``basis`` (Bland's rule), a tie goes to the row of the lowest-index
+    basic variable instead. No admissible row raises SolverFailure.
+    """
+    i = -1
+    best = math.inf
+    tol = PIVOT_TOL
+    for k, c in enumerate(col):
+        if c > tol:
+            t = xb[k] / c
+            if t < best:
+                best, i = t, k
+            elif t != t:  # NaN
+                i = k
+                break
+            elif i < 0:
+                i = k
+    if i < 0:
+        # phase-1 objective is bounded below by 0; unboundedness signals breakdown
+        raise SolverFailure("no admissible pivot row (numerical breakdown)")
+    if basis is not None:
+        t = xb[i] / col[i]
+        i = min((k for k, c in enumerate(col) if c > tol and xb[k] / c == t), key=basis.__getitem__)
+    return i
+
+
 def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase1Result:
     """Phase 1 on {x >= 0, A_ub x <= b_ub, A_eq x = b_eq}. Mismatched shapes
     and non-finite entries raise ValueError; a breakdown or the iteration cap
@@ -65,35 +101,45 @@ def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase
     m = p + q
 
     b = np.concatenate([b_ub, b_eq])
-    if not np.all(np.isfinite(b)):
+    rhs = b.tolist()
+    if not all(map(math.isfinite, rhs)):
         raise ValueError("right-hand sides must be finite")
 
     # orient every row to a nonnegative right-hand side; remember the flips
-    flip = np.where(b < 0.0, -1.0, 1.0)
-    b = b * flip
+    # (the rows to negate are found in Python floats, and most LPs have none)
+    negative = [k for k, v in enumerate(rhs) if v < 0.0]
+    flip = np.ones(m)
+    if negative:
+        flip[negative] = -1.0
+        b[negative] *= -1.0
 
-    # columns: n structural | p slacks (inequality rows only) | m artificials
+    # columns: n structural | p slacks (inequality rows only) | m artificials.
+    # Only the slack and artificial blocks need zeros; their diagonals are
+    # written through strided views of the flat buffer, (k, n + k) and
+    # (k, n + p + k) lying total + 1 entries apart.
     total = n + p + m
-    cols = np.zeros((m, total))
+    cols = np.empty((m, total))
     if p:
         cols[:p, :n] = A_ub
     if q:
         cols[p:, :n] = A_eq
-    cols[flip < 0.0, :n] *= -1.0
-    cols[np.arange(p), n + np.arange(p)] = flip[:p]  # slack coefficient carries the row flip
-    cols[:, n + p :] = np.eye(m)
+    cols[:, n:] = 0.0
+    if negative:
+        cols[negative, :n] *= -1.0
+    flat = cols.reshape(-1)
+    flat[n : n + p * (total + 1) : total + 1] = flip[:p]  # slack coefficient carries the row flip
+    flat[n + p :: total + 1] = 1.0
 
     # revised form: the tableau is binv @ cols, with binv the inverse of
     # the basis columns (the tableau's artificial block), and xb its rhs.
     # Both live in one (m, m + 1) array [binv | xb], so one row scaling and
     # one outer product update them together.
     basis = np.arange(n + p, n + p + m)
-    state = np.empty((m, m + 1))
-    state[:, :m] = np.eye(m)
+    state = np.zeros((m, m + 1))
+    state.reshape(-1)[:: m + 2] = 1.0  # binv's diagonal, (k, k) lying m + 2 entries apart
     state[:, m] = b
     binv = state[:, :m]
     xb = state[:, m]
-    ratios = np.empty(m)
     cost = np.zeros(total)
     cost[n + p :] = 1.0
 
@@ -101,7 +147,7 @@ def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase
     # inf entry of A_ub or A_eq makes its column's sum non-finite, so this
     # one check on the sums refuses it without another pass over the matrix.
     r = cost - cols.sum(axis=0)
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise ValueError("constraint matrices must be finite (or a column sum overflowed)")
 
     if max_iter is None:
@@ -120,24 +166,12 @@ def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase
                 break
             j = int(candidates[0])
         col = binv @ cols[:, j]
-        # ratio test in one pass: rows without an admissible pivot keep inf,
-        # and argmin takes the lowest row on ties
-        admissible = col > PIVOT_TOL
-        ratios.fill(np.inf)
-        np.divide(xb, col, out=ratios, where=admissible)
-        i = int(ratios.argmin())
-        if ratios[i] == np.inf:
-            # no admissible row, or every admissible ratio overflowed
-            rows = admissible.nonzero()[0]
-            if rows.size == 0:
-                # phase-1 objective is bounded below by 0; unboundedness signals breakdown
-                raise SolverFailure("no admissible pivot row (numerical breakdown)")
-            i = int(rows[0])
-        if it >= bland_after:  # Bland: the lowest-index basic variable on ties
-            tied = ((ratios == ratios[i]) & admissible).nonzero()[0]
-            i = int(tied[basis[tied].argmin()])
+        # the ratio test runs in Python floats: on a few rows, the divisions
+        # and comparisons cost less than the numpy calls of a masked division
+        pivots = col.tolist()
+        i = _pivot_row(pivots, xb.tolist(), basis if it >= bland_after else None)
         row = state[i]  # a view: it follows state through the update below
-        row /= col[i]
+        row /= pivots[i]
         col[i] = 0.0
         state -= col[:, None] * row  # the outer product; leaves row i as is
         r -= (r[j] * row[:m]) @ cols

@@ -61,13 +61,16 @@ def is_unit(vec) -> bool:
 
     The squares are summed column by column, x*x + y*y then + z*z: the same
     order, and so the same bits, as ``np.sum(vec * vec, axis=-1)``, without
-    its per-row reduction or its (n, 3) temporary.
+    its per-row reduction or its (n, 3) temporary. The distance from 1 is
+    taken in place, so no more than two (n,) float temporaries are held.
     """
-    arr = np.asarray(vec, dtype=np.float64)
+    arr = np.atleast_2d(np.asarray(vec, dtype=np.float64))  # a (3,) vector's squares form an array too
     sq = arr[..., 0] * arr[..., 0]
     sq += arr[..., 1] * arr[..., 1]
     sq += arr[..., 2] * arr[..., 2]
-    return bool(np.all(np.abs(sq - 1.0) <= UNIT_NORM_TOL))
+    sq -= 1.0
+    np.abs(sq, out=sq)
+    return bool((sq <= UNIT_NORM_TOL).all())
 
 
 def unit_copy(vecs) -> np.ndarray:
@@ -99,7 +102,7 @@ def dots(vecs, ref) -> np.ndarray:
     """Row-wise inner products of an (n, 3) batch against one 3-vector,
     clamped to [-1, 1] in place, so a call allocates one (n,) array."""
     vals = np.asarray(vecs, dtype=np.float64) @ np.asarray(ref, dtype=np.float64)
-    return np.clip(vals, -1.0, 1.0, out=vals)
+    return vals.clip(-1.0, 1.0, out=vals)
 
 
 def random_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:

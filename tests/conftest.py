@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from leggettsim import make_rng
+from leggettsim import certify, make_rng
 from leggettsim.models import (
     Coupling,
     LeggettModel,
@@ -11,6 +11,7 @@ from leggettsim.models import (
     outcome_law,
     point_mass,
 )
+from leggettsim.simplex import PIVOT_TOL, SolverFailure
 
 # the outcome pairs (A, B) in the order of joint_law's entries
 OUTCOME_VALUES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
@@ -73,6 +74,44 @@ def numpy_orthogonal_doublets(params) -> list[tuple[np.ndarray, np.ndarray]]:
         for b in (b_plus, b_minus):
             out.append((m, b / np.linalg.norm(b, axis=-1, keepdims=True)))
     return out
+
+
+def masked_argmin_row(col, xb, basis=None) -> int:
+    """Reference: the ratio test as numpy calls ran it, with the solver's own
+    rule. The admissible ratios (col > PIVOT_TOL) are divided into a buffer
+    of inf and ``argmin`` picks the row; when it lands on inf, the first
+    admissible row is taken, and with none the solver fails. With ``basis``
+    (Bland's rule) a tie goes to the lowest-index basic variable."""
+    col, xb = np.asarray(col, dtype=np.float64), np.asarray(xb, dtype=np.float64)
+    admissible = col > PIVOT_TOL
+    ratios = np.full(col.shape[0], np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(xb, col, out=ratios, where=admissible)
+    i = int(ratios.argmin())
+    if ratios[i] == np.inf:
+        rows = admissible.nonzero()[0]
+        if rows.size == 0:
+            raise SolverFailure("no admissible pivot row (numerical breakdown)")
+        i = int(rows[0])
+    if basis is not None:
+        tied = ((ratios == ratios[i]) & admissible).nonzero()[0]
+        i = int(tied[np.asarray(basis)[tied].argmin()])
+    return i
+
+
+def numpy_proven_gap(problem, lam, mu) -> tuple[float, float]:
+    """Reference: the verifier's proven Farkas gap and scale, with the sum of
+    absolute terms taken from a copy of |A_ub| by a second product."""
+    combo = lam @ problem.A_ub + mu @ problem.A_eq
+    value = float(lam @ problem.b_ub + mu @ problem.b_eq)
+    scale = max(float(np.max(lam, initial=0.0)), float(np.max(np.abs(mu), initial=0.0)))
+    abs_mu = np.abs(mu)
+    combo_abs = lam @ np.abs(problem.A_ub) + abs_mu @ np.abs(problem.A_eq)
+    value_abs = float(lam @ np.abs(problem.b_ub) + abs_mu @ np.abs(problem.b_eq))
+    g = certify._gamma(lam.size + mu.size + 4)
+    entry = float(np.sum(lam) + np.sum(abs_mu)) * certify._ENTRY_ERR
+    gap = float(np.min(combo - g * combo_abs)) - value - g * value_abs - entry
+    return gap, scale
 
 
 @pytest.fixture

@@ -33,6 +33,8 @@ from leggettsim.models import (
 )
 from leggettsim.optimize import optimize_settings, settings_family
 
+from conftest import numpy_proven_gap
+
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
@@ -233,11 +235,12 @@ class TestAtomGrid:
     def test_build_memory(self):
         # the lattices are written in place and the grid holds those arrays,
         # frozen, not copies of them: what is held at the peak is the two
-        # built arrays and the unit-norm check's three (m,) temporaries, half
-        # as much again, plus 4 KiB for the Python objects around them
-        # (0.5 KB measured). A second copy of the atoms would make it 2x.
+        # built arrays and the unit-norm check's two (m,) temporaries, a
+        # third as much again, plus 4 KiB for the Python objects around them
+        # (0.6 to 1.6 KB measured). A third temporary would make it 1.5x,
+        # a second copy of the atoms 2x.
         grid, peak = traced_peak(build_atom_grid, 192, 192, 4096)
-        assert peak <= 1.5 * (grid.u.nbytes + grid.v.nbytes) + 4 * 1024
+        assert peak <= 4 / 3 * (grid.u.nbytes + grid.v.nbytes) + 4 * 1024
 
 
 class TestBuildProblem:
@@ -514,6 +517,27 @@ class TestVerifyCertificate:
                 assert exact_farkas_gap(problem, cert.farkas_ub, cert.farkas_eq) > 0
             else:
                 assert exact_witness_ok(problem, dense_weights(cert.witness))
+
+    @pytest.mark.parametrize("bad", [-2.0**-1074, -1.0, np.nan])
+    def test_bound_rows_must_be_nonnegative(self, bad):
+        # the verifier takes lam^T A_ub as its own sum of absolute terms
+        p = two_atom_infeasible_problem()
+        A_ub = np.array(p.A_ub)
+        A_ub[1, 0] = bad
+        with pytest.raises(ValueError, match="nonnegative"):
+            dataclasses.replace(p, A_ub=A_ub)
+
+    def test_proven_gap_matches_numpy_formula(self):
+        # the README problem with its marginal rows: one product lam^T A_ub
+        # gives the combination and its absolute-value bound, to the bit
+        constraints = settings_family("orthogonal-doublets").build(np.array([0.94, 3.46, 2.11, 2.34]))
+        p = build_problem(build_atom_grid(24, 24, 64), constraints, include_marginals=True)
+        cert = solve(p)
+        assert cert.status is CertStatus.INFEASIBLE and cert.farkas_eq.size == 12
+        got = certify._proven_gap(p, cert.farkas_ub, cert.farkas_eq)
+        want = numpy_proven_gap(p, cert.farkas_ub, cert.farkas_eq)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert got[0] > 0.0
 
     def test_dimension_mismatch_raises(self):
         p = two_atom_infeasible_problem()

@@ -19,7 +19,7 @@ from leggettsim.models import (
     point_mass,
     sample_outcome_arrays,
 )
-from leggettsim.models import _atom_indices, _guide_table
+from leggettsim.models import _atom_indices, _guide_table, _padded
 
 from conftest import edge_distribution, joint_law, law_correlation, point_law
 
@@ -254,21 +254,21 @@ class TestAtomIndices:
                                 [0.0, np.nextafter(1.0, 0.0)], rng.random(4 * m)])
         keys = rng.permutation(edges[(edges >= 0.0) & (edges < 1.0)])
         want = np.searchsorted(cdf, keys, side="right")
-        got = _atom_indices(cdf, guide, scan, keys)
+        got = _atom_indices(_padded(cdf, scan), guide, scan, keys)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
     def test_last_atom_holds_the_weight(self):
         # the first 999 entries share bucket 0; a key in any later bucket
         # starts at the last atom, index 999, and its first step of 512 probes
-        # index 1510, where a read that is not clipped raises IndexError
+        # index 1510, where a read past an unpadded CDF raises IndexError
         w = np.full(1000, 1e-9)
         w[-1] = 1.0
         cdf = _cdf(w / w.sum())
         guide, scan = _guide_table(cdf)
         assert scan == 999 and guide[1] == 999
         keys = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], 0.0), [0.0, 0.5, np.nextafter(1.0, 0.0)]])
-        np.testing.assert_array_equal(_atom_indices(cdf, guide, scan, keys),
+        np.testing.assert_array_equal(_atom_indices(_padded(cdf, scan), guide, scan, keys),
                                       np.searchsorted(cdf, keys, side="right"))
 
     def test_equal_weights_scan_once(self):

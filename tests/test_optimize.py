@@ -6,7 +6,14 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from leggettsim import certify, sphere
-from leggettsim.certify import CertStatus, TargetConstraint, build_atom_grid, build_problem, solve
+from leggettsim.certify import (
+    CertStatus,
+    TargetConstraint,
+    build_atom_grid,
+    build_problem,
+    solve,
+    verify_certificate,
+)
 from leggettsim.models import SettingsPair
 from leggettsim.optimize import (
     certified_margin,
@@ -17,7 +24,7 @@ from leggettsim.optimize import (
 from leggettsim.quantum import singlet_correlation
 from leggettsim.simplex import phase1_simplex
 
-from conftest import numpy_orthogonal_doublets
+from conftest import numpy_orthogonal_doublets, numpy_proven_gap
 
 SMALL_GRID = build_atom_grid(12, 12, n_mirrored=24)
 DOUBLETS = settings_family("orthogonal-doublets")
@@ -142,3 +149,22 @@ class TestOptimizeSettings:
         assert len(pivots) == 61
         assert sum(pivots) == self.PINNED_PIVOTS
         assert repr(result.margins) == self.PINNED_MARGINS
+
+    def test_proven_gaps_match_numpy_formula(self, monkeypatch):
+        # every certificate of the seeded run, 60 of them Farkas: the
+        # verifier's proven gap, from one product lam^T A_ub, has the bits of
+        # the formula that copied |A_ub| for a second product
+        verified, checked = [], []
+
+        def checking_verify(problem, cert):
+            if cert.status is CertStatus.INFEASIBLE:
+                got = certify._proven_gap(problem, cert.farkas_ub, cert.farkas_eq)
+                want = numpy_proven_gap(problem, cert.farkas_ub, cert.farkas_eq)
+                checked.append([v.hex() for v in got] == [v.hex() for v in want])
+            verified.append(verify_certificate(problem, cert))
+            return verified[-1]
+
+        monkeypatch.setattr(certify, "verify_certificate", checking_verify)
+        optimize_settings(settings_family("orthogonal-doublets"), [SMALL_GRID], budget=60, seed=5)
+        assert len(verified) == 61 and all(verified)
+        assert len(checked) == 60 and all(checked)

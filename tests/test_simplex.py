@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from leggettsim.certify import build_atom_grid, build_problem
 from leggettsim.optimize import settings_family
-from leggettsim.simplex import FEAS_TOL, SolverFailure, phase1_simplex
+from leggettsim.simplex import FEAS_TOL, PIVOT_TOL, SolverFailure, _pivot_row, phase1_simplex
+
+from conftest import masked_argmin_row
 
 
 def exact_sum(coeffs, values) -> Fraction:
@@ -95,6 +97,51 @@ class TestProofs:
         A_eq = np.array(data.draw(st.lists(entry, min_size=q * n, max_size=q * n))).reshape(q, n)
         b_eq = np.array(data.draw(st.lists(entry, min_size=q, max_size=q)))
         check_proof(*normalized(A_ub, b_ub, A_eq, b_eq))
+
+
+# pivot-column entries at and around the admissibility threshold, ties, a
+# NaN, and entries small enough that a large basic value overflows over them
+# (Python floats, as the solver passes them)
+PIVOT_ENTRIES = [0.0, -0.0, 1.0, 2.0, 0.5, 3.0, PIVOT_TOL, -PIVOT_TOL, float(np.nextafter(PIVOT_TOL, 1.0)),
+                 float(np.nextafter(PIVOT_TOL, 0.0)), 1e-9, np.nan, np.inf, -np.inf, -1.0]
+BASIC_VALUES = [0.0, -0.0, 1.0, 2.0, 1.5, 1e-17, -1e-17, 1e300, float(np.finfo(np.float64).max), np.inf, np.nan]
+
+
+class TestRatioTest:
+    """The Python-float ratio test picks the row of the masked-division
+    argmin it replaced, under both entering rules, or fails as it did."""
+
+    @staticmethod
+    def outcome(rule, *args):
+        try:
+            return rule(*args)
+        except (SolverFailure, ValueError) as exc:
+            return type(exc)
+
+    @hyp_settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda m: st.tuples(
+        st.lists(st.sampled_from(PIVOT_ENTRIES), min_size=m, max_size=m),
+        st.lists(st.sampled_from(BASIC_VALUES), min_size=m, max_size=m),
+        st.permutations(range(m)),
+    )), st.booleans())
+    def test_same_row_as_masked_argmin(self, drawn, bland):
+        col, xb, basis = drawn
+        basis = np.array(basis) + 5 if bland else None
+        want = self.outcome(masked_argmin_row, col, xb, basis)
+        assert self.outcome(_pivot_row, col, xb, basis) == want
+
+    def test_edge_cases(self):
+        inf, nan = np.inf, np.nan
+        # the lowest row on ties, or with Bland's rule the lowest basic variable
+        assert _pivot_row([1.0, 1.0, 2.0], [1.0, 1.0, 2.0]) == 0
+        assert _pivot_row([1.0, 1.0, 2.0], [1.0, 1.0, 2.0], np.array([9, 7, 3])) == 2
+        # a NaN ratio wins, as argmin takes it; every ratio overflowing gives the first admissible row
+        assert _pivot_row([1.0, 1.0, 1.0], [1.0, nan, 0.5]) == 1
+        assert _pivot_row([PIVOT_TOL, 1e-9, 1e-9], [1.0, 1e300, 1e300]) == 1
+        assert _pivot_row([1.0, 1.0], [inf, inf]) == 0
+        for col in ([PIVOT_TOL, -1.0, 0.0], [nan, -inf]):
+            with pytest.raises(SolverFailure):
+                _pivot_row(col, [1.0] * len(col))
 
 
 class TestBoundary:

@@ -6,7 +6,10 @@ tests/test_perfbench_names.py loads it, and is not changed. Each setting's
 atoms are projected once (two ``sphere.dots`` calls: u.a and v.b), and each
 layer the tracer wraps in the CLI is called once per setting, so the
 benchmark's per-layer spans stay filled. A ``certify`` call builds and
-hashes its grid once and projects each distinct setting once.
+hashes its grid once and projects each distinct setting once. An
+``optimize`` call solves each evaluated point once per grid, plus the best
+point once more, and verifies each certificate once: the counts the
+benchmark's optimizer workload checks its traced passes against.
 """
 
 import importlib.util
@@ -84,3 +87,15 @@ def test_certify_builds_each_layer_once(tracing, tmp_path):
     assert calls["certify.solve"] == 1
     # solve verifies its certificate, and cmd_certify verifies it again
     assert calls["certify.verify_certificate"] == 2
+
+
+def test_optimize_solves_each_point_once_per_grid(tracing, tmp_path):
+    budget, grids = 5, [{"n_u": 4, "n_v": 4, "n_mirrored": 8}, {"n_u": 6, "n_v": 6, "n_mirrored": 8}]
+    calls, _ = _traced(tracing, tmp_path, "optimize", {
+        "family": "orthogonal-doublets", "budget": budget, "grids": grids,
+    })
+    evaluations = budget + 1  # the best point is evaluated again for the report
+    assert calls["optimize.certified_margin"] == evaluations
+    for name in ("certify.build_problem", "certify.solve", "simplex.phase1_simplex",
+                 "certify.verify_certificate"):
+        assert calls[name] == evaluations * len(grids), name
