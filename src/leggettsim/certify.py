@@ -192,18 +192,24 @@ class FeasibilityCertificate:
     def from_dict(cls, data: dict) -> "FeasibilityCertificate":
         """Read the form ``to_dict`` writes; anything else raises ValueError.
         Numbers must be JSON numbers (booleans and numeric strings are
-        refused), and the Farkas multipliers come as a pair or not at all."""
+        refused), and each status carries exactly its own proof: a feasible
+        certificate its witness, an infeasible one both Farkas vectors."""
         if not isinstance(data, dict) or not isinstance(data.get("grid_hash"), str):
             raise ValueError("a certificate must be an object with a grid_hash string")
-        if ("farkas_ub" in data) != ("farkas_eq" in data):
-            raise ValueError("farkas_ub and farkas_eq must be given together")
-        farkas = "farkas_ub" in data
+        unknown = set(data) - {"status", "grid_hash", "margin", "witness", "farkas_ub", "farkas_eq"}
+        if unknown:
+            raise ValueError(f"unknown certificate keys: {sorted(unknown)}")
+        status = CertStatus(data.get("status"))
+        feasible = status is CertStatus.FEASIBLE
+        proof = {"witness"} if feasible else {"farkas_ub", "farkas_eq"}
+        if set(data) & {"witness", "farkas_ub", "farkas_eq"} != proof:
+            raise ValueError(f"a {status.value} certificate must carry {' and '.join(sorted(proof))} and nothing else")
         return cls(
-            status=CertStatus(data.get("status")),
+            status=status,
             grid_hash=data["grid_hash"],
-            witness=_read_witness(data["witness"]) if "witness" in data else None,
-            farkas_ub=float_array(data["farkas_ub"], "farkas_ub") if farkas else None,
-            farkas_eq=float_array(data["farkas_eq"], "farkas_eq") if farkas else None,
+            witness=_read_witness(data["witness"]) if feasible else None,
+            farkas_ub=None if feasible else float_array(data["farkas_ub"], "farkas_ub"),
+            farkas_eq=None if feasible else float_array(data["farkas_eq"], "farkas_eq"),
             margin=float(float_array([data.get("margin", 0.0)], "margin")[0]),
         )
 
@@ -385,12 +391,15 @@ def verify_certificate(problem: CertificationProblem, cert: FeasibilityCertifica
     below -FEAS_TOL, and every row residual and the normalization residual
     stay within FEAS_TOL after adding the bound. Only the witness's support
     columns are read; a witness for another atom count raises ValueError.
+    A certificate without the proof its status needs is rejected.
     """
     if cert.grid_hash != problem.grid_hash:
         return False
     if cert.status is CertStatus.FEASIBLE:
         wit = cert.witness
-        if wit is None or wit.n_atoms != problem.n_atoms:
+        if wit is None:
+            return False
+        if wit.n_atoms != problem.n_atoms:
             raise ValueError("witness has wrong dimensions")
         w = wit.weight
         if not np.isfinite(w).all() or (w < -FEAS_TOL).any():

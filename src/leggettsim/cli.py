@@ -163,8 +163,10 @@ def _load_json(path: str, what: str, parse=lambda data: data):
 
 
 def _write_text(path: str, text: str) -> None:
+    # open the path as given: Path("out/") would drop the slash and write a file "out"
     try:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -422,7 +424,7 @@ COMMANDS = {
         SEED, OUTPUT,
     )),
     "chsh": (cmd_chsh, (
-        Field("scenario", lambda value, name: quantum.ChshScenario(**_fields(SCENARIO, value, name)), None),
+        Field("scenario", lambda value, name: quantum.chsh_pairs(**_fields(SCENARIO, value, name)), None),
         Field("model", _model, None), SEED, OUTPUT,
     )),
     "bounds": (cmd_bounds, (Field("model", _model), Field("settings", _settings), SEED, OUTPUT)),

@@ -75,7 +75,7 @@ def _orthogonal_doublets(params: np.ndarray) -> list[TargetConstraint]:
 
 def _planar_chsh(params: np.ndarray) -> list[TargetConstraint]:
     """Four CHSH-style pairs with all directions in the xy-plane."""
-    return [singlet_target(s) for s in planar_scenario(*params).pairs()]
+    return [singlet_target(s) for s in planar_scenario(*params)]
 
 
 _FAMILIES = {

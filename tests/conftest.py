@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from leggettsim import certify, make_rng
+from leggettsim import certify
+from leggettsim.sphere import make_rng
 from leggettsim.models import (
     Coupling,
     LeggettModel,

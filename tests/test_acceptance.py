@@ -34,7 +34,7 @@ from leggettsim.models import (
 )
 from leggettsim.montecarlo import estimate_correlation
 from leggettsim.optimize import optimize_settings, settings_family
-from leggettsim.quantum import ChshScenario, chsh_value, singlet_correlation, standard_planar_scenario
+from leggettsim.quantum import chsh_pairs, chsh_value, singlet_correlation, standard_planar_scenario
 
 from conftest import law_correlation, point_law
 
@@ -147,7 +147,7 @@ def test_criterion_5_chsh():
     corr = lambda s: exact_model_correlation(outcome_law(model, s))
     worst = 0.0
     for _ in range(10_000):
-        scenario = ChshScenario(*sphere.random_unit_vectors(rng, 4))
+        scenario = chsh_pairs(*sphere.random_unit_vectors(rng, 4))
         worst = max(worst, abs(chsh_value(scenario, corr)))
     assert worst <= 2.0 + 1e-9
     s_singlet = chsh_value(standard_planar_scenario(), singlet_correlation)

@@ -1,22 +1,38 @@
-import ast
-import inspect
+"""What the package promises once every name is imported from its module:
+importing one module loads only the modules it uses, and the package
+holds its version."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import leggettsim
 
-
-def imported_names() -> set[str]:
-    """The names ``leggettsim/__init__.py`` imports from its submodules."""
-    tree = ast.parse(inspect.getsource(leggettsim))
-    return {alias.asname or alias.name
-            for node in tree.body if isinstance(node, ast.ImportFrom) and node.module != "__future__"
-            for alias in node.names}
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_all_lists_the_imported_names():
-    assert len(leggettsim.__all__) == len(set(leggettsim.__all__))
-    assert set(leggettsim.__all__) == imported_names()
+@pytest.mark.parametrize("module, loaded", [
+    ("sphere", ["sphere"]),
+    ("kernels", ["kernels"]),
+    ("simplex", ["simplex"]),
+    ("models", ["kernels", "models", "sphere"]),
+    ("certify", ["certify", "kernels", "models", "simplex", "sphere"]),
+])
+def test_module_loads_only_what_it_uses(module, loaded):
+    # a fresh interpreter, so no other test's imports count
+    code = (f"import sys, leggettsim.{module}; print(' '.join(sorted("
+            "n.removeprefix('leggettsim.') for n in sys.modules if n.startswith('leggettsim.'))))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == loaded
 
 
-def test_every_name_resolves():
-    for name in leggettsim.__all__:
-        assert getattr(leggettsim, name) is not None
+def test_version_matches_pyproject():
+    # a regex, not tomllib: the package supports Python 3.10
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert leggettsim.__version__ == re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)

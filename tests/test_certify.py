@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from leggettsim import certify, make_rng, sphere
+from leggettsim import certify, sphere
+from leggettsim.sphere import make_rng
 from leggettsim.bounds import averaged_bounds
 from leggettsim.certify import (
     FEAS_TOL,
@@ -450,6 +451,12 @@ class TestVerifyCertificate:
         assert not verify_certificate(p, tampered)
         assert not verify_certificate(p, round_tripped)
 
+    @pytest.mark.parametrize("status", [CertStatus.FEASIBLE, CertStatus.INFEASIBLE])
+    def test_certificate_without_its_proof_rejected(self, status):
+        # no witness, no multipliers: a verdict without a proof is not accepted
+        p = two_atom_infeasible_problem()
+        assert verify_certificate(p, FeasibilityCertificate(status=status, grid_hash=p.grid_hash)) is False
+
     @pytest.mark.parametrize("gap, accepted", [(2.0**-52, False), (1e-9, True)])
     def test_gap_below_rounding_bound_rejected(self, gap, accepted):
         # lam = (1, 0, 1, 0) gives combo (2, 2) against value b_0 + b_2; raising
@@ -713,12 +720,16 @@ class TestSerialization:
         {"n_atoms": 3, "index": [0], "weight": [10**400]},
         {"n_atoms": 3, "index": [0]},
         [1.0, 0.0, 0.0],
+        None,
     ], ids=["zero-atoms", "float-atoms", "bool-atoms", "string-atoms", "float-index",
             "bool-index", "decreasing", "repeated", "negative", "past-end",
             "short-weight", "short-index", "string-weight", "huge-weight", "missing-key",
-            "dense-list"])
+            "dense-list", "no-witness"])
     def test_malformed_witness_rejected(self, witness):
+        # None drops the key
         data = {"status": "feasible", "grid_hash": "0" * 64, "margin": 0.0, "witness": witness}
+        if witness is None:
+            del data["witness"]
         with pytest.raises(ValueError):
             FeasibilityCertificate.from_dict(data)
 
@@ -737,9 +748,14 @@ class TestSerialization:
         {"status": None},
         {"grid_hash": 5},
         {"grid_hash": None},
+        {"extra": 1},
+        {"farkas_ub": None, "farkas_eq": None},
+        {"witness": {"n_atoms": 4, "index": [0], "weight": [1.0]}},
+        {"status": "feasible"},
     ], ids=["string-margin", "bool-margin", "huge-margin", "string-farkas", "bool-farkas",
             "scalar-farkas", "huge-farkas", "string-farkas-eq", "ub-without-eq", "eq-without-ub",
-            "bad-status", "missing-status", "int-hash", "missing-hash"])
+            "bad-status", "missing-status", "int-hash", "missing-hash", "unknown-key",
+            "no-farkas", "with-witness", "feasible-with-farkas"])
     def test_malformed_farkas_certificate_rejected(self, change):
         # None drops the key
         data = solve(two_atom_infeasible_problem()).to_dict()

@@ -648,6 +648,19 @@ class TestFileErrors:
         assert main(["identity-check", "--output", str(out)]) == EXIT_CONFIG
         assert "cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["identity-check", "simulate"])
+    def test_output_with_trailing_slash_writes_nothing(self, command, tmp_path, capsys):
+        # "out/" names a directory: no file "out" (nor "out/.meta.json") is written
+        argv = [command, "--output", str(tmp_path / "out") + "/"]
+        if command == "simulate":
+            argv += ["--config", write_config(tmp_path, {
+                "model": {"generator": "isotropic", "atoms": 4},
+                "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}], "samples": 10})]
+        before = set(tmp_path.iterdir())
+        assert main(argv) == EXIT_CONFIG
+        assert "cannot write" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before
+
 
 class TestFlags:
     """Each subcommand takes only the flags its table names."""

@@ -7,7 +7,7 @@ from leggettsim.models import exact_model_correlation, outcome_law
 from leggettsim.quantum import (
     CLASSICAL_CHSH_BOUND,
     TSIRELSON_BOUND,
-    ChshScenario,
+    chsh_pairs,
     chsh_value,
     planar_scenario,
     singlet_correlation,
@@ -76,7 +76,7 @@ class TestChsh:
         worst = 0.0
         for _ in range(10_000):
             vecs = sphere.random_unit_vectors(rng, 4)
-            scenario = ChshScenario(*vecs)
+            scenario = chsh_pairs(*vecs)
             worst = max(worst, abs(chsh_value(scenario, corr)))
         assert worst <= CLASSICAL_CHSH_BOUND + 1e-9
 
@@ -84,8 +84,8 @@ class TestChsh:
         for _ in range(20):
             vecs = sphere.random_unit_vectors(rng, 4)
             rot = random_rotation(rng)
-            s1 = chsh_value(ChshScenario(*vecs), singlet_correlation)
-            s2 = chsh_value(ChshScenario(*(rot @ v for v in vecs)), singlet_correlation)
+            s1 = chsh_value(chsh_pairs(*vecs), singlet_correlation)
+            s2 = chsh_value(chsh_pairs(*(rot @ v for v in vecs)), singlet_correlation)
             assert s2 == pytest.approx(s1, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [[1.0, 0.0], np.array([X, Y]), [np.nan, 0.0, 0.0]],
@@ -94,19 +94,19 @@ class TestChsh:
     def test_rejects_malformed_vectors(self, bad, name):
         vecs = {"a": X, "a_prime": Y, "b": X, "b_prime": Y, name: bad}
         with pytest.raises(ValueError):
-            ChshScenario(**vecs)
+            chsh_pairs(**vecs)
 
     def test_copies_the_callers_arrays(self):
         vecs = [X.copy(), Y.copy(), X.copy(), Y.copy()]
-        sc = ChshScenario(*vecs)
+        sc = chsh_pairs(*vecs)
         assert all(v.flags.writeable for v in vecs)
         for v in vecs:
             v[:] = [0.0, 0.0, 5.0]
-        assert [sc.a.tolist(), sc.a_prime.tolist(), sc.b.tolist(), sc.b_prime.tolist()] == [
+        assert [sc[0].a.tolist(), sc[2].a.tolist(), sc[0].b.tolist(), sc[1].b.tolist()] == [
             X.tolist(), Y.tolist(), X.tolist(), Y.tolist()]
-        assert [singlet_correlation(p) for p in sc.pairs()] == [-1.0, -0.0, -0.0, -1.0]
+        assert [singlet_correlation(p) for p in sc] == [-1.0, -0.0, -0.0, -1.0]
 
     def test_planar_scenario_builder(self):
         sc = planar_scenario(0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
-        assert np.allclose(sc.a, X)
-        assert np.allclose(sc.a_prime, Y)
+        assert np.allclose(sc[0].a, X)
+        assert np.allclose(sc[2].a, Y)
