@@ -6,8 +6,9 @@ weighting of the atoms satisfies every averaged bound (and optionally the
 marginal constraints). An AtomGrid is checked for unit norms and hashed
 once, when it is built; build_problem then only computes the LP rows, so
 a search that solves many problems on one grid pays for neither again.
-Feasible problems return a witness (its support); infeasible problems
-return Farkas multipliers. verify_certificate recomputes either in float64
+Feasible problems return a Witness (the support of a weighting);
+infeasible problems return Farkas multipliers. read_certificate reads
+either back from JSON. verify_certificate recomputes either in float64
 and charges an a priori bound on every rounding against it, in the sums
 and in the LP entries themselves, so an accepted infeasibility
 certificate proves that no weighting of the given grid exists. The bound
@@ -139,13 +140,26 @@ class CertificationProblem:
         return self.grid.n_atoms
 
 
+def _freeze(record, **arrays: np.ndarray) -> None:
+    """Hold read-only copies of a record's checked arrays, so no later write
+    gets past the checks it made when it was built."""
+    for name, arr in arrays.items():
+        arr = arr.copy()
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
+
+
 @dataclass(frozen=True)
 class Witness:
-    """A feasible weighting by its support: weight[k] on atom index[k] of
-    n_atoms, zero elsewhere. A record that breaks the shape rules below
-    raises ValueError when it is built, so the verifier can index by it;
-    it then holds read-only copies, so no later write gets past the check."""
+    """The feasible certificate: a weighting by its support, weight[k] on
+    atom index[k] of n_atoms, zero elsewhere. A record that breaks the shape
+    rules below raises ValueError when it is built, so the verifier can
+    index by it; it then holds read-only copies of its arrays."""
 
+    status = CertStatus.FEASIBLE
+    margin = 0.0
+
+    grid_hash: str
     n_atoms: int  # an int in [1, 2**63)
     index: np.ndarray  # 1-D int64, strictly increasing within [0, n_atoms)
     weight: np.ndarray  # float64, one per index; NaN and inf count as nonzero and are kept
@@ -159,72 +173,68 @@ class Witness:
             raise ValueError(f"witness index must be a 1-D int64 array increasing strictly within [0, {n})")
         if not (isinstance(weight, np.ndarray) and weight.dtype == np.float64 and weight.shape == index.shape):
             raise ValueError(f"witness has {index.size} indices but weights of shape {np.shape(weight)}")
-        for name, arr in (("index", index), ("weight", weight)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, index=index, weight=weight)
+
+    def to_dict(self) -> dict:
+        """JSON-ready form: the witness is written as its support."""
+        return {"status": self.status.value, "grid_hash": self.grid_hash, "margin": self.margin, "witness": {
+            "n_atoms": int(self.n_atoms), "index": self.index.tolist(), "weight": self.weight.tolist()}}
 
 
 @dataclass(frozen=True)
-class FeasibilityCertificate:
-    status: CertStatus
+class Farkas:
+    """The infeasible certificate: multipliers on the bound rows (farkas_ub,
+    >= 0 when it proves anything) and on the marginal equality rows, and the
+    computed Farkas gap over the largest multiplier. Anything but two 1-D
+    float64 arrays raises ValueError; it then holds read-only copies."""
+
+    status = CertStatus.INFEASIBLE
+
     grid_hash: str
-    witness: Witness | None = None  # feasible witness
-    farkas_ub: np.ndarray | None = None  # multipliers on the inequality rows, >= 0
-    farkas_eq: np.ndarray | None = None  # multipliers on the marginal equality rows
-    margin: float = 0.0  # the computed Farkas gap over the largest multiplier
+    farkas_ub: np.ndarray
+    farkas_eq: np.ndarray
+    margin: float
+
+    def __post_init__(self):
+        arrays = {"farkas_ub": self.farkas_ub, "farkas_eq": self.farkas_eq}
+        if not all(isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 1 for a in arrays.values()):
+            raise ValueError("Farkas multipliers must be 1-D float64 arrays")
+        _freeze(self, **arrays)
 
     def to_dict(self) -> dict:
-        """JSON-ready form; the witness is written as the record it is held in."""
-        out = {"status": self.status.value, "grid_hash": self.grid_hash, "margin": self.margin}
-        if self.witness is not None:
-            out["witness"] = {
-                "n_atoms": int(self.witness.n_atoms),
-                "index": self.witness.index.tolist(),
-                "weight": self.witness.weight.tolist(),
-            }
-        if self.farkas_ub is not None:
-            out["farkas_ub"] = self.farkas_ub.tolist()
-            out["farkas_eq"] = self.farkas_eq.tolist()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FeasibilityCertificate":
-        """Read the form ``to_dict`` writes; anything else raises ValueError.
-        Numbers must be JSON numbers (booleans and numeric strings are
-        refused), and each status carries exactly its own proof: a feasible
-        certificate its witness, an infeasible one both Farkas vectors."""
-        if not isinstance(data, dict) or not isinstance(data.get("grid_hash"), str):
-            raise ValueError("a certificate must be an object with a grid_hash string")
-        unknown = set(data) - {"status", "grid_hash", "margin", "witness", "farkas_ub", "farkas_eq"}
-        if unknown:
-            raise ValueError(f"unknown certificate keys: {sorted(unknown)}")
-        status = CertStatus(data.get("status"))
-        feasible = status is CertStatus.FEASIBLE
-        proof = {"witness"} if feasible else {"farkas_ub", "farkas_eq"}
-        if set(data) & {"witness", "farkas_ub", "farkas_eq"} != proof:
-            raise ValueError(f"a {status.value} certificate must carry {' and '.join(sorted(proof))} and nothing else")
-        return cls(
-            status=status,
-            grid_hash=data["grid_hash"],
-            witness=_read_witness(data["witness"]) if feasible else None,
-            farkas_ub=None if feasible else float_array(data["farkas_ub"], "farkas_ub"),
-            farkas_eq=None if feasible else float_array(data["farkas_eq"], "farkas_eq"),
-            margin=float(float_array([data.get("margin", 0.0)], "margin")[0]),
-        )
+        """JSON-ready form."""
+        return {"status": self.status.value, "grid_hash": self.grid_hash, "margin": self.margin,
+                "farkas_ub": self.farkas_ub.tolist(), "farkas_eq": self.farkas_eq.tolist()}
 
 
-def _read_witness(witness) -> Witness:
-    """The record of a witness written by ``to_dict``. The JSON types are
-    checked here and the record's own rules by ``Witness``; its atom count
-    is compared with a problem's when it is verified."""
+def read_certificate(data) -> Witness | Farkas:
+    """Read the form ``to_dict`` writes; anything else raises ValueError.
+    The keys are exactly status, grid_hash and margin plus the status's own
+    proof: a witness, or both Farkas vectors. Numbers must be JSON numbers
+    (booleans and numeric strings are refused), witness indices int64
+    integers, and a feasible certificate's margin is 0. The record checks
+    its own rules; a witness's atom count is compared with a problem's when
+    it is verified."""
+    if not isinstance(data, dict) or not isinstance(data.get("grid_hash"), str):
+        raise ValueError("a certificate must be an object with a grid_hash string")
+    status = CertStatus(data.get("status"))
+    proof = ("witness",) if status is CertStatus.FEASIBLE else ("farkas_ub", "farkas_eq")
+    if set(data) != {"status", "grid_hash", "margin", *proof}:
+        raise ValueError(f"a {status.value} certificate has the keys status, grid_hash, margin, {', '.join(proof)}")
+    margin = float(float_array([data["margin"]], "margin")[0])
+    if status is CertStatus.INFEASIBLE:
+        return Farkas(data["grid_hash"], float_array(data["farkas_ub"], "farkas_ub"),
+                      float_array(data["farkas_eq"], "farkas_eq"), margin)
+    if margin != 0.0:
+        raise ValueError(f"a feasible certificate has margin 0, not {margin!r}")
+    witness = data["witness"]
     if not isinstance(witness, dict) or set(witness) != {"n_atoms", "index", "weight"}:
         raise ValueError("witness must be an object with keys n_atoms, index and weight")
     index = witness["index"]
     if not isinstance(index, list) or not all(is_integer(i) and -2**63 <= i < 2**63 for i in index):
         raise ValueError("witness index must be a list of int64 integers")
-    weight = float_array(witness["weight"], "witness weight")
-    return Witness(witness["n_atoms"], np.array(index, dtype=np.int64), weight)
+    return Witness(data["grid_hash"], witness["n_atoms"], np.array(index, dtype=np.int64),
+                   float_array(witness["weight"], "witness weight"))
 
 
 def build_atom_grid(n_u: int, n_v: int, n_mirrored: int = 0) -> AtomGrid:
@@ -309,7 +319,7 @@ def _farkas_combination(problem: CertificationProblem, lam, mu) -> tuple[np.ndar
     return combo, lam_a, value, scale
 
 
-def solve(problem: CertificationProblem) -> FeasibilityCertificate:
+def solve(problem: CertificationProblem) -> Witness | Farkas:
     """Phase-1 feasibility solve over {w >= 0, sum w = 1, constraint rows}."""
     m = problem.n_atoms
     A_eq = np.concatenate([problem.A_eq, np.ones((1, m))])
@@ -320,11 +330,7 @@ def solve(problem: CertificationProblem) -> FeasibilityCertificate:
     if result.feasible:
         w = np.maximum(result.x, 0.0)
         index = np.flatnonzero(w)
-        cert = FeasibilityCertificate(
-            status=CertStatus.FEASIBLE,
-            grid_hash=problem.grid_hash,
-            witness=Witness(m, index, w[index]),
-        )
+        cert = Witness(problem.grid_hash, m, index, w[index])
     else:
         # the multipliers y on the original rows satisfy y^T A <= 0 (columns)
         # and y^T b > 0; the certificate stores lam = -y_ub >= 0, mu = -y_eq,
@@ -333,13 +339,7 @@ def solve(problem: CertificationProblem) -> FeasibilityCertificate:
         lam = np.maximum(-result.y[:p], 0.0)
         mu = -result.y[p:-1]
         combo, _, value, scale = _farkas_combination(problem, lam, mu)
-        cert = FeasibilityCertificate(
-            status=CertStatus.INFEASIBLE,
-            grid_hash=problem.grid_hash,
-            farkas_ub=lam,
-            farkas_eq=mu,
-            margin=(float(combo.min()) - value) / scale if scale > 0.0 else 0.0,
-        )
+        cert = Farkas(problem.grid_hash, lam, mu, (float(combo.min()) - value) / scale if scale > 0.0 else 0.0)
     # the verifier also rejects a gap that is not positive: its proven gap
     # is never larger than the computed one
     if not verify_certificate(problem, cert):
@@ -372,7 +372,7 @@ _NORM_TAU = sphere.UNIT_NORM_TOL + 2.0 * _gamma(3)
 _ENTRY_ERR = 2.0 * (_gamma(3) * (1.0 + _NORM_TAU) + _NORM_TAU) + 2.0 * _UNIT_ROUNDOFF
 
 
-def verify_certificate(problem: CertificationProblem, cert: FeasibilityCertificate) -> bool:
+def verify_certificate(problem: CertificationProblem, cert: Witness | Farkas) -> bool:
     """Re-check a certificate from the problem arrays, trusting no solver state.
 
     Every product is computed in float64 and accepted only after an a
@@ -380,31 +380,27 @@ def verify_certificate(problem: CertificationProblem, cert: FeasibilityCertifica
     times the sum of absolute terms, plus the entry error of the LP rows
     (_ENTRY_ERR) times the 1-norm of the multipliers or weights.
 
-    An INFEASIBLE certificate is accepted when its multipliers are finite,
+    A Farkas certificate is accepted when its multipliers are finite,
     lam >= 0, and the Farkas gap min_j (lam^T A_ub + mu^T A_eq)_j -
     (lam^T b_ub + mu^T b_eq) stays positive under that bound, and at least
     the claimed margin up to FEAS_TOL. It then proves that no weighting of
     the given float grid meets the rows, in exact arithmetic; it says
     nothing about distributions off the grid.
 
-    A FEASIBLE certificate is accepted when its weights are finite, none is
-    below -FEAS_TOL, and every row residual and the normalization residual
-    stay within FEAS_TOL after adding the bound. Only the witness's support
-    columns are read; a witness for another atom count raises ValueError.
-    A certificate without the proof its status needs is rejected.
+    A Witness is accepted when its weights are finite, none is below
+    -FEAS_TOL, and every row residual and the normalization residual stay
+    within FEAS_TOL after adding the bound. Only its support columns are
+    read; a witness for another atom count raises ValueError.
     """
     if cert.grid_hash != problem.grid_hash:
         return False
-    if cert.status is CertStatus.FEASIBLE:
-        wit = cert.witness
-        if wit is None:
-            return False
-        if wit.n_atoms != problem.n_atoms:
+    if isinstance(cert, Witness):
+        if cert.n_atoms != problem.n_atoms:
             raise ValueError("witness has wrong dimensions")
-        w = wit.weight
+        w = cert.weight
         if not np.isfinite(w).all() or (w < -FEAS_TOL).any():
             return False
-        A_ub, A_eq = problem.A_ub[:, wit.index], problem.A_eq[:, wit.index]
+        A_ub, A_eq = problem.A_ub[:, cert.index], problem.A_eq[:, cert.index]
         # n_atoms terms per dot, plus the rounded right-hand sides 1 +- e,
         # the subtraction and the evaluation of the bound itself
         g = _gamma(problem.n_atoms + 3)
@@ -418,8 +414,6 @@ def verify_certificate(problem: CertificationProblem, cert: FeasibilityCertifica
         return bool((ub <= FEAS_TOL).all() and (eq <= FEAS_TOL).all() and total <= FEAS_TOL)
 
     lam, mu = cert.farkas_ub, cert.farkas_eq
-    if lam is None or mu is None:
-        return False
     if lam.shape != (problem.b_ub.shape[0],) or mu.shape != (problem.b_eq.shape[0],):
         raise ValueError("Farkas vector has wrong dimensions")
     if not (np.isfinite(lam).all() and np.isfinite(mu).all()) or (lam < 0.0).any():
@@ -450,15 +444,14 @@ def _proven_gap(problem: CertificationProblem, lam, mu) -> tuple[float, float]:
     return gap, scale
 
 
-def witness_distribution(problem: CertificationProblem, cert: FeasibilityCertificate) -> SubensembleDistribution:
+def witness_distribution(problem: CertificationProblem, witness: Witness) -> SubensembleDistribution:
     """Convert a feasible witness into a model distribution."""
-    wit = cert.witness
-    if cert.status is not CertStatus.FEASIBLE or wit is None or wit.n_atoms != problem.n_atoms:
-        raise ValueError("only a feasible certificate on the problem's atoms carries a witness")
+    if not isinstance(witness, Witness) or witness.n_atoms != problem.n_atoms:
+        raise ValueError("only a witness on the problem's atoms gives a distribution")
     # the verifier accepts weights down to -FEAS_TOL: drop them before
     # normalizing, so the kept weights sum to 1 (a NaN is kept, and refused)
-    keep = ~(wit.weight <= 0.0)
-    w = wit.weight[keep]
-    atoms = wit.index[keep]
+    keep = ~(witness.weight <= 0.0)
+    w = witness.weight[keep]
+    atoms = witness.index[keep]
     return SubensembleDistribution(problem.grid.u[atoms], problem.grid.v[atoms], w / math.fsum(w))
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import sphere
-from .certify import AtomGrid, CertStatus, TargetConstraint, build_problem, solve
+from .certify import AtomGrid, TargetConstraint, build_problem, solve
 from .models import SettingsPair
 from .quantum import planar_scenario, singlet_correlation
 
@@ -121,7 +121,7 @@ def certified_margin(
     margins = []
     for grid in grids:
         cert = solve(build_problem(grid, constraints, include_marginals=include_marginals))
-        margins.append(cert.margin if cert.status is CertStatus.INFEASIBLE else 0.0)
+        margins.append(cert.margin)
     return tuple(margins)
 
 

@@ -15,11 +15,12 @@ from leggettsim.certify import (
     FEAS_TOL,
     AtomGrid,
     CertStatus,
-    FeasibilityCertificate,
+    Farkas,
     TargetConstraint,
     Witness,
     build_atom_grid,
     build_problem,
+    read_certificate,
     solve,
     verify_certificate,
     witness_distribution,
@@ -146,6 +147,10 @@ def per_pair_rows(grid, constraints, include_marginals: bool):
 
 def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# the grid hash of records built by hand, off any problem
+NO_GRID = "0" * 64
 
 
 # settings the property below draws from: axes (whose dots hold signed
@@ -285,7 +290,7 @@ class TestBuildProblem:
         assert p.b_ub[1] == 0.0
         cert = solve(p)
         assert cert.status is CertStatus.FEASIBLE
-        assert np.allclose(p.A_ub[1] @ dense_weights(cert.witness), 0.0, atol=1e-9)
+        assert np.allclose(p.A_ub[1] @ dense_weights(cert), 0.0, atol=1e-9)
 
     def test_invalid_target_rejected(self):
         with pytest.raises(ValueError):
@@ -396,12 +401,9 @@ class TestVerifyCertificate:
         p = build_problem(build_atom_grid(4, 4), [TargetConstraint(settings=SettingsPair(X, Y), e=0.0)])
         cert = solve(p)
         assert cert.status is CertStatus.FEASIBLE
-        bad = np.array(cert.witness.weight)
+        bad = np.array(cert.weight)
         bad[0] += 0.1
-        tampered = FeasibilityCertificate(
-            status=CertStatus.FEASIBLE, grid_hash=cert.grid_hash,
-            witness=dataclasses.replace(cert.witness, weight=bad),
-        )
+        tampered = dataclasses.replace(cert, weight=bad)
         assert not verify_certificate(p, tampered)
 
     def test_flipped_farkas_sign_rejected(self):
@@ -410,25 +412,13 @@ class TestVerifyCertificate:
         lam = np.array(cert.farkas_ub)
         nz = np.nonzero(lam)[0][0]
         lam[nz] = -lam[nz]
-        tampered = FeasibilityCertificate(
-            status=CertStatus.INFEASIBLE,
-            grid_hash=cert.grid_hash,
-            farkas_ub=lam,
-            farkas_eq=np.array(cert.farkas_eq),
-            margin=cert.margin,
-        )
+        tampered = Farkas(cert.grid_hash, lam, np.array(cert.farkas_eq), cert.margin)
         assert not verify_certificate(p, tampered)
 
     def test_grid_hash_mismatch_rejected(self):
         p = two_atom_infeasible_problem()
         cert = solve(p)
-        other = FeasibilityCertificate(
-            status=cert.status,
-            grid_hash="0" * 64,
-            farkas_ub=cert.farkas_ub,
-            farkas_eq=cert.farkas_eq,
-            margin=cert.margin,
-        )
+        other = Farkas(NO_GRID, cert.farkas_ub, cert.farkas_eq, cert.margin)
         assert not verify_certificate(p, other)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -439,23 +429,23 @@ class TestVerifyCertificate:
         else:
             p = two_atom_marginal_problem()
         cert = solve(p)
-        if field == "weights":
-            values = np.array(cert.witness.weight)
-            values[0] = bad
-            tampered = dataclasses.replace(cert, witness=dataclasses.replace(cert.witness, weight=values))
-        else:
-            values = np.array(getattr(cert, field))
-            values[0] = bad
-            tampered = dataclasses.replace(cert, **{field: values})
-        round_tripped = FeasibilityCertificate.from_dict(json.loads(json.dumps(tampered.to_dict())))
+        field = "weight" if field == "weights" else field
+        values = np.array(getattr(cert, field))
+        values[0] = bad
+        tampered = dataclasses.replace(cert, **{field: values})
+        round_tripped = read_certificate(json.loads(json.dumps(tampered.to_dict())))
         assert not verify_certificate(p, tampered)
         assert not verify_certificate(p, round_tripped)
 
     @pytest.mark.parametrize("status", [CertStatus.FEASIBLE, CertStatus.INFEASIBLE])
     def test_certificate_without_its_proof_rejected(self, status):
-        # no witness, no multipliers: a verdict without a proof is not accepted
+        # no witness, no multipliers: a verdict without a proof cannot be built
         p = two_atom_infeasible_problem()
-        assert verify_certificate(p, FeasibilityCertificate(status=status, grid_hash=p.grid_hash)) is False
+        with pytest.raises(ValueError):
+            if status is CertStatus.FEASIBLE:
+                Witness(p.grid_hash, p.n_atoms, None, None)
+            else:
+                Farkas(p.grid_hash, None, None, 0.0)
 
     @pytest.mark.parametrize("gap, accepted", [(2.0**-52, False), (1e-9, True)])
     def test_gap_below_rounding_bound_rejected(self, gap, accepted):
@@ -469,9 +459,7 @@ class TestVerifyCertificate:
         lam = np.array([1.0, 0.0, 1.0, 0.0])
         mu = np.empty(0)
         assert exact_farkas_gap(nudged, lam, mu) > 0
-        cert = FeasibilityCertificate(
-            status=CertStatus.INFEASIBLE, grid_hash=p.grid_hash, farkas_ub=lam, farkas_eq=mu
-        )
+        cert = Farkas(p.grid_hash, lam, mu, 0.0)
         assert verify_certificate(nudged, cert) is accepted
 
     @hyp_settings(max_examples=60, deadline=None)
@@ -505,6 +493,14 @@ class TestVerifyCertificate:
         p = build_problem(grid, constraints, include_marginals=marginals)
         cert = solve(p)
         assert verify_certificate(p, cert)
+        # the JSON form reads back as the same record, to the bit, and verifies
+        restored = read_certificate(json.loads(json.dumps(cert.to_dict())))
+        assert type(restored) is type(cert)
+        for f in dataclasses.fields(cert):
+            got, want = getattr(restored, f.name), getattr(cert, f.name)
+            assert same_bits(got, want) if isinstance(want, np.ndarray) else got == want
+        assert restored.margin.hex() == cert.margin.hex()
+        assert verify_certificate(p, restored)
         # move one right-hand side so the certificate sits `slack` away from
         # the edge of validity, where only the rounding bound decides
         b_ub = np.array(p.b_ub)
@@ -514,16 +510,17 @@ class TestVerifyCertificate:
             gap = float(np.min(lam @ p.A_ub + mu @ p.A_eq)) - float(lam @ p.b_ub + mu @ p.b_eq)
             b_ub[i] += (gap - slack) / lam[i]
         else:
-            b_ub[0] = float(p.A_ub[0] @ dense_weights(cert.witness)) - FEAS_TOL + slack
+            b_ub[0] = float(p.A_ub[0] @ dense_weights(cert)) - FEAS_TOL + slack
         edge = dataclasses.replace(p, b_ub=b_ub)
-        edge_cert = dataclasses.replace(cert, margin=0.0)
+        # a Witness's margin is always 0
+        edge_cert = dataclasses.replace(cert, margin=0.0) if isinstance(cert, Farkas) else cert
         for problem, certificate in ((p, cert), (edge, edge_cert)):
             if not verify_certificate(problem, certificate):
                 continue
             if cert.status is CertStatus.INFEASIBLE:
                 assert exact_farkas_gap(problem, cert.farkas_ub, cert.farkas_eq) > 0
             else:
-                assert exact_witness_ok(problem, dense_weights(cert.witness))
+                assert exact_witness_ok(problem, dense_weights(cert))
 
     @pytest.mark.parametrize("bad", [-2.0**-1074, -1.0, np.nan])
     def test_bound_rows_must_be_nonnegative(self, bad):
@@ -548,10 +545,7 @@ class TestVerifyCertificate:
 
     def test_dimension_mismatch_raises(self):
         p = two_atom_infeasible_problem()
-        bad = FeasibilityCertificate(
-            status=CertStatus.FEASIBLE, grid_hash=p.grid_hash,
-            witness=Witness(1, np.array([0]), np.array([1.0])),
-        )
+        bad = Witness(p.grid_hash, 1, np.array([0]), np.array([1.0]))
         with pytest.raises(ValueError):
             verify_certificate(p, bad)
 
@@ -572,11 +566,11 @@ class TestWitness:
         # the 16-atom problem of test_perturbed_weight_rejected: shifted by -16
         # the indices wrap round to the same columns, so such a record verified
         p = build_problem(build_atom_grid(4, 4), [TargetConstraint(settings=SettingsPair(X, Y), e=0.0)])
-        wit = solve(p).witness
+        wit = solve(p)
         assert wit.n_atoms == 16
         for shift in (-16, 16):
             with pytest.raises(ValueError):
-                Witness(16, wit.index + shift, wit.weight)
+                Witness(wit.grid_hash, 16, wit.index + shift, wit.weight)
             with pytest.raises(ValueError):
                 dataclasses.replace(wit, index=wit.index + shift)
 
@@ -602,25 +596,25 @@ class TestWitness:
             "zero-atoms", "atoms-beyond-int64", "float-atoms", "bool-atoms"])
     def test_malformed_record_rejected(self, n_atoms, index, weight):
         with pytest.raises(ValueError):
-            Witness(n_atoms, index, weight)
+            Witness(NO_GRID, n_atoms, index, weight)
 
     def test_empty_support_accepted(self):
-        assert Witness(3, _i64(), _f64()).index.size == 0
+        assert Witness(NO_GRID, 3, _i64(), _f64()).index.size == 0
 
     def test_read_only(self):
         # the same 16-atom problem: a write into the solved witness raised
         # nothing, left indices [-14, -10], and the certificate still verified
         p = build_problem(build_atom_grid(4, 4), [TargetConstraint(settings=SettingsPair(X, Y), e=0.0)])
         cert = solve(p)
-        for arr in (cert.witness.index, cert.witness.weight):
+        for arr in (cert.index, cert.weight):
             with pytest.raises(ValueError):
                 arr[:] -= 16
-        assert cert.witness.index.min() >= 0
+        assert cert.index.min() >= 0
         assert verify_certificate(p, cert)
 
     def test_source_arrays_copied(self):
         index, weight = _i64(3, 5), _f64(0.25, 0.75)
-        wit = Witness(16, index, weight)
+        wit = Witness(NO_GRID, 16, index, weight)
         index[:] = [-1, 40]
         weight[:] = np.nan
         assert wit.index.tolist() == [3, 5] and wit.weight.tolist() == [0.25, 0.75]
@@ -629,15 +623,21 @@ class TestWitness:
         # the verifier accepts a weight down to -FEAS_TOL; the distribution
         # drops it and normalizes what is left
         p = feasible_problem()
-        cert = solve(p)
-        wit = cert.witness
+        wit = solve(p)
         assert wit.index[0] > 0 and wit.index.size == 2
-        moved = Witness(p.n_atoms, np.r_[0, wit.index], np.r_[-5e-10, wit.weight + [5e-10, 0.0]])
-        cert = dataclasses.replace(cert, witness=moved)
+        cert = dataclasses.replace(wit, index=np.r_[0, wit.index],
+                                   weight=np.r_[-5e-10, wit.weight + [5e-10, 0.0]])
         assert verify_certificate(p, cert)
         d = witness_distribution(p, cert)
         assert d.n_atoms == 2 and abs(float(d.w.sum()) - 1.0) <= 1e-12
         np.testing.assert_array_equal(d.u, p.grid.u[wit.index])
+
+    def test_distribution_refuses_farkas(self):
+        p = two_atom_infeasible_problem()
+        cert = solve(p)
+        assert isinstance(cert, Farkas)
+        with pytest.raises(ValueError):
+            witness_distribution(p, cert)
 
 
 def feasible_problem():
@@ -653,7 +653,7 @@ class TestSerialization:
         cert = solve(p)
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(cert.to_dict()), encoding="utf-8")
-        restored = FeasibilityCertificate.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        restored = read_certificate(json.loads(path.read_text(encoding="utf-8")))
         assert restored.status is CertStatus.INFEASIBLE
         assert restored.margin == cert.margin
         assert verify_certificate(p, restored)
@@ -664,12 +664,12 @@ class TestSerialization:
         assert cert.status is CertStatus.FEASIBLE
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(cert.to_dict()), encoding="utf-8")
-        restored = FeasibilityCertificate.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        restored = read_certificate(json.loads(path.read_text(encoding="utf-8")))
         assert restored.status is CertStatus.FEASIBLE
-        assert restored.witness.weight.dtype == np.float64
-        assert restored.witness.n_atoms == cert.witness.n_atoms
-        np.testing.assert_array_equal(restored.witness.index, cert.witness.index)
-        np.testing.assert_array_equal(restored.witness.weight, cert.witness.weight)
+        assert restored.weight.dtype == np.float64
+        assert restored.n_atoms == cert.n_atoms
+        np.testing.assert_array_equal(restored.index, cert.index)
+        np.testing.assert_array_equal(restored.weight, cert.weight)
         assert verify_certificate(p, restored)
 
     def test_witness_written_as_support(self):
@@ -690,8 +690,8 @@ class TestSerialization:
         p = feasible_problem()
         data = solve(p).to_dict()
         data["witness"]["n_atoms"] = 10**15
-        cert = FeasibilityCertificate.from_dict(data)
-        assert cert.witness.n_atoms == 10**15
+        cert = read_certificate(data)
+        assert cert.n_atoms == 10**15
         with pytest.raises(ValueError):
             verify_certificate(p, cert)
         with pytest.raises(ValueError):
@@ -701,7 +701,7 @@ class TestSerialization:
         witness = {"n_atoms": 2**63, "index": [2**63 - 1], "weight": [1.0]}
         data = {"status": "feasible", "grid_hash": "0" * 64, "margin": 0.0, "witness": witness}
         with pytest.raises(ValueError):
-            FeasibilityCertificate.from_dict(data)
+            read_certificate(data)
 
     @pytest.mark.parametrize("witness", [
         {"n_atoms": 0, "index": [], "weight": []},
@@ -731,7 +731,7 @@ class TestSerialization:
         if witness is None:
             del data["witness"]
         with pytest.raises(ValueError):
-            FeasibilityCertificate.from_dict(data)
+            read_certificate(data)
 
     @pytest.mark.parametrize("change", [
         {"margin": "0.5"},
@@ -752,10 +752,14 @@ class TestSerialization:
         {"farkas_ub": None, "farkas_eq": None},
         {"witness": {"n_atoms": 4, "index": [0], "weight": [1.0]}},
         {"status": "feasible"},
+        {"margin": None},
+        {"status": "feasible", "margin": 0.5, "farkas_ub": None, "farkas_eq": None,
+         "witness": {"n_atoms": 2, "index": [0], "weight": [1.0]}},
     ], ids=["string-margin", "bool-margin", "huge-margin", "string-farkas", "bool-farkas",
             "scalar-farkas", "huge-farkas", "string-farkas-eq", "ub-without-eq", "eq-without-ub",
             "bad-status", "missing-status", "int-hash", "missing-hash", "unknown-key",
-            "no-farkas", "with-witness", "feasible-with-farkas"])
+            "no-farkas", "with-witness", "feasible-with-farkas", "missing-margin",
+            "feasible-with-margin"])
     def test_malformed_farkas_certificate_rejected(self, change):
         # None drops the key
         data = solve(two_atom_infeasible_problem()).to_dict()
@@ -766,4 +770,4 @@ class TestSerialization:
             else:
                 data[key] = value
         with pytest.raises(ValueError):
-            FeasibilityCertificate.from_dict(data)
+            read_certificate(data)

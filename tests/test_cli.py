@@ -330,7 +330,7 @@ class TestCertify:
         assert main(["certify", "--config", config, "--output", str(out)]) == EXIT_OK
         report = json.loads(out.read_text())
         assert report["status"] == "feasible"
-        cert = certify.FeasibilityCertificate.from_dict(report["certificate"])
+        cert = certify.read_certificate(report["certificate"])
         problem = certify.build_problem(
             certify.build_atom_grid(8, 8, 8),
             [certify.TargetConstraint(SettingsPair(np.array(t["a"]), np.array(t["b"])), t["e"])

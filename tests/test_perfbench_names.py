@@ -13,9 +13,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from leggettsim import kernels
+from leggettsim import certify, kernels
+from leggettsim.models import SettingsPair
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -89,6 +91,21 @@ def test_probe_points_resolve(workloads):
     for workload in workloads:
         module_name, name = workload.probe_at
         assert callable(getattr(importlib.import_module(module_name), name, None)), workload.name
+
+
+def test_solve_note_reads_the_verdict(perfbench):
+    # the certify.solve span notes whether each certificate is infeasible,
+    # from cert.status.value; certify.infeasible_frac is their mean
+    tracing, _ = perfbench
+    x, y = np.eye(3)[:2]
+    grid = certify.AtomGrid(np.array([x, y]), np.array([x, y]))
+    notes = []
+    # two pairs, each aligned with one atom: at E = -0.5 no weighting fits
+    for e in (0.0, -0.5):
+        targets = [certify.TargetConstraint(SettingsPair(s, s), e) for s in (x, y)]
+        cert = certify.solve(certify.build_problem(grid, targets))
+        notes.append((type(cert), tracing.NOTES["certify.solve"](None, cert)))
+    assert notes == [(certify.Witness, 0), (certify.Farkas, 1)]
 
 
 def test_provenance_stub():
