@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels, sphere
-from .models import SettingsPair, SubensembleDistribution, float_array, is_integer
+from .models import SettingsPair, SubensembleDistribution, float_array, hold, is_integer
 # The solver calls a problem feasible when its phase-1 objective is at most
 # FEAS_TOL, so the verifier's tolerance must be at least that threshold, or
 # a feasible solve could fail verification; both read this one constant.
@@ -83,25 +83,18 @@ class AtomGrid:
         u, v = sphere.unit_copy(self.u), sphere.unit_copy(self.v)
         if u.ndim != 2 or u.shape != v.shape:
             raise ValueError("atom grids must be matching (m, 3) arrays")
-        self._hold(u, v)
-
-    def _hold(self, u: np.ndarray, v: np.ndarray) -> None:
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "grid_hash", grid_hash(u, v))
+        hold(self, u=u, v=v, grid_hash=grid_hash(u, v))
 
     @classmethod
     def _adopt(cls, u: np.ndarray, v: np.ndarray) -> "AtomGrid":
         """The grid of two matching C-ordered float64 (m, 3) arrays that no
         other code holds, as ``build_atom_grid`` builds them: they get the
-        unit-norm check and are frozen in place rather than copied, so a
-        build never holds its atoms twice."""
+        unit-norm check and are held read-only in place rather than copied,
+        so a build never holds its atoms twice."""
         if not (sphere.is_unit(u) and sphere.is_unit(v)):
             raise ValueError("vectors must be finite with unit norm")
-        u.setflags(write=False)
-        v.setflags(write=False)
         grid = object.__new__(cls)
-        grid._hold(u, v)
+        hold(grid, u=u, v=v, grid_hash=grid_hash(u, v))
         return grid
 
     @property
@@ -109,14 +102,17 @@ class AtomGrid:
         return self.u.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CertificationProblem:
     """The LP rows of a grid and its targets, as ``build_problem`` writes them.
 
     Every entry of A_ub is some |u.a +- v.b|, so A_ub >= 0; a matrix with a
     negative or NaN entry raises ValueError when the problem is built. The
     verifier relies on it: lam^T A_ub is then also the sum of the absolute
-    terms of that product.
+    terms of that product. After the check the four row arrays are held
+    read-only in place, not copied, so no later write can undo it; a
+    problem built directly (by ``dataclasses.replace``, say) takes over
+    the arrays it is given.
     """
 
     grid: AtomGrid
@@ -130,6 +126,7 @@ class CertificationProblem:
         # written so that NaN fails too
         if not self.A_ub.min(initial=0.0) >= 0.0:
             raise ValueError("the bound rows A_ub must be nonnegative and not NaN")
+        hold(self, A_ub=self.A_ub, b_ub=self.b_ub, A_eq=self.A_eq, b_eq=self.b_eq)
 
     @property
     def grid_hash(self) -> str:
@@ -140,16 +137,7 @@ class CertificationProblem:
         return self.grid.n_atoms
 
 
-def _freeze(record, **arrays: np.ndarray) -> None:
-    """Hold read-only copies of a record's checked arrays, so no later write
-    gets past the checks it made when it was built."""
-    for name, arr in arrays.items():
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(record, name, arr)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Witness:
     """The feasible certificate: a weighting by its support, weight[k] on
     atom index[k] of n_atoms, zero elsewhere. A record that breaks the shape
@@ -173,7 +161,7 @@ class Witness:
             raise ValueError(f"witness index must be a 1-D int64 array increasing strictly within [0, {n})")
         if not (isinstance(weight, np.ndarray) and weight.dtype == np.float64 and weight.shape == index.shape):
             raise ValueError(f"witness has {index.size} indices but weights of shape {np.shape(weight)}")
-        _freeze(self, index=index, weight=weight)
+        hold(self, index=index.copy(), weight=weight.copy())
 
     def to_dict(self) -> dict:
         """JSON-ready form: the witness is written as its support."""
@@ -181,7 +169,7 @@ class Witness:
             "n_atoms": int(self.n_atoms), "index": self.index.tolist(), "weight": self.weight.tolist()}}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Farkas:
     """The infeasible certificate: multipliers on the bound rows (farkas_ub,
     >= 0 when it proves anything) and on the marginal equality rows, and the
@@ -196,10 +184,10 @@ class Farkas:
     margin: float
 
     def __post_init__(self):
-        arrays = {"farkas_ub": self.farkas_ub, "farkas_eq": self.farkas_eq}
-        if not all(isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 1 for a in arrays.values()):
+        lam, mu = self.farkas_ub, self.farkas_eq
+        if not all(isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 1 for a in (lam, mu)):
             raise ValueError("Farkas multipliers must be 1-D float64 arrays")
-        _freeze(self, **arrays)
+        hold(self, farkas_ub=lam.copy(), farkas_eq=mu.copy())
 
     def to_dict(self) -> dict:
         """JSON-ready form."""
@@ -360,7 +348,7 @@ def _gamma(n: int) -> float:
 # A priori bound on |A[i, j] - A_exact[i, j]| for every entry build_problem
 # writes, where A_exact uses the normalized grid vectors and settings in
 # exact arithmetic. Grid atoms (AtomGrid) and settings (SettingsPair) are
-# read-only copies checked by sphere.unit_copy, so a squared norm is within
+# held read-only after the unit-norm check, so a squared norm is within
 # tau of 1 (the tolerance plus the rounding of that test); a clamped 3-term
 # dot is then off by at most gamma_3 (1 + tau) + tau, since clamping to
 # [-1, 1] only moves it toward the exact value. A row entry

@@ -38,10 +38,6 @@ EXIT_SOLVER = 3
 REQUIRED = object()
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class Field(NamedTuple):
     """One field of a config object: ``read(value, name)`` checks and converts
     its value. A field without a default is required; with a default of None,
@@ -61,10 +57,10 @@ def _fields(table: tuple[Field, ...], spec, where: str, args=None) -> dict:
     field from its flag, the object or its default, in that order, and read
     it. ``partial(_fields, table)`` is the reader of a nested object."""
     if not isinstance(spec, dict):
-        raise ConfigError(f"{where} must be an object, got {spec!r}")
+        raise ValueError(f"{where} must be an object, got {spec!r}")
     unknown = set(spec) - {f.name for f in table if f.config}
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
     out = {}
     for f in table:
         value, name = (getattr(args, f.name) if f.flag else None), f.name
@@ -73,7 +69,7 @@ def _fields(table: tuple[Field, ...], spec, where: str, args=None) -> dict:
         elif f.name in spec:
             value = spec[f.name]
         elif f.default is REQUIRED:
-            raise ConfigError(f"{where} requires {f.name!r}")
+            raise ValueError(f"{where} requires {f.name!r}")
         else:
             value = f.default
         out[f.name] = None if value is None and f.default is None else f.read(value, name)
@@ -83,7 +79,7 @@ def _fields(table: tuple[Field, ...], spec, where: str, args=None) -> dict:
 def _variant(spec, where: str, key: str, tables: dict) -> tuple[str, dict]:
     """Read an object whose ``key`` names the table the rest of it is read through."""
     if not isinstance(spec, dict) or key not in spec:
-        raise ConfigError(f"{where} must be an object with a {key!r} key, got {spec!r}")
+        raise ValueError(f"{where} must be an object with a {key!r} key, got {spec!r}")
     table = _choice(tables)(spec[key], key)
     return spec[key], _fields(table, {k: v for k, v in spec.items() if k != key}, where)
 
@@ -94,7 +90,7 @@ def _integer(lo: int, hi: float = math.inf):
     def read(value, name: str) -> int:
         n = int(value) if isinstance(value, float) and value.is_integer() else value
         if not (is_integer(n) and lo <= n < hi):
-            raise ConfigError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
+            raise ValueError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
         return n
     return read
 
@@ -105,7 +101,7 @@ def _real(lo: float = -math.inf, hi: float = math.inf):
     def read(value, name: str) -> float:
         # the float64 range check comes first, so float() cannot overflow
         if not (is_number(value) and abs(value) <= sys.float_info.max and lo <= value <= hi):
-            raise ConfigError(f"{name} must be a finite number in [{lo}, {hi}], got {value!r}")
+            raise ValueError(f"{name} must be a finite number in [{lo}, {hi}], got {value!r}")
         return float(value)
     return read
 
@@ -114,7 +110,7 @@ def _typed(kind: type, what: str):
     """Reader of a value of JSON type ``kind``, taken as it is."""
     def read(value, name: str):
         if not isinstance(value, kind):
-            raise ConfigError(f"{name} must be {what}, got {value!r}")
+            raise ValueError(f"{name} must be {what}, got {value!r}")
         return value
     return read
 
@@ -128,7 +124,7 @@ def _choice(options: dict):
     """Reader of one of the string keys of ``options``, read as its value."""
     def read(value, name: str):
         if not isinstance(value, str) or value not in options:
-            raise ConfigError(f"{name} must be one of {sorted(options)}, got {value!r}")
+            raise ValueError(f"{name} must be one of {sorted(options)}, got {value!r}")
         return options[value]
     return read
 
@@ -137,7 +133,7 @@ def _list_of(read, what: str):
     """Reader of a non-empty list whose items are read by ``read``."""
     def read_list(value, name: str) -> list:
         if not isinstance(value, list) or not value:
-            raise ConfigError(f"{name} must be a non-empty list of {what}, got {value!r}")
+            raise ValueError(f"{name} must be a non-empty list of {what}, got {value!r}")
         return [read(item, f"{name}[{i}]") for i, item in enumerate(value)]
     return read_list
 
@@ -145,21 +141,21 @@ def _list_of(read, what: str):
 def _direction(value, name: str) -> np.ndarray:
     """A direction read from JSON: a list of three numbers, normalized."""
     if not isinstance(value, list) or len(value) != 3:
-        raise ConfigError(f"{name} must be a list of three numbers, got {value!r}")
+        raise ValueError(f"{name} must be a list of three numbers, got {value!r}")
     return sphere.normalize([REAL(x, name) for x in value])
 
 
 def _load_json(path: str, what: str, parse=lambda data: data):
     """The JSON document at ``path`` as ``parse`` reads it; a file that
-    cannot be read, or that ``parse`` refuses, is a ConfigError."""
+    cannot be read, or that ``parse`` refuses, raises ValueError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
     try:
         return parse(json.loads(text))
     except ValueError as exc:
-        raise ConfigError(f"invalid {what} {path}: {exc}") from exc
+        raise ValueError(f"invalid {what} {path}: {exc}") from exc
 
 
 def _write_text(path: str, text: str) -> None:
@@ -168,7 +164,7 @@ def _write_text(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -256,7 +252,7 @@ def _targets(spec, name: str):
         f = _fields(FAMILY_TARGETS, spec, name)
         family = f["family"]
         if len(f["params"]) != family.n_params:
-            raise ConfigError(f"family {family.name!r} takes {family.n_params} params")
+            raise ValueError(f"family {family.name!r} takes {family.n_params} params")
         targets = family.build(np.array(f["params"]))
         return lambda seed: targets
     source, f = _variant(spec, name, "from", TARGET_SOURCES)
@@ -381,7 +377,7 @@ def cmd_bounds(f: dict, config_hash: str) -> int:
 
 def cmd_certify(f: dict, config_hash: str) -> int:
     if f["grid"] is not None and f["grid_size"] is not None:
-        raise ConfigError("--grid cannot be combined with a config 'grid' block")
+        raise ValueError("--grid cannot be combined with a config 'grid' block")
     # --grid N: a k x k product lattice, k = ceil(sqrt(N)), plus 2k mirrored atoms
     side = int(np.ceil(np.sqrt(f["grid_size"] or 500)))
     grid = f["grid"] or certify.build_atom_grid(side, side, n_mirrored=side * 2)
@@ -475,7 +471,7 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         sys.stderr.write(f"solver failure: {exc}\n")
         return EXIT_SOLVER
-    except (ValueError, MemoryError) as exc:  # a ConfigError, a refused input, or a size numpy cannot allocate
+    except (ValueError, MemoryError) as exc:  # a bad config, a refused input, or a size numpy cannot allocate
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
 

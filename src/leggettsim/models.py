@@ -57,7 +57,18 @@ def float_array(values, name: str, length: int | None = None) -> np.ndarray:
         raise ValueError(f"{name} must be float64 numbers") from None
 
 
-@dataclass(frozen=True)
+def hold(record, **fields) -> None:
+    """Set fields of a frozen record, each ndarray marked read-only in place,
+    so no later write gets past the checks the record made when it was
+    built. The arrays must be ones no other code holds: a fresh copy, or
+    one the caller has just built."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(record, name, value)
+
+
+@dataclass(frozen=True, eq=False)
 class SettingsPair:
     """Measurement directions chosen by the two experimenters."""
 
@@ -68,11 +79,10 @@ class SettingsPair:
         a, b = sphere.unit_copy(self.a), sphere.unit_copy(self.b)
         if a.ndim != 1 or b.ndim != 1:
             raise ValueError("each setting must be a single unit 3-vector")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        hold(self, a=a, b=b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubensembleDistribution:
     """Atomic (weighted point-mass) distribution over hidden pairs (u, v).
 
@@ -115,15 +125,8 @@ class SubensembleDistribution:
             raise ValueError("atom arrays must have shapes (m, 3), (m, 3), (m,)")
         w = w[keep]
         if w.shape[0] < u.shape[0]:
-            u, v = sphere.unit_copy(u[keep]), sphere.unit_copy(v[keep])
-        for arr in (w, cdf, guide):
-            arr.setflags(write=False)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "cdf", cdf)
-        object.__setattr__(self, "guide", guide)
-        object.__setattr__(self, "scan", scan)
+            u, v = u[keep], v[keep]  # fresh copies of checked rows
+        hold(self, u=u, v=v, w=w, cdf=cdf, guide=guide, scan=scan)
 
     @property
     def n_atoms(self) -> int:

@@ -43,6 +43,13 @@ from conftest import law_correlation, point_law
 # 24x24+64 and 48x48+256). Established once, pinned thereafter.
 PINNED_VIOLATION_MARGIN = 0.46824942463078556
 
+# The same run to the bit: repr of its per-grid margins and float.hex of its
+# best parameters (the same with 1 and 2 OpenBLAS threads).
+PINNED_VIOLATION_RUN = (
+    "(0.4741782936542769, 0.4682494246307782)",
+    ("0x1.def227ae25f75p-1", "0x1.baf6edad319acp+1", "0x1.0ea373fcdcfafp+1", "0x1.2bedf1668e9afp+1"),
+)
+
 
 def _report(criterion: int, label: str, elapsed: float) -> None:
     print(f"PASS criterion {criterion}: {label} ({elapsed:.3f}s)")
@@ -202,6 +209,7 @@ def test_criterion_7_violation_witness():
     assert m_coarse > 0.0 and m_fine > 0.0
     assert abs(m_coarse - m_fine) <= 0.2 * max(m_coarse, m_fine)
     assert result.margin == pytest.approx(PINNED_VIOLATION_MARGIN, abs=1e-6)
+    assert (repr(result.margins), tuple(float(x).hex() for x in result.params)) == PINNED_VIOLATION_RUN
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
     _report(

@@ -275,6 +275,16 @@ class TestBuildProblem:
         problem, peak = traced_peak(build_problem, grid, constraints)
         assert peak <= problem.A_ub.nbytes + 2.5 * grid.u[:, 0].nbytes
 
+    def test_rows_read_only(self):
+        # a write into A_ub after the build would undo the A_ub >= 0 check
+        # the verifier's rounding bound relies on
+        p = two_atom_marginal_problem()
+        for problem in (p, dataclasses.replace(p, b_ub=np.array([1.5, 0.5, 1.5, 0.5]))):
+            for arr in (problem.A_ub, problem.b_ub, problem.A_eq, problem.b_eq):
+                with pytest.raises(ValueError):
+                    arr[0] = -1.0
+            assert problem.A_ub.min() >= 0.0
+
     def test_orthogonal_atom_contributes_zero(self):
         u = np.array([Z])
         v = np.array([Z])
@@ -638,6 +648,24 @@ class TestWitness:
         assert isinstance(cert, Farkas)
         with pytest.raises(ValueError):
             witness_distribution(p, cert)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SettingsPair(X, Y),
+    lambda: SubensembleDistribution(np.array([X]), np.array([Y]), [1.0]),
+    lambda: TargetConstraint(SettingsPair(X, Y), 0.5),
+    lambda: LeggettModel(SubensembleDistribution(np.array([X]), np.array([Y]), [1.0]), Coupling.INDEPENDENT),
+    two_atom_infeasible_problem,
+    lambda: Witness(NO_GRID, 16, _i64(3, 5), _f64(0.25, 0.75)),
+    lambda: Farkas(NO_GRID, _f64(1.0, 0.0), _f64(), 0.5),
+], ids=["settings", "distribution", "target", "model", "problem", "witness", "farkas"])
+def test_records_compare_and_hash(make):
+    # records holding arrays compare by identity: == on their fields raised
+    # ValueError, and hash() raised TypeError
+    record = make()
+    assert record == record
+    assert record != make()
+    assert hash(record) == hash(record)
 
 
 def feasible_problem():

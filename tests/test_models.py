@@ -86,6 +86,9 @@ class TestSubensembleDistribution:
     def test_zero_weight_atoms_pruned(self):
         d = SubensembleDistribution(np.array([X, Y]), np.array([X, Y]), [1.0, 0.0])
         assert d.n_atoms == 1
+        for arr in (d.u, d.v, d.w):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     def test_arrays_immutable(self, rng):
         d = isotropic_product(10, rng)
