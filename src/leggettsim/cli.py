@@ -146,15 +146,14 @@ def _direction(value, name: str) -> np.ndarray:
 
 
 def _load_json(path: str, what: str, parse=lambda data: data):
-    """The JSON document at ``path`` as ``parse`` reads it; a file that
-    cannot be read, or that ``parse`` refuses, raises ValueError."""
+    """The JSON document at ``path`` as ``parse`` reads it. A file that
+    cannot be read, is not UTF-8 JSON, nests too deep for the decoder, or
+    that ``parse`` refuses raises ValueError that names the file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
     except OSError as exc:
         raise ValueError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
-    try:
-        return parse(json.loads(text))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"invalid {what} {path}: {exc}") from exc
 
 
@@ -226,13 +225,9 @@ def _settings(spec, name: str):
     return lambda seed: pairs
 
 
-def _family(value, name: str) -> optimize.SettingsFamily:
-    return optimize.settings_family(_text(value, name))
-
-
 CORRELATION = _real(-1.0, 1.0)
 TARGET = (*SETTINGS_PAIR, Field("e", CORRELATION), Field("ma", CORRELATION, None), Field("mb", CORRELATION, None))
-FAMILY_TARGETS = (Field("from", _choice({"singlet": "singlet"})), Field("family", _family),
+FAMILY_TARGETS = (Field("from", _choice({"singlet": "singlet"})), Field("family", _choice(optimize.FAMILIES)),
                   Field("params", _list_of(REAL, "numbers")))
 TARGET_SOURCES = {
     "singlet": (Field("settings", _settings),),
@@ -250,10 +245,7 @@ def _targets(spec, name: str):
         return lambda seed: targets
     if isinstance(spec, dict) and "family" in spec:
         f = _fields(FAMILY_TARGETS, spec, name)
-        family = f["family"]
-        if len(f["params"]) != family.n_params:
-            raise ValueError(f"family {family.name!r} takes {family.n_params} params")
-        targets = family.build(np.array(f["params"]))
+        targets = f["family"].build(np.array(f["params"]))
         return lambda seed: targets
     source, f = _variant(spec, name, "from", TARGET_SOURCES)
     if source == "singlet":
@@ -378,8 +370,8 @@ def cmd_bounds(f: dict, config_hash: str) -> int:
 def cmd_certify(f: dict, config_hash: str) -> int:
     if f["grid"] is not None and f["grid_size"] is not None:
         raise ValueError("--grid cannot be combined with a config 'grid' block")
-    # --grid N: a k x k product lattice, k = ceil(sqrt(N)), plus 2k mirrored atoms
-    side = int(np.ceil(np.sqrt(f["grid_size"] or 500)))
+    # --grid N: a k x k product lattice, k = ceil(sqrt(N)) exactly, plus 2k mirrored atoms
+    side = math.isqrt((f["grid_size"] or 500) - 1) + 1
     grid = f["grid"] or certify.build_atom_grid(side, side, n_mirrored=side * 2)
     constraints = f["targets"](f["seed"])
     problem = certify.build_problem(grid, constraints, include_marginals=f["include_marginals"])
@@ -430,10 +422,10 @@ COMMANDS = {
         Field("targets", _targets), INCLUDE_MARGINALS, SEED, OUTPUT,
     )),
     "optimize": (cmd_optimize, (
-        Field("family", _family, "orthogonal-doublets"),
+        Field("family", _choice(optimize.FAMILIES), "orthogonal-doublets"),
         Field("budget", COUNT, 300),
         Field("grids", _list_of(_grid, "grid objects"),
-              [{"n_u": 22, "n_v": 22, "n_mirrored": 64}, {"n_u": 44, "n_v": 44, "n_mirrored": 256}]),
+              [{"n_u": 24, "n_v": 24, "n_mirrored": 64}, {"n_u": 48, "n_v": 48, "n_mirrored": 256}]),
         INCLUDE_MARGINALS, SEED, OUTPUT,
     )),
 }

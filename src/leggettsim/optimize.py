@@ -18,23 +18,35 @@ import numpy as np
 
 from . import sphere
 from .certify import AtomGrid, TargetConstraint, build_problem, solve
-from .models import SettingsPair
+from .models import SettingsPair, hold
 from .quantum import planar_scenario, singlet_correlation
 
 SHRINK = 0.5  # pattern search: step factor after a sweep that finds no improvement
 MIN_STEP = 1e-3  # a restart ends once its step falls below this
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SettingsFamily:
+    """A named map from a parameter vector in the box [lower, upper] to
+    singlet targets. It holds read-only float64 copies of its bounds, and
+    ``build`` refuses a vector whose length is not the box's."""
+
     name: str
     lower: np.ndarray  # per-parameter search bounds
     upper: np.ndarray
-    build: Callable[[np.ndarray], list[TargetConstraint]]
+    builder: Callable[[np.ndarray], list[TargetConstraint]]
+
+    def __post_init__(self):
+        hold(self, lower=np.array(self.lower, dtype=np.float64), upper=np.array(self.upper, dtype=np.float64))
 
     @property
     def n_params(self) -> int:
         return self.lower.shape[0]
+
+    def build(self, params: np.ndarray) -> list[TargetConstraint]:
+        if len(params) != self.n_params:
+            raise ValueError(f"family {self.name!r} takes {self.n_params} params")
+        return self.builder(params)
 
 
 def singlet_target(s: SettingsPair) -> TargetConstraint:
@@ -78,36 +90,28 @@ def _planar_chsh(params: np.ndarray) -> list[TargetConstraint]:
     return [singlet_target(s) for s in planar_scenario(*params)]
 
 
-_FAMILIES = {
-    "orthogonal-doublets": lambda: SettingsFamily(
-        name="orthogonal-doublets",
-        lower=np.array([0.05, 0.0, 0.0, 0.0]),
-        upper=np.array([2.0, 2.0 * np.pi, 2.0 * np.pi, 2.0 * np.pi]),
-        build=_orthogonal_doublets,
-    ),
-    "planar-chsh": lambda: SettingsFamily(
-        name="planar-chsh",
-        lower=np.zeros(4),
-        upper=np.full(4, 2.0 * np.pi),
-        build=_planar_chsh,
-    ),
-}
+FAMILIES = {family.name: family for family in (
+    SettingsFamily("orthogonal-doublets", [0.05, 0.0, 0.0, 0.0], [2.0] + [2.0 * np.pi] * 3, _orthogonal_doublets),
+    SettingsFamily("planar-chsh", np.zeros(4), np.full(4, 2.0 * np.pi), _planar_chsh),
+)}
 
 
-def settings_family(name: str) -> SettingsFamily:
-    try:
-        return _FAMILIES[name]()
-    except KeyError:
-        raise ValueError(f"unknown settings family {name!r}") from None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizeResult:
+    """The best parameters a search found, held read-only, and their margins."""
+
     family: str
     params: np.ndarray
-    margin: float  # worst certified margin across the grids (0 = feasible somewhere)
     margins: tuple[float, ...]  # per-grid margins at the best parameters
     evaluations: int
+
+    def __post_init__(self):
+        hold(self, params=np.array(self.params, dtype=np.float64))
+
+    @property
+    def margin(self) -> float:
+        """The worst certified margin across the grids (0 = feasible somewhere)."""
+        return min(self.margins)
 
 
 def certified_margin(
@@ -182,10 +186,4 @@ def optimize_settings(
 
     best_x, best_f, evals = pattern_search(objective, family.lower, family.upper, budget, rng)
     margins = certified_margin(family, best_x, grids, include_marginals)
-    return OptimizeResult(
-        family=family.name,
-        params=best_x,
-        margin=min(margins),
-        margins=margins,
-        evaluations=evals,
-    )
+    return OptimizeResult(family.name, best_x, margins, evals)

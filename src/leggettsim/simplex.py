@@ -43,7 +43,7 @@ PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
 
 
-@dataclass
+@dataclass(eq=False)
 class Phase1Result:
     feasible: bool
     x: np.ndarray  # primal point (meaningful when feasible)

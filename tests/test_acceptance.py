@@ -33,7 +33,7 @@ from leggettsim.models import (
     outcome_law,
 )
 from leggettsim.montecarlo import estimate_correlation
-from leggettsim.optimize import optimize_settings, settings_family
+from leggettsim.optimize import FAMILIES, optimize_settings
 from leggettsim.quantum import chsh_pairs, chsh_value, singlet_correlation, standard_planar_scenario
 
 from conftest import law_correlation, point_law
@@ -200,7 +200,7 @@ def test_criterion_6_certification_soundness():
 
 def test_criterion_7_violation_witness():
     start = time.perf_counter()
-    family = settings_family("orthogonal-doublets")
+    family = FAMILIES["orthogonal-doublets"]
     grids = [build_atom_grid(24, 24, 64), build_atom_grid(48, 48, 256)]
     assert grids[0].n_atoms >= 500
     assert grids[1].n_atoms >= 2000

@@ -33,7 +33,7 @@ from leggettsim.models import (
     exact_model_correlation,
     outcome_law,
 )
-from leggettsim.optimize import optimize_settings, settings_family
+from leggettsim.optimize import FAMILIES, optimize_settings
 
 from conftest import numpy_proven_gap
 
@@ -215,7 +215,7 @@ class TestAtomGrid:
         assert len(hashes) == 2 and unit_checks == [20, 20, 31, 31]
         hashes.clear()
         unit_checks.clear()
-        optimize_settings(settings_family("orthogonal-doublets"), grids, budget=10, seed=3)
+        optimize_settings(FAMILIES["orthogonal-doublets"], grids, budget=10, seed=3)
         assert hashes == []
         assert unit_checks == []
 
@@ -271,7 +271,7 @@ class TestBuildProblem:
         # the rows are written into A_ub: besides it, build_problem holds one
         # alpha and one beta, each clamped in place by sphere.dots (2 rows measured)
         grid = build_atom_grid(192, 192, 4096)
-        constraints = settings_family("orthogonal-doublets").build(np.array([0.94, 3.46, 2.11, 2.34]))
+        constraints = FAMILIES["orthogonal-doublets"].build(np.array([0.94, 3.46, 2.11, 2.34]))
         problem, peak = traced_peak(build_problem, grid, constraints)
         assert peak <= problem.A_ub.nbytes + 2.5 * grid.u[:, 0].nbytes
 
@@ -544,7 +544,7 @@ class TestVerifyCertificate:
     def test_proven_gap_matches_numpy_formula(self):
         # the README problem with its marginal rows: one product lam^T A_ub
         # gives the combination and its absolute-value bound, to the bit
-        constraints = settings_family("orthogonal-doublets").build(np.array([0.94, 3.46, 2.11, 2.34]))
+        constraints = FAMILIES["orthogonal-doublets"].build(np.array([0.94, 3.46, 2.11, 2.34]))
         p = build_problem(build_atom_grid(24, 24, 64), constraints, include_marginals=True)
         cert = solve(p)
         assert cert.status is CertStatus.INFEASIBLE and cert.farkas_eq.size == 12
@@ -658,7 +658,11 @@ class TestWitness:
     two_atom_infeasible_problem,
     lambda: Witness(NO_GRID, 16, _i64(3, 5), _f64(0.25, 0.75)),
     lambda: Farkas(NO_GRID, _f64(1.0, 0.0), _f64(), 0.5),
-], ids=["settings", "distribution", "target", "model", "problem", "witness", "farkas"])
+    # a copy of the family, since FAMILIES holds one record per name
+    lambda: dataclasses.replace(FAMILIES["orthogonal-doublets"]),
+    lambda: optimize_settings(FAMILIES["orthogonal-doublets"], [build_atom_grid(4, 4, 4)], budget=1, seed=0),
+], ids=["settings", "distribution", "target", "model", "problem", "witness", "farkas",
+        "family", "optimize-result"])
 def test_records_compare_and_hash(make):
     # records holding arrays compare by identity: == on their fields raised
     # ValueError, and hash() raised TypeError
@@ -666,6 +670,20 @@ def test_records_compare_and_hash(make):
     assert record == record
     assert record != make()
     assert hash(record) == hash(record)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_optimizer_records_held(name):
+    # one family record per name, built once; its bounds and a result's
+    # params are read-only, and writing them raised nothing
+    family = FAMILIES[name]
+    assert family is FAMILIES[name] and family == FAMILIES[name]
+    result = optimize_settings(family, [build_atom_grid(4, 4, 4)], budget=1, seed=0)
+    assert result.margin == min(result.margins)
+    for array in (family.lower, family.upper, result.params):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
 
 
 def feasible_problem():

@@ -15,6 +15,8 @@ from leggettsim import certify, cli
 from leggettsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERDICT, build_parser, main
 from leggettsim.models import SettingsPair
 
+from test_acceptance import PINNED_VIOLATION_RUN
+
 
 def write_config(tmp_path: Path, data: dict, name: str = "config.json") -> str:
     path = tmp_path / name
@@ -345,6 +347,14 @@ class TestCertify:
         config = write_config(tmp_path, {"targets": {"from": "singlet", "settings": {"random": 1}}})
         assert main(["certify", "--config", config, f"--grid={n}"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("n", [2**64, 10**30], ids=["2**64", "10**30"])
+    def test_grid_flag_beyond_float_sqrt_rejected(self, tmp_path, capsys, n):
+        # the side is ceil(sqrt(N)) in integers: np.sqrt raised TypeError on
+        # an int numpy cannot hold, where the grid's size is a config error
+        config = write_config(tmp_path, {"targets": {"from": "singlet", "settings": {"random": 1}}})
+        assert main(["certify", "--config", config, "--grid", str(n)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_grid_flag_with_grid_block_rejected(self, tmp_path):
         config = write_config(tmp_path, {"targets": {"from": "singlet", "settings": {"random": 1}},
                                          "grid": {"n_u": 4, "n_v": 4}})
@@ -417,6 +427,22 @@ class TestOptimize:
     def test_bad_budget(self, tmp_path):
         config = write_config(tmp_path, {"budget": 0})
         assert main(["optimize", "--config", config]) == EXIT_CONFIG
+
+    def test_unknown_family_names_both(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"family": "no-such-family", "budget": 1})
+        assert main(["optimize", "--config", config]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'orthogonal-doublets'" in err and "'planar-chsh'" in err and "'no-such-family'" in err
+
+    def test_defaults_give_the_pinned_run(self, tmp_path):
+        # no config: the default family, budget and grids are the headline
+        # run of criterion 7, to the bit
+        out = tmp_path / "opt.json"
+        assert main(["optimize", "--seed", "2026", "--output", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["grid_atoms"] == [640, 2560]
+        assert (repr(tuple(report["margins_per_grid"])),
+                tuple(x.hex() for x in report["params"])) == PINNED_VIOLATION_RUN
 
     @pytest.mark.parametrize("grids", [[], {"n_u": 4, "n_v": 4}, [[4, 4, 4]], "grid"],
                              ids=["empty", "object", "list-of-lists", "string"])
@@ -642,6 +668,25 @@ class TestFileErrors:
                                          "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}]})
         assert main(["bounds", "--config", config]) == EXIT_CONFIG
         assert "cannot read model file" in capsys.readouterr().err
+
+    # "[" * 100000 + "]" * 100000 raised RecursionError (exit 1 with a
+    # traceback); undecodable bytes exited 2 without naming the file
+    NESTED = "[" * 100000 + "]" * 100000
+
+    @pytest.mark.parametrize("text", [NESTED, b"\xff\xfe{}"], ids=["nested", "undecodable"])
+    def test_malformed_config(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert main(["optimize", "--config", str(path)]) == EXIT_CONFIG
+        assert f"invalid config {path}: " in capsys.readouterr().err
+
+    def test_nested_model_file(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(self.NESTED)
+        config = write_config(tmp_path, {"model": {"file": str(model)},
+                                         "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}]})
+        assert main(["bounds", "--config", config]) == EXIT_CONFIG
+        assert f"invalid model file {model}: " in capsys.readouterr().err
 
     def test_output_directory_missing(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.txt"

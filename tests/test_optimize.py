@@ -16,10 +16,10 @@ from leggettsim.certify import (
 )
 from leggettsim.models import SettingsPair
 from leggettsim.optimize import (
+    FAMILIES,
     certified_margin,
     optimize_settings,
     pattern_search,
-    settings_family,
 )
 from leggettsim.quantum import singlet_correlation
 from leggettsim.simplex import phase1_simplex
@@ -27,16 +27,20 @@ from leggettsim.simplex import phase1_simplex
 from conftest import numpy_orthogonal_doublets, numpy_proven_gap
 
 SMALL_GRID = build_atom_grid(12, 12, n_mirrored=24)
-DOUBLETS = settings_family("orthogonal-doublets")
+DOUBLETS = FAMILIES["orthogonal-doublets"]
 
 
 class TestFamilies:
-    def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            settings_family("no-such-family")
+    def test_build_refuses_wrong_param_count(self):
+        # build checks the count for every caller, the CLI's family targets among them
+        for family in FAMILIES.values():
+            assert family.build(np.full(4, 0.5))
+            for n in (0, 3, 5):
+                with pytest.raises(ValueError, match=f"family '{family.name}' takes 4 params"):
+                    family.build(np.full(n, 0.5))
 
     def test_orthogonal_doublets_structure(self):
-        fam = settings_family("orthogonal-doublets")
+        fam = FAMILIES["orthogonal-doublets"]
         constraints = fam.build(np.array([0.5, 0.1, 0.2, 0.3]))
         assert len(constraints) == 6
         for c in constraints:
@@ -69,7 +73,7 @@ class TestFamilies:
         self.assert_numpy_bits(np.array(params))
 
     def test_planar_chsh_structure(self):
-        fam = settings_family("planar-chsh")
+        fam = FAMILIES["planar-chsh"]
         constraints = fam.build(np.array([0.0, np.pi / 2, np.pi / 4, 3 * np.pi / 4]))
         assert len(constraints) == 4
         for c in constraints:
@@ -103,7 +107,7 @@ class TestCertifiedMargin:
             assert cert.status is CertStatus.FEASIBLE
 
     def test_duplicate_pairs_change_nothing(self):
-        fam = settings_family("orthogonal-doublets")
+        fam = FAMILIES["orthogonal-doublets"]
         params = np.array([0.7, 0.4, 1.1, 2.0])
         constraints = fam.build(params)
         m1 = solve(build_problem(SMALL_GRID, constraints)).margin
@@ -111,19 +115,19 @@ class TestCertifiedMargin:
         assert m2 == pytest.approx(m1, abs=1e-9)
 
     def test_doublets_witness_violation(self):
-        fam = settings_family("orthogonal-doublets")
+        fam = FAMILIES["orthogonal-doublets"]
         margins = certified_margin(fam, np.array([0.6, 0.3, 0.9, 1.4]), [SMALL_GRID])
         assert margins[0] > 0.0
 
 
 class TestOptimizeSettings:
     def test_budget_validation(self):
-        fam = settings_family("orthogonal-doublets")
+        fam = FAMILIES["orthogonal-doublets"]
         with pytest.raises(ValueError):
             optimize_settings(fam, [SMALL_GRID], budget=0, seed=1)
 
     def test_finds_violation_and_is_deterministic(self):
-        fam = settings_family("orthogonal-doublets")
+        fam = FAMILIES["orthogonal-doublets"]
         r1 = optimize_settings(fam, [SMALL_GRID], budget=60, seed=5)
         r2 = optimize_settings(fam, [SMALL_GRID], budget=60, seed=5)
         assert r1.margin > 0.0
@@ -145,7 +149,7 @@ class TestOptimizeSettings:
             return result
 
         monkeypatch.setattr(certify, "phase1_simplex", counting_simplex)
-        result = optimize_settings(settings_family("orthogonal-doublets"), [SMALL_GRID], budget=60, seed=5)
+        result = optimize_settings(FAMILIES["orthogonal-doublets"], [SMALL_GRID], budget=60, seed=5)
         assert len(pivots) == 61
         assert sum(pivots) == self.PINNED_PIVOTS
         assert repr(result.margins) == self.PINNED_MARGINS
@@ -165,6 +169,6 @@ class TestOptimizeSettings:
             return verified[-1]
 
         monkeypatch.setattr(certify, "verify_certificate", checking_verify)
-        optimize_settings(settings_family("orthogonal-doublets"), [SMALL_GRID], budget=60, seed=5)
+        optimize_settings(FAMILIES["orthogonal-doublets"], [SMALL_GRID], budget=60, seed=5)
         assert len(verified) == 61 and all(verified)
         assert len(checked) == 60 and all(checked)

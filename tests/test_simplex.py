@@ -11,7 +11,7 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from leggettsim.certify import build_atom_grid, build_problem
-from leggettsim.optimize import settings_family
+from leggettsim.optimize import FAMILIES
 from leggettsim.simplex import FEAS_TOL, PIVOT_TOL, SolverFailure, _pivot_row, phase1_simplex
 
 from conftest import masked_argmin_row
@@ -181,7 +181,7 @@ def output_digest(result) -> str:
 
 
 def readme_problem(grid):
-    constraints = settings_family("orthogonal-doublets").build(np.array([0.94, 3.46, 2.11, 2.34]))
+    constraints = FAMILIES["orthogonal-doublets"].build(np.array([0.94, 3.46, 2.11, 2.34]))
     problem = build_problem(build_atom_grid(*grid), constraints)
     return problem.A_ub, problem.b_ub, np.ones((1, problem.n_atoms)), np.ones(1)
 
