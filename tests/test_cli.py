@@ -392,6 +392,28 @@ class TestCertify:
         assert json.loads(out.read_text())["status"] == status
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("status, record, entries, factor", [
+        ("infeasible", certify.Farkas, lambda data: data["farkas_ub"], -1.0),
+        ("feasible", certify.Witness, lambda data: data["witness"]["weight"], 2.0),
+    ], ids=["farkas-negated-multiplier", "witness-doubled-weight"])
+    def test_written_certificate_is_verified(self, tmp_path, monkeypatch, status, record, entries, factor):
+        # "verified" is about the certificate as written: a writer that
+        # changes the largest entry of the record solve verified is caught
+        to_dict = record.to_dict
+
+        def corrupted(cert):
+            data = to_dict(cert)
+            values = entries(data)
+            values[int(np.argmax(values))] *= factor
+            return data
+
+        monkeypatch.setattr(record, "to_dict", corrupted)
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--config", write_config(tmp_path, self.GOLDEN_REPORTS[status][0]),
+                     "--output", str(out)]) == EXIT_VERDICT
+        report = json.loads(out.read_text())
+        assert (report["status"], report["verified"]) == (status, False)
+
 
 class TestAllocationFailure:
     """A size numpy cannot allocate is a configuration error. These sizes

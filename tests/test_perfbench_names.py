@@ -5,7 +5,8 @@ callers use, and names each span after the module that defines the
 function; perfbench/workloads.py pins per-pass counts of some of those
 spans. Moving a function between modules breaks only a traced benchmark
 run, so these tests read both files (without changing them) and check
-the names against the package.
+the names against the package. The output checks a workload pins at its
+default seed run here too, on one pass of its CLI calls.
 """
 
 import importlib
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leggettsim import certify, kernels
+from leggettsim import certify, cli, kernels
 from leggettsim.models import SettingsPair
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -106,6 +107,16 @@ def test_solve_note_reads_the_verdict(perfbench):
         cert = certify.solve(certify.build_problem(grid, targets))
         notes.append((type(cert), tracing.NOTES["certify.solve"](None, cert)))
     assert notes == [(certify.Witness, 0), (certify.Farkas, 1)]
+
+
+@pytest.mark.parametrize("name", ["certify-refine", "simulate-mc"])
+def test_workload_outputs_pass_their_checks(perfbench, tmp_path, name):
+    # the status and margin pins of certify-refine and the CSV sha256 of
+    # simulate-mc; PINNED_VIOLATION_RUN pins optimize-doublets' margins
+    _, wl = perfbench
+    for op in wl.WORKLOADS[name](wl.DEFAULT_SEED, tmp_path).ops:
+        assert cli.main(op.argv) == cli.EXIT_OK, op.argv
+        assert op.check(op.output.read_bytes()) is None, op.argv
 
 
 def test_provenance_stub():

@@ -12,6 +12,7 @@ point once more, and verifies each certificate once: the counts the
 benchmark's optimizer workload checks its traced passes against.
 """
 
+import functools
 import importlib.util
 import json
 import sys
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from leggettsim import certify
 from leggettsim.cli import EXIT_OK, main
 from leggettsim.montecarlo import BLOCK_SIZE
 
@@ -74,7 +76,21 @@ def test_bounds_projects_each_setting_once(tracing, tmp_path):
     assert "montecarlo.estimate_correlation" not in calls
 
 
-def test_certify_builds_each_layer_once(tracing, tmp_path):
+def test_certify_builds_each_layer_once(tracing, tmp_path, monkeypatch):
+    read, verified = [], []
+    read_certificate, verify_certificate = certify.read_certificate, certify.verify_certificate
+
+    def counted_read(data):
+        read.append(read_certificate(data))
+        return read[-1]
+
+    @functools.wraps(verify_certificate)  # the tracer names its span after the wrapped function
+    def recorded_verify(problem, cert):
+        verified.append(cert)
+        return verify_certificate(problem, cert)
+
+    monkeypatch.setattr(certify, "read_certificate", counted_read)
+    monkeypatch.setattr(certify, "verify_certificate", recorded_verify)
     # the six orthogonal doublets share three settings a among them
     calls, _ = _traced(tracing, tmp_path, "certify", {
         "targets": {"from": "singlet", "family": "orthogonal-doublets", "params": [0.94, 3.46, 2.11, 2.34]},
@@ -85,8 +101,11 @@ def test_certify_builds_each_layer_once(tracing, tmp_path):
     assert calls["sphere.dots"] == 9
     assert calls["kernels.abs_sum_diff"] == 6
     assert calls["certify.solve"] == 1
-    # solve verifies its certificate, and cmd_certify verifies it again
+    # solve verifies the record it built; cmd_certify verifies the record
+    # read_certificate reads back from the certificate as written
     assert calls["certify.verify_certificate"] == 2
+    assert len(read) == 1
+    assert verified[0] is not read[0] and verified[1] is read[0]
 
 
 def test_optimize_solves_each_point_once_per_grid(tracing, tmp_path):
