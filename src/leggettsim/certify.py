@@ -71,8 +71,9 @@ def grid_hash(u: np.ndarray, v: np.ndarray) -> str:
 class AtomGrid:
     """Candidate hidden-vector atoms (u_i, v_i), checked and hashed once.
 
-    Holds read-only float64 copies of the two (m, 3) arrays, so neither
-    the vectors nor grid_hash can change after the unit-norm check.
+    Holds read-only float64 copies of the two (m, 3) arrays, or the arrays
+    themselves when already frozen (``sphere.unit_copy``), so neither the
+    vectors nor grid_hash can change after the unit-norm check.
     """
 
     u: np.ndarray  # (m, 3) candidate hidden vectors for Alice's side
@@ -84,18 +85,6 @@ class AtomGrid:
         if u.ndim != 2 or u.shape != v.shape:
             raise ValueError("atom grids must be matching (m, 3) arrays")
         hold(self, u=u, v=v, grid_hash=grid_hash(u, v))
-
-    @classmethod
-    def _adopt(cls, u: np.ndarray, v: np.ndarray) -> "AtomGrid":
-        """The grid of two matching C-ordered float64 (m, 3) arrays that no
-        other code holds, as ``build_atom_grid`` builds them: they get the
-        unit-norm check and are held read-only in place rather than copied,
-        so a build never holds its atoms twice."""
-        if not (sphere.is_unit(u) and sphere.is_unit(v)):
-            raise ValueError("vectors must be finite with unit norm")
-        grid = object.__new__(cls)
-        hold(grid, u=u, v=v, grid_hash=grid_hash(u, v))
-        return grid
 
     @property
     def n_atoms(self) -> int:
@@ -241,7 +230,9 @@ def build_atom_grid(n_u: int, n_v: int, n_mirrored: int = 0) -> AtomGrid:
     if n_mirrored > 0:
         u[n:] = sphere.sphere_grid(n_mirrored)
         np.negative(u[n:], out=v[n:])
-    return AtomGrid._adopt(u, v)
+    u.setflags(write=False)  # frozen, the arrays are held, not copied
+    v.setflags(write=False)
+    return AtomGrid(u, v)
 
 
 def build_problem(

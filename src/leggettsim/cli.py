@@ -368,11 +368,7 @@ def cmd_bounds(f: dict, config_hash: str) -> int:
 
 
 def cmd_certify(f: dict, config_hash: str) -> int:
-    if f["grid"] is not None and f["grid_size"] is not None:
-        raise ValueError("--grid cannot be combined with a config 'grid' block")
-    # --grid N: a k x k product lattice, k = ceil(sqrt(N)) exactly, plus 2k mirrored atoms
-    side = math.isqrt((f["grid_size"] or 500) - 1) + 1
-    grid = f["grid"] or certify.build_atom_grid(side, side, n_mirrored=side * 2)
+    grid = f["grid"] or certify.build_atom_grid(23, 23, n_mirrored=46)
     constraints = f["targets"](f["seed"])
     problem = certify.build_problem(grid, constraints, include_marginals=f["include_marginals"])
     written = certify.solve(problem).to_dict()
@@ -417,9 +413,7 @@ COMMANDS = {
     )),
     "bounds": (cmd_bounds, (Field("model", _model), Field("settings", _settings), SEED, OUTPUT)),
     "certify": (cmd_certify, (
-        Field("grid", _grid, None),
-        Field("grid_size", COUNT, None, flag=("--grid", int), config=False),
-        Field("targets", _targets), INCLUDE_MARGINALS, SEED, OUTPUT,
+        Field("grid", _grid, None), Field("targets", _targets), INCLUDE_MARGINALS, SEED, OUTPUT,
     )),
     "optimize": (cmd_optimize, (
         Field("family", _choice(optimize.FAMILIES), "orthogonal-doublets"),

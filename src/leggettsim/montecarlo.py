@@ -27,13 +27,11 @@ class CorrelationEstimate:
 
     mean: float
     n: int
-    se: float
 
-    @classmethod
-    def from_mean(cls, mean: float, n: int) -> "CorrelationEstimate":
+    @property
+    def se(self) -> float:
         # exact for +/-1 support: Var(X) = 1 - mean^2
-        se = float(np.sqrt(max(0.0, 1.0 - mean * mean) / n))
-        return cls(mean=mean, n=n, se=se)
+        return float(np.sqrt(max(0.0, 1.0 - self.mean * self.mean) / self.n))
 
 
 def estimate_correlation(law: OutcomeLaw, n: int, seed: int, stream_id: int = 0) -> CorrelationEstimate:
@@ -45,4 +43,4 @@ def estimate_correlation(law: OutcomeLaw, n: int, seed: int, stream_id: int = 0)
         rng = sphere.make_rng(seed, stream_id, block=block)
         a, b = sample_outcome_arrays(law, min(BLOCK_SIZE, n - offset), rng)
         sum_ab += int(np.sum(a * b, dtype=np.int64))
-    return CorrelationEstimate.from_mean(sum_ab / n, n)
+    return CorrelationEstimate(sum_ab / n, n)

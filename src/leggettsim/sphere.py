@@ -81,7 +81,9 @@ def unit_copy(vecs) -> np.ndarray:
     norm off 1 by more than UNIT_NORM_TOL. The copy keeps later writes to
     the caller's array from reaching the checked vectors. It is made after
     the check, so a large batch never holds its copy and the check's
-    temporaries at once.
+    temporaries at once. An input already frozen (read-only, C-ordered
+    float64, owning its memory) is checked and returned itself: no write
+    can reach it unless a writable view of it was made before the freeze.
     """
     arr = np.asarray(vecs, dtype=np.float64)
     if arr.shape == (3,):
@@ -93,6 +95,8 @@ def unit_copy(vecs) -> np.ndarray:
         unit = is_unit(arr)
     if not unit:
         raise ValueError("vectors must be finite with unit norm")
+    if not arr.flags.writeable and arr.flags.c_contiguous and arr.flags.owndata:
+        return arr
     out = np.array(arr, order="C")
     out.setflags(write=False)
     return out

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -118,3 +122,20 @@ def numpy_proven_gap(problem, lam, mu) -> tuple[float, float]:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return make_rng(12345, 0)
+
+
+@pytest.fixture(scope="session")
+def perfbench():
+    """perfbench/tracing.py and perfbench/workloads.py, loaded from their
+    files under private names (the files are only read, never changed)."""
+    loaded = []
+    for name in ("tracing", "workloads"):
+        path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses looks the module up while defining classes
+        spec.loader.exec_module(module)
+        loaded.append(module)
+    yield tuple(loaded)
+    for module in loaded:
+        sys.modules.pop(module.__name__, None)

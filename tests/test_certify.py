@@ -194,6 +194,14 @@ class TestAtomGrid:
         assert np.array_equal(grid.u, [X, Y]) and np.array_equal(grid.v, [Y, Z])
         assert grid.grid_hash == digest == certify.grid_hash(np.array([X, Y]), np.array([Y, Z]))
 
+    def test_frozen_arrays_held(self):
+        # a grid's arrays are frozen, so a grid built from them holds them
+        # too, not copies: build_atom_grid goes through this one constructor
+        grid = build_atom_grid(4, 4, 4)
+        again = AtomGrid(grid.u, grid.v)
+        assert np.shares_memory(again.u, grid.u) and np.shares_memory(again.v, grid.v)
+        assert again.grid_hash == grid.grid_hash
+
     def test_checked_and_hashed_once(self, monkeypatch):
         # an optimizer run pays for no grid check and no hash: the grids
         # were checked and hashed when they were built

@@ -342,30 +342,13 @@ class TestCertify:
         assert len(report["certificate"]["witness"]["index"]) <= len(targets) * 2 + 1
         assert certify.verify_certificate(problem, cert)
 
-    @pytest.mark.parametrize("n", [0, -5])
-    def test_grid_flag_below_one_rejected(self, tmp_path, n):
-        config = write_config(tmp_path, {"targets": {"from": "singlet", "settings": {"random": 1}}})
-        assert main(["certify", "--config", config, f"--grid={n}"]) == EXIT_CONFIG
-
-    @pytest.mark.parametrize("n", [2**64, 10**30], ids=["2**64", "10**30"])
-    def test_grid_flag_beyond_float_sqrt_rejected(self, tmp_path, capsys, n):
-        # the side is ceil(sqrt(N)) in integers: np.sqrt raised TypeError on
-        # an int numpy cannot hold, where the grid's size is a config error
-        config = write_config(tmp_path, {"targets": {"from": "singlet", "settings": {"random": 1}}})
-        assert main(["certify", "--config", config, "--grid", str(n)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: ")
-
-    def test_grid_flag_with_grid_block_rejected(self, tmp_path):
-        config = write_config(tmp_path, {"targets": {"from": "singlet", "settings": {"random": 1}},
-                                         "grid": {"n_u": 4, "n_v": 4}})
-        assert main(["certify", "--config", config, "--grid", "9"]) == EXIT_CONFIG
-
-    def test_grid_flag_sizes_default_grid(self, tmp_path):
-        config = write_config(tmp_path, {"targets": {"from": "singlet", "settings": {"random": 1}}})
+    @pytest.mark.parametrize("grid", [{}, {"grid": None}], ids=["absent", "null"])
+    def test_default_grid(self, tmp_path, grid):
+        # a 23 x 23 product lattice plus 46 mirrored atoms
+        config = write_config(tmp_path, {"targets": {"from": "singlet", "settings": {"random": 1}}, **grid})
         out = tmp_path / "cert.json"
-        assert main(["certify", "--config", config, "--grid", "9", "--output", str(out)]) == EXIT_OK
-        # a 3 x 3 product lattice plus 6 mirrored atoms
-        assert json.loads(out.read_text())["n_atoms"] == 15
+        assert main(["certify", "--config", config, "--output", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["n_atoms"] == 575
 
     # sha256 of the certify report at a fixed config: an infeasible problem
     # with marginal rows (so farkas_eq is non-empty) on 168 atoms, and a
@@ -737,7 +720,7 @@ class TestFlags:
         "simulate": {"--config", "--seed", "--output", "--samples", "--k-sigma"},
         "chsh": {"--config", "--seed", "--output"},
         "bounds": {"--config", "--seed", "--output"},
-        "certify": {"--config", "--seed", "--output", "--grid"},
+        "certify": {"--config", "--seed", "--output"},
         "optimize": {"--config", "--seed", "--output"},
     }
 
@@ -746,10 +729,11 @@ class TestFlags:
         flags = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
                  for name, p in sub.choices.items()}
         assert flags == self.FLAGS
-        assert sum(map(len, flags.values())) == 19
+        assert sum(map(len, flags.values())) == 18
 
     @pytest.mark.parametrize("argv", [
         ["optimize", "--grid", "5"],
+        ["certify", "--grid", "500"],
         ["identity-check", "--samples", "5"],
         ["bounds", "--k-sigma", "1"],
         ["identity-check", "--config", "config.json"],
@@ -779,13 +763,43 @@ class TestParserReuse:
     def test_no_flag_carried_over(self, tmp_path):
         config = write_config(tmp_path, self.CERTIFY)
         reports = []
-        for flags in (["--grid", "16", "--seed", "5"], []):
+        for flags in (["--seed", "5"], []):
             out = tmp_path / f"certify{len(reports)}.json"
             assert main(["certify", "--config", config, "--output", str(out), *flags]) == EXIT_OK
             reports.append(json.loads(out.read_text(encoding="utf-8")))
-        # --grid 16: a 4 x 4 lattice plus 8 mirrored atoms; no flag: the
-        # default 23 x 23 lattice plus 46
-        assert [(r["n_atoms"], r["seed"]) for r in reports] == [(24, 5), (575, 0)]
+        # both on the default 23 x 23 lattice plus 46 mirrored atoms
+        assert [(r["n_atoms"], r["seed"]) for r in reports] == [(575, 5), (575, 0)]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _backticked(cell: str) -> str | None:
+    """The name in a table cell written `name`, or None for an empty cell."""
+    cell = cell.strip()
+    if not cell:
+        return None
+    assert cell.startswith("`") and cell.endswith("`") and cell.count("`") == 2, cell
+    return cell[1:-1]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_readme_table_matches_commands(command):
+    # the (field, flag) cells of the table under the subcommand's heading in
+    # README.md, against its COMMANDS table: a field's name where the config
+    # reads it, and its flag where it has one
+    lines = README.read_text(encoding="utf-8").splitlines()
+    headings = (f"`{command}`:", f"`{command}` takes no config:")
+    start = next(i for i, line in enumerate(lines) if line in headings)
+    rows = []
+    for line in lines[start + 1:]:
+        if line.startswith("|"):
+            rows.append(line)
+        elif rows or line.strip():
+            break
+    cells = [tuple(map(_backticked, row.split("|")[1:3])) for row in rows[2:]]  # past the header and the rule
+    _, table = cli.COMMANDS[command]
+    assert cells == [(f.name if f.config else None, f.flag[0] if f.flag else None) for f in table]
 
 
 def _tables() -> list:

@@ -35,17 +35,17 @@ def block_sums(law, n, seed, stream_id):
 def sample_marginals(law, n, seed):
     """Sample means of A and B over n draws, with their standard errors."""
     a, b = sample_outcome_arrays(law, n, sphere.make_rng(seed, 0))
-    return (CorrelationEstimate.from_mean(float(a.mean()), n),
-            CorrelationEstimate.from_mean(float(b.mean()), n))
+    return (CorrelationEstimate(float(a.mean()), n),
+            CorrelationEstimate(float(b.mean()), n))
 
 
 class TestCorrelationEstimate:
     def test_se_formula(self):
-        est = CorrelationEstimate.from_mean(0.6, 100)
+        est = CorrelationEstimate(0.6, 100)
         assert est.se == pytest.approx(np.sqrt((1 - 0.36) / 100), abs=1e-15)
 
     def test_degenerate_se(self):
-        assert CorrelationEstimate.from_mean(1.0, 50).se == 0.0
+        assert CorrelationEstimate(1.0, 50).se == 0.0
 
 
 class TestEstimateCorrelation:
@@ -157,7 +157,7 @@ class TestMultiBlock:
         sums = block_sums(law, self.N, 2026, 5)
         assert sums == self.GOLDEN_SUMS[atoms, coupling]
         est = estimate_correlation(law, self.N, seed=2026, stream_id=5)
-        assert est == CorrelationEstimate.from_mean(sums[0] / self.N, self.N)
+        assert est == CorrelationEstimate(sums[0] / self.N, self.N)
 
     def test_law_built_once_per_estimate(self, monkeypatch):
         # one sphere.dots call per side, from outcome_law on, for the whole
@@ -210,4 +210,4 @@ class TestSearchPaths:
             sums = block_sums(law, self.N, 2026, 5)
             assert sums == self.GOLDEN_SUMS[weights, coupling.value]
             est = estimate_correlation(law, self.N, seed=2026, stream_id=5)
-            assert est == CorrelationEstimate.from_mean(sums[0] / self.N, self.N)
+            assert est == CorrelationEstimate(sums[0] / self.N, self.N)

@@ -4,23 +4,19 @@ perfbench/tracing.py wraps functions by name in the namespaces their
 callers use, and names each span after the module that defines the
 function; perfbench/workloads.py pins per-pass counts of some of those
 spans. Moving a function between modules breaks only a traced benchmark
-run, so these tests read both files (without changing them) and check
-the names against the package. The output checks a workload pins at its
-default seed run here too, on one pass of its CLI calls.
+run, so these tests read both files (without changing them, through the
+``perfbench`` fixture of conftest.py) and check the names against the
+package. The output checks a workload pins at its default seed run here
+too, on one pass of its CLI calls.
 """
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from leggettsim import certify, cli, kernels
 from leggettsim.models import SettingsPair
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # pinned per-pass metrics that tracing.pass_metrics derives from spans
 # other than the one in their name, and the spans each reads
@@ -29,21 +25,6 @@ DERIVED = {
     "certify.infeasible_frac": ("certify.solve",),
     "montecarlo.blocks": ("montecarlo.estimate_correlation", "sphere.make_rng"),
 }
-
-
-@pytest.fixture(scope="module")
-def perfbench():
-    """tracing and workloads, loaded from their files under private names."""
-    loaded = {}
-    for name in ("tracing", "workloads"):
-        spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module  # dataclasses looks the module up while defining classes
-        spec.loader.exec_module(module)
-        loaded[name] = module
-    yield loaded["tracing"], loaded["workloads"]
-    for name in ("tracing", "workloads"):
-        sys.modules.pop(f"_perfbench_{name}", None)
 
 
 @pytest.fixture(scope="module")

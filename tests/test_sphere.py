@@ -58,6 +58,11 @@ class TestConstruction:
         assert sphere.is_unit(out)
 
 
+def frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 class TestUnitCopy:
     @pytest.mark.parametrize("vecs", [[0.6, 0.8, 0.0], [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]])
     def test_read_only_copy(self, vecs):
@@ -70,6 +75,25 @@ class TestUnitCopy:
     def test_fortran_order_input(self):
         arr = np.asfortranarray(sphere.sphere_grid(5))
         assert sphere.unit_copy(arr).flags.c_contiguous
+
+    @pytest.mark.parametrize("arr", [frozen(sphere.sphere_grid(5)), frozen(np.array([0.6, 0.8, 0.0]))],
+                             ids=["batch", "3-vector"])
+    def test_frozen_input_kept(self, arr):
+        # read-only, C-ordered float64 and owning its memory: nothing but a
+        # view made before the freeze could write to it, so it is not copied
+        assert sphere.unit_copy(arr) is arr
+
+    @pytest.mark.parametrize("arr", [
+        sphere.sphere_grid(5),
+        frozen(sphere.sphere_grid(5)[:]),
+        frozen(np.asfortranarray(sphere.sphere_grid(5))),
+        frozen(np.eye(3, dtype=np.float32)),
+    ], ids=["writable", "read-only-view", "fortran", "float32"])
+    def test_other_inputs_copied(self, arr):
+        out = sphere.unit_copy(arr)
+        assert out.dtype == np.float64 and out.flags.c_contiguous and not out.flags.writeable
+        assert not np.shares_memory(out, arr)
+        assert out.tolist() == arr.tolist()
 
     @pytest.mark.parametrize("vecs", [
         1.0, [1.0, 0.0], [[1.0, 0.0]], np.empty((0, 3)), np.ones((1, 1, 3)) / np.sqrt(3.0),

@@ -1,8 +1,8 @@
 """Layer calls of ``simulate``, ``bounds`` and ``certify``, traced by the
 benchmark's tracer.
 
-perfbench/tracing.py is loaded from its file under a private name, as
-tests/test_perfbench_names.py loads it, and is not changed. Each setting's
+perfbench/tracing.py is loaded from its file under a private name, by the
+``perfbench`` fixture of conftest.py, and is not changed. Each setting's
 atoms are projected once (two ``sphere.dots`` calls: u.a and v.b), and each
 layer the tracer wraps in the CLI is called once per setting, so the
 benchmark's per-layer spans stay filled. A ``certify`` call builds and
@@ -13,10 +13,7 @@ benchmark's optimizer workload checks its traced passes against.
 """
 
 import functools
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -24,7 +21,6 @@ from leggettsim import certify
 from leggettsim.cli import EXIT_OK, main
 from leggettsim.montecarlo import BLOCK_SIZE
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SETTINGS = 2
 CONFIG = {
     "model": {"generator": "isotropic", "atoms": 50, "coupling": "comonotone"},
@@ -32,14 +28,9 @@ CONFIG = {
 }
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", PERFBENCH / "tracing.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses looks the module up while defining classes
-    spec.loader.exec_module(module)
-    yield module
-    sys.modules.pop(spec.name, None)
+@pytest.fixture
+def tracing(perfbench):
+    return perfbench[0]
 
 
 def _traced(tracing, tmp_path, command: str, config: dict):
