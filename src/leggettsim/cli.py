@@ -1,11 +1,11 @@
 """Batch command-line harness.
 
 Subcommands: identity-check, simulate, chsh, bounds, certify, optimize.
-Each run is driven by a single JSON config document, read through one
-table of fields per subcommand (unknown keys are rejected), plus the few
-overriding flags that table names. Reports embed the tool version, the
-seed, and a hash of the config as loaded, and identical config+seed runs
-produce byte-identical outputs.
+The experiment is read only from a JSON config document (--config),
+through one table of fields per subcommand (unknown keys are rejected);
+the run's seed and output path are read only from --seed and --output.
+Reports embed the tool version, the seed, and a hash of the config as
+loaded, and identical config+seed runs produce byte-identical outputs.
 
 Exit codes: 0 success, 1 invariant/verdict failure, 2 configuration
 error, 3 solver failure.
@@ -41,38 +41,28 @@ REQUIRED = object()
 class Field(NamedTuple):
     """One field of a config object: ``read(value, name)`` checks and converts
     its value. A field without a default is required; with a default of None,
-    leaving it out or giving null means "not given". ``flag`` (name, argparse
-    type) overrides the config value; with ``config=False`` the field is that
-    flag alone."""
+    leaving it out or giving null means "not given"."""
 
     name: str
     read: Callable[[object, str], object]
     default: object = REQUIRED
-    flag: tuple[str, type] | None = None
-    config: bool = True
 
 
-def _fields(table: tuple[Field, ...], spec, where: str, args=None) -> dict:
+def _fields(table: tuple[Field, ...], spec, where: str) -> dict:
     """Read an object through its table: reject unknown keys, then take each
-    field from its flag, the object or its default, in that order, and read
-    it. ``partial(_fields, table)`` is the reader of a nested object."""
+    field from the object or its default, and read it. ``partial(_fields,
+    table)`` is the reader of a nested object."""
     if not isinstance(spec, dict):
         raise ValueError(f"{where} must be an object, got {spec!r}")
-    unknown = set(spec) - {f.name for f in table if f.config}
+    unknown = set(spec) - {f.name for f in table}
     if unknown:
         raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
     out = {}
     for f in table:
-        value, name = (getattr(args, f.name) if f.flag else None), f.name
-        if value is not None:
-            name = f.flag[0]
-        elif f.name in spec:
-            value = spec[f.name]
-        elif f.default is REQUIRED:
+        value = spec.get(f.name, f.default)
+        if value is REQUIRED:
             raise ValueError(f"{where} requires {f.name!r}")
-        else:
-            value = f.default
-        out[f.name] = None if value is None and f.default is None else f.read(value, name)
+        out[f.name] = None if value is None and f.default is None else f.read(value, f.name)
     return out
 
 
@@ -194,9 +184,7 @@ RANDOM_SETTINGS = (Field("random", COUNT),)
 
 
 def _model(spec, name: str):
-    """A model file path, {"file": path}, or an object naming a generator."""
-    if isinstance(spec, str):
-        spec = {"file": spec}
+    """A model file, {"file": path}, or an object naming a generator."""
     if isinstance(spec, dict) and "file" in spec:
         path = _fields(MODEL_FILE, spec, name)["file"]
         model = _load_json(path, "model file", LeggettModel.from_dict)
@@ -270,8 +258,7 @@ def _grid(value, name: str) -> certify.AtomGrid:
 # -- the subcommands -----------------------------------------------------
 
 # a seed keys a Philox stream, whose key NumPy reads exactly only in [0, 2**63)
-SEED = Field("seed", _integer(0, 2**63), 0, flag=("--seed", int))
-OUTPUT = Field("output", _text, None, flag=("--output", str))
+SEED = _integer(0, 2**63)
 INCLUDE_MARGINALS = Field("include_marginals", _typed(bool, "true or false"), False)
 
 
@@ -398,49 +385,46 @@ def cmd_optimize(f: dict, config_hash: str) -> int:
     return EXIT_OK
 
 
-# subcommand -> (handler, the fields of its config and its flags)
+# subcommand -> (handler, the fields of its config); main adds the run's
+# "seed" and "output", read from the flags alone
 COMMANDS = {
-    "identity-check": (cmd_identity_check, (OUTPUT._replace(config=False),)),
+    "identity-check": (cmd_identity_check, ()),
     "simulate": (cmd_simulate, (
         Field("model", _model), Field("settings", _settings),
-        Field("samples", COUNT, 10000, flag=("--samples", int)),
-        Field("k_sigma", _real(0.0), DEFAULT_K_SIGMA, flag=("--k-sigma", float)),
-        SEED, OUTPUT,
+        Field("samples", COUNT, 10000), Field("k_sigma", _real(0.0), DEFAULT_K_SIGMA),
     )),
     "chsh": (cmd_chsh, (
         Field("scenario", lambda value, name: quantum.chsh_pairs(**_fields(SCENARIO, value, name)), None),
-        Field("model", _model, None), SEED, OUTPUT,
+        Field("model", _model, None),
     )),
-    "bounds": (cmd_bounds, (Field("model", _model), Field("settings", _settings), SEED, OUTPUT)),
-    "certify": (cmd_certify, (
-        Field("grid", _grid, None), Field("targets", _targets), INCLUDE_MARGINALS, SEED, OUTPUT,
-    )),
+    "bounds": (cmd_bounds, (Field("model", _model), Field("settings", _settings))),
+    "certify": (cmd_certify, (Field("grid", _grid, None), Field("targets", _targets), INCLUDE_MARGINALS)),
     "optimize": (cmd_optimize, (
         Field("family", _choice(optimize.FAMILIES), "orthogonal-doublets"),
         Field("budget", COUNT, 300),
         Field("grids", _list_of(_grid, "grid objects"),
               [{"n_u": 24, "n_v": 24, "n_mirrored": 64}, {"n_u": 48, "n_v": 48, "n_mirrored": 256}]),
-        INCLUDE_MARGINALS, SEED, OUTPUT,
+        INCLUDE_MARGINALS,
     )),
 }
 
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser for every subcommand, built on first use. It depends
-    only on COMMANDS, and parse_args keeps nothing of a call: each one fills
-    a new namespace from the defaults."""
+    """The one parser for every subcommand, built on first use. A subcommand
+    with a config takes --config, --seed and --output; identity-check takes
+    --output alone. It depends only on COMMANDS, and parse_args keeps
+    nothing of a call: each one fills a new namespace from the defaults."""
     parser = argparse.ArgumentParser(prog="leggettsim", description=__doc__)
     parser.add_argument("--version", action="version", version=f"leggettsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, table) in COMMANDS.items():
         p = sub.add_parser(name)
-        if any(f.config for f in table):
-            p.add_argument("--config", type=str, default=None)
-        for f in table:
-            if f.flag:
-                p.add_argument(f.flag[0], dest=f.name, type=f.flag[1], default=None)
-        p.set_defaults(handler=handler, table=table)
+        if table:
+            p.add_argument("--config")
+            p.add_argument("--seed", type=int)
+        p.add_argument("--output")
+        p.set_defaults(handler=handler, table=table, config=None, seed=0)
     return parser
 
 
@@ -450,8 +434,8 @@ def main(argv=None) -> int:
     once; every other step, from reading the config on, runs afresh."""
     args = build_parser().parse_args(argv)
     try:
-        config = {} if getattr(args, "config", None) is None else _load_json(args.config, "config")
-        fields = _fields(args.table, config, "config", args)
+        config = {} if args.config is None else _load_json(args.config, "config")
+        fields = _fields(args.table, config, "config") | {"seed": SEED(args.seed, "--seed"), "output": args.output}
         canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))  # the config as loaded
         return args.handler(fields, hashlib.sha256(canonical.encode("utf-8")).hexdigest())
     except SolverFailure as exc:

@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from leggettsim.models import (
     outcome_law,
     point_mass,
 )
-from leggettsim.simplex import PIVOT_TOL, SolverFailure
+from leggettsim.simplex import FEAS_TOL, PIVOT_TOL, SolverFailure
 
 # the outcome pairs (A, B) in the order of joint_law's entries
 OUTCOME_VALUES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
@@ -117,6 +118,31 @@ def numpy_proven_gap(problem, lam, mu) -> tuple[float, float]:
     entry = float(np.sum(lam) + np.sum(abs_mu)) * certify._ENTRY_ERR
     gap = float(np.min(combo - g * combo_abs)) - value - g * value_abs - entry
     return gap, scale
+
+
+def _exact_dot(x, y) -> Fraction:
+    """sum_i x[i] * y[i], exactly, from the float values."""
+    return sum((Fraction(float(a)) * Fraction(float(b)) for a, b in zip(x, y)), Fraction(0))
+
+
+def exact_farkas_gap(A_ub, b_ub, A_eq, b_eq, lam, mu) -> Fraction:
+    """min_j (lam^T A_ub + mu^T A_eq)_j - (lam^T b_ub + mu^T b_eq), exactly,
+    from the stored floats. Every x >= 0 with sum(x) = 1 meeting the rows
+    has min_j (...)_j <= (lam^T A_ub + mu^T A_eq) x <= lam^T b_ub + mu^T b_eq
+    when lam >= 0, so a positive gap proves that no such x exists."""
+    g = np.concatenate([lam, mu])
+    rows = np.vstack([A_ub, A_eq])
+    return min(_exact_dot(g, column) for column in rows.T) - _exact_dot(g, np.concatenate([b_ub, b_eq]))
+
+
+def exact_feasible(A_ub, b_ub, A_eq, b_eq, w) -> bool:
+    """w >= -FEAS_TOL and every row holds within FEAS_TOL, exactly, from the stored floats."""
+    tol = Fraction(FEAS_TOL)
+    return (
+        all(Fraction(float(x)) >= -tol for x in w)
+        and all(_exact_dot(row, w) - Fraction(float(r)) <= tol for row, r in zip(A_ub, b_ub))
+        and all(abs(_exact_dot(row, w) - Fraction(float(r))) <= tol for row, r in zip(A_eq, b_eq))
+    )
 
 
 @pytest.fixture

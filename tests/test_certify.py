@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +34,7 @@ from leggettsim.models import (
 )
 from leggettsim.optimize import FAMILIES, optimize_settings
 
-from conftest import numpy_proven_gap
+from conftest import exact_farkas_gap, exact_feasible, numpy_proven_gap
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -68,39 +67,11 @@ def two_atom_marginal_problem():
     return build_problem(AtomGrid(u, v), constraints, include_marginals=True)
 
 
-def exact_dot(row, x) -> Fraction:
-    return sum((Fraction(float(a)) * Fraction(float(b)) for a, b in zip(row, x)), Fraction(0))
-
-
-def exact_farkas_gap(problem, lam, mu) -> Fraction:
-    """min_j (lam^T A_ub + mu^T A_eq)_j - (lam^T b_ub + mu^T b_eq), exactly,
-    from the stored floats."""
-    combo = [
-        exact_dot(lam, problem.A_ub[:, j]) + exact_dot(mu, problem.A_eq[:, j])
-        for j in range(problem.n_atoms)
-    ]
-    return min(combo) - exact_dot(lam, problem.b_ub) - exact_dot(mu, problem.b_eq)
-
-
 def dense_weights(witness) -> np.ndarray:
     """The witness's weights on every atom of the grid."""
     w = np.zeros(witness.n_atoms)
     w[witness.index] = witness.weight
     return w
-
-
-def exact_witness_ok(problem, w) -> bool:
-    """Every residual of the witness within FEAS_TOL, exactly, from the stored floats."""
-    tol = Fraction(FEAS_TOL)
-    ones = np.ones(problem.n_atoms)
-    return (
-        all(Fraction(float(x)) >= -tol for x in w)
-        and abs(exact_dot(ones, w) - 1) <= tol
-        and all(exact_dot(row, w) - Fraction(float(r)) <= tol
-                for row, r in zip(problem.A_ub, problem.b_ub))
-        and all(abs(exact_dot(row, w) - Fraction(float(r))) <= tol
-                for row, r in zip(problem.A_eq, problem.b_eq))
-    )
 
 
 def traced_peak(fn, *args):
@@ -476,7 +447,7 @@ class TestVerifyCertificate:
         nudged = dataclasses.replace(p, b_ub=b_ub)
         lam = np.array([1.0, 0.0, 1.0, 0.0])
         mu = np.empty(0)
-        assert exact_farkas_gap(nudged, lam, mu) > 0
+        assert exact_farkas_gap(nudged.A_ub, nudged.b_ub, nudged.A_eq, nudged.b_eq, lam, mu) > 0
         cert = Farkas(p.grid_hash, lam, mu, 0.0)
         assert verify_certificate(nudged, cert) is accepted
 
@@ -536,9 +507,13 @@ class TestVerifyCertificate:
             if not verify_certificate(problem, certificate):
                 continue
             if cert.status is CertStatus.INFEASIBLE:
-                assert exact_farkas_gap(problem, cert.farkas_ub, cert.farkas_eq) > 0
+                assert exact_farkas_gap(problem.A_ub, problem.b_ub, problem.A_eq, problem.b_eq,
+                                        cert.farkas_ub, cert.farkas_eq) > 0
             else:
-                assert exact_witness_ok(problem, dense_weights(cert))
+                # with the row sum(w) = 1, which the problem leaves implicit
+                ones = np.ones((1, problem.n_atoms))
+                assert exact_feasible(problem.A_ub, problem.b_ub, np.vstack([problem.A_eq, ones]),
+                                      np.append(problem.b_eq, 1.0), dense_weights(cert))
 
     @pytest.mark.parametrize("bad", [-2.0**-1074, -1.0, np.nan])
     def test_bound_rows_must_be_nonnegative(self, bad):
@@ -566,6 +541,19 @@ class TestVerifyCertificate:
         bad = Witness(p.grid_hash, 1, np.array([0]), np.array([1.0]))
         with pytest.raises(ValueError):
             verify_certificate(p, bad)
+
+    @pytest.mark.parametrize("lam, mu", [(np.ones(3), np.empty(0)), (np.ones(4), np.ones(1))],
+                             ids=["short-farkas-ub", "extra-farkas-eq"])
+    def test_farkas_dimension_mismatch_raises(self, lam, mu):
+        # the problem has four bound rows and no marginal rows
+        p = two_atom_infeasible_problem()
+        with pytest.raises(ValueError, match="Farkas vector has wrong dimensions"):
+            verify_certificate(p, Farkas(p.grid_hash, lam, mu, 0.0))
+
+    def test_zero_multipliers_rejected(self):
+        # all-zero multipliers have scale 0: there is no gap to divide, and nothing is proven
+        p = two_atom_infeasible_problem()
+        assert verify_certificate(p, Farkas(p.grid_hash, np.zeros(4), np.empty(0), 0.0)) is False
 
 
 def _i64(*values) -> np.ndarray:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from leggettsim import certify, cli
-from leggettsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERDICT, build_parser, main
+from leggettsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERDICT, build_parser, main
 from leggettsim.models import SettingsPair
 
 from test_acceptance import PINNED_VIOLATION_RUN
@@ -22,6 +22,14 @@ def write_config(tmp_path: Path, data: dict, name: str = "config.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
+
+
+def exit_code(argv: list[str]) -> int:
+    """main's return code, or the code the parser exits with on a flag it refuses."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 POINT_MASS_MODEL = {
@@ -59,10 +67,10 @@ class TestSimulate:
         config = write_config(tmp_path, {
             "model": POINT_MASS_MODEL,
             "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}],
+            "samples": 200,
         })
         out = tmp_path / "rows.csv"
-        code = main(["simulate", "--config", config, "--seed", "1",
-                     "--samples", "200", "--output", str(out)])
+        code = main(["simulate", "--config", config, "--seed", "1", "--output", str(out)])
         assert code == EXIT_OK
         lines = out.read_text().splitlines()
         header = lines[0].split(",")
@@ -80,11 +88,11 @@ class TestSimulate:
         config = write_config(tmp_path, {
             "model": {"generator": "isotropic", "atoms": 50},
             "settings": {"random": 4},
+            "samples": 5000,
         })
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
         for out in (out1, out2):
-            assert main(["simulate", "--config", config, "--seed", "7",
-                         "--samples", "5000", "--output", str(out)]) == EXIT_OK
+            assert main(["simulate", "--config", config, "--seed", "7", "--output", str(out)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_violated_verdict_exit_code(self, tmp_path):
@@ -94,10 +102,11 @@ class TestSimulate:
             "model": {"generator": "point-mass", "u": [0.6, 0.8, 0.0],
                       "v": [0.0, 0.0, 1.0], "coupling": "comonotone"},
             "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 0.0, 1.0]}],
+            "samples": 4001,
+            "k_sigma": 0,
         })
         out = tmp_path / "rows.csv"
-        code = main(["simulate", "--config", config, "--seed", "0",
-                     "--samples", "4001", "--k-sigma", "0", "--output", str(out)])
+        code = main(["simulate", "--config", config, "--seed", "0", "--output", str(out)])
         assert code == EXIT_VERDICT
         assert "violated" in out.read_text()
 
@@ -107,9 +116,10 @@ class TestSimulate:
         config = write_config(tmp_path, {
             "model": {"file": write_config(tmp_path, EDGE_MODEL, "model.json")},
             "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}],
+            "samples": 1000,
         })
         out = tmp_path / "rows.csv"
-        assert main(["simulate", "--config", config, "--samples", "1000", "--output", str(out)]) == EXIT_OK
+        assert main(["simulate", "--config", config, "--output", str(out)]) == EXIT_OK
         row = out.read_text().splitlines()[1].split(",")
         assert row[9:] == ["0.0", "1.0", "1.0", "1.0", "0.0", "satisfied"]
 
@@ -117,8 +127,9 @@ class TestSimulate:
         config = write_config(tmp_path, {
             "model": POINT_MASS_MODEL,
             "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}],
+            "samples": 0,
         })
-        assert main(["simulate", "--config", config, "--samples", "0"]) == EXIT_CONFIG
+        assert main(["simulate", "--config", config]) == EXIT_CONFIG
 
     def test_unknown_key_rejected(self, tmp_path):
         config = write_config(tmp_path, {
@@ -170,28 +181,26 @@ class TestSimulate:
         config = write_config(tmp_path, {
             "model": {"generator": "isotropic", "atoms": 1000, "coupling": coupling},
             "settings": {"random": 4},
+            "samples": 20000,
         })
         out = tmp_path / "rows.csv"
-        assert main(["simulate", "--config", config, "--seed", "7",
-                     "--samples", "20000", "--output", str(out)]) == EXIT_OK
+        assert main(["simulate", "--config", config, "--seed", "7", "--output", str(out)]) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_CSV_SHA256[coupling]
 
     def test_nan_k_sigma_rejected(self, tmp_path):
         settings = [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}]
-        config = write_config(tmp_path, {"model": POINT_MASS_MODEL, "settings": settings})
-        assert main(["simulate", "--config", config, "--samples", "100",
-                     "--k-sigma", "nan"]) == EXIT_CONFIG
         config = write_config(tmp_path, {"model": POINT_MASS_MODEL, "settings": settings,
-                                         "k_sigma": float("nan")})
-        assert main(["simulate", "--config", config, "--samples", "100"]) == EXIT_CONFIG
+                                         "samples": 100, "k_sigma": float("nan")})
+        assert main(["simulate", "--config", config]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("generator", ["isotropic", "mirrored"])
     def test_zero_atoms_rejected(self, tmp_path, generator):
         config = write_config(tmp_path, {
             "model": {"generator": generator, "atoms": 0},
             "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}],
+            "samples": 100,
         })
-        assert main(["simulate", "--config", config, "--samples", "100"]) == EXIT_CONFIG
+        assert main(["simulate", "--config", config]) == EXIT_CONFIG
 
 
 class TestChsh:
@@ -397,6 +406,17 @@ class TestCertify:
         report = json.loads(out.read_text())
         assert (report["status"], report["verified"]) == (status, False)
 
+    def test_refused_certificate_is_a_solver_failure(self, tmp_path, monkeypatch, capsys):
+        # solve raises SolverFailure on a certificate its verifier refuses:
+        # exit 3, with a message and no report
+        monkeypatch.setattr(certify, "verify_certificate", lambda problem, cert: False)
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--config", write_config(tmp_path, self.GOLDEN_REPORTS["feasible"][0]),
+                     "--output", str(out)]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.err.startswith("solver failure: ") and captured.out == ""
+        assert not out.exists()
+
 
 class TestAllocationFailure:
     """A size numpy cannot allocate is a configuration error. These sizes
@@ -459,8 +479,9 @@ class TestOptimize:
 
 
 class TestIntegerFields:
-    """Counts and seeds in a config must be JSON integers (or floats with no
-    fractional part); anything else exits 2 instead of being truncated."""
+    """Counts in a config must be JSON integers (or floats with no fractional
+    part); anything else exits 2 instead of being truncated. The seed rows
+    hold too, but for another reason: a seed is no config key at all."""
 
     SIMULATE = {"model": {"generator": "isotropic", "atoms": 10},
                 "settings": {"random": 2}, "samples": 100}
@@ -592,7 +613,8 @@ class TestRealFields:
 
 class TestSeedRange:
     """A seed keys a Philox stream, whose key NumPy reads exactly only for
-    0 <= seed < 2**63; any other seed exits 2 before the run writes anything."""
+    0 <= seed < 2**63; any other seed exits 2 before the run writes anything.
+    The seed is read from --seed alone: a config that names one exits 2."""
 
     CONFIGS = {
         "simulate": TestIntegerFields.SIMULATE,
@@ -604,33 +626,30 @@ class TestSeedRange:
     # code before the range check
     LARGEST_SEED_SHA256 = "1bd8f36854b5a263da7a9f7a7c3bb5a5aa0b7c7bb1eeefa498765cf030fab4db"
 
-    @pytest.mark.parametrize("seed", BAD)
+    # 1e300 is no integer to the parser, which exits 2 before main reads the range
+    @pytest.mark.parametrize("seed", BAD + [1e300])
     @pytest.mark.parametrize("command", sorted(CONFIGS))
     def test_flag_rejected(self, tmp_path, command, seed):
         config = write_config(tmp_path, self.CONFIGS[command])
         out = tmp_path / "out"
-        assert main([command, "--config", config, "--seed", str(seed), "--output", str(out)]) == EXIT_CONFIG
+        assert exit_code([command, "--config", config, "--seed", str(seed), "--output", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
-    @pytest.mark.parametrize("seed", BAD + [1e300])
+    @pytest.mark.parametrize("seed", [0] + BAD + [1e300])
     @pytest.mark.parametrize("command", sorted(CONFIGS))
-    def test_config_rejected(self, tmp_path, command, seed):
+    def test_config_rejected(self, tmp_path, capsys, command, seed):
+        # an unknown key, in range or not
         config = write_config(tmp_path, {**self.CONFIGS[command], "seed": seed})
         out = tmp_path / "out"
         assert main([command, "--config", config, "--output", str(out)]) == EXIT_CONFIG
+        assert "unknown config keys: ['seed']" in capsys.readouterr().err
         assert not out.exists()
 
     def test_largest_seed_runs(self, tmp_path):
-        seed = 2**63 - 1
-        csvs = []
-        for name, config, flag in (("flag", self.CONFIGS["simulate"], ["--seed", str(seed)]),
-                                   ("config", {**self.CONFIGS["simulate"], "seed": seed}, [])):
-            out = tmp_path / f"{name}.csv"
-            path = write_config(tmp_path, config, name=f"{name}.json")
-            assert main(["simulate", "--config", path, "--output", str(out), *flag]) == EXIT_OK
-            csvs.append(out.read_bytes())
-        assert csvs[0] == csvs[1]
-        assert hashlib.sha256(csvs[0]).hexdigest() == self.LARGEST_SEED_SHA256
+        out = tmp_path / "rows.csv"
+        path = write_config(tmp_path, self.CONFIGS["simulate"])
+        assert main(["simulate", "--config", path, "--output", str(out), "--seed", str(2**63 - 1)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.LARGEST_SEED_SHA256
 
 
 class TestModelFileTypes:
@@ -713,11 +732,12 @@ class TestFileErrors:
 
 
 class TestFlags:
-    """Each subcommand takes only the flags its table names."""
+    """A subcommand with a config takes --config, --seed and --output, and
+    identity-check --output alone."""
 
     FLAGS = {
         "identity-check": {"--output"},
-        "simulate": {"--config", "--seed", "--output", "--samples", "--k-sigma"},
+        "simulate": {"--config", "--seed", "--output"},
         "chsh": {"--config", "--seed", "--output"},
         "bounds": {"--config", "--seed", "--output"},
         "certify": {"--config", "--seed", "--output"},
@@ -729,7 +749,7 @@ class TestFlags:
         flags = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
                  for name, p in sub.choices.items()}
         assert flags == self.FLAGS
-        assert sum(map(len, flags.values())) == 18
+        assert sum(map(len, flags.values())) == 16
 
     @pytest.mark.parametrize("argv", [
         ["optimize", "--grid", "5"],
@@ -737,11 +757,22 @@ class TestFlags:
         ["identity-check", "--samples", "5"],
         ["bounds", "--k-sigma", "1"],
         ["identity-check", "--config", "config.json"],
+        ["simulate", "--samples", "5"],
+        ["simulate", "--k-sigma", "1"],
     ])
     def test_flag_not_taken(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_CONFIG
+
+    def test_no_config_key_names_a_flag(self):
+        # a key and a flag of one name would give that value two sources
+        parsers = [build_parser(), *next(a for a in build_parser()._actions
+                                         if isinstance(a, argparse._SubParsersAction)).choices.values()]
+        options = {a.dest for p in parsers for a in p._actions if a.option_strings}
+        keys = {f.name for table in _tables() for f in table}
+        assert options == {"help", "version", "config", "seed", "output"}
+        assert keys & options == set()
 
 
 class TestParserReuse:
@@ -753,12 +784,12 @@ class TestParserReuse:
     def test_built_once_across_calls(self, tmp_path):
         build_parser.cache_clear()
         config = write_config(tmp_path, self.SIMULATE)
-        for name, flags in (("a", ["--samples", "7"]), ("b", [])):
+        for name, flags in (("a", ["--seed", "7"]), ("b", [])):
             assert main(["simulate", "--config", config, "--output", str(tmp_path / name), *flags]) == EXIT_OK
         info = build_parser.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        samples = [(tmp_path / name).read_text(encoding="utf-8").splitlines()[1].split(",")[7] for name in "ab"]
-        assert samples == ["7", "10000"]
+        seeds = [json.loads((tmp_path / f"{name}.meta.json").read_text(encoding="utf-8"))["seed"] for name in "ab"]
+        assert seeds == [7, 0]
 
     def test_no_flag_carried_over(self, tmp_path):
         config = write_config(tmp_path, self.CERTIFY)
@@ -785,11 +816,10 @@ def _backticked(cell: str) -> str | None:
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_readme_table_matches_commands(command):
-    # the (field, flag) cells of the table under the subcommand's heading in
-    # README.md, against its COMMANDS table: a field's name where the config
-    # reads it, and its flag where it has one
+    # the field cells of the table under the subcommand's heading in
+    # README.md, against its COMMANDS table; identity-check has no table
     lines = README.read_text(encoding="utf-8").splitlines()
-    headings = (f"`{command}`:", f"`{command}` takes no config:")
+    headings = (f"`{command}`:", f"`{command}` takes no config.")
     start = next(i for i, line in enumerate(lines) if line in headings)
     rows = []
     for line in lines[start + 1:]:
@@ -797,9 +827,9 @@ def test_readme_table_matches_commands(command):
             rows.append(line)
         elif rows or line.strip():
             break
-    cells = [tuple(map(_backticked, row.split("|")[1:3])) for row in rows[2:]]  # past the header and the rule
+    cells = [_backticked(row.split("|")[1]) for row in rows[2:]]  # past the header and the rule
     _, table = cli.COMMANDS[command]
-    assert cells == [(f.name if f.config else None, f.flag[0] if f.flag else None) for f in table]
+    assert cells == [f.name for f in table]
 
 
 def _tables() -> list:
@@ -826,15 +856,13 @@ class TestSchemaKinds:
     ISOTROPIC = {"generator": "isotropic", "atoms": 10, "coupling": "independent"}
     GRID = {"n_u": 4, "n_v": 4, "n_mirrored": 4}
     TARGET = {**PAIR, "e": 0.0, "ma": 0.0, "mb": 0.0}
-    SIMULATE = {"model": POINT_MASS, "settings": [PAIR], "samples": 100, "k_sigma": 4.0,
-                "seed": 1, "output": "out"}
+    SIMULATE = {"model": POINT_MASS, "settings": [PAIR], "samples": 100, "k_sigma": 4.0}
     CHSH = {"scenario": {"a": [1.0, 0.0, 0.0], "a_prime": [0.0, 1.0, 0.0],
                          "b": [1.0, 1.0, 0.0], "b_prime": [1.0, -1.0, 0.0]},
-            "model": ISOTROPIC, "seed": 1, "output": "out"}
-    CERTIFY = {"grid": GRID, "targets": [TARGET], "include_marginals": True, "seed": 1, "output": "out"}
+            "model": ISOTROPIC}
+    CERTIFY = {"grid": GRID, "targets": [TARGET], "include_marginals": True}
     SINGLET = {**CERTIFY, "targets": {"from": "singlet", "settings": [PAIR]}}
-    OPTIMIZE = {"family": "orthogonal-doublets", "budget": 1, "grids": [GRID],
-                "include_marginals": False, "seed": 1, "output": "out"}
+    OPTIMIZE = {"family": "orthogonal-doublets", "budget": 1, "grids": [GRID], "include_marginals": False}
     # (subcommand, config, path to an object, the table that object is read through)
     OBJECTS = [
         ("identity-check", {}, (), cli.COMMANDS["identity-check"][1]),
@@ -848,7 +876,7 @@ class TestSchemaKinds:
         ("simulate", {**SIMULATE, "settings": {"random": 2}}, ("settings",), cli.RANDOM_SETTINGS),
         ("chsh", CHSH, (), cli.COMMANDS["chsh"][1]),
         ("chsh", CHSH, ("scenario",), cli.SCENARIO),
-        ("bounds", {"model": POINT_MASS, "settings": [PAIR], "seed": 1, "output": "out"}, (),
+        ("bounds", {"model": POINT_MASS, "settings": [PAIR]}, (),
          cli.COMMANDS["bounds"][1]),
         ("certify", CERTIFY, (), cli.COMMANDS["certify"][1]),
         ("certify", CERTIFY, ("grid",), cli.GRID),
@@ -865,12 +893,17 @@ class TestSchemaKinds:
     # the keys that pick a model's or a target source's table
     VARIANT_KEYS = [("simulate", SIMULATE, ("model",), cli.Field("generator", cli._text)),
                     ("certify", SINGLET, ("targets",), cli.Field("from", cli._text))]
+    # the run's seed and output path are flags alone: in a config they are
+    # unknown keys, walked as required fields that take no kind
+    FLAG_KEYS = [(command, config, path, cli.Field(name, cli._text))
+                 for command, config, path, table in OBJECTS if path == () and table
+                 for name in ("seed", "output")]
     FIELDS = [(command, config, path + (f.name,), f)
-              for command, config, path, table in OBJECTS for f in table if f.config]
-    FIELDS += [(command, config, path + (f.name,), f) for command, config, path, f in VARIANT_KEYS]
+              for command, config, path, table in OBJECTS for f in table]
+    FIELDS += [(command, config, path + (f.name,), f) for command, config, path, f in VARIANT_KEYS + FLAG_KEYS]
     # the kinds, other than null, that each field takes; null is taken by a
     # field whose default is None
-    TAKES = {"output": {"string"}, "file": {"string"}, "model": {"string"}, "coupling": {"string"},
+    TAKES = {"file": {"string"}, "coupling": {"string"},
              "generator": {"string"}, "family": {"string"}, "from": {"string"}, "include_marginals": {"boolean"},
              "k_sigma": {"fraction"}, "e": {"fraction"}, "ma": {"fraction"}, "mb": {"fraction"}}
     KINDS = st.one_of(
@@ -897,6 +930,7 @@ class TestSchemaKinds:
     @example(kind=("null", None))
     @example(kind=("boolean", True))
     @example(kind=("string", "x"))
+    @example(kind=("string", "model.json"))  # a valid model file, taken only as {"file": path}
     @example(kind=("list", []))
     @example(kind=("object", {}))
     @example(kind=("nan", math.nan))

@@ -108,6 +108,15 @@ class TestSubensembleDistribution:
         with pytest.raises(ValueError):
             SubensembleDistribution(np.empty((0, 3)), np.empty((0, 3)), [])
 
+    @pytest.mark.parametrize("u, v, w", [
+        (np.array([X, Y]), np.array([X]), [0.5, 0.5]),
+        (np.array([X]), np.array([X, Y]), [1.0]),
+        (np.array([X, Y]), np.array([X, Y]), [1.0]),
+    ], ids=["short-v", "short-u", "short-w"])
+    def test_mismatched_lengths_rejected(self, u, v, w):
+        with pytest.raises(ValueError, match="atom arrays must have shapes"):
+            SubensembleDistribution(u, v, w)
+
     def test_2d_weights_rejected(self):
         # an (m, 1) array holding a zero weight must be refused before the
         # pruning step indexes the atoms with it

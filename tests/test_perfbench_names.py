@@ -7,7 +7,8 @@ spans. Moving a function between modules breaks only a traced benchmark
 run, so these tests read both files (without changing them, through the
 ``perfbench`` fixture of conftest.py) and check the names against the
 package. The output checks a workload pins at its default seed run here
-too, on one pass of its CLI calls.
+too, on one traced pass of its CLI calls, with the per-pass counts that
+perfbench/run.py --trace 1 checks.
 """
 
 import importlib
@@ -90,14 +91,27 @@ def test_solve_note_reads_the_verdict(perfbench):
     assert notes == [(certify.Witness, 0), (certify.Farkas, 1)]
 
 
-@pytest.mark.parametrize("name", ["certify-refine", "simulate-mc"])
+@pytest.mark.parametrize("name", ["optimize-doublets", "certify-refine", "simulate-mc"])
 def test_workload_outputs_pass_their_checks(perfbench, tmp_path, name):
-    # the status and margin pins of certify-refine and the CSV sha256 of
-    # simulate-mc; PINNED_VIOLATION_RUN pins optimize-doublets' margins
-    _, wl = perfbench
-    for op in wl.WORKLOADS[name](wl.DEFAULT_SEED, tmp_path).ops:
-        assert cli.main(op.argv) == cli.EXIT_OK, op.argv
+    # one traced pass, as perfbench/run.py --trace 1 runs it: every output
+    # passes its check (the margin pins of optimize-doublets and
+    # certify-refine, the CSV sha256 of simulate-mc), and the pass shows
+    # the per-pass counts the workload expects
+    tracing, wl = perfbench
+    workload = wl.WORKLOADS[name](wl.DEFAULT_SEED, tmp_path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for op in workload.ops:
+            with tracer.span("cli.main"):
+                assert cli.main(op.argv) == cli.EXIT_OK, op.argv
+    finally:
+        tracer.uninstall()
+    for op in workload.ops:
         assert op.check(op.output.read_bytes()) is None, op.argv
+    # wall and cpu time and output size enter no pinned metric
+    metrics = tracing.pass_metrics(*tracing.summarize(tracer.spans, 0), 1.0, 0.0, 0)
+    assert {metric: metrics[metric] for metric in workload.expected} == workload.expected
 
 
 def test_provenance_stub():

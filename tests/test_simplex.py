@@ -3,7 +3,6 @@ own proof, a feasible point row by row and an infeasible one as a Farkas
 combination in exact rational arithmetic."""
 
 import hashlib
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,40 +13,16 @@ from leggettsim.certify import build_atom_grid, build_problem
 from leggettsim.optimize import FAMILIES
 from leggettsim.simplex import FEAS_TOL, PIVOT_TOL, SolverFailure, _pivot_row, phase1_simplex
 
-from conftest import masked_argmin_row
+from conftest import exact_farkas_gap, exact_feasible, masked_argmin_row
 
 
-def exact_sum(coeffs, values) -> Fraction:
-    """sum_i coeffs[i] * values[i], exactly, for rational coeffs and float values."""
-    return sum((c * Fraction(float(v)) for c, v in zip(coeffs, values)), Fraction(0))
-
-
-def exact_feasible(A_ub, b_ub, A_eq, b_eq, x) -> bool:
-    """x >= 0 and every row holds within FEAS_TOL, exactly, from the floats."""
-    tol = Fraction(FEAS_TOL)
-    xf = [Fraction(float(v)) for v in x]
-    return (
-        all(v >= -tol for v in xf)
-        and all(exact_sum(xf, a) - Fraction(float(bi)) <= tol for a, bi in zip(A_ub, b_ub))
-        and all(abs(exact_sum(xf, a) - Fraction(float(bi))) <= tol for a, bi in zip(A_eq, b_eq))
-    )
-
-
-def exact_farkas_gap(A_ub, b_ub, A_eq, b_eq, y) -> Fraction:
-    """Exact infeasibility gap of the solver's multipliers y on an LP whose
-    last equality row is sum(x) = 1.
-
-    With g = -y, lam = max(g_ub, 0) and mu = g_eq without the normalization
-    row, every x >= 0 with sum(x) = 1 meeting the other rows has
-    min_j (lam^T A_ub + mu^T A_eq)_j <= (lam^T A_ub + mu^T A_eq) x
-    <= lam^T b_ub + mu^T b_eq. A positive gap between the two sides
-    therefore proves that no such x exists."""
-    p = len(b_ub)
-    g = [Fraction(-float(v)) for v in y[:-1]]
-    g = [max(v, Fraction(0)) for v in g[:p]] + g[p:]
-    rows = np.vstack([A_ub, A_eq[:-1]])
-    rhs = np.concatenate([b_ub, b_eq[:-1]])
-    return min(exact_sum(g, column) for column in rows.T) - exact_sum(g, rhs)
+def farkas_multipliers(y, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, mu) of the solver's multipliers y on an LP with p inequality
+    rows whose last equality row is sum(x) = 1: with g = -y, lam =
+    max(g_ub, 0) and mu = g_eq without the normalization row, which
+    exact_farkas_gap's sum(x) = 1 takes the place of."""
+    g = -np.asarray(y, dtype=np.float64)
+    return np.maximum(g[:p], 0.0), g[p:-1]
 
 
 def normalized(A_ub, b_ub, A_eq, b_eq):
@@ -63,7 +38,8 @@ def check_proof(A_ub, b_ub, A_eq, b_eq):
         assert exact_feasible(A_ub, b_ub, A_eq, b_eq, result.x)
     else:
         assert result.objective > FEAS_TOL
-        assert exact_farkas_gap(A_ub, b_ub, A_eq, b_eq, result.y) > 0
+        lam, mu = farkas_multipliers(result.y, len(b_ub))
+        assert exact_farkas_gap(A_ub, b_ub, A_eq[:-1], b_eq[:-1], lam, mu) > 0
     return result
 
 
