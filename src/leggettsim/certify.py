@@ -23,11 +23,13 @@ import enum
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import kernels, sphere
-from .models import SettingsPair, SubensembleDistribution, float_array, hold, is_integer
+from .models import (TEXT, Field, SettingsPair, SubensembleDistribution, float_array, hold, is_integer, read_fields,
+                     read_variant, real, typed)
 # The solver calls a problem feasible when its phase-1 objective is at most
 # FEAS_TOL, so the verifier's tolerance must be at least that threshold, or
 # a feasible solve could fail verification; both read this one constant.
@@ -184,34 +186,33 @@ class Farkas:
                 "farkas_ub": self.farkas_ub.tolist(), "farkas_eq": self.farkas_eq.tolist()}
 
 
+def _indices(values, name: str) -> np.ndarray:
+    """Reader of a list of JSON integers in the int64 range, as int64: a
+    float (1.0) or a boolean is refused, not converted."""
+    if not isinstance(values, list) or not all(is_integer(i) and -2**63 <= i < 2**63 for i in values):
+        raise ValueError(f"{name} must be a list of int64 integers")
+    return np.array(values, dtype=np.int64)
+
+
+# the form Witness.to_dict and Farkas.to_dict write, by status. The number
+# lists and the Farkas margin are read with NaN and inf, which the verifier
+# refuses.
+WITNESS = (Field("n_atoms", typed(int, "an integer")), Field("index", _indices), Field("weight", float_array))
+CERTIFICATES = {
+    "feasible": (Field("grid_hash", TEXT), Field("margin", real(0.0, 0.0)),
+                 Field("witness", partial(read_fields, WITNESS))),
+    "infeasible": (Field("grid_hash", TEXT), Field("margin", lambda value, name: float(float_array([value], name)[0])),
+                   Field("farkas_ub", float_array), Field("farkas_eq", float_array)),
+}
+
+
 def read_certificate(data) -> Witness | Farkas:
-    """Read the form ``to_dict`` writes; anything else raises ValueError.
-    The keys are exactly status, grid_hash and margin plus the status's own
-    proof: a witness, or both Farkas vectors. Numbers must be JSON numbers
-    (booleans and numeric strings are refused), witness indices int64
-    integers, and a feasible certificate's margin is 0. The record checks
-    its own rules; a witness's atom count is compared with a problem's when
-    it is verified."""
-    if not isinstance(data, dict) or not isinstance(data.get("grid_hash"), str):
-        raise ValueError("a certificate must be an object with a grid_hash string")
-    status = CertStatus(data.get("status"))
-    proof = ("witness",) if status is CertStatus.FEASIBLE else ("farkas_ub", "farkas_eq")
-    if set(data) != {"status", "grid_hash", "margin", *proof}:
-        raise ValueError(f"a {status.value} certificate has the keys status, grid_hash, margin, {', '.join(proof)}")
-    margin = float(float_array([data["margin"]], "margin")[0])
-    if status is CertStatus.INFEASIBLE:
-        return Farkas(data["grid_hash"], float_array(data["farkas_ub"], "farkas_ub"),
-                      float_array(data["farkas_eq"], "farkas_eq"), margin)
-    if margin != 0.0:
-        raise ValueError(f"a feasible certificate has margin 0, not {margin!r}")
-    witness = data["witness"]
-    if not isinstance(witness, dict) or set(witness) != {"n_atoms", "index", "weight"}:
-        raise ValueError("witness must be an object with keys n_atoms, index and weight")
-    index = witness["index"]
-    if not isinstance(index, list) or not all(is_integer(i) and -2**63 <= i < 2**63 for i in index):
-        raise ValueError("witness index must be a list of int64 integers")
-    return Witness(data["grid_hash"], witness["n_atoms"], np.array(index, dtype=np.int64),
-                   float_array(witness["weight"], "witness weight"))
+    """Read the form ``to_dict`` writes, through the table its status names
+    in CERTIFICATES; anything else raises ValueError. The record checks its
+    own rules; a witness's atom count is compared with a problem's when it
+    is verified."""
+    status, f = read_variant(data, "certificate", "status", CERTIFICATES)
+    return Farkas(**f) if status == "infeasible" else Witness(f["grid_hash"], **f["witness"])
 
 
 def build_atom_grid(n_u: int, n_v: int, n_mirrored: int = 0) -> AtomGrid:

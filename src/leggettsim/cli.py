@@ -16,17 +16,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
+from contextlib import suppress
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, certify, models, optimize, quantum, sphere
 from .bounds import DEFAULT_K_SIGMA, averaged_bounds, check_bounds, pointwise_identity
-from .models import Coupling, LeggettModel, SettingsPair, is_integer, is_number
+from .models import (COUPLINGS, REAL, TEXT, Field, LeggettModel, SettingsPair, choice, integer, list_of, read_fields,
+                     read_variant, real, typed, vector)
 from .montecarlo import estimate_correlation
 from .simplex import SolverFailure
 
@@ -35,104 +35,12 @@ EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-REQUIRED = object()
-
-
-class Field(NamedTuple):
-    """One field of a config object: ``read(value, name)`` checks and converts
-    its value. A field without a default is required; with a default of None,
-    leaving it out or giving null means "not given"."""
-
-    name: str
-    read: Callable[[object, str], object]
-    default: object = REQUIRED
-
-
-def _fields(table: tuple[Field, ...], spec, where: str) -> dict:
-    """Read an object through its table: reject unknown keys, then take each
-    field from the object or its default, and read it. ``partial(_fields,
-    table)`` is the reader of a nested object."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"{where} must be an object, got {spec!r}")
-    unknown = set(spec) - {f.name for f in table}
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
-    out = {}
-    for f in table:
-        value = spec.get(f.name, f.default)
-        if value is REQUIRED:
-            raise ValueError(f"{where} requires {f.name!r}")
-        out[f.name] = None if value is None and f.default is None else f.read(value, f.name)
-    return out
-
-
-def _variant(spec, where: str, key: str, tables: dict) -> tuple[str, dict]:
-    """Read an object whose ``key`` names the table the rest of it is read through."""
-    if not isinstance(spec, dict) or key not in spec:
-        raise ValueError(f"{where} must be an object with a {key!r} key, got {spec!r}")
-    table = _choice(tables)(spec[key], key)
-    return spec[key], _fields(table, {k: v for k, v in spec.items() if k != key}, where)
-
-
-def _integer(lo: int, hi: float = math.inf):
-    """Reader of a count or seed in [lo, hi): a JSON integer, or a float with no
-    fractional part. Booleans, fractions and strings are refused, not truncated."""
-    def read(value, name: str) -> int:
-        n = int(value) if isinstance(value, float) and value.is_integer() else value
-        if not (is_integer(n) and lo <= n < hi):
-            raise ValueError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
-        return n
-    return read
-
-
-def _real(lo: float = -math.inf, hi: float = math.inf):
-    """Reader of a finite real number in [lo, hi]: a JSON integer or float.
-    Booleans and strings are rejected rather than converted."""
-    def read(value, name: str) -> float:
-        # the float64 range check comes first, so float() cannot overflow
-        if not (is_number(value) and abs(value) <= sys.float_info.max and lo <= value <= hi):
-            raise ValueError(f"{name} must be a finite number in [{lo}, {hi}], got {value!r}")
-        return float(value)
-    return read
-
-
-def _typed(kind: type, what: str):
-    """Reader of a value of JSON type ``kind``, taken as it is."""
-    def read(value, name: str):
-        if not isinstance(value, kind):
-            raise ValueError(f"{name} must be {what}, got {value!r}")
-        return value
-    return read
-
-
-_text = _typed(str, "a string")
-COUNT = _integer(1)
-REAL = _real()
-
-
-def _choice(options: dict):
-    """Reader of one of the string keys of ``options``, read as its value."""
-    def read(value, name: str):
-        if not isinstance(value, str) or value not in options:
-            raise ValueError(f"{name} must be one of {sorted(options)}, got {value!r}")
-        return options[value]
-    return read
-
-
-def _list_of(read, what: str):
-    """Reader of a non-empty list whose items are read by ``read``."""
-    def read_list(value, name: str) -> list:
-        if not isinstance(value, list) or not value:
-            raise ValueError(f"{name} must be a non-empty list of {what}, got {value!r}")
-        return [read(item, f"{name}[{i}]") for i, item in enumerate(value)]
-    return read_list
+COUNT = integer(1)
 
 
 def _direction(value, name: str) -> np.ndarray:
     """A direction read from JSON: a list of three numbers, normalized."""
-    if not isinstance(value, list) or len(value) != 3:
-        raise ValueError(f"{name} must be a list of three numbers, got {value!r}")
-    return sphere.normalize([REAL(x, name) for x in value])
+    return sphere.normalize(vector(value, name))
 
 
 def _load_json(path: str, what: str, parse=lambda data: data):
@@ -171,14 +79,14 @@ def _report_json(payload: dict, f: dict, config_hash: str) -> None:
 # A spec that draws from the run's seed (a random model, random settings,
 # targets built from either) is read into a function of that seed.
 
-COUPLING = Field("coupling", _choice({c.value: c for c in Coupling}), "independent")
+COUPLING = Field("coupling", COUPLINGS, "independent")
 RANDOM_MODEL = (Field("atoms", COUNT, 1000), COUPLING)
 MODEL_GENERATORS = {
     "point-mass": (Field("u", _direction), Field("v", _direction), COUPLING),
     "isotropic": RANDOM_MODEL,
     "mirrored": RANDOM_MODEL,
 }
-MODEL_FILE = (Field("file", _text),)
+MODEL_FILE = (Field("file", TEXT),)
 SETTINGS_PAIR = (Field("a", _direction), Field("b", _direction))
 RANDOM_SETTINGS = (Field("random", COUNT),)
 
@@ -186,10 +94,9 @@ RANDOM_SETTINGS = (Field("random", COUNT),)
 def _model(spec, name: str):
     """A model file, {"file": path}, or an object naming a generator."""
     if isinstance(spec, dict) and "file" in spec:
-        path = _fields(MODEL_FILE, spec, name)["file"]
-        model = _load_json(path, "model file", LeggettModel.from_dict)
+        model = _load_json(read_fields(MODEL_FILE, spec, name)["file"], "model file", LeggettModel.from_dict)
         return lambda seed: model
-    generator, m = _variant(spec, name, "generator", MODEL_GENERATORS)
+    generator, m = read_variant(spec, name, "generator", MODEL_GENERATORS)
     if generator == "point-mass":
         model = LeggettModel(models.point_mass(m["u"], m["v"]), m["coupling"])
         return lambda seed: model
@@ -200,7 +107,7 @@ def _model(spec, name: str):
 def _settings(spec, name: str):
     """A list of {"a", "b"} settings pairs, or {"random": count}."""
     if isinstance(spec, dict):
-        count = _fields(RANDOM_SETTINGS, spec, name)["random"]
+        count = read_fields(RANDOM_SETTINGS, spec, name)["random"]
 
         def draw(seed: int) -> list[SettingsPair]:
             rng = sphere.make_rng(seed, 2)
@@ -208,15 +115,15 @@ def _settings(spec, name: str):
             b = sphere.random_unit_vectors(rng, count)
             return [SettingsPair(a[i], b[i]) for i in range(count)]
         return draw
-    read = _list_of(partial(_fields, SETTINGS_PAIR), "{'a', 'b'} objects, or {'random': count}")
+    read = list_of(partial(read_fields, SETTINGS_PAIR), "{'a', 'b'} objects, or {'random': count}")
     pairs = [SettingsPair(p["a"], p["b"]) for p in read(spec, name)]
     return lambda seed: pairs
 
 
-CORRELATION = _real(-1.0, 1.0)
+CORRELATION = real(-1.0, 1.0)
 TARGET = (*SETTINGS_PAIR, Field("e", CORRELATION), Field("ma", CORRELATION, None), Field("mb", CORRELATION, None))
-FAMILY_TARGETS = (Field("from", _choice({"singlet": "singlet"})), Field("family", _choice(optimize.FAMILIES)),
-                  Field("params", _list_of(REAL, "numbers")))
+FAMILY_TARGETS = (Field("from", choice({"singlet": "singlet"})), Field("family", choice(optimize.FAMILIES)),
+                  Field("params", list_of(REAL, "numbers")))
 TARGET_SOURCES = {
     "singlet": (Field("settings", _settings),),
     "model": (Field("model", _model), Field("settings", _settings)),
@@ -227,15 +134,15 @@ def _targets(spec, name: str):
     """A list of {a, b, e, ma, mb} targets, or an object that takes them
     from the singlet (over settings or a settings family) or from a model."""
     if isinstance(spec, list):
-        read = _list_of(partial(_fields, TARGET), "target objects")
+        read = list_of(partial(read_fields, TARGET), "target objects")
         targets = [certify.TargetConstraint(SettingsPair(t["a"], t["b"]), t["e"], t["ma"], t["mb"])
                    for t in read(spec, name)]
         return lambda seed: targets
     if isinstance(spec, dict) and "family" in spec:
-        f = _fields(FAMILY_TARGETS, spec, name)
+        f = read_fields(FAMILY_TARGETS, spec, name)
         targets = f["family"].build(np.array(f["params"]))
         return lambda seed: targets
-    source, f = _variant(spec, name, "from", TARGET_SOURCES)
+    source, f = read_variant(spec, name, "from", TARGET_SOURCES)
     if source == "singlet":
         return lambda seed: [optimize.singlet_target(s) for s in f["settings"](seed)]
 
@@ -247,19 +154,19 @@ def _targets(spec, name: str):
     return from_model
 
 
-GRID = (Field("n_u", COUNT), Field("n_v", COUNT), Field("n_mirrored", _integer(0), 0))
+GRID = (Field("n_u", COUNT), Field("n_v", COUNT), Field("n_mirrored", integer(0), 0))
 SCENARIO = tuple(Field(name, _direction) for name in ("a", "a_prime", "b", "b_prime"))
 
 
 def _grid(value, name: str) -> certify.AtomGrid:
-    return certify.build_atom_grid(**_fields(GRID, value, name))
+    return certify.build_atom_grid(**read_fields(GRID, value, name))
 
 
 # -- the subcommands -----------------------------------------------------
 
 # a seed keys a Philox stream, whose key NumPy reads exactly only in [0, 2**63)
-SEED = _integer(0, 2**63)
-INCLUDE_MARGINALS = Field("include_marginals", _typed(bool, "true or false"), False)
+SEED = integer(0, 2**63)
+INCLUDE_MARGINALS = Field("include_marginals", typed(bool, "true or false"), False)
 
 
 def _fmt(x: float) -> str:
@@ -391,18 +298,18 @@ COMMANDS = {
     "identity-check": (cmd_identity_check, ()),
     "simulate": (cmd_simulate, (
         Field("model", _model), Field("settings", _settings),
-        Field("samples", COUNT, 10000), Field("k_sigma", _real(0.0), DEFAULT_K_SIGMA),
+        Field("samples", COUNT, 10000), Field("k_sigma", real(0.0), DEFAULT_K_SIGMA),
     )),
     "chsh": (cmd_chsh, (
-        Field("scenario", lambda value, name: quantum.chsh_pairs(**_fields(SCENARIO, value, name)), None),
+        Field("scenario", lambda value, name: quantum.chsh_pairs(**read_fields(SCENARIO, value, name)), None),
         Field("model", _model, None),
     )),
     "bounds": (cmd_bounds, (Field("model", _model), Field("settings", _settings))),
     "certify": (cmd_certify, (Field("grid", _grid, None), Field("targets", _targets), INCLUDE_MARGINALS)),
     "optimize": (cmd_optimize, (
-        Field("family", _choice(optimize.FAMILIES), "orthogonal-doublets"),
+        Field("family", choice(optimize.FAMILIES), "orthogonal-doublets"),
         Field("budget", COUNT, 300),
-        Field("grids", _list_of(_grid, "grid objects"),
+        Field("grids", list_of(_grid, "grid objects"),
               [{"n_u": 24, "n_v": 24, "n_mirrored": 64}, {"n_u": 48, "n_v": 48, "n_mirrored": 256}]),
         INCLUDE_MARGINALS,
     )),
@@ -422,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         if table:
             p.add_argument("--config")
-            p.add_argument("--seed", type=int)
+            p.add_argument("--seed")
         p.add_argument("--output")
         p.set_defaults(handler=handler, table=table, config=None, seed=0)
     return parser
@@ -435,7 +342,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = {} if args.config is None else _load_json(args.config, "config")
-        fields = _fields(args.table, config, "config") | {"seed": SEED(args.seed, "--seed"), "output": args.output}
+        with suppress(ValueError):  # --seed text that int() reads as no integer stays text, which SEED refuses
+            args.seed = int(args.seed)
+        fields = read_fields(args.table, config, "config") | {"seed": SEED(args.seed, "--seed"), "output": args.output}
         canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))  # the config as loaded
         return args.handler(fields, hashlib.sha256(canonical.encode("utf-8")).hexdigest())
     except SolverFailure as exc:

@@ -15,12 +15,20 @@ CDF (Chen and Asau, 1974; Devroye, *Non-Uniform Random Variate Generation*,
 each key's bucket: one search for any weights, a few passes longer where
 uneven weights crowd many atoms into one bucket. The couplings live in
 ``kernels``. Outcomes come back as +/-1 int8 arrays.
+
+Every JSON input is read here one way: through a table of ``Field``s
+(``read_fields``, ``read_variant``), whose readers check and convert one
+value each (``integer``, ``real``, ``typed``, ``choice``, ``list_of``,
+``vector``, ``float_array``). A config, a model file (``MODEL``) and a
+certificate (``certify.CERTIFICATES``) all go through them.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,19 +50,121 @@ def is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def float_array(values, name: str, length: int | None = None) -> np.ndarray:
-    """A JSON list of numbers (of ``length`` entries, when given) as float64.
+def float_array(values, name: str) -> np.ndarray:
+    """Reader of a JSON list of numbers as float64, NaN and inf included.
 
     Anything else raises ValueError, as does an integer beyond the float64
     range, which numpy would raise as OverflowError.
     """
-    if (not isinstance(values, list) or not all(map(is_number, values))
-            or (length is not None and len(values) != length)):
-        raise ValueError(f"{name} must be a list of {length or 'any number of'} numbers")
+    if not isinstance(values, list) or not all(map(is_number, values)):
+        raise ValueError(f"{name} must be a list of numbers")
     try:
         return np.asarray(values, dtype=np.float64)
     except OverflowError:
         raise ValueError(f"{name} must be float64 numbers") from None
+
+
+REQUIRED = object()
+
+
+class Field(NamedTuple):
+    """One field of a JSON object: ``read(value, name)`` checks and converts
+    its value. A field without a default is required; with a default of None,
+    leaving it out or giving null means "not given"."""
+
+    name: str
+    read: Callable[[object, str], object]
+    default: object = REQUIRED
+
+
+def read_fields(table: tuple[Field, ...], spec, where: str) -> dict:
+    """Read an object through its table: take each field from the object or
+    its default and read it, then reject unknown keys. ``partial(read_fields,
+    table)`` is the reader of a nested object."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{where} must be an object, got {spec!r}")
+    out = {}
+    for name, read, default in table:
+        value = spec.get(name, default)
+        if value is REQUIRED:
+            raise ValueError(f"{where} requires {name!r}")
+        out[name] = None if value is None and default is None else read(value, name)
+    # out holds every field of the table, so the keys beyond it are unknown
+    if not spec.keys() <= out.keys():
+        raise ValueError(f"unknown {where} keys: {sorted(spec.keys() - out.keys())}")
+    return out
+
+
+def read_variant(spec, where: str, key: str, tables: dict) -> tuple[str, dict]:
+    """Read an object whose ``key`` names the table the rest of it is read through."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise ValueError(f"{where} must be an object with a {key!r} key, got {spec!r}")
+    return spec[key], read_fields(choice(tables)(spec[key], key), {k: v for k, v in spec.items() if k != key}, where)
+
+
+def integer(lo: int, hi: float = math.inf):
+    """Reader of a count or seed in [lo, hi): a JSON integer, or a float with no
+    fractional part. Booleans, fractions and strings are refused, not truncated."""
+    def read(value, name: str) -> int:
+        n = int(value) if isinstance(value, float) and value.is_integer() else value
+        if not (is_integer(n) and lo <= n < hi):
+            raise ValueError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
+        return n
+    return read
+
+
+def real(lo: float = -math.inf, hi: float = math.inf):
+    """Reader of a finite real number in [lo, hi]: a JSON integer or float.
+    Booleans and strings are rejected rather than converted."""
+    # NaN fails every comparison, and an integer beyond the float64 range
+    # fails the bounds clamped to that range, so float() cannot overflow
+    low, high = max(lo, -sys.float_info.max), min(hi, sys.float_info.max)
+
+    def read(value, name: str) -> float:
+        if not (is_number(value) and low <= value <= high):
+            raise ValueError(f"{name} must be a finite number in [{lo}, {hi}], got {value!r}")
+        return float(value)
+    return read
+
+
+def typed(kind: type, what: str):
+    """Reader of a value of JSON type ``kind``, taken as it is."""
+    def read(value, name: str):
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+        return value
+    return read
+
+
+TEXT = typed(str, "a string")
+REAL = real()
+
+
+def choice(options: dict):
+    """Reader of one of the string keys of ``options``, read as its value."""
+    def read(value, name: str):
+        if not isinstance(value, str) or value not in options:
+            raise ValueError(f"{name} must be one of {sorted(options)}, got {value!r}")
+        return options[value]
+    return read
+
+
+def list_of(read, what: str):
+    """Reader of a non-empty list whose items are read by ``read``."""
+    def read_list(value, name: str) -> list:
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"{name} must be a non-empty list of {what}, got {value!r}")
+        return [read(item, f"{name}[{i}]") for i, item in enumerate(value)]
+    return read_list
+
+
+def vector(value, name: str) -> list:
+    """Reader of a list of three finite numbers, taken as it is."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise ValueError(f"{name} must be a list of three numbers, got {value!r}")
+    for x in value:
+        REAL(x, name)
+    return value
 
 
 def hold(record, **fields) -> None:
@@ -158,6 +268,23 @@ def mirrored(n_atoms: int, rng: np.random.Generator) -> SubensembleDistribution:
     return SubensembleDistribution(u, -u, np.full(n_atoms, 1.0 / n_atoms))
 
 
+COUPLINGS = choice({c.value: c for c in Coupling})
+# a model file, the form LeggettModel.to_dict writes
+ATOM = (Field("u", vector), Field("v", vector), Field("w", real(0.0)))
+
+
+def _atom_row(value, name: str) -> tuple:
+    """An atom read through ATOM, as its row of seven numbers: u, v, then w.
+    The garbage collector stops tracking a tuple of numbers at its first
+    pass, where a dict that holds the two lists stays tracked: kept for
+    every atom of a large file, those dicts cost a full collection."""
+    atom = read_fields(ATOM, value, name)
+    return (*atom["u"], *atom["v"], atom["w"])
+
+
+MODEL = (Field("atoms", list_of(_atom_row, "atom objects")), Field("coupling", COUPLINGS))
+
+
 @dataclass(frozen=True)
 class LeggettModel:
     """A subensemble distribution plus a conditional coupling rule."""
@@ -176,27 +303,18 @@ class LeggettModel:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "LeggettModel":
-        """Read the form ``to_dict`` writes. Anything else raises ValueError:
-        unknown or missing keys, a non-list ``atoms``, or a component or
-        weight that is not a JSON number (booleans and numeric strings
-        included)."""
-        if not isinstance(data, dict) or set(data) != {"atoms", "coupling"}:
-            raise ValueError("a model must be an object with keys atoms and coupling")
-        atoms = data["atoms"]
-        if not isinstance(atoms, list) or not all(isinstance(a, dict) and set(a) == {"u", "v", "w"}
-                                                  for a in atoms):
-            raise ValueError("atoms must be a list of objects with keys u, v and w")
-        u = np.array([float_array(atom["u"], "u", 3) for atom in atoms])
-        v = np.array([float_array(atom["v"], "v", 3) for atom in atoms])
-        w = float_array([atom["w"] for atom in atoms], "atom weights")
+    def from_dict(cls, data) -> "LeggettModel":
+        """Read the form ``to_dict`` writes, through the MODEL table; anything
+        else raises ValueError. Weights that sum to within LOAD_RENORM_TOL of
+        1 are renormalized, and the vectors are normalized."""
+        f = read_fields(MODEL, data, "model")
+        rows = np.array(f["atoms"], dtype=np.float64)
+        w = rows[:, 6].copy()  # contiguous, so its sum adds the weights in the order it always has
         total = float(w.sum())
         if abs(total - 1.0) > LOAD_RENORM_TOL:
             raise ValueError(f"atom weights sum to {total!r}, outside the 1e-9 load tolerance")
-        w = w / total
-        u = sphere.normalize(u)
-        v = sphere.normalize(v)
-        return cls(SubensembleDistribution(u, v, w), Coupling(data["coupling"]))
+        u, v = sphere.normalize(rows[:, :3]), sphere.normalize(rows[:, 3:6])
+        return cls(SubensembleDistribution(u, v, w / total), f["coupling"])
 
 
 class OutcomeLaw(NamedTuple):

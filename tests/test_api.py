@@ -24,6 +24,8 @@ ROOT = Path(__file__).resolve().parents[1]
     ("simplex", ["simplex"]),
     ("models", ["kernels", "models", "sphere"]),
     ("certify", ["certify", "kernels", "models", "simplex", "sphere"]),
+    ("cli", ["bounds", "certify", "cli", "kernels", "models", "montecarlo", "optimize", "quantum", "simplex",
+             "sphere"]),
 ])
 def test_module_loads_only_what_it_uses(module, loaded):
     # a fresh interpreter, so no other test's imports count

@@ -11,25 +11,18 @@ import pytest
 from hypothesis import example, given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from leggettsim import certify, cli
+from leggettsim import certify, cli, models
 from leggettsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERDICT, build_parser, main
-from leggettsim.models import SettingsPair
+from leggettsim.models import Coupling, LeggettModel, SettingsPair, SubensembleDistribution
 
 from test_acceptance import PINNED_VIOLATION_RUN
+from test_certify import feasible_problem, two_atom_infeasible_problem
 
 
 def write_config(tmp_path: Path, data: dict, name: str = "config.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
-
-
-def exit_code(argv: list[str]) -> int:
-    """main's return code, or the code the parser exits with on a flag it refuses."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
 
 
 POINT_MASS_MODEL = {
@@ -626,13 +619,16 @@ class TestSeedRange:
     # code before the range check
     LARGEST_SEED_SHA256 = "1bd8f36854b5a263da7a9f7a7c3bb5a5aa0b7c7bb1eeefa498765cf030fab4db"
 
-    # 1e300 is no integer to the parser, which exits 2 before main reads the range
-    @pytest.mark.parametrize("seed", BAD + [1e300])
+    # text that int() reads as no integer goes the same way as one out of
+    # range: main returns 2 with one message, and the parser never exits
+    @pytest.mark.parametrize("seed", [str(s) for s in BAD + [1e300]] + ["1e300", "2.0", "abc"])
     @pytest.mark.parametrize("command", sorted(CONFIGS))
-    def test_flag_rejected(self, tmp_path, command, seed):
+    def test_flag_rejected(self, tmp_path, capsys, command, seed):
         config = write_config(tmp_path, self.CONFIGS[command])
         out = tmp_path / "out"
-        assert exit_code([command, "--config", config, "--seed", str(seed), "--output", str(out)]) == EXIT_CONFIG
+        assert main([command, "--config", config, "--seed", seed, "--output", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: --seed ")
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", [0] + BAD + [1e300])
@@ -814,12 +810,10 @@ def _backticked(cell: str) -> str | None:
     return cell[1:-1]
 
 
-@pytest.mark.parametrize("command", list(cli.COMMANDS))
-def test_readme_table_matches_commands(command):
-    # the field cells of the table under the subcommand's heading in
-    # README.md, against its COMMANDS table; identity-check has no table
+def _readme_rows(headings, columns: int) -> list[list[str | None]]:
+    """The first ``columns`` cells of each row of the table under the first
+    line of README.md in ``headings``; no rows where no table follows it."""
     lines = README.read_text(encoding="utf-8").splitlines()
-    headings = (f"`{command}`:", f"`{command}` takes no config.")
     start = next(i for i, line in enumerate(lines) if line in headings)
     rows = []
     for line in lines[start + 1:]:
@@ -827,9 +821,42 @@ def test_readme_table_matches_commands(command):
             rows.append(line)
         elif rows or line.strip():
             break
-    cells = [_backticked(row.split("|")[1]) for row in rows[2:]]  # past the header and the rule
+    # past the header and the rule
+    return [[_backticked(cell) for cell in row.split("|")[1:1 + columns]] for row in rows[2:]]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_readme_table_matches_commands(command):
+    # the field cells of the table under the subcommand's heading in
+    # README.md, against its COMMANDS table; identity-check has no table
+    rows = _readme_rows((f"`{command}`:", f"`{command}` takes no config."), 1)
     _, table = cli.COMMANDS[command]
-    assert cells == [f.name for f in table]
+    assert [name for name, in rows] == [f.name for f in table]
+
+
+# the object a document field holds, as README.md names its fields
+NESTED = {"atoms": ("atoms[].", models.ATOM), "witness": ("witness.", certify.WITNESS)}
+
+
+def _names(table) -> list[str]:
+    """The fields of a document table, each followed by those of the object it holds."""
+    names = []
+    for f in table:
+        prefix, nested = NESTED.get(f.name, ("", ()))
+        names += [f.name] + [prefix + g.name for g in nested]
+    return names
+
+
+@pytest.mark.parametrize("heading, columns, expected", [
+    ("Model file:", 1, [[name] for name in _names(models.MODEL)]),
+    ("Certificate:", 2,
+     [["status", None]] + [[name, status] for status, table in certify.CERTIFICATES.items()
+                           for name in _names(table)]),
+], ids=["model", "certificate"])
+def test_readme_document_tables(heading, columns, expected):
+    # the field cells (and the status cells) of the document tables in
+    # README.md, against the tables the two documents are read through
+    assert _readme_rows((heading,), columns) == expected
 
 
 def _tables() -> list:
@@ -891,11 +918,11 @@ class TestSchemaKinds:
         ("optimize", OPTIMIZE, ("grids", 0), cli.GRID),
     ]
     # the keys that pick a model's or a target source's table
-    VARIANT_KEYS = [("simulate", SIMULATE, ("model",), cli.Field("generator", cli._text)),
-                    ("certify", SINGLET, ("targets",), cli.Field("from", cli._text))]
+    VARIANT_KEYS = [("simulate", SIMULATE, ("model",), cli.Field("generator", cli.TEXT)),
+                    ("certify", SINGLET, ("targets",), cli.Field("from", cli.TEXT))]
     # the run's seed and output path are flags alone: in a config they are
     # unknown keys, walked as required fields that take no kind
-    FLAG_KEYS = [(command, config, path, cli.Field(name, cli._text))
+    FLAG_KEYS = [(command, config, path, cli.Field(name, cli.TEXT))
                  for command, config, path, table in OBJECTS if path == () and table
                  for name in ("seed", "output")]
     FIELDS = [(command, config, path + (f.name,), f)
@@ -958,3 +985,92 @@ class TestSchemaKinds:
             assert code == EXIT_CONFIG
         if code == EXIT_CONFIG:
             assert after == before
+
+
+def _leaves(node, path=()):
+    """The path to every number, string or boolean of a JSON document."""
+    if isinstance(node, dict):
+        return [leaf for key, value in node.items() for leaf in _leaves(value, path + (key,))]
+    if isinstance(node, list):
+        return [leaf for i, value in enumerate(node) for leaf in _leaves(value, path + (i,))]
+    return [path]
+
+
+def _objects(node, path=()):
+    """The path to every object of a JSON document, the document itself first."""
+    if isinstance(node, dict):
+        return [path] + [p for key, value in node.items() for p in _objects(value, path + (key,))]
+    if isinstance(node, list):
+        return [p for i, value in enumerate(node) for p in _objects(value, path + (i,))]
+    return []
+
+
+class TestDocumentKinds:
+    """A model file and a certificate take the config's type rules, kind by
+    kind. From the form ``to_dict`` writes, each leaf replaced by a boolean,
+    a numeric string or a list of itself, and an unknown key added to each
+    object, raise ValueError; a model file so changed exits 2 through
+    ``bounds``, naming the file. The documents as written read back to
+    records that write them again."""
+
+    X, Y, Z = np.eye(3)
+    MODEL = LeggettModel(SubensembleDistribution(np.array([X, Y]), np.array([Y, Z]), [0.25, 0.75]),
+                         Coupling.COMONOTONE)
+    FEASIBLE = certify.solve(feasible_problem())
+    INFEASIBLE = certify.solve(two_atom_infeasible_problem())
+    DOCUMENTS = {"model": MODEL.to_dict(), "feasible": FEASIBLE.to_dict(), "infeasible": INFEASIBLE.to_dict()}
+    READ = {"model": LeggettModel.from_dict, "feasible": certify.read_certificate,
+            "infeasible": certify.read_certificate}
+
+    CASES = [(doc, path, kind) for doc, data in DOCUMENTS.items() for path in _leaves(data)
+             for kind in ("bool", "numeric-string", "list")]
+    CASES += [(doc, path + ("extra",), "unknown-key") for doc, data in DOCUMENTS.items() for path in _objects(data)]
+
+    def _changed(self, doc, path, kind):
+        node = self.DOCUMENTS[doc]
+        for key in path[:-1]:
+            node = node[key]
+        value = node.get(path[-1]) if isinstance(node, dict) else node[path[-1]]
+        numeric_string = "1" if isinstance(value, str) else repr(value)
+        new = {"bool": True, "numeric-string": numeric_string, "list": [value], "unknown-key": 0}[kind]
+        return TestIntegerFields._with(self.DOCUMENTS[doc], path, new)
+
+    def test_cases_cover_the_documents(self):
+        # every leaf of every document, and the atom and witness objects
+        assert sum(doc == "model" and kind == "unknown-key" for doc, _, kind in self.CASES) == 3
+        assert ("feasible", ("witness", "extra"), "unknown-key") in self.CASES
+        assert ("infeasible", ("farkas_ub", 0), "bool") in self.CASES
+
+    @pytest.mark.parametrize("doc, path, kind", CASES,
+                             ids=[f"{d}-{'.'.join(map(str, p))}-{k}" for d, p, k in CASES])
+    def test_refused(self, tmp_path, capsys, doc, path, kind):
+        data = self._changed(doc, path, kind)
+        if kind == "numeric-string" and path[-1] == "grid_hash":  # any string is a grid hash
+            self.READ[doc](data)
+            return
+        with pytest.raises(ValueError):
+            self.READ[doc](data)
+        if doc == "model":
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps(data), encoding="utf-8")
+            config = write_config(tmp_path, {"model": {"file": str(model)},
+                                             "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}]})
+            out = tmp_path / "bounds.json"
+            assert main(["bounds", "--config", config, "--output", str(out)]) == EXIT_CONFIG
+            assert f"invalid model file {model}: " in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_model_reads_back(self):
+        data = json.loads(json.dumps(self.DOCUMENTS["model"]))
+        record = LeggettModel.from_dict(data)
+        for name in ("u", "v", "w"):
+            np.testing.assert_array_equal(getattr(record.distribution, name), getattr(self.MODEL.distribution, name))
+        assert record.coupling is self.MODEL.coupling
+        assert record.to_dict() == data
+
+    @pytest.mark.parametrize("status", ["feasible", "infeasible"])
+    def test_certificate_reads_back(self, status):
+        data = json.loads(json.dumps(self.DOCUMENTS[status]))
+        record = certify.read_certificate(data)
+        assert type(record) is type(getattr(self, status.upper()))
+        assert record.to_dict() == data
