@@ -95,7 +95,8 @@ class AtomGrid:
 
 @dataclass(frozen=True, eq=False)
 class CertificationProblem:
-    """The LP rows of a grid and its targets, as ``build_problem`` writes them.
+    """A grid and the LP rows of its targets, as ``build_problem`` writes
+    them; the targets themselves are not kept.
 
     Every entry of A_ub is some |u.a +- v.b|, so A_ub >= 0; a matrix with a
     negative or NaN entry raises ValueError when the problem is built. The
@@ -107,7 +108,6 @@ class CertificationProblem:
     """
 
     grid: AtomGrid
-    constraints: tuple[TargetConstraint, ...]
     A_ub: np.ndarray
     b_ub: np.ndarray
     A_eq: np.ndarray  # marginal equality rows only (possibly empty)
@@ -275,7 +275,6 @@ def build_problem(
 
     return CertificationProblem(
         grid=grid,
-        constraints=constraints,
         A_ub=A_ub,
         b_ub=np.asarray([rhs for c in constraints for rhs in (1.0 + c.e, 1.0 - c.e)]),
         A_eq=A_eq,

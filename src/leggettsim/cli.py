@@ -280,13 +280,14 @@ def cmd_certify(f: dict, config_hash: str) -> int:
 
 
 def cmd_optimize(f: dict, config_hash: str) -> int:
-    result = optimize.optimize_settings(f["family"], f["grids"], f["budget"], f["seed"], f["include_marginals"])
+    params, margins = optimize.optimize_settings(
+        f["family"], f["grids"], f["budget"], f["seed"], f["include_marginals"])
     _report_json({
-        "family": result.family,
-        "params": [float(x) for x in result.params],
-        "margin": result.margin,
-        "margins_per_grid": list(result.margins),
-        "evaluations": result.evaluations,
+        "family": f["family"].name,
+        "params": [float(x) for x in params],
+        "margin": min(margins),
+        "margins_per_grid": list(margins),
+        "evaluations": f["budget"],  # pattern_search calls its objective exactly budget times
         "grid_atoms": [g.n_atoms for g in f["grids"]],
     }, f, config_hash)
     return EXIT_OK

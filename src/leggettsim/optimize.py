@@ -96,24 +96,6 @@ FAMILIES = {family.name: family for family in (
 )}
 
 
-@dataclass(frozen=True, eq=False)
-class OptimizeResult:
-    """The best parameters a search found, held read-only, and their margins."""
-
-    family: str
-    params: np.ndarray
-    margins: tuple[float, ...]  # per-grid margins at the best parameters
-    evaluations: int
-
-    def __post_init__(self):
-        hold(self, params=np.array(self.params, dtype=np.float64))
-
-    @property
-    def margin(self) -> float:
-        """The worst certified margin across the grids (0 = feasible somewhere)."""
-        return min(self.margins)
-
-
 def certified_margin(
     family: SettingsFamily,
     params: np.ndarray,
@@ -135,8 +117,11 @@ def pattern_search(
     upper: np.ndarray,
     budget: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, float, int]:
-    """Maximize over a box via random-restart coordinate pattern search."""
+) -> np.ndarray:
+    """Maximize over a box via random-restart coordinate pattern search.
+
+    The objective is called exactly ``budget`` times, and the best point
+    it was called at is returned."""
     if budget < 1:
         raise ValueError("evaluation budget must be >= 1")
     span = upper - lower
@@ -164,7 +149,7 @@ def pattern_search(
                 step *= SHRINK
         if f > best_f:
             best_x, best_f = x, f
-    return best_x, best_f, evals
+    return best_x
 
 
 def optimize_settings(
@@ -173,8 +158,9 @@ def optimize_settings(
     budget: int,
     seed: int,
     include_marginals: bool = False,
-) -> OptimizeResult:
-    """Search the family's parameters for the largest certified margin.
+) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Search the family's parameters for the largest certified margin, and
+    return the best parameters with their per-grid margins.
 
     Deterministic given the seed; the objective is the minimum margin over
     the supplied grids, each checked and hashed once when it was built.
@@ -184,6 +170,5 @@ def optimize_settings(
     def objective(params: np.ndarray) -> float:
         return min(certified_margin(family, params, grids, include_marginals))
 
-    best_x, best_f, evals = pattern_search(objective, family.lower, family.upper, budget, rng)
-    margins = certified_margin(family, best_x, grids, include_marginals)
-    return OptimizeResult(family.name, best_x, margins, evals)
+    best = pattern_search(objective, family.lower, family.upper, budget, rng)
+    return best, certified_margin(family, best, grids, include_marginals)

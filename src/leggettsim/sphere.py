@@ -41,18 +41,32 @@ def make_rng(seed: int, stream_id: int = 0, block: int = 0) -> np.random.Generat
 
 
 def normalize(vec) -> np.ndarray:
-    """Scale a 3-vector (or (n, 3) batch) to unit norm."""
+    """Scale a 3-vector (or (n, 3) batch) to unit norm.
+
+    A finite vector whose squared norm overflows is first divided by its
+    largest |component|; every other vector keeps the bits of x / |x|."""
     arr = np.asarray(vec, dtype=np.float64)
     if arr.shape == (3,):
         x, y, z = arr.tolist()
         n = math.sqrt(x * x + y * y + z * z)
+        if n == math.inf:
+            top = max(abs(x), abs(y), abs(z))
+            if top < math.inf:
+                return normalize([x / top, y / top, z / top])
         if n < _MIN_NORM:
             raise ValueError("cannot normalize a (near-)zero vector")
         return np.array([x / n, y / n, z / n])
-    norm = np.linalg.norm(arr, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(arr, axis=-1, keepdims=True)
     if np.any(norm < _MIN_NORM):
         raise ValueError("cannot normalize a (near-)zero vector")
-    return arr / norm
+    out = arr / norm
+    big = norm[..., 0] == np.inf
+    if big.any():
+        big &= np.isfinite(arr).all(axis=-1)
+        rows = arr[big]
+        out[big] = normalize(rows / np.abs(rows).max(axis=-1, keepdims=True))
+    return out
 
 
 def is_unit(vec) -> bool:

@@ -204,12 +204,12 @@ def test_criterion_7_violation_witness():
     grids = [build_atom_grid(24, 24, 64), build_atom_grid(48, 48, 256)]
     assert grids[0].n_atoms >= 500
     assert grids[1].n_atoms >= 2000
-    result = optimize_settings(family, grids, budget=300, seed=2026)
-    m_coarse, m_fine = result.margins
+    params, margins = optimize_settings(family, grids, budget=300, seed=2026)
+    m_coarse, m_fine = margins
     assert m_coarse > 0.0 and m_fine > 0.0
     assert abs(m_coarse - m_fine) <= 0.2 * max(m_coarse, m_fine)
-    assert result.margin == pytest.approx(PINNED_VIOLATION_MARGIN, abs=1e-6)
-    assert (repr(result.margins), tuple(float(x).hex() for x in result.params)) == PINNED_VIOLATION_RUN
+    assert min(margins) == pytest.approx(PINNED_VIOLATION_MARGIN, abs=1e-6)
+    assert (repr(margins), tuple(float(x).hex() for x in params)) == PINNED_VIOLATION_RUN
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
     _report(

@@ -55,4 +55,4 @@ def test_records_with_arrays_compare_by_identity():
                     and any("ndarray" in str(f.type) for f in dataclasses.fields(cls))):
                 checked.append(cls.__name__)
                 assert cls.__eq__ is object.__eq__, cls.__qualname__
-    assert {"AtomGrid", "SettingsFamily", "OptimizeResult", "Phase1Result"} <= set(checked)
+    assert {"AtomGrid", "SettingsFamily", "Phase1Result"} <= set(checked)

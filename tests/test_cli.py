@@ -226,6 +226,18 @@ class TestBounds:
         assert entry["upper"] == pytest.approx(1.0)
         assert entry["exact"] == pytest.approx(1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_direction_with_overflowing_norm(self, tmp_path, capsys):
+        # u's squared norm overflows, yet it names the direction [1, 0, 0]
+        config = write_config(tmp_path, {
+            "model": {**POINT_MASS_MODEL, "u": [1e200, 0.0, 0.0]},
+            "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}],
+        })
+        out = tmp_path / "bounds.json"
+        assert main(["bounds", "--config", config, "--output", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["bounds"][0]["exact"] == pytest.approx(1.0)
+
     def test_edge_model_bounds_ordered(self, tmp_path):
         config = write_config(tmp_path, {
             "model": {"file": write_config(tmp_path, EDGE_MODEL, "model.json")},
@@ -439,7 +451,10 @@ class TestOptimize:
         out = tmp_path / "opt.json"
         assert main(["optimize", "--config", config, "--seed", "2", "--output", str(out)]) == EXIT_OK
         report = json.loads(out.read_text())
-        assert report["evaluations"] <= 30
+        assert report["evaluations"] == 30
+        assert report["family"] == "orthogonal-doublets"
+        assert report["margin"] == min(report["margins_per_grid"])
+        assert report["grid_atoms"] == [120]
         assert len(report["margins_per_grid"]) == 1
 
     def test_bad_budget(self, tmp_path):
@@ -458,6 +473,8 @@ class TestOptimize:
         out = tmp_path / "opt.json"
         assert main(["optimize", "--seed", "2026", "--output", str(out)]) == EXIT_OK
         report = json.loads(out.read_text())
+        assert report["family"] == "orthogonal-doublets"
+        assert report["evaluations"] == 300
         assert report["grid_atoms"] == [640, 2560]
         assert (repr(tuple(report["margins_per_grid"])),
                 tuple(x.hex() for x in report["params"])) == PINNED_VIOLATION_RUN
@@ -832,6 +849,26 @@ def test_readme_table_matches_commands(command):
     rows = _readme_rows((f"`{command}`:", f"`{command}` takes no config."), 1)
     _, table = cli.COMMANDS[command]
     assert [name for name, in rows] == [f.name for f in table]
+
+
+# a small run of each subcommand that writes a JSON report, every
+# optional key included
+REPORT_RUNS = {
+    "chsh": {"model": {"generator": "isotropic", "atoms": 10}},
+    "bounds": {"model": POINT_MASS_MODEL, "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}]},
+    "certify": {"targets": {"from": "singlet", "settings": {"random": 2}}, "grid": {"n_u": 4, "n_v": 4}},
+    "optimize": {"budget": 2, "grids": [{"n_u": 4, "n_v": 4, "n_mirrored": 4}]},
+}
+
+
+@pytest.mark.parametrize("command", list(REPORT_RUNS))
+def test_readme_report_tables(tmp_path, command):
+    # the key cells of the shared head and of the subcommand's report table
+    # in README.md, against the top-level keys of a small run's report
+    out = tmp_path / "report.json"
+    assert main([command, "--config", write_config(tmp_path, REPORT_RUNS[command]), "--output", str(out)]) == EXIT_OK
+    keys = _readme_rows(("Every report:",), 1) + _readme_rows((f"`{command}` report:",), 1)
+    assert sorted(key for key, in keys) == sorted(json.loads(out.read_text()))
 
 
 # the object a document field holds, as README.md names its fields

@@ -85,11 +85,26 @@ class TestPatternSearch:
         rng = sphere.make_rng(1, 0)
         target = np.array([0.3, -0.6])
         f = lambda x: -float(np.sum((x - target) ** 2))
-        best, value, evals = pattern_search(
-            f, np.array([-1.0, -1.0]), np.array([1.0, 1.0]), budget=500, rng=rng
-        )
-        assert evals <= 500
+        best = pattern_search(f, np.array([-1.0, -1.0]), np.array([1.0, 1.0]), budget=500, rng=rng)
         assert np.allclose(best, target, atol=0.02)
+
+    @hyp_settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 200), st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4), st.integers(0, 2**32))
+    def test_objective_called_budget_times(self, budget, spans, seed):
+        # the optimize report's evaluations is the config's budget, by this
+        # invariant; the point returned is the best one evaluated, in the box
+        lower = -np.arange(1.0, len(spans) + 1)
+        upper = lower + np.array(spans)
+        calls = []
+
+        def objective(x):
+            calls.append((x.copy(), float(np.sin(7.0 * x).sum())))
+            return calls[-1][1]
+
+        best = pattern_search(objective, lower, upper, budget, sphere.make_rng(seed, 0))
+        assert len(calls) == budget
+        assert np.all(lower <= best) and np.all(best <= upper)
+        assert max(calls, key=lambda call: call[1])[0].tobytes() == best.tobytes()
 
     def test_budget_required(self):
         rng = sphere.make_rng(1, 0)
@@ -128,11 +143,13 @@ class TestOptimizeSettings:
 
     def test_finds_violation_and_is_deterministic(self):
         fam = FAMILIES["orthogonal-doublets"]
-        r1 = optimize_settings(fam, [SMALL_GRID], budget=60, seed=5)
-        r2 = optimize_settings(fam, [SMALL_GRID], budget=60, seed=5)
-        assert r1.margin > 0.0
-        assert r1.margin == r2.margin
-        assert np.array_equal(r1.params, r2.params)
+        params1, margins1 = optimize_settings(fam, [SMALL_GRID], budget=60, seed=5)
+        params2, margins2 = optimize_settings(fam, [SMALL_GRID], budget=60, seed=5)
+        assert min(margins1) > 0.0
+        assert margins1 == margins2
+        assert np.array_equal(params1, params2)
+        # the margins are those of the returned parameters
+        assert certified_margin(fam, params1, [SMALL_GRID]) == margins1
 
     # pivots summed over the 61 solves of this seeded run and its margins,
     # measured on the solver before its pivot loop was trimmed: any change
@@ -149,10 +166,10 @@ class TestOptimizeSettings:
             return result
 
         monkeypatch.setattr(certify, "phase1_simplex", counting_simplex)
-        result = optimize_settings(FAMILIES["orthogonal-doublets"], [SMALL_GRID], budget=60, seed=5)
+        _, margins = optimize_settings(FAMILIES["orthogonal-doublets"], [SMALL_GRID], budget=60, seed=5)
         assert len(pivots) == 61
         assert sum(pivots) == self.PINNED_PIVOTS
-        assert repr(result.margins) == self.PINNED_MARGINS
+        assert repr(margins) == self.PINNED_MARGINS
 
     def test_proven_gaps_match_numpy_formula(self, monkeypatch):
         # every certificate of the seeded run, 60 of them Farkas: the

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
@@ -56,6 +58,20 @@ class TestConstruction:
         arr = rng.standard_normal((50, 3))
         out = sphere.normalize(arr)
         assert sphere.is_unit(out)
+
+    def test_overflowing_norm(self):
+        # the squared norm of this finite direction overflows, yet it names
+        # the direction [1, 1, 0]
+        assert sphere.normalize([1e200, 1e200, 0.0]).tobytes() == sphere.normalize([1.0, 1.0, 0.0]).tobytes()
+
+    def test_overflowing_batch_row(self):
+        # only the row whose squared norm overflows is rescaled, with no
+        # warning; the others keep their bits
+        arr = np.array([[1e300, -1e300, 0.0], [3.0, 4.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sphere.normalize(arr)
+        assert out.tobytes() == sphere.normalize(np.array([[1.0, -1.0, 0.0], [3.0, 4.0, 0.0]])).tobytes()
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:
