@@ -321,30 +321,43 @@ class OutcomeLaw(NamedTuple):
     """A model's atoms projected onto one settings pair.
 
     ``w`` are the atom weights and ``alpha``, ``beta`` each atom's u.a and
-    v.b; the averaged bounds read only these three. ``pa`` and ``pb`` are
-    the Malus marginals P(A=1) = (1 + alpha)/2 and P(B=1) = (1 + beta)/2,
-    ``cdf``, ``guide`` and ``scan`` the distribution's weight table (see
-    ``SubensembleDistribution``), and ``coupling`` the model's coupling.
+    v.b; the averaged bounds read only these three. ``cdf``, ``guide`` and
+    ``scan`` are the distribution's weight table (see
+    ``SubensembleDistribution``) and ``coupling`` the model's coupling. The
+    law holds no marginals: ``pa`` and ``pb`` compute them, and the sampler
+    forms them only for the atoms it draws.
     """
 
     w: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-    pa: np.ndarray
-    pb: np.ndarray
     cdf: np.ndarray
     guide: np.ndarray
     scan: int
     coupling: Coupling
+
+    @property
+    def pa(self) -> np.ndarray:
+        """The Malus marginals P(A=1) = (1 + alpha)/2."""
+        return (1.0 + self.alpha) / 2.0
+
+    @property
+    def pb(self) -> np.ndarray:
+        """The Malus marginals P(B=1) = (1 + beta)/2."""
+        return (1.0 + self.beta) / 2.0
+
+    @property
+    def rows(self) -> int:
+        """Uniform rows one draw reads: the atom key, u1, and u2 only for
+        the independent coupling, the one coupling that reads it."""
+        return 3 if self.coupling is Coupling.INDEPENDENT else 2
 
 
 def outcome_law(model: LeggettModel, settings: SettingsPair) -> OutcomeLaw:
     """The one projection of a model's atoms onto a settings pair, built
     once per setting and read by its draws, exact values and bounds."""
     d = model.distribution
-    alpha = sphere.dots(d.u, settings.a)
-    beta = sphere.dots(d.v, settings.b)
-    return OutcomeLaw(d.w, alpha, beta, (1.0 + alpha) / 2.0, (1.0 + beta) / 2.0,
+    return OutcomeLaw(d.w, sphere.dots(d.u, settings.a), sphere.dots(d.v, settings.b),
                       d.cdf, d.guide, d.scan, model.coupling)
 
 
@@ -410,18 +423,26 @@ def _atom_indices(cdf: np.ndarray, guide: np.ndarray, scan: int, keys: np.ndarra
     return idx
 
 
-def sample_outcome_arrays(law: OutcomeLaw, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def sample_outcome_arrays(law: OutcomeLaw, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """n independent draws of (A, B) as two +/-1 int8 arrays from ``law``.
 
-    Uniforms are drawn in the order atom keys, u1, then u2, which only the
-    independent coupling reads and so draws. u2 comes last, so skipping it
-    moves no other draw of the call. Each key picks the first atom whose
-    CDF entry is > it, so a seeded stream gives the same outcomes however
-    the search finds that atom.
+    ``uniforms`` is one (``law.rows``, n) array: row 0 the atom keys, row 1
+    u1, and row 2 u2, which only the independent coupling reads and so
+    draws. ``rng.random((law.rows, n))`` fills it in the order that many
+    successive ``rng.random(n)`` calls would. Each key picks the first atom
+    whose CDF entry is > it, so a seeded stream gives the same outcomes
+    however the search finds that atom. The marginals are formed only from
+    the gathered u.a and v.b, with the bits of ``OutcomeLaw.pa``: 1 + x
+    rounds once, and halving it is exact, so ``* 0.5`` (a multiply, about
+    twice as fast as numpy's divide) gives the bits of ``/ 2``.
     """
-    if n < 1:
-        raise ValueError("sample count must be >= 1")
-    idx = _atom_indices(law.cdf, law.guide, law.scan, rng.random(n))
-    u1 = rng.random(n)
-    u2 = rng.random(n) if law.coupling is Coupling.INDEPENDENT else None
-    return kernels.draw_outcomes(law.pa.take(idx), law.pb.take(idx), u1, u2, law.coupling)
+    if uniforms.ndim != 2 or uniforms.shape[0] != law.rows or uniforms.shape[1] < 1:
+        raise ValueError(f"uniforms must be a ({law.rows}, n) array with n >= 1 for the "
+                         f"{law.coupling.value} coupling, got shape {uniforms.shape}")
+    idx = _atom_indices(law.cdf, law.guide, law.scan, uniforms[0])
+    pa, pb = law.alpha.take(idx), law.beta.take(idx)
+    for p in (pa, pb):
+        p += 1.0
+        p *= 0.5
+    u2 = uniforms[2] if law.rows == 3 else None
+    return kernels.draw_outcomes(pa, pb, uniforms[1], u2, law.coupling)

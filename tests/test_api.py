@@ -37,6 +37,18 @@ def test_module_loads_only_what_it_uses(module, loaded):
     assert out.split() == loaded
 
 
+def test_cli_loads_no_executor():
+    # every command pays for what importing the CLI loads: concurrent.futures
+    # would cost about 8 ms, most of it for logging, and the Monte Carlo
+    # helper's queue is imported only when an estimate first uses it
+    code = "import sys, leggettsim.cli; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                                capture_output=True, text=True, check=True).stdout.split())
+    assert "leggettsim.montecarlo" in loaded
+    assert not loaded & {"concurrent.futures", "logging", "queue"}
+
+
 def test_version_matches_pyproject():
     # a regex, not tomllib: the package supports Python 3.10
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from leggettsim import sphere
+from leggettsim import kernels, sphere
 from leggettsim.models import (
     Coupling,
     LeggettModel,
@@ -179,42 +179,94 @@ class TestJointConditionalLaw:
             assert abs((joint[0] + joint[2]) - pb) <= 1e-12
 
 
+def draw(law, n, rng):
+    """n draws of ``law`` from the block of uniforms ``rng`` fills next."""
+    return sample_outcome_arrays(law, rng.random((law.rows, n)))
+
+
 class TestSampling:
     def test_point_mass_degenerate(self, rng):
         model = LeggettModel(point_mass(X, Y), Coupling.INDEPENDENT)
-        a, b = sample_outcome_arrays(outcome_law(model, SettingsPair(X, Y)), 50, rng)
+        a, b = draw(outcome_law(model, SettingsPair(X, Y)), 50, rng)
         assert np.all(a == 1) and np.all(b == 1)
 
     def test_point_mass_antialigned(self, rng):
         model = LeggettModel(point_mass(-X, Y), Coupling.INDEPENDENT)
-        a, _ = sample_outcome_arrays(outcome_law(model, SettingsPair(X, Y)), 200, rng)
+        a, _ = draw(outcome_law(model, SettingsPair(X, Y)), 200, rng)
         assert np.all(a == -1.0)
 
     def test_isotropic_mean_near_zero(self):
         model = LeggettModel(isotropic_product(1000, sphere.make_rng(11, 0)), Coupling.INDEPENDENT)
         law = outcome_law(model, SettingsPair(X, Y))
-        a, _ = sample_outcome_arrays(law, 100_000, sphere.make_rng(11, 1))
+        a, _ = draw(law, 100_000, sphere.make_rng(11, 1))
         exact_a, _ = exact_model_marginals(law)
         se = 1.0 / np.sqrt(100_000)
         assert abs(a.mean() - exact_a) <= 4 * se
 
-    def test_invalid_count(self, rng):
-        model = LeggettModel(point_mass(X, Y), Coupling.INDEPENDENT)
-        with pytest.raises(ValueError):
-            sample_outcome_arrays(outcome_law(model, SettingsPair(X, Y)), 0, rng)
+    def test_invalid_count(self):
+        for coupling in Coupling:
+            law = outcome_law(LeggettModel(point_mass(X, Y), coupling), SettingsPair(X, Y))
+            with pytest.raises(ValueError, match="n >= 1"):
+                sample_outcome_arrays(law, np.empty((law.rows, 0)))
+
+    @pytest.mark.parametrize("coupling, shape", [
+        (Coupling.INDEPENDENT, (2, 10)),  # no u2 row for the coupling that reads it
+        (Coupling.COMONOTONE, (3, 10)),  # a u2 row the coupling does not read
+        (Coupling.ANTIMONOTONE, (1, 10)),
+        (Coupling.INDEPENDENT, (30,)),  # not 2-D
+        (Coupling.COMONOTONE, (2, 5, 1)),
+    ], ids=["independent-2-rows", "comonotone-3-rows", "antimonotone-1-row", "1d", "3d"])
+    def test_malformed_uniforms(self, coupling, shape):
+        law = outcome_law(LeggettModel(point_mass(X, Y), coupling), SettingsPair(X, Y))
+        with pytest.raises(ValueError, match="uniforms must be"):
+            sample_outcome_arrays(law, np.full(shape, 0.5))
 
     @pytest.mark.parametrize("coupling, draws", [
         (Coupling.INDEPENDENT, 3), (Coupling.COMONOTONE, 2), (Coupling.ANTIMONOTONE, 2),
     ], ids=["independent", "comonotone", "antimonotone"])
     def test_uniforms_drawn(self, coupling, draws):
         # keys and u1 for every coupling; u2 only where the coupling reads it
-        n = 1000
-        law = outcome_law(LeggettModel(isotropic_product(10, sphere.make_rng(2, 0)), coupling),
-                          SettingsPair(X, Y))
-        rng, ref = sphere.make_rng(3, 0), sphere.make_rng(3, 0)
-        sample_outcome_arrays(law, n, rng)
-        ref.random(draws * n)
-        assert rng.random(8).tolist() == ref.random(8).tolist()
+        law = outcome_law(LeggettModel(point_mass(X, Y), coupling), SettingsPair(X, Y))
+        assert law.rows == draws
+        a, b = sample_outcome_arrays(law, np.full((draws, 7), 0.25))
+        assert a.shape == b.shape == (7,)
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    @pytest.mark.parametrize("n", [1, 5, 1001, 65537])
+    def test_one_fill_is_successive_draws(self, rows, n):
+        # a (rows, n) fill reads the stream in the order of rows successive
+        # random(n) calls, also where n is no multiple of Philox's four words,
+        # and a fill through out= into a view of a larger buffer does too
+        ref = sphere.make_rng(3, 1, block=2)
+        successive = np.stack([ref.random(n) for _ in range(rows)])
+        assert np.array_equal(sphere.make_rng(3, 1, block=2).random((rows, n)), successive)
+        buffer = np.zeros(rows * (n + 3))
+        view = buffer[: rows * n].reshape(rows, n)
+        sphere.make_rng(3, 1, block=2).random(out=view)
+        assert np.array_equal(view, successive) and not buffer[rows * n:].any()
+
+    @pytest.mark.parametrize("coupling", list(Coupling), ids=lambda c: c.value)
+    def test_marginals_carry_the_laws_bits(self, monkeypatch, coupling):
+        # the sampler forms (1 + x)/2 only for the atoms it draws, and hands
+        # draw_outcomes the law's own pa and pb at those atoms, bit for bit,
+        # with row 1 as u1 and row 2, where the coupling reads it, as u2
+        seen = []
+        draw_outcomes = kernels.draw_outcomes
+
+        def recording(*args):
+            seen.append(args)
+            return draw_outcomes(*args)
+
+        monkeypatch.setattr(kernels, "draw_outcomes", recording)
+        model = LeggettModel(isotropic_product(500, sphere.make_rng(9, 0)), coupling)
+        law = outcome_law(model, SettingsPair(X, sphere.normalize([1.0, 2.0, 3.0])))
+        uniforms = sphere.make_rng(9, 1).random((law.rows, 10_001))
+        sample_outcome_arrays(law, uniforms)
+        (pa, pb, u1, u2, passed), = seen
+        idx = _atom_indices(law.cdf, law.guide, law.scan, uniforms[0])
+        assert pa.tobytes() == law.pa[idx].tobytes() and pb.tobytes() == law.pb[idx].tobytes()
+        assert np.array_equal(u1, uniforms[1]) and passed is coupling
+        assert u2 is None if law.rows == 2 else np.array_equal(u2, uniforms[2])
 
 
 def _weights(shape: str, m: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,7 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from leggettsim import sphere
+from leggettsim import montecarlo, sphere
 from leggettsim.models import (
     Coupling,
     LeggettModel,
@@ -26,7 +29,7 @@ def block_sums(law, n, seed, stream_id):
     sums = [0, 0, 0]
     for block, offset in enumerate(range(0, n, BLOCK_SIZE)):
         rng = sphere.make_rng(seed, stream_id, block=block)
-        a, b = sample_outcome_arrays(law, min(BLOCK_SIZE, n - offset), rng)
+        a, b = sample_outcome_arrays(law, rng.random((law.rows, min(BLOCK_SIZE, n - offset))))
         for i, x in enumerate((a * b, a, b)):
             sums[i] += int(np.sum(x, dtype=np.int64))
     return tuple(sums)
@@ -34,7 +37,7 @@ def block_sums(law, n, seed, stream_id):
 
 def sample_marginals(law, n, seed):
     """Sample means of A and B over n draws, with their standard errors."""
-    a, b = sample_outcome_arrays(law, n, sphere.make_rng(seed, 0))
+    a, b = sample_outcome_arrays(law, sphere.make_rng(seed, 0).random((law.rows, n)))
     return (CorrelationEstimate(float(a.mean()), n),
             CorrelationEstimate(float(b.mean()), n))
 
@@ -211,3 +214,127 @@ class TestSearchPaths:
             assert sums == self.GOLDEN_SUMS[weights, coupling.value]
             est = estimate_correlation(law, self.N, seed=2026, stream_id=5)
             assert est == CorrelationEstimate(sums[0] / self.N, self.N)
+
+
+class TestDrawnAhead:
+    """The helper thread that draws each block's uniforms one block ahead."""
+
+    SETTINGS = TestMultiBlock.SETTINGS
+
+    @staticmethod
+    def _law(coupling, atoms=50):
+        model = LeggettModel(isotropic_product(atoms, sphere.make_rng(31, atoms)), coupling)
+        return outcome_law(model, TestDrawnAhead.SETTINGS)
+
+    @staticmethod
+    def _recording_rngs(monkeypatch, fail_block=None):
+        """Record the thread that makes each block's generator and the one
+        that fills it; the fill of ``fail_block`` raises."""
+        made, filled = [], []
+        make_rng = sphere.make_rng
+
+        class Recording:
+            def __init__(self, rng, block):
+                self.rng, self.block = rng, block
+
+            def random(self, *args, **kwargs):
+                filled.append(threading.get_ident())
+                if self.block == fail_block:
+                    raise FloatingPointError(f"fill of block {self.block}")
+                return self.rng.random(*args, **kwargs)
+
+        def recording(seed, stream_id=0, block=0):
+            made.append(threading.get_ident())
+            return Recording(make_rng(seed, stream_id, block=block), block)
+
+        monkeypatch.setattr(sphere, "make_rng", recording)
+        return made, filled
+
+    @pytest.mark.parametrize("coupling", list(Coupling), ids=lambda c: c.value)
+    @pytest.mark.parametrize("n", [1, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 5])
+    def test_helper_on_and_off_agree(self, monkeypatch, coupling, n):
+        law = self._law(coupling)
+        estimates = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+            estimates.append(estimate_correlation(law, n, seed=2026, stream_id=5))
+        assert estimates[0] == estimates[1]
+        sums = block_sums(law, n, 2026, 5)
+        assert estimates[0] == CorrelationEstimate(sums[0] / n, n)
+
+    def test_concurrent_estimates_under_fast_switching(self, monkeypatch):
+        # four estimates at once, each with its own helper, so more threads
+        # than cores, switching every microsecond: a fill that landed in a
+        # buffer the caller still reads would change a sum
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        law = self._law(Coupling.INDEPENDENT)
+        n = 4 * BLOCK_SIZE + 3
+        expected = [CorrelationEstimate(block_sums(law, n, 2026, s)[0] / n, n) for s in range(4)]
+        results = [None] * 4
+
+        def run(s):
+            results[s] = estimate_correlation(law, n, seed=2026, stream_id=s)
+
+        threads = [threading.Thread(target=run, args=(s,)) for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == expected
+
+    @pytest.mark.parametrize("cpus, n, helper", [
+        (2, 3 * BLOCK_SIZE + 5, True),
+        (1, 3 * BLOCK_SIZE + 5, False),  # one usable CPU
+        (2, BLOCK_SIZE, False),  # one block
+    ], ids=["two-cpus", "one-cpu", "one-block"])
+    def test_who_draws(self, monkeypatch, cpus, n, helper):
+        # the calling thread makes every generator; the fills run on one
+        # other thread only where the helper is used
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        law = self._law(Coupling.INDEPENDENT)
+        made, filled = self._recording_rngs(monkeypatch)
+        before = threading.active_count()
+        estimate_correlation(law, n, seed=1)
+        caller = threading.get_ident()
+        assert made == [caller] * -(-n // BLOCK_SIZE)
+        assert len(filled) == len(made)
+        assert set(filled) == ({filled[0]} if helper else {caller})
+        assert (caller not in filled) is helper
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_no_thread_outlives_a_block_that_raises(self, monkeypatch, cpus):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        calls = []
+
+        def failing(law, uniforms):
+            calls.append(1)
+            if len(calls) == 3:
+                raise FloatingPointError("block 2")
+            return sample_outcome_arrays(law, uniforms)
+
+        monkeypatch.setattr(montecarlo, "sample_outcome_arrays", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="block 2") as raised:
+            estimate_correlation(self._law(Coupling.COMONOTONE), 5 * BLOCK_SIZE, seed=1)
+        # counted while ``raised`` holds the traceback, and through it the
+        # estimate's frame, so no finalizer has stopped the helper
+        assert threading.active_count() == before
+        assert len(calls) == 3 and raised.traceback
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_fill_that_raises_reaches_the_caller(self, monkeypatch, cpus):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        law = self._law(Coupling.INDEPENDENT)
+        self._recording_rngs(monkeypatch, fail_block=2)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="fill of block 2") as raised:
+            estimate_correlation(law, 5 * BLOCK_SIZE, seed=1)
+        assert threading.active_count() == before
+        assert raised.traceback
