@@ -39,8 +39,8 @@ def test_module_loads_only_what_it_uses(module, loaded):
 
 def test_cli_loads_no_executor():
     # every command pays for what importing the CLI loads: concurrent.futures
-    # would cost about 8 ms, most of it for logging, and the Monte Carlo
-    # helper's queue is imported only when an estimate first uses it
+    # costs 5-8 ms, most of it for logging, so the Monte Carlo estimate
+    # imports its executor only when it first runs
     code = "import sys, leggettsim.cli; print(' '.join(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     loaded = set(subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,

@@ -217,7 +217,7 @@ class TestSearchPaths:
 
 
 class TestDrawnAhead:
-    """The helper thread that draws each block's uniforms one block ahead."""
+    """The worker thread that fills each block's uniforms one block ahead."""
 
     SETTINGS = TestMultiBlock.SETTINGS
 
@@ -252,21 +252,17 @@ class TestDrawnAhead:
 
     @pytest.mark.parametrize("coupling", list(Coupling), ids=lambda c: c.value)
     @pytest.mark.parametrize("n", [1, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 5])
-    def test_helper_on_and_off_agree(self, monkeypatch, coupling, n):
+    def test_helper_on_and_off_agree(self, coupling, n):
+        # the estimate, its later blocks filled on the worker, equals the
+        # sums of the same blocks drawn one after the other on this thread
         law = self._law(coupling)
-        estimates = []
-        for cpus in (2, 1):
-            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
-            estimates.append(estimate_correlation(law, n, seed=2026, stream_id=5))
-        assert estimates[0] == estimates[1]
         sums = block_sums(law, n, 2026, 5)
-        assert estimates[0] == CorrelationEstimate(sums[0] / n, n)
+        assert estimate_correlation(law, n, seed=2026, stream_id=5) == CorrelationEstimate(sums[0] / n, n)
 
-    def test_concurrent_estimates_under_fast_switching(self, monkeypatch):
-        # four estimates at once, each with its own helper, so more threads
+    def test_concurrent_estimates_under_fast_switching(self):
+        # four estimates at once, each with its own worker, so more threads
         # than cores, switching every microsecond: a fill that landed in a
         # buffer the caller still reads would change a sum
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         law = self._law(Coupling.INDEPENDENT)
         n = 4 * BLOCK_SIZE + 3
         expected = [CorrelationEstimate(block_sums(law, n, 2026, s)[0] / n, n) for s in range(4)]
@@ -288,29 +284,32 @@ class TestDrawnAhead:
         assert not any(t.is_alive() for t in threads)
         assert results == expected
 
-    @pytest.mark.parametrize("cpus, n, helper", [
-        (2, 3 * BLOCK_SIZE + 5, True),
-        (1, 3 * BLOCK_SIZE + 5, False),  # one usable CPU
-        (2, BLOCK_SIZE, False),  # one block
-    ], ids=["two-cpus", "one-cpu", "one-block"])
-    def test_who_draws(self, monkeypatch, cpus, n, helper):
-        # the calling thread makes every generator; the fills run on one
-        # other thread only where the helper is used
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    @pytest.mark.parametrize("n", [3 * BLOCK_SIZE + 5, BLOCK_SIZE], ids=["four-blocks", "one-block"])
+    def test_who_draws(self, monkeypatch, n):
+        # the calling thread makes every generator and fills block 0; one
+        # other thread fills every later block, and a one-block estimate
+        # starts no thread
         law = self._law(Coupling.INDEPENDENT)
         made, filled = self._recording_rngs(monkeypatch)
         before = threading.active_count()
+        during = []
+        sample = montecarlo.sample_outcome_arrays
+
+        def counting(law, uniforms):
+            during.append(threading.active_count())
+            return sample(law, uniforms)
+
+        monkeypatch.setattr(montecarlo, "sample_outcome_arrays", counting)
         estimate_correlation(law, n, seed=1)
         caller = threading.get_ident()
-        assert made == [caller] * -(-n // BLOCK_SIZE)
-        assert len(filled) == len(made)
-        assert set(filled) == ({filled[0]} if helper else {caller})
-        assert (caller not in filled) is helper
+        blocks = -(-n // BLOCK_SIZE)
+        assert made == [caller] * blocks
+        assert filled[0] == caller and len(filled) == blocks
+        assert len(set(filled[1:])) == (blocks > 1) and caller not in filled[1:]
+        assert during == [before + (blocks > 1)] * blocks
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("cpus", [2, 1])
-    def test_no_thread_outlives_a_block_that_raises(self, monkeypatch, cpus):
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    def test_no_thread_outlives_a_block_that_raises(self, monkeypatch):
         calls = []
 
         def failing(law, uniforms):
@@ -324,13 +323,11 @@ class TestDrawnAhead:
         with pytest.raises(FloatingPointError, match="block 2") as raised:
             estimate_correlation(self._law(Coupling.COMONOTONE), 5 * BLOCK_SIZE, seed=1)
         # counted while ``raised`` holds the traceback, and through it the
-        # estimate's frame, so no finalizer has stopped the helper
+        # estimate's frame, so no finalizer has stopped the worker
         assert threading.active_count() == before
         assert len(calls) == 3 and raised.traceback
 
-    @pytest.mark.parametrize("cpus", [2, 1])
-    def test_fill_that_raises_reaches_the_caller(self, monkeypatch, cpus):
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    def test_fill_that_raises_reaches_the_caller(self, monkeypatch):
         law = self._law(Coupling.INDEPENDENT)
         self._recording_rngs(monkeypatch, fail_block=2)
         before = threading.active_count()
