@@ -2,10 +2,10 @@
 
 Given a grid of candidate hidden-vector atoms and target correlations for
 a family of settings pairs, decide whether any nonnegative normalized
-weighting of the atoms satisfies every averaged bound (and optionally the
-marginal constraints). An AtomGrid is checked for unit norms and hashed
-once, when it is built; build_problem then only computes the LP rows, so
-a search that solves many problems on one grid pays for neither again.
+weighting of the atoms satisfies every averaged bound. An AtomGrid is
+checked for unit norms and hashed once, when it is built; build_problem
+then only computes the LP rows, so a search that solves many problems on
+one grid pays for neither again.
 Feasible problems return a Witness (the support of a weighting);
 infeasible problems return Farkas multipliers. read_certificate reads
 either back from JSON. verify_certificate recomputes either in float64
@@ -43,21 +43,15 @@ class CertStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class TargetConstraint:
-    """Target correlation (and optional marginals) for one settings pair."""
+    """Target correlation for one settings pair."""
 
     settings: SettingsPair
     e: float
-    ma: float | None = None
-    mb: float | None = None
 
     def __post_init__(self):
         # written so that NaN fails too
         if not abs(self.e) <= 1.0:
             raise ValueError("target correlation must lie in [-1, 1]")
-        for name in ("ma", "mb"):
-            value = getattr(self, name)
-            if value is not None and not abs(value) <= 1.0:
-                raise ValueError(f"target marginal {name} must lie in [-1, 1]")
 
 
 def grid_hash(u: np.ndarray, v: np.ndarray) -> str:
@@ -101,23 +95,26 @@ class CertificationProblem:
     Every entry of A_ub is some |u.a +- v.b|, so A_ub >= 0; a matrix with a
     negative or NaN entry raises ValueError when the problem is built. The
     verifier relies on it: lam^T A_ub is then also the sum of the absolute
-    terms of that product. After the check the four row arrays are held
+    terms of that product. After the check the two row arrays are held
     read-only in place, not copied, so no later write can undo it; a
     problem built directly (by ``dataclasses.replace``, say) takes over
     the arrays it is given.
+
+    ``A_eq`` and ``b_eq`` are empty read-only stubs of 0 bytes, kept
+    because perfbench/tracing.py reads them; nothing in this package does.
     """
+
+    A_eq = b_eq = np.broadcast_to(0.0, 0)  # a broadcast view is read-only
 
     grid: AtomGrid
     A_ub: np.ndarray
     b_ub: np.ndarray
-    A_eq: np.ndarray  # marginal equality rows only (possibly empty)
-    b_eq: np.ndarray
 
     def __post_init__(self):
         # written so that NaN fails too
         if not self.A_ub.min(initial=0.0) >= 0.0:
             raise ValueError("the bound rows A_ub must be nonnegative and not NaN")
-        hold(self, A_ub=self.A_ub, b_ub=self.b_ub, A_eq=self.A_eq, b_eq=self.b_eq)
+        hold(self, A_ub=self.A_ub, b_ub=self.b_ub)
 
     @property
     def grid_hash(self) -> str:
@@ -163,27 +160,26 @@ class Witness:
 @dataclass(frozen=True, eq=False)
 class Farkas:
     """The infeasible certificate: multipliers on the bound rows (farkas_ub,
-    >= 0 when it proves anything) and on the marginal equality rows, and the
-    computed Farkas gap over the largest multiplier. Anything but two 1-D
-    float64 arrays raises ValueError; it then holds read-only copies."""
+    >= 0 when it proves anything) and the computed Farkas gap over the
+    largest multiplier. Anything but a 1-D float64 array raises ValueError;
+    it then holds a read-only copy."""
 
     status = CertStatus.INFEASIBLE
 
     grid_hash: str
     farkas_ub: np.ndarray
-    farkas_eq: np.ndarray
     margin: float
 
     def __post_init__(self):
-        lam, mu = self.farkas_ub, self.farkas_eq
-        if not all(isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 1 for a in (lam, mu)):
-            raise ValueError("Farkas multipliers must be 1-D float64 arrays")
-        hold(self, farkas_ub=lam.copy(), farkas_eq=mu.copy())
+        lam = self.farkas_ub
+        if not (isinstance(lam, np.ndarray) and lam.dtype == np.float64 and lam.ndim == 1):
+            raise ValueError("Farkas multipliers must be a 1-D float64 array")
+        hold(self, farkas_ub=lam.copy())
 
     def to_dict(self) -> dict:
         """JSON-ready form."""
         return {"status": self.status.value, "grid_hash": self.grid_hash, "margin": self.margin,
-                "farkas_ub": self.farkas_ub.tolist(), "farkas_eq": self.farkas_eq.tolist()}
+                "farkas_ub": self.farkas_ub.tolist()}
 
 
 def _indices(values, name: str) -> np.ndarray:
@@ -202,7 +198,7 @@ CERTIFICATES = {
     "feasible": (Field("grid_hash", TEXT), Field("margin", real(0.0, 0.0)),
                  Field("witness", partial(read_fields, WITNESS))),
     "infeasible": (Field("grid_hash", TEXT), Field("margin", lambda value, name: float(float_array([value], name)[0])),
-                   Field("farkas_ub", float_array), Field("farkas_eq", float_array)),
+                   Field("farkas_ub", float_array)),
 }
 
 
@@ -236,29 +232,22 @@ def build_atom_grid(n_u: int, n_v: int, n_mirrored: int = 0) -> AtomGrid:
     return AtomGrid(u, v)
 
 
-def build_problem(
-    grid: AtomGrid, constraints, include_marginals: bool = False
-) -> CertificationProblem:
+def build_problem(grid: AtomGrid, constraints) -> CertificationProblem:
     """Assemble the LP rows: per settings pair j, the averaged bounds become
 
         sum_i w_i |u_i.a_j + v_i.b_j| <= 1 + E_j    (row 2j of A_ub)
         sum_i w_i |u_i.a_j - v_i.b_j| <= 1 - E_j    (row 2j + 1)
 
-    plus, when requested, the equality rows u.a_j = ma_j and v.b_j = mb_j
-    (rows 2j and 2j + 1 of A_eq). The grid was checked when it was built, so
-    only the rows are computed. Each row pair is written straight into the
-    preallocated matrix, and pairs that share a setting a (the same float64
-    bits) share one u.a projection, so no more than one alpha, one beta and
-    the temporary of sphere.dots are held besides A_ub."""
+    The grid was checked when it was built, so only the rows are computed.
+    Each row pair is written straight into the preallocated matrix, and
+    pairs that share a setting a (the same float64 bits) share one u.a
+    projection, so no more than one alpha, one beta and the temporary of
+    sphere.dots are held besides A_ub."""
     constraints = tuple(constraints)
     if len(constraints) == 0:
         raise ValueError("constraint list must be non-empty")
-    if include_marginals and any(c.ma is None or c.mb is None for c in constraints):
-        raise ValueError("include_marginals requires target marginals on every constraint")
     u, v = grid.u, grid.v
-    k = len(constraints)
-    A_ub = np.empty((2 * k, grid.n_atoms))
-    A_eq = np.empty((2 * k if include_marginals else 0, grid.n_atoms))
+    A_ub = np.empty((2 * len(constraints), grid.n_atoms))
 
     pairs_of_a: dict[bytes, list[int]] = {}
     for j, c in enumerate(constraints):
@@ -268,8 +257,6 @@ def build_problem(
         for j in js:
             beta = sphere.dots(v, constraints[j].settings.b)
             kernels.abs_sum_diff(alpha, beta, out=(A_ub[2 * j], A_ub[2 * j + 1]))
-            if include_marginals:
-                A_eq[2 * j], A_eq[2 * j + 1] = alpha, beta
             del beta  # no stale row is held through the next projection
         del alpha
 
@@ -277,34 +264,24 @@ def build_problem(
         grid=grid,
         A_ub=A_ub,
         b_ub=np.asarray([rhs for c in constraints for rhs in (1.0 + c.e, 1.0 - c.e)]),
-        A_eq=A_eq,
-        b_eq=np.asarray([m for c in constraints for m in (c.ma, c.mb)] if include_marginals else []),
     )
 
 
-def _farkas_combination(problem: CertificationProblem, lam, mu) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The combination lam^T A_ub + mu^T A_eq, its first term lam^T A_ub,
-    its right-hand side lam^T b_ub + mu^T b_eq, and the largest of
-    lam >= 0 and |mu|.
+def _farkas_combination(problem: CertificationProblem, lam) -> tuple[np.ndarray, float, float]:
+    """The combination lam^T A_ub, its right-hand side lam^T b_ub, and the
+    largest multiplier of lam >= 0.
 
     For any w in the simplex the combination times w is at least its
     smallest entry, while the rows force it to at most the right-hand
     side, so a positive gap between the two excludes every admissible w.
     """
-    lam_a = lam @ problem.A_ub
-    combo = lam_a + mu @ problem.A_eq
-    value = float(lam @ problem.b_ub + mu @ problem.b_eq)
-    scale = max(float(lam.max(initial=0.0)), float(np.abs(mu).max(initial=0.0)))
-    return combo, lam_a, value, scale
+    return lam @ problem.A_ub, float(lam @ problem.b_ub), float(lam.max(initial=0.0))
 
 
 def solve(problem: CertificationProblem) -> Witness | Farkas:
     """Phase-1 feasibility solve over {w >= 0, sum w = 1, constraint rows}."""
     m = problem.n_atoms
-    A_eq = np.concatenate([problem.A_eq, np.ones((1, m))])
-    b_eq = np.concatenate([problem.b_eq, [1.0]])
-
-    result = phase1_simplex(problem.A_ub, problem.b_ub, A_eq, b_eq)
+    result = phase1_simplex(problem.A_ub, problem.b_ub, np.ones((1, m)), [1.0])
 
     if result.feasible:
         w = np.maximum(result.x, 0.0)
@@ -312,13 +289,11 @@ def solve(problem: CertificationProblem) -> Witness | Farkas:
         cert = Witness(problem.grid_hash, m, index, w[index])
     else:
         # the multipliers y on the original rows satisfy y^T A <= 0 (columns)
-        # and y^T b > 0; the certificate stores lam = -y_ub >= 0, mu = -y_eq,
-        # and drops the last, normalization row (it cancels in the margin).
-        p = problem.b_ub.shape[0]
-        lam = np.maximum(-result.y[:p], 0.0)
-        mu = -result.y[p:-1]
-        combo, _, value, scale = _farkas_combination(problem, lam, mu)
-        cert = Farkas(problem.grid_hash, lam, mu, (float(combo.min()) - value) / scale if scale > 0.0 else 0.0)
+        # and y^T b > 0; the certificate stores lam = -y_ub >= 0 and drops
+        # the last, normalization row (it cancels in the margin).
+        lam = np.maximum(-result.y[:-1], 0.0)
+        combo, value, scale = _farkas_combination(problem, lam)
+        cert = Farkas(problem.grid_hash, lam, (float(combo.min()) - value) / scale if scale > 0.0 else 0.0)
     # the verifier also rejects a gap that is not positive: its proven gap
     # is never larger than the computed one
     if not verify_certificate(problem, cert):
@@ -360,11 +335,11 @@ def verify_certificate(problem: CertificationProblem, cert: Witness | Farkas) ->
     (_ENTRY_ERR) times the 1-norm of the multipliers or weights.
 
     A Farkas certificate is accepted when its multipliers are finite,
-    lam >= 0, and the Farkas gap min_j (lam^T A_ub + mu^T A_eq)_j -
-    (lam^T b_ub + mu^T b_eq) stays positive under that bound, and at least
-    the claimed margin up to FEAS_TOL. It then proves that no weighting of
-    the given float grid meets the rows, in exact arithmetic; it says
-    nothing about distributions off the grid.
+    lam >= 0, and the Farkas gap min_j (lam^T A_ub)_j - lam^T b_ub stays
+    positive under that bound, and at least the claimed margin up to
+    FEAS_TOL. It then proves that no weighting of the given float grid
+    meets the rows, in exact arithmetic; it says nothing about
+    distributions off the grid.
 
     A Witness is accepted when its weights are finite, none is below
     -FEAS_TOL, and every row residual and the normalization residual stay
@@ -379,7 +354,7 @@ def verify_certificate(problem: CertificationProblem, cert: Witness | Farkas) ->
         w = cert.weight
         if not np.isfinite(w).all() or (w < -FEAS_TOL).any():
             return False
-        A_ub, A_eq = problem.A_ub[:, cert.index], problem.A_eq[:, cert.index]
+        A_ub = problem.A_ub[:, cert.index]
         # n_atoms terms per dot, plus the rounded right-hand sides 1 +- e,
         # the subtraction and the evaluation of the bound itself
         g = _gamma(problem.n_atoms + 3)
@@ -388,38 +363,35 @@ def verify_certificate(problem: CertificationProblem, cert: Witness | Farkas) ->
         entry = w_norm * _ENTRY_ERR
         # A_ub >= 0 (CertificationProblem): it is its own absolute value
         ub = A_ub @ w - problem.b_ub + g * (A_ub @ abs_w + np.abs(problem.b_ub)) + entry
-        eq = np.abs(A_eq @ w - problem.b_eq) + g * (np.abs(A_eq) @ abs_w + np.abs(problem.b_eq)) + entry
         total = abs(float(w.sum()) - 1.0) + g * (w_norm + 1.0)
-        return bool((ub <= FEAS_TOL).all() and (eq <= FEAS_TOL).all() and total <= FEAS_TOL)
+        return bool((ub <= FEAS_TOL).all() and total <= FEAS_TOL)
 
-    lam, mu = cert.farkas_ub, cert.farkas_eq
-    if lam.shape != (problem.b_ub.shape[0],) or mu.shape != (problem.b_eq.shape[0],):
+    lam = cert.farkas_ub
+    if lam.shape != (problem.b_ub.shape[0],):
         raise ValueError("Farkas vector has wrong dimensions")
-    if not (np.isfinite(lam).all() and np.isfinite(mu).all()) or (lam < 0.0).any():
+    if not np.isfinite(lam).all() or (lam < 0.0).any():
         return False
-    gap, scale = _proven_gap(problem, lam, mu)
+    gap, scale = _proven_gap(problem, lam)
     if scale <= 0.0:
         return False
     margin = gap / scale
     return margin > 0.0 and margin >= cert.margin - FEAS_TOL
 
 
-def _proven_gap(problem: CertificationProblem, lam, mu) -> tuple[float, float]:
-    """The Farkas gap of finite multipliers lam >= 0 and mu less the a priori
-    bound on its rounding, and their scale (see ``_farkas_combination``).
+def _proven_gap(problem: CertificationProblem, lam) -> tuple[float, float]:
+    """The Farkas gap of finite multipliers lam >= 0 less the a priori bound
+    on its rounding, and their scale (see ``_farkas_combination``).
 
     With lam >= 0 and A_ub >= 0, lam^T A_ub is its own sum of absolute
     terms, so the one product serves the combination and its bound.
     """
-    combo, lam_a, value, scale = _farkas_combination(problem, lam, mu)
-    abs_mu = np.abs(mu)
-    combo_abs = lam_a + abs_mu @ np.abs(problem.A_eq)
-    value_abs = float(lam @ np.abs(problem.b_ub) + abs_mu @ np.abs(problem.b_eq))
-    # one term per row, plus one each for joining the two dots, the rounded
-    # right-hand sides 1 +- e, the subtraction and the evaluation of the bound
-    g = _gamma(lam.size + mu.size + 4)
-    entry = float(lam.sum() + abs_mu.sum()) * _ENTRY_ERR
-    gap = float((combo - g * combo_abs).min()) - value - g * value_abs - entry
+    combo, value, scale = _farkas_combination(problem, lam)
+    value_abs = float(lam @ np.abs(problem.b_ub))
+    # one term per row, plus one each for the rounded right-hand sides
+    # 1 +- e, the subtraction and the evaluation of the bound
+    g = _gamma(lam.size + 3)
+    entry = float(lam.sum()) * _ENTRY_ERR
+    gap = float((combo - g * combo).min()) - value - g * value_abs - entry
     return gap, scale
 
 

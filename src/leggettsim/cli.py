@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, certify, models, optimize, quantum, sphere
 from .bounds import DEFAULT_K_SIGMA, averaged_bounds, check_bounds, pointwise_identity
 from .models import (COUPLINGS, REAL, TEXT, Field, LeggettModel, SettingsPair, choice, integer, list_of, read_fields,
-                     read_variant, real, typed, vector)
+                     read_variant, real, vector)
 from .montecarlo import estimate_correlation
 from .simplex import SolverFailure
 
@@ -121,7 +121,7 @@ def _settings(spec, name: str):
 
 
 CORRELATION = real(-1.0, 1.0)
-TARGET = (*SETTINGS_PAIR, Field("e", CORRELATION), Field("ma", CORRELATION, None), Field("mb", CORRELATION, None))
+TARGET = (*SETTINGS_PAIR, Field("e", CORRELATION))
 FAMILY_TARGETS = (Field("from", choice({"singlet": "singlet"})), Field("family", choice(optimize.FAMILIES)),
                   Field("params", list_of(REAL, "numbers")))
 TARGET_SOURCES = {
@@ -131,12 +131,11 @@ TARGET_SOURCES = {
 
 
 def _targets(spec, name: str):
-    """A list of {a, b, e, ma, mb} targets, or an object that takes them
+    """A list of {a, b, e} targets, or an object that takes them
     from the singlet (over settings or a settings family) or from a model."""
     if isinstance(spec, list):
         read = list_of(partial(read_fields, TARGET), "target objects")
-        targets = [certify.TargetConstraint(SettingsPair(t["a"], t["b"]), t["e"], t["ma"], t["mb"])
-                   for t in read(spec, name)]
+        targets = [certify.TargetConstraint(SettingsPair(t["a"], t["b"]), t["e"]) for t in read(spec, name)]
         return lambda seed: targets
     if isinstance(spec, dict) and "family" in spec:
         f = read_fields(FAMILY_TARGETS, spec, name)
@@ -149,8 +148,7 @@ def _targets(spec, name: str):
     def from_model(seed: int) -> list[certify.TargetConstraint]:
         model = f["model"](seed)
         laws = ((s, models.outcome_law(model, s)) for s in f["settings"](seed))
-        return [certify.TargetConstraint(s, models.exact_model_correlation(law),
-                                         *models.exact_model_marginals(law)) for s, law in laws]
+        return [certify.TargetConstraint(s, models.exact_model_correlation(law)) for s, law in laws]
     return from_model
 
 
@@ -166,7 +164,6 @@ def _grid(value, name: str) -> certify.AtomGrid:
 
 # a seed keys a Philox stream, whose key NumPy reads exactly only in [0, 2**63)
 SEED = integer(0, 2**63)
-INCLUDE_MARGINALS = Field("include_marginals", typed(bool, "true or false"), False)
 
 
 def _fmt(x: float) -> str:
@@ -264,13 +261,12 @@ def cmd_bounds(f: dict, config_hash: str) -> int:
 def cmd_certify(f: dict, config_hash: str) -> int:
     grid = f["grid"] or certify.build_atom_grid(23, 23, n_mirrored=46)
     constraints = f["targets"](f["seed"])
-    problem = certify.build_problem(grid, constraints, include_marginals=f["include_marginals"])
+    problem = certify.build_problem(grid, constraints)
     written = certify.solve(problem).to_dict()
     verified = certify.verify_certificate(problem, certify.read_certificate(written))
     _report_json({
         "n_atoms": problem.n_atoms,
         "n_constraints": len(constraints),
-        "include_marginals": f["include_marginals"],
         "status": written["status"],
         "margin": written["margin"],
         "verified": verified,
@@ -280,8 +276,7 @@ def cmd_certify(f: dict, config_hash: str) -> int:
 
 
 def cmd_optimize(f: dict, config_hash: str) -> int:
-    params, margins = optimize.optimize_settings(
-        f["family"], f["grids"], f["budget"], f["seed"], f["include_marginals"])
+    params, margins = optimize.optimize_settings(f["family"], f["grids"], f["budget"], f["seed"])
     _report_json({
         "family": f["family"].name,
         "params": [float(x) for x in params],
@@ -306,13 +301,12 @@ COMMANDS = {
         Field("model", _model, None),
     )),
     "bounds": (cmd_bounds, (Field("model", _model), Field("settings", _settings))),
-    "certify": (cmd_certify, (Field("grid", _grid, None), Field("targets", _targets), INCLUDE_MARGINALS)),
+    "certify": (cmd_certify, (Field("grid", _grid, None), Field("targets", _targets))),
     "optimize": (cmd_optimize, (
         Field("family", choice(optimize.FAMILIES), "orthogonal-doublets"),
         Field("budget", COUNT, 300),
         Field("grids", list_of(_grid, "grid objects"),
               [{"n_u": 24, "n_v": 24, "n_mirrored": 64}, {"n_u": 48, "n_v": 48, "n_mirrored": 256}]),
-        INCLUDE_MARGINALS,
     )),
 }
 

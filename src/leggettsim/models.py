@@ -369,11 +369,6 @@ def exact_model_correlation(law: OutcomeLaw) -> float:
     return min(1.0, max(-1.0, value))
 
 
-def exact_model_marginals(law: OutcomeLaw) -> tuple[float, float]:
-    """Closed-form (E(A), E(B)), clamped like ``exact_model_correlation``."""
-    return min(1.0, max(-1.0, float(law.w @ law.alpha))), min(1.0, max(-1.0, float(law.w @ law.beta)))
-
-
 def _guide_table(cdf: np.ndarray) -> tuple[np.ndarray, int]:
     """Guide table of ``cdf`` with K = len(cdf) + 1 buckets (Chen and Asau, 1974).
 

@@ -1,7 +1,7 @@
 """Search for settings families that certify infeasibility of singlet targets.
 
 A settings family maps a small real parameter vector to a list of target
-constraints (correlations from the singlet prediction, marginals zero).
+constraints (correlations from the singlet prediction).
 The optimizer runs a random-restart pattern search (coordinate steps with
 shrinking radius) maximizing the certified infeasibility margin; the
 margin of a feasible problem counts as zero. With several atom grids the
@@ -50,8 +50,8 @@ class SettingsFamily:
 
 
 def singlet_target(s: SettingsPair) -> TargetConstraint:
-    """The singlet's correlation -a.b at ``s``, with its zero marginals."""
-    return TargetConstraint(settings=s, e=singlet_correlation(s), ma=0.0, mb=0.0)
+    """The singlet's correlation -a.b at ``s``."""
+    return TargetConstraint(settings=s, e=singlet_correlation(s))
 
 
 # rows of the identity, as Python floats
@@ -96,17 +96,12 @@ FAMILIES = {family.name: family for family in (
 )}
 
 
-def certified_margin(
-    family: SettingsFamily,
-    params: np.ndarray,
-    grids: Sequence[AtomGrid],
-    include_marginals: bool = False,
-) -> tuple[float, ...]:
+def certified_margin(family: SettingsFamily, params: np.ndarray, grids: Sequence[AtomGrid]) -> tuple[float, ...]:
     """Per-grid infeasibility margins at one parameter point (0 when feasible)."""
     constraints = family.build(params)
     margins = []
     for grid in grids:
-        cert = solve(build_problem(grid, constraints, include_marginals=include_marginals))
+        cert = solve(build_problem(grid, constraints))
         margins.append(cert.margin)
     return tuple(margins)
 
@@ -153,11 +148,7 @@ def pattern_search(
 
 
 def optimize_settings(
-    family: SettingsFamily,
-    grids: Sequence[AtomGrid],
-    budget: int,
-    seed: int,
-    include_marginals: bool = False,
+    family: SettingsFamily, grids: Sequence[AtomGrid], budget: int, seed: int
 ) -> tuple[np.ndarray, tuple[float, ...]]:
     """Search the family's parameters for the largest certified margin, and
     return the best parameters with their per-grid margins.
@@ -168,7 +159,7 @@ def optimize_settings(
     rng = sphere.make_rng(seed, stream_id=0)
 
     def objective(params: np.ndarray) -> float:
-        return min(certified_margin(family, params, grids, include_marginals))
+        return min(certified_margin(family, params, grids))
 
     best = pattern_search(objective, family.lower, family.upper, budget, rng)
-    return best, certified_margin(family, best, grids, include_marginals)
+    return best, certified_margin(family, best, grids)

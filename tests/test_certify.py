@@ -1,10 +1,11 @@
 import dataclasses
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings
+from hypothesis import assume, given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from leggettsim import certify, sphere
@@ -55,18 +56,6 @@ def two_atom_infeasible_problem():
     return build_problem(AtomGrid(u, v), constraints)
 
 
-def two_atom_marginal_problem():
-    """The two-atom grid with marginal rows: E(A) = E(B) = 0 under both
-    settings pairs forces w_0 = w_1 = 0, conflicting with sum w = 1."""
-    u = np.array([X, Y])
-    v = np.array([X, Y])
-    constraints = [
-        TargetConstraint(settings=SettingsPair(X, X), e=0.0, ma=0.0, mb=0.0),
-        TargetConstraint(settings=SettingsPair(Y, Y), e=0.0, ma=0.0, mb=0.0),
-    ]
-    return build_problem(AtomGrid(u, v), constraints, include_marginals=True)
-
-
 def dense_weights(witness) -> np.ndarray:
     """The witness's weights on every atom of the grid."""
     w = np.zeros(witness.n_atoms)
@@ -100,20 +89,20 @@ def stacked_lattices(n_u: int, n_v: int, n_mirrored: int):
     return u, v
 
 
-def per_pair_rows(grid, constraints, include_marginals: bool):
-    """(A_ub, b_ub, A_eq, b_eq) as build_problem used to make them: two dots
-    per settings pair, then the list of rows stacked."""
-    rows_ub, rows_eq = [], []
+def per_pair_rows(grid, constraints):
+    """(A_ub, b_ub) as build_problem used to make them: two dots per
+    settings pair, then the list of rows stacked."""
+    rows_ub = []
     for c in constraints:
         alpha, beta = sphere.dots(grid.u, c.settings.a), sphere.dots(grid.v, c.settings.b)
         rows_ub += [np.abs(alpha + beta), np.abs(alpha - beta)]
-        rows_eq += [alpha, beta]
-    return (
-        np.asarray(rows_ub),
-        np.asarray([rhs for c in constraints for rhs in (1.0 + c.e, 1.0 - c.e)]),
-        np.asarray(rows_eq) if include_marginals else np.empty((0, grid.n_atoms)),
-        np.asarray([m for c in constraints for m in (c.ma, c.mb)] if include_marginals else []),
-    )
+    return np.asarray(rows_ub), np.asarray([rhs for c in constraints for rhs in (1.0 + c.e, 1.0 - c.e)])
+
+
+def exact_bound_gap(problem, lam) -> Fraction:
+    """exact_farkas_gap of the bound rows alone: a problem has no other rows."""
+    no_rows = np.empty((0, problem.n_atoms))
+    return exact_farkas_gap(problem.A_ub, problem.b_ub, no_rows, np.empty(0), lam, np.empty(0))
 
 
 def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
@@ -233,17 +222,14 @@ class TestBuildProblem:
         sizes=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 3)),
         pairs=st.lists(st.tuples(st.sampled_from(range(len(SETTINGS_POOL))),
                                  st.sampled_from(range(len(SETTINGS_POOL))),
-                                 *[st.floats(-1.0, 1.0)] * 3), min_size=1, max_size=6),
-        include_marginals=st.booleans(),
+                                 st.floats(-1.0, 1.0)), min_size=1, max_size=6),
     )
     @hyp_settings(max_examples=60, deadline=None)
-    def test_same_rows_as_per_pair_stacking(self, sizes, pairs, include_marginals):
+    def test_same_rows_as_per_pair_stacking(self, sizes, pairs):
         grid = build_atom_grid(*sizes)
-        constraints = [TargetConstraint(SettingsPair(SETTINGS_POOL[i], SETTINGS_POOL[k]), e, ma, mb)
-                       for i, k, e, ma, mb in pairs]
-        p = build_problem(grid, constraints, include_marginals=include_marginals)
-        want = per_pair_rows(grid, constraints, include_marginals)
-        for got, expected in zip((p.A_ub, p.b_ub, p.A_eq, p.b_eq), want):
+        constraints = [TargetConstraint(SettingsPair(SETTINGS_POOL[i], SETTINGS_POOL[k]), e) for i, k, e in pairs]
+        p = build_problem(grid, constraints)
+        for got, expected in zip((p.A_ub, p.b_ub), per_pair_rows(grid, constraints)):
             assert same_bits(got, expected)
 
     def test_build_memory(self):
@@ -257,9 +243,9 @@ class TestBuildProblem:
     def test_rows_read_only(self):
         # a write into A_ub after the build would undo the A_ub >= 0 check
         # the verifier's rounding bound relies on
-        p = two_atom_marginal_problem()
+        p = two_atom_infeasible_problem()
         for problem in (p, dataclasses.replace(p, b_ub=np.array([1.5, 0.5, 1.5, 0.5]))):
-            for arr in (problem.A_ub, problem.b_ub, problem.A_eq, problem.b_eq):
+            for arr in (problem.A_ub, problem.b_ub):
                 with pytest.raises(ValueError):
                     arr[0] = -1.0
             assert problem.A_ub.min() >= 0.0
@@ -285,12 +271,11 @@ class TestBuildProblem:
         with pytest.raises(ValueError):
             TargetConstraint(settings=SettingsPair(X, Y), e=1.5)
 
-    @pytest.mark.parametrize("field", ["e", "ma", "mb"])
+    @pytest.mark.parametrize("field", ["e"])  # the one number a target holds
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1.5])
     def test_non_finite_target_rejected(self, field, bad):
-        values = {"e": 0.0, "ma": 0.0, "mb": 0.0, field: bad}
         with pytest.raises(ValueError):
-            TargetConstraint(settings=SettingsPair(X, Y), **values)
+            TargetConstraint(settings=SettingsPair(X, Y), **{field: bad})
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -303,14 +288,6 @@ class TestBuildProblem:
         plus_rows = p.A_ub[[0, 2]]
         assert np.allclose(plus_rows, [[2.0, 0.0], [0.0, 2.0]])
         assert np.allclose(p.b_ub[[0, 2]], 0.5)
-
-    def test_marginals_require_targets(self):
-        with pytest.raises(ValueError):
-            build_problem(
-                AtomGrid(np.array([X]), np.array([X])),
-                [TargetConstraint(settings=SettingsPair(X, X), e=0.0)],
-                include_marginals=True,
-            )
 
 
 class TestSolve:
@@ -405,22 +382,22 @@ class TestVerifyCertificate:
         lam = np.array(cert.farkas_ub)
         nz = np.nonzero(lam)[0][0]
         lam[nz] = -lam[nz]
-        tampered = Farkas(cert.grid_hash, lam, np.array(cert.farkas_eq), cert.margin)
+        tampered = Farkas(cert.grid_hash, lam, cert.margin)
         assert not verify_certificate(p, tampered)
 
     def test_grid_hash_mismatch_rejected(self):
         p = two_atom_infeasible_problem()
         cert = solve(p)
-        other = Farkas(NO_GRID, cert.farkas_ub, cert.farkas_eq, cert.margin)
+        other = Farkas(NO_GRID, cert.farkas_ub, cert.margin)
         assert not verify_certificate(p, other)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("field", ["weights", "farkas_ub", "farkas_eq"])
+    @pytest.mark.parametrize("field", ["weights", "farkas_ub"])
     def test_non_finite_entry_rejected(self, field, bad):
         if field == "weights":
             p = build_problem(build_atom_grid(4, 4), [TargetConstraint(settings=SettingsPair(X, Y), e=0.0)])
         else:
-            p = two_atom_marginal_problem()
+            p = two_atom_infeasible_problem()
         cert = solve(p)
         field = "weight" if field == "weights" else field
         values = np.array(getattr(cert, field))
@@ -438,7 +415,7 @@ class TestVerifyCertificate:
             if status is CertStatus.FEASIBLE:
                 Witness(p.grid_hash, p.n_atoms, None, None)
             else:
-                Farkas(p.grid_hash, None, None, 0.0)
+                Farkas(p.grid_hash, None, 0.0)
 
     @pytest.mark.parametrize("gap, accepted", [(2.0**-52, False), (1e-9, True)])
     def test_gap_below_rounding_bound_rejected(self, gap, accepted):
@@ -450,9 +427,8 @@ class TestVerifyCertificate:
         b_ub[0] = 1.5 - gap
         nudged = dataclasses.replace(p, b_ub=b_ub)
         lam = np.array([1.0, 0.0, 1.0, 0.0])
-        mu = np.empty(0)
-        assert exact_farkas_gap(nudged.A_ub, nudged.b_ub, nudged.A_eq, nudged.b_eq, lam, mu) > 0
-        cert = Farkas(p.grid_hash, lam, mu, 0.0)
+        assert exact_bound_gap(nudged, lam) > 0
+        cert = Farkas(p.grid_hash, lam, 0.0)
         assert verify_certificate(nudged, cert) is accepted
 
     @hyp_settings(max_examples=60, deadline=None)
@@ -462,13 +438,10 @@ class TestVerifyCertificate:
         n_mirrored=st.integers(0, 6),
         seed=st.integers(0, 2**32 - 1),
         targets=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
-        marginals=st.booleans(),
         from_model=st.booleans(),
         slack=st.floats(-1e-10, 1e-10),
     )
-    def test_accepted_certificates_hold_exactly(
-        self, n_u, n_v, n_mirrored, seed, targets, marginals, from_model, slack
-    ):
+    def test_accepted_certificates_hold_exactly(self, n_u, n_v, n_mirrored, seed, targets, from_model, slack):
         rng = make_rng(seed, 0)
         grid = build_atom_grid(n_u, n_v, n_mirrored)
         u, v = grid.u, grid.v
@@ -478,12 +451,10 @@ class TestVerifyCertificate:
         constraints = []
         for e in targets:
             s = SettingsPair(*sphere.random_unit_vectors(rng, 2))
-            ma = float(w_model @ sphere.dots(u, s.a))
-            mb = float(w_model @ sphere.dots(v, s.b))
             if from_model:
                 e = exact_model_correlation(outcome_law(model, s))
-            constraints.append(TargetConstraint(settings=s, e=e, ma=ma, mb=mb))
-        p = build_problem(grid, constraints, include_marginals=marginals)
+            constraints.append(TargetConstraint(settings=s, e=e))
+        p = build_problem(grid, constraints)
         cert = solve(p)
         assert verify_certificate(p, cert)
         # the JSON form reads back as the same record, to the bit, and verifies
@@ -498,9 +469,9 @@ class TestVerifyCertificate:
         # the edge of validity, where only the rounding bound decides
         b_ub = np.array(p.b_ub)
         if cert.status is CertStatus.INFEASIBLE:
-            lam, mu = cert.farkas_ub, cert.farkas_eq
+            lam = cert.farkas_ub
             i = int(np.argmax(lam))
-            gap = float(np.min(lam @ p.A_ub + mu @ p.A_eq)) - float(lam @ p.b_ub + mu @ p.b_eq)
+            gap = float(np.min(lam @ p.A_ub)) - float(lam @ p.b_ub)
             b_ub[i] += (gap - slack) / lam[i]
         else:
             b_ub[0] = float(p.A_ub[0] @ dense_weights(cert)) - FEAS_TOL + slack
@@ -511,13 +482,11 @@ class TestVerifyCertificate:
             if not verify_certificate(problem, certificate):
                 continue
             if cert.status is CertStatus.INFEASIBLE:
-                assert exact_farkas_gap(problem.A_ub, problem.b_ub, problem.A_eq, problem.b_eq,
-                                        cert.farkas_ub, cert.farkas_eq) > 0
+                assert exact_bound_gap(problem, cert.farkas_ub) > 0
             else:
                 # with the row sum(w) = 1, which the problem leaves implicit
-                ones = np.ones((1, problem.n_atoms))
-                assert exact_feasible(problem.A_ub, problem.b_ub, np.vstack([problem.A_eq, ones]),
-                                      np.append(problem.b_eq, 1.0), dense_weights(cert))
+                assert exact_feasible(problem.A_ub, problem.b_ub, np.ones((1, problem.n_atoms)), [1.0],
+                                      dense_weights(cert))
 
     @pytest.mark.parametrize("bad", [-2.0**-1074, -1.0, np.nan])
     def test_bound_rows_must_be_nonnegative(self, bad):
@@ -529,14 +498,14 @@ class TestVerifyCertificate:
             dataclasses.replace(p, A_ub=A_ub)
 
     def test_proven_gap_matches_numpy_formula(self):
-        # the README problem with its marginal rows: one product lam^T A_ub
-        # gives the combination and its absolute-value bound, to the bit
+        # the README problem: one product lam^T A_ub gives the combination
+        # and its absolute-value bound, to the bit
         constraints = FAMILIES["orthogonal-doublets"].build(np.array([0.94, 3.46, 2.11, 2.34]))
-        p = build_problem(build_atom_grid(24, 24, 64), constraints, include_marginals=True)
+        p = build_problem(build_atom_grid(24, 24, 64), constraints)
         cert = solve(p)
-        assert cert.status is CertStatus.INFEASIBLE and cert.farkas_eq.size == 12
-        got = certify._proven_gap(p, cert.farkas_ub, cert.farkas_eq)
-        want = numpy_proven_gap(p, cert.farkas_ub, cert.farkas_eq)
+        assert cert.status is CertStatus.INFEASIBLE
+        got = certify._proven_gap(p, cert.farkas_ub)
+        want = numpy_proven_gap(p, cert.farkas_ub)
         assert [v.hex() for v in got] == [v.hex() for v in want]
         assert got[0] > 0.0
 
@@ -546,18 +515,17 @@ class TestVerifyCertificate:
         with pytest.raises(ValueError):
             verify_certificate(p, bad)
 
-    @pytest.mark.parametrize("lam, mu", [(np.ones(3), np.empty(0)), (np.ones(4), np.ones(1))],
-                             ids=["short-farkas-ub", "extra-farkas-eq"])
-    def test_farkas_dimension_mismatch_raises(self, lam, mu):
-        # the problem has four bound rows and no marginal rows
+    @pytest.mark.parametrize("lam", [np.ones(3), np.ones(5)], ids=["short-farkas-ub", "long-farkas-ub"])
+    def test_farkas_dimension_mismatch_raises(self, lam):
+        # the problem has four bound rows
         p = two_atom_infeasible_problem()
         with pytest.raises(ValueError, match="Farkas vector has wrong dimensions"):
-            verify_certificate(p, Farkas(p.grid_hash, lam, mu, 0.0))
+            verify_certificate(p, Farkas(p.grid_hash, lam, 0.0))
 
     def test_zero_multipliers_rejected(self):
         # all-zero multipliers have scale 0: there is no gap to divide, and nothing is proven
         p = two_atom_infeasible_problem()
-        assert verify_certificate(p, Farkas(p.grid_hash, np.zeros(4), np.empty(0), 0.0)) is False
+        assert verify_certificate(p, Farkas(p.grid_hash, np.zeros(4), 0.0)) is False
 
 
 def _i64(*values) -> np.ndarray:
@@ -657,7 +625,7 @@ class TestWitness:
     lambda: LeggettModel(SubensembleDistribution(np.array([X]), np.array([Y]), [1.0]), Coupling.INDEPENDENT),
     two_atom_infeasible_problem,
     lambda: Witness(NO_GRID, 16, _i64(3, 5), _f64(0.25, 0.75)),
-    lambda: Farkas(NO_GRID, _f64(1.0, 0.0), _f64(), 0.5),
+    lambda: Farkas(NO_GRID, _f64(1.0, 0.0), 0.5),
     # a copy of the family, since FAMILIES holds one record per name
     lambda: dataclasses.replace(FAMILIES["orthogonal-doublets"]),
 ], ids=["settings", "distribution", "target", "model", "problem", "witness", "farkas", "family"])
@@ -783,22 +751,24 @@ class TestSerialization:
         {"farkas_ub": [1.0, True]},
         {"farkas_ub": 1.0},
         {"farkas_ub": [10**400, 0.0]},
+        # multipliers on marginal rows, which no problem has: the key is
+        # refused, also as the empty list every such certificate wrote
         {"farkas_eq": ["0"]},
-        {"farkas_eq": None},
-        {"farkas_ub": None},
+        {"farkas_eq": []},
+        {"farkas_ub": None, "farkas_eq": []},
         {"status": "maybe"},
         {"status": None},
         {"grid_hash": 5},
         {"grid_hash": None},
         {"extra": 1},
-        {"farkas_ub": None, "farkas_eq": None},
+        {"farkas_ub": None},
         {"witness": {"n_atoms": 4, "index": [0], "weight": [1.0]}},
         {"status": "feasible"},
         {"margin": None},
-        {"status": "feasible", "margin": 0.5, "farkas_ub": None, "farkas_eq": None,
+        {"status": "feasible", "margin": 0.5, "farkas_ub": None,
          "witness": {"n_atoms": 2, "index": [0], "weight": [1.0]}},
     ], ids=["string-margin", "bool-margin", "huge-margin", "string-farkas", "bool-farkas",
-            "scalar-farkas", "huge-farkas", "string-farkas-eq", "ub-without-eq", "eq-without-ub",
+            "scalar-farkas", "huge-farkas", "string-farkas-eq", "ub-with-eq", "eq-without-ub",
             "bad-status", "missing-status", "int-hash", "missing-hash", "unknown-key",
             "no-farkas", "with-witness", "feasible-with-farkas", "missing-margin",
             "feasible-with-margin"])
@@ -813,3 +783,54 @@ class TestSerialization:
                 data[key] = value
         with pytest.raises(ValueError):
             read_certificate(data)
+
+
+# orthogonal-doublets parameters within the family's box
+DOUBLET_PARAMS = st.tuples(st.floats(0.05, 2.0), *[st.floats(0.0, 2.0 * np.pi)] * 3).map(np.array)
+
+
+class TestBoundRowsAlone:
+    """The LP has the bound rows alone, and rows fixing the marginals would
+    change no continuum verdict for zero-marginal targets: the bound rows
+    are invariant under (u, v) -> (-u, -v), so a weighting that meets them,
+    averaged with its mirror, meets them too and has zero marginals."""
+
+    @given(params=DOUBLET_PARAMS, dropped=st.integers(0, 2))
+    @hyp_settings(max_examples=30, deadline=None)
+    def test_mirror_keeps_the_rows_and_zeroes_the_marginals(self, params, dropped):
+        targets = FAMILIES["orthogonal-doublets"].build(params)
+        grid = build_atom_grid(16, 16, 64)
+        mirror = AtomGrid(-grid.u, -grid.v)
+        assert same_bits(build_problem(mirror, targets).A_ub, build_problem(grid, targets).A_ub)
+        # two doublets, where a grid witness is common
+        kept = [t for j, t in enumerate(targets) if j // 2 != dropped]
+        problem = build_problem(grid, kept)
+        cert = solve(problem)
+        assume(isinstance(cert, Witness))
+        assert verify_certificate(problem, cert)
+        # the witness and its mirror, half each, on the joined grid G u -G
+        m = grid.n_atoms
+        joined = build_problem(AtomGrid(np.vstack([grid.u, mirror.u]), np.vstack([grid.v, mirror.v])), kept)
+        half = Witness(joined.grid_hash, 2 * m, np.concatenate([cert.index, cert.index + m]),
+                       np.concatenate([cert.weight, cert.weight]) / 2.0)
+        assert verify_certificate(joined, half)
+        model = LeggettModel(witness_distribution(joined, half), Coupling.INDEPENDENT)
+        for t in targets:
+            law = outcome_law(model, t.settings)
+            assert abs(law.w @ law.alpha) < 1e-15 and abs(law.w @ law.beta) < 1e-15
+
+    @given(params=DOUBLET_PARAMS)
+    @hyp_settings(max_examples=50, deadline=None)
+    def test_no_two_doublets_exclude_a_model(self, params):
+        # without the LP: for each dropped doublet k, the model
+        # {(-e_k, e_k), (e_k, -e_k)}, weight 1/2 each, has zero marginals and
+        # puts every target of the other two doublets inside its bounds
+        targets = FAMILIES["orthogonal-doublets"].build(params)
+        for k, axis in enumerate(np.eye(3)):
+            pair = SubensembleDistribution(np.array([-axis, axis]), np.array([axis, -axis]), [0.5, 0.5])
+            model = LeggettModel(pair, Coupling.INDEPENDENT)
+            for t in targets[:2 * k] + targets[2 * k + 2:]:
+                law = outcome_law(model, t.settings)
+                b = averaged_bounds(law)
+                assert b.lower - FEAS_TOL <= t.e <= b.upper + FEAS_TOL
+                assert law.w @ law.alpha == 0.0 and law.w @ law.beta == 0.0

@@ -277,12 +277,12 @@ class TestCertify:
         assert json.loads(out.read_text())["verified"] is True
 
     def test_edge_model_targets_with_marginals(self, tmp_path):
-        # the model's marginals sum to 1 + 2**-52 over its weights; clamped
-        # to 1 they are valid targets, where they stopped the run with exit 2
+        # the model's marginals at this pair are 1, summed to 1 + 2**-52
+        # over its weights; the target keeps only the clamped correlation,
+        # so the grid is checked against a relaxation of the model
         config = write_config(tmp_path, {
             "targets": {"from": "model", "model": {"file": write_config(tmp_path, EDGE_MODEL, "model.json")},
                         "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}]},
-            "include_marginals": True,
             "grid": {"n_u": 4, "n_v": 4},
         })
         out = tmp_path / "cert.json"
@@ -304,13 +304,9 @@ class TestCertify:
 
     @pytest.mark.parametrize("key", ["e", "ma", "mb"])
     def test_nan_target_rejected(self, tmp_path, key):
-        target = {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0], "e": 0.0, "ma": 0.0, "mb": 0.0}
-        target[key] = float("nan")
-        config = write_config(tmp_path, {
-            "targets": [target],
-            "grid": {"n_u": 4, "n_v": 4},
-            "include_marginals": True,
-        })
+        # a target holds no marginals: "ma" and "mb" are unknown keys
+        target = {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0], "e": 0.0, key: float("nan")}
+        config = write_config(tmp_path, {"targets": [target], "grid": {"n_u": 4, "n_v": 4}})
         assert main(["certify", "--config", config]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("params", [[0.94], [0.94, 3.46, 2.11, 2.34, 1.0]])
@@ -321,15 +317,22 @@ class TestCertify:
         })
         assert main(["certify", "--config", config]) == EXIT_CONFIG
 
+    TARGET = {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0], "e": 0.0}
+
     @pytest.mark.parametrize("command, config", [
-        ("certify", {"targets": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0],
-                                  "e": 0.0, "ma": 0.0, "mb": 0.0}],
-                     "grid": {"n_u": 4, "n_v": 4}}),
-        ("optimize", {"budget": 1}),
-    ])
-    def test_include_marginals_must_be_boolean(self, tmp_path, command, config):
-        path = write_config(tmp_path, {**config, "include_marginals": "false"})
-        assert main([command, "--config", path]) == EXIT_CONFIG
+        ("certify", {"targets": [TARGET], "grid": {"n_u": 4, "n_v": 4}, "include_marginals": False}),
+        ("optimize", {"budget": 1, "include_marginals": False}),
+        ("certify", {"targets": [{**TARGET, "ma": 0.0}], "grid": {"n_u": 4, "n_v": 4}}),
+        ("certify", {"targets": [{**TARGET, "mb": 0.0}], "grid": {"n_u": 4, "n_v": 4}}),
+    ], ids=["certify-include_marginals", "optimize-include_marginals", "certify-ma", "certify-mb"])
+    def test_marginal_inputs_refused(self, tmp_path, command, config):
+        # the LP has no marginal rows: the key that asked for them, even at
+        # its old default, and a target's marginals exit 2
+        assert main([command, "--config", write_config(tmp_path, config)]) == EXIT_CONFIG
+        without = {k: v for k, v in config.items() if k != "include_marginals"}
+        if command == "certify":
+            without["targets"] = [self.TARGET]
+        assert main([command, "--config", write_config(tmp_path, without)]) == EXIT_OK
 
     def test_missing_targets(self, tmp_path):
         config = write_config(tmp_path, {"grid": {"n_u": 4, "n_v": 4}})
@@ -365,19 +368,18 @@ class TestCertify:
         assert json.loads(out.read_text())["n_atoms"] == 575
 
     # sha256 of the certify report at a fixed config: an infeasible problem
-    # with marginal rows (so farkas_eq is non-empty) on 168 atoms, and a
-    # feasible one on 72; any change to the LP rows, the pivots, the
-    # multipliers, the margin or the certificate's JSON form moves them
+    # on 168 atoms and a feasible one on 72; any change to the LP rows, the
+    # pivots, the multipliers, the margin or the certificate's JSON form
+    # moves them
     GOLDEN_REPORTS = {
         "infeasible": ({"targets": {"from": "singlet", "family": "orthogonal-doublets",
                                     "params": [0.6, 0.3, 0.9, 1.4]},
-                        "grid": {"n_u": 12, "n_v": 12, "n_mirrored": 24},
-                        "include_marginals": True},
-                       "19a0bc48e212bed0f3fa2f2ecde2f3c947b60e2ac7634fb16045c7233e914512"),
+                        "grid": {"n_u": 12, "n_v": 12, "n_mirrored": 24}},
+                       "f4717654081c5fe7f91679c0c8cae03975c6ba34aff53d7f7f14ae4a3bc1fd46"),
         "feasible": ({"targets": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0], "e": 0.0},
                                   {"a": [0.0, 0.0, 1.0], "b": [1.0, 0.0, 0.0], "e": -0.3}],
                       "grid": {"n_u": 8, "n_v": 8, "n_mirrored": 8}},
-                     "3c0cc99fc66157b5ddc0ccab44e3bc816d12e59ab27a937d4362e2ac896a7f2c"),
+                     "66616cb80ffcd61dd3377487a34d6553645bc0db19132226f18caacd1feb994c"),
     }
 
     @pytest.mark.parametrize("status", sorted(GOLDEN_REPORTS))
@@ -556,8 +558,7 @@ class TestRealFields:
 
     SETTINGS = [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}]
     SIMULATE = {"model": POINT_MASS_MODEL, "settings": SETTINGS, "samples": 100}
-    TARGETS = {"targets": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0], "e": 0.0, "ma": 0.0, "mb": 0.0}],
-               "grid": {"n_u": 4, "n_v": 4}, "include_marginals": True}
+    TARGETS = {"targets": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0], "e": 0.0}], "grid": {"n_u": 4, "n_v": 4}}
     FAMILY = {"targets": {"from": "singlet", "family": "orthogonal-doublets",
                           "params": [0.94, 3.46, 2.11, 2.34]},
               "grid": {"n_u": 4, "n_v": 4}}
@@ -570,8 +571,6 @@ class TestRealFields:
         ("simulate", SIMULATE, ("model", "u", 0)),
         ("simulate", SIMULATE, ("model", "v", 1)),
         ("certify", TARGETS, ("targets", 0, "e")),
-        ("certify", TARGETS, ("targets", 0, "ma")),
-        ("certify", TARGETS, ("targets", 0, "mb")),
         ("certify", TARGETS, ("targets", 0, "a", 0)),
         ("certify", TARGETS, ("targets", 0, "b", 1)),
         ("certify", FAMILY, ("targets", "params", 0)),
@@ -919,14 +918,14 @@ class TestSchemaKinds:
                   "coupling": "independent"}
     ISOTROPIC = {"generator": "isotropic", "atoms": 10, "coupling": "independent"}
     GRID = {"n_u": 4, "n_v": 4, "n_mirrored": 4}
-    TARGET = {**PAIR, "e": 0.0, "ma": 0.0, "mb": 0.0}
+    TARGET = {**PAIR, "e": 0.0}
     SIMULATE = {"model": POINT_MASS, "settings": [PAIR], "samples": 100, "k_sigma": 4.0}
     CHSH = {"scenario": {"a": [1.0, 0.0, 0.0], "a_prime": [0.0, 1.0, 0.0],
                          "b": [1.0, 1.0, 0.0], "b_prime": [1.0, -1.0, 0.0]},
             "model": ISOTROPIC}
-    CERTIFY = {"grid": GRID, "targets": [TARGET], "include_marginals": True}
+    CERTIFY = {"grid": GRID, "targets": [TARGET]}
     SINGLET = {**CERTIFY, "targets": {"from": "singlet", "settings": [PAIR]}}
-    OPTIMIZE = {"family": "orthogonal-doublets", "budget": 1, "grids": [GRID], "include_marginals": False}
+    OPTIMIZE = {"family": "orthogonal-doublets", "budget": 1, "grids": [GRID]}
     # (subcommand, config, path to an object, the table that object is read through)
     OBJECTS = [
         ("identity-check", {}, (), cli.COMMANDS["identity-check"][1]),
@@ -967,9 +966,8 @@ class TestSchemaKinds:
     FIELDS += [(command, config, path + (f.name,), f) for command, config, path, f in VARIANT_KEYS + FLAG_KEYS]
     # the kinds, other than null, that each field takes; null is taken by a
     # field whose default is None
-    TAKES = {"file": {"string"}, "coupling": {"string"},
-             "generator": {"string"}, "family": {"string"}, "from": {"string"}, "include_marginals": {"boolean"},
-             "k_sigma": {"fraction"}, "e": {"fraction"}, "ma": {"fraction"}, "mb": {"fraction"}}
+    TAKES = {"file": {"string"}, "coupling": {"string"}, "generator": {"string"}, "family": {"string"},
+             "from": {"string"}, "k_sigma": {"fraction"}, "e": {"fraction"}}
     KINDS = st.one_of(
         st.tuples(st.just("null"), st.none()),
         st.tuples(st.just("boolean"), st.booleans()),

@@ -117,3 +117,10 @@ def test_workload_outputs_pass_their_checks(perfbench, tmp_path, name):
 def test_provenance_stub():
     # perfbench/run.py records it in every result's provenance
     assert kernels.numba_enabled() is False
+
+
+def test_lp_row_stubs():
+    # perfbench/tracing.py adds their bytes to every traced build_problem's
+    # LP size; the problem has no equality rows
+    for stub in (certify.CertificationProblem.A_eq, certify.CertificationProblem.b_eq):
+        assert stub.nbytes == 0 and not stub.flags.writeable
