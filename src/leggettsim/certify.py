@@ -12,9 +12,10 @@ either back from JSON. verify_certificate recomputes either in float64
 and charges an a priori bound on every rounding against it, in the sums
 and in the LP entries themselves, so an accepted infeasibility
 certificate proves that no weighting of the given grid exists. The bound
-rows are absolute values, A_ub >= 0, which a CertificationProblem checks
-when it is built: the verifier then reads the sums of absolute terms of
-its products with A_ub from those products themselves.
+rows are absolute values, A_ub >= 0, and their right-hand sides are
+b_ub = 1 +- E with |E| <= 1, so b_ub >= 0; a CertificationProblem checks
+both when it is built. The verifier then reads the sums of absolute terms
+of its products with A_ub and b_ub from those products themselves.
 """
 
 from __future__ import annotations
@@ -92,13 +93,15 @@ class CertificationProblem:
     """A grid and the LP rows of its targets, as ``build_problem`` writes
     them; the targets themselves are not kept.
 
-    Every entry of A_ub is some |u.a +- v.b|, so A_ub >= 0; a matrix with a
-    negative or NaN entry raises ValueError when the problem is built. The
-    verifier relies on it: lam^T A_ub is then also the sum of the absolute
-    terms of that product. After the check the two row arrays are held
-    read-only in place, not copied, so no later write can undo it; a
-    problem built directly (by ``dataclasses.replace``, say) takes over
-    the arrays it is given.
+    Every entry of A_ub is some |u.a +- v.b|, so A_ub >= 0, and every entry
+    of b_ub is some 1 +- E with |E| <= 1 (TargetConstraint), so b_ub >= 0;
+    a negative or NaN entry in either raises ValueError when the problem is
+    built. The verifier relies on it: lam^T A_ub and lam^T b_ub are then
+    also the sums of the absolute terms of those products; and the solver,
+    which refuses a negative right-hand side, takes the rows as they are.
+    After the check the two row arrays are held read-only in place, not
+    copied, so no later write can undo it; a problem built directly (by
+    ``dataclasses.replace``, say) takes over the arrays it is given.
 
     ``A_eq`` and ``b_eq`` are empty read-only stubs of 0 bytes, kept
     because perfbench/tracing.py reads them; nothing in this package does.
@@ -112,8 +115,8 @@ class CertificationProblem:
 
     def __post_init__(self):
         # written so that NaN fails too
-        if not self.A_ub.min(initial=0.0) >= 0.0:
-            raise ValueError("the bound rows A_ub must be nonnegative and not NaN")
+        if not (self.A_ub.min(initial=0.0) >= 0.0 and self.b_ub.min(initial=0.0) >= 0.0):
+            raise ValueError("the bound rows A_ub and b_ub must be nonnegative and not NaN")
         hold(self, A_ub=self.A_ub, b_ub=self.b_ub)
 
     @property
@@ -281,7 +284,7 @@ def _farkas_combination(problem: CertificationProblem, lam) -> tuple[np.ndarray,
 def solve(problem: CertificationProblem) -> Witness | Farkas:
     """Phase-1 feasibility solve over {w >= 0, sum w = 1, constraint rows}."""
     m = problem.n_atoms
-    result = phase1_simplex(problem.A_ub, problem.b_ub, np.ones((1, m)), [1.0])
+    result = phase1_simplex(problem.A_ub, problem.b_ub, np.ones((1, m)), np.ones(1))
 
     if result.feasible:
         w = np.maximum(result.x, 0.0)
@@ -361,8 +364,8 @@ def verify_certificate(problem: CertificationProblem, cert: Witness | Farkas) ->
         abs_w = np.abs(w)
         w_norm = float(abs_w.sum())
         entry = w_norm * _ENTRY_ERR
-        # A_ub >= 0 (CertificationProblem): it is its own absolute value
-        ub = A_ub @ w - problem.b_ub + g * (A_ub @ abs_w + np.abs(problem.b_ub)) + entry
+        # A_ub >= 0 and b_ub >= 0 (CertificationProblem): each is its own absolute value
+        ub = A_ub @ w - problem.b_ub + g * (A_ub @ abs_w + problem.b_ub) + entry
         total = abs(float(w.sum()) - 1.0) + g * (w_norm + 1.0)
         return bool((ub <= FEAS_TOL).all() and total <= FEAS_TOL)
 
@@ -382,16 +385,16 @@ def _proven_gap(problem: CertificationProblem, lam) -> tuple[float, float]:
     """The Farkas gap of finite multipliers lam >= 0 less the a priori bound
     on its rounding, and their scale (see ``_farkas_combination``).
 
-    With lam >= 0 and A_ub >= 0, lam^T A_ub is its own sum of absolute
-    terms, so the one product serves the combination and its bound.
+    With lam >= 0, A_ub >= 0 and b_ub >= 0 (b_ub = 1 +- E with |E| <= 1),
+    lam^T A_ub and lam^T b_ub are their own sums of absolute terms, so each
+    product serves as the value and as its bound.
     """
     combo, value, scale = _farkas_combination(problem, lam)
-    value_abs = float(lam @ np.abs(problem.b_ub))
     # one term per row, plus one each for the rounded right-hand sides
     # 1 +- e, the subtraction and the evaluation of the bound
     g = _gamma(lam.size + 3)
     entry = float(lam.sum()) * _ENTRY_ERR
-    gap = float((combo - g * combo).min()) - value - g * value_abs - entry
+    gap = float((combo - g * combo).min()) - value - g * value - entry
     return gap, scale
 
 

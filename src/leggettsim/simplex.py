@@ -5,26 +5,27 @@ Minimizes the sum of artificial variables with a fixed pivoting rule
 index on ratio-test ties; after a pivot budget, Bland's rule, which
 takes the lowest-index basic variable on ratio-test ties), so results
 are bit-stable across runs. On infeasibility the optimal simplex
-multipliers provide a Farkas-style dual vector for the original row
-orientation.
+multipliers provide a Farkas-style dual vector for the rows. Every
+right-hand side is finite and nonnegative (each certification row is
+bounded by 1 +- E with |E| <= 1), so the artificial basis starts feasible
+with no row turned round; any other right-hand side raises ValueError.
 
 The solver works in revised form. The column matrix [A | slacks | I] is
-built once, with A_ub and A_eq written straight into it and the rows with
-a negative right-hand side negated in place; the state is one m x (m + 1)
-array [binv | xb], the inverse of the basis columns (m the number of rows)
-beside the basic values, and the reduced costs. A pivot forms the entering
-column as binv @ cols[:, j], finds its row by the ratio test, scales that
-row of the state and subtracts one outer product from all of it, and
-updates the reduced costs with one product of the new pivot row of binv
-against the columns, instead of rewriting an m x (columns) tableau. Every
-element sees the same operations in the same order as when binv and xb
-were two arrays, so the results are the same to the bit. On the small
-bases of the certification LPs a pivot's cost is mostly numpy call
-overhead, so the loop makes as few calls as its arithmetic allows: the
-ratio test (``_pivot_row``) runs over the column and the basic values as
-Python floats, whose division is the same IEEE binary64 division as
-numpy's, and picks the row that ``argmin`` over a masked division into a
-buffer of inf picked.
+built once, with A_ub and A_eq written straight into it; the state is
+one m x (m + 1) array [binv | xb], the inverse of the basis columns (m
+the number of rows) beside the basic values, and the reduced costs. A
+pivot forms the entering column as binv @ cols[:, j], finds its row by
+the ratio test, scales that row of the state and subtracts one outer
+product from all of it, and updates the reduced costs with one product
+of the new pivot row of binv against the columns, instead of rewriting
+an m x (columns) tableau. Every element sees the same operations in the
+same order as when binv and xb were two arrays, so the results are the
+same to the bit. On the small bases of the certification LPs a pivot's
+cost is mostly numpy call overhead, so the loop makes as few calls as
+its arithmetic allows: the ratio test (``_pivot_row``) runs over the
+column and the basic values as Python floats, whose division is the same
+IEEE binary64 division as numpy's, and picks the row that ``argmin``
+over a masked division into a buffer of inf picked.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ FEAS_TOL = 1e-9
 class Phase1Result:
     feasible: bool
     x: np.ndarray  # primal point (meaningful when feasible)
-    y: np.ndarray  # simplex multipliers per original row (meaningful when infeasible)
+    y: np.ndarray  # simplex multipliers, one per row (meaningful when infeasible)
     objective: float  # optimal sum of artificials
     iterations: int  # pivots made
     bland_used: bool  # whether Bland's rule chose any pivot
@@ -86,32 +87,21 @@ def _pivot_row(col: list[float], xb: list[float], basis=None) -> int:
 
 
 def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase1Result:
-    """Phase 1 on {x >= 0, A_ub x <= b_ub, A_eq x = b_eq}. Mismatched shapes
-    and non-finite entries raise ValueError; a breakdown or the iteration cap
-    raises SolverFailure."""
-    A_ub = np.atleast_2d(np.asarray(A_ub, dtype=np.float64))
-    A_eq = np.atleast_2d(np.asarray(A_eq, dtype=np.float64))
-    b_ub = np.atleast_1d(np.asarray(b_ub, dtype=np.float64))
-    b_eq = np.atleast_1d(np.asarray(b_eq, dtype=np.float64))
+    """Phase 1 on {x >= 0, A_ub x <= b_ub, A_eq x = b_eq}, given as 2-D and
+    1-D float64 arrays (an empty block is a (0, n) or (0,) array).
+    Mismatched shapes, non-finite entries and a negative right-hand side
+    raise ValueError; a breakdown or the iteration cap raises SolverFailure."""
     p = b_ub.shape[0]
     q = b_eq.shape[0]
-    n = A_ub.shape[1] if p else A_eq.shape[1]
-    if (p and A_ub.shape != (p, n)) or (q and A_eq.shape != (q, n)):
+    n = A_ub.shape[1]
+    if A_ub.shape != (p, n) or A_eq.shape != (q, n):
         raise ValueError("constraint matrix shapes do not match")
     m = p + q
 
     b = np.concatenate([b_ub, b_eq])
-    rhs = b.tolist()
-    if not all(map(math.isfinite, rhs)):
-        raise ValueError("right-hand sides must be finite")
-
-    # orient every row to a nonnegative right-hand side; remember the flips
-    # (the rows to negate are found in Python floats, and most LPs have none)
-    negative = [k for k, v in enumerate(rhs) if v < 0.0]
-    flip = np.ones(m)
-    if negative:
-        flip[negative] = -1.0
-        b[negative] *= -1.0
+    # checked in Python floats, so NaN fails too
+    if not all(0.0 <= v < math.inf for v in b.tolist()):
+        raise ValueError("right-hand sides must be finite and nonnegative")
 
     # columns: n structural | p slacks (inequality rows only) | m artificials.
     # Only the slack and artificial blocks need zeros; their diagonals are
@@ -119,15 +109,11 @@ def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase
     # (k, n + p + k) lying total + 1 entries apart.
     total = n + p + m
     cols = np.empty((m, total))
-    if p:
-        cols[:p, :n] = A_ub
-    if q:
-        cols[p:, :n] = A_eq
+    cols[:p, :n] = A_ub
+    cols[p:, :n] = A_eq
     cols[:, n:] = 0.0
-    if negative:
-        cols[negative, :n] *= -1.0
     flat = cols.reshape(-1)
-    flat[n : n + p * (total + 1) : total + 1] = flip[:p]  # slack coefficient carries the row flip
+    flat[n : n + p * (total + 1) : total + 1] = 1.0
     flat[n + p :: total + 1] = 1.0
 
     # revised form: the tableau is binv @ cols, with binv the inverse of
@@ -186,15 +172,10 @@ def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase
     x = np.zeros(total)
     x[basis] = xb
 
-    # multipliers: artificial column i has reduced cost 1 - y_i in the
-    # flipped orientation; undo the flips for the original rows
-    y_flipped = 1.0 - r[n + p :]
-    y = y_flipped * flip
-
     return Phase1Result(
         feasible=objective <= FEAS_TOL,
         x=x[:n].copy(),
-        y=y,
+        y=1.0 - r[n + p :],  # artificial column i has reduced cost 1 - y_i
         objective=objective,
         iterations=it,
         bland_used=it > bland_after,

@@ -475,10 +475,17 @@ class TestVerifyCertificate:
             b_ub[i] += (gap - slack) / lam[i]
         else:
             b_ub[0] = float(p.A_ub[0] @ dense_weights(cert)) - FEAS_TOL + slack
-        edge = dataclasses.replace(p, b_ub=b_ub)
-        # a Witness's margin is always 0
-        edge_cert = dataclasses.replace(cert, margin=0.0) if isinstance(cert, Farkas) else cert
-        for problem, certificate in ((p, cert), (edge, edge_cert)):
+        cases = [(p, cert)]
+        if b_ub.min() >= 0.0:
+            # a Witness's margin is always 0
+            edge_cert = dataclasses.replace(cert, margin=0.0) if isinstance(cert, Farkas) else cert
+            cases.append((dataclasses.replace(p, b_ub=b_ub), edge_cert))
+        else:
+            # a target at E = +-1 has a right-hand side of 0, which the move
+            # can take below 0: such rows are refused when they are built
+            with pytest.raises(ValueError, match="nonnegative"):
+                dataclasses.replace(p, b_ub=b_ub)
+        for problem, certificate in cases:
             if not verify_certificate(problem, certificate):
                 continue
             if cert.status is CertStatus.INFEASIBLE:
@@ -490,12 +497,14 @@ class TestVerifyCertificate:
 
     @pytest.mark.parametrize("bad", [-2.0**-1074, -1.0, np.nan])
     def test_bound_rows_must_be_nonnegative(self, bad):
-        # the verifier takes lam^T A_ub as its own sum of absolute terms
+        # the verifier takes lam^T A_ub and lam^T b_ub as their own sums of
+        # absolute terms, and the solver takes no negative right-hand side
         p = two_atom_infeasible_problem()
-        A_ub = np.array(p.A_ub)
-        A_ub[1, 0] = bad
-        with pytest.raises(ValueError, match="nonnegative"):
-            dataclasses.replace(p, A_ub=A_ub)
+        A_ub, b_ub = np.array(p.A_ub), np.array(p.b_ub)
+        A_ub[1, 0] = b_ub[1] = bad
+        for rows in ({"A_ub": A_ub}, {"b_ub": b_ub}):
+            with pytest.raises(ValueError, match="nonnegative"):
+                dataclasses.replace(p, **rows)
 
     def test_proven_gap_matches_numpy_formula(self):
         # the README problem: one product lam^T A_ub gives the combination

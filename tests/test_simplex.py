@@ -43,16 +43,17 @@ def check_proof(A_ub, b_ub, A_eq, b_eq):
     return result
 
 
-# x1 + x2 = 1, x1 - x2 >= 1/2 written with a negative right-hand side
-FEASIBLE = normalized(np.array([[-1.0, 1.0]]), np.array([-0.5]), np.empty((0, 2)), np.empty(0))
-# the same with x1 - x2 >= 2, beyond what the simplex allows
-INFEASIBLE = normalized(np.array([[-1.0, 1.0]]), np.array([-2.0]), np.empty((0, 2)), np.empty(0))
+# x1 + x2 = 1, x2 <= 1/4, so x1 - x2 >= 1/2
+FEASIBLE = normalized(np.array([[0.0, 1.0]]), np.array([0.25]), np.empty((0, 2)), np.empty(0))
+# x1 + x2 = 1 against x1 + x2 <= 1/2
+INFEASIBLE = normalized(np.array([[1.0, 1.0]]), np.array([0.5]), np.empty((0, 2)), np.empty(0))
 
 
 class TestProofs:
     def test_feasible_point(self):
         result = check_proof(*FEASIBLE)
         assert result.feasible
+        assert result.x[1] <= 0.25 + FEAS_TOL
         assert result.x[0] - result.x[1] >= 0.5 - FEAS_TOL
 
     def test_infeasible_farkas(self):
@@ -67,11 +68,12 @@ class TestProofs:
         st.data(),
     )
     def test_random_lps_carry_proofs(self, p, q, n, data):
-        entry = st.integers(-3, 3).map(float)
+        # the solver takes only nonnegative right-hand sides
+        entry, rhs = st.integers(-3, 3).map(float), st.integers(0, 3).map(float)
         A_ub = np.array(data.draw(st.lists(entry, min_size=p * n, max_size=p * n))).reshape(p, n)
-        b_ub = np.array(data.draw(st.lists(entry, min_size=p, max_size=p)))
+        b_ub = np.array(data.draw(st.lists(rhs, min_size=p, max_size=p)))
         A_eq = np.array(data.draw(st.lists(entry, min_size=q * n, max_size=q * n))).reshape(q, n)
-        b_eq = np.array(data.draw(st.lists(entry, min_size=q, max_size=q)))
+        b_eq = np.array(data.draw(st.lists(rhs, min_size=q, max_size=q)))
         check_proof(*normalized(A_ub, b_ub, A_eq, b_eq))
 
 
@@ -129,10 +131,12 @@ class TestBoundary:
 
     @pytest.mark.parametrize("where, index, bad", [
         ("b_ub", 1, np.nan), ("A_ub", (1, 0), np.nan), ("A_ub", (0, 1), np.inf),
+        ("b_ub", 0, -2.0**-1074), ("b_eq", 0, -1.0),
     ])
     def test_non_finite_input_rejected(self, where, index, bad):
         # a NaN right-hand side used to give feasible=False, objective=nan, and
-        # a NaN or inf entry a SolverFailure; both are bad input, not results
+        # a NaN or inf entry a SolverFailure; both are bad input, not results.
+        # A negative right-hand side is refused too: no row is turned round
         lp = {"A_ub": np.array([[1.0, 2.0], [0.5, -1.0]]), "b_ub": np.array([1.0, 0.5]),
               "A_eq": np.ones((1, 2)), "b_eq": np.ones(1)}
         lp[where][index] = bad
