@@ -34,7 +34,7 @@ from .models import (TEXT, Field, SettingsPair, SubensembleDistribution, float_a
 # The solver calls a problem feasible when its phase-1 objective is at most
 # FEAS_TOL, so the verifier's tolerance must be at least that threshold, or
 # a feasible solve could fail verification; both read this one constant.
-from .simplex import FEAS_TOL, SolverFailure, phase1_simplex
+from .simplex import FEAS_TOL, SolverFailure, column_matrix, phase1_simplex
 
 
 class CertStatus(enum.Enum):
@@ -99,9 +99,13 @@ class CertificationProblem:
     built. The verifier relies on it: lam^T A_ub and lam^T b_ub are then
     also the sums of the absolute terms of those products; and the solver,
     which refuses a negative right-hand side, takes the rows as they are.
-    After the check the two row arrays are held read-only in place, not
-    copied, so no later write can undo it; a problem built directly (by
-    ``dataclasses.replace``, say) takes over the arrays it is given.
+    After the check both row arrays are marked read-only, so no later write
+    can undo it. ``build_problem`` gives A_ub as the top-left block of the
+    solver's column matrix (``simplex.column_matrix``), which it freezes
+    too, so phase 1 prices the rows without a copy. A problem built
+    directly (by ``dataclasses.replace``, say) takes over the arrays it is
+    given and marks them read-only; the base of a view it is given stays as
+    it was, and phase 1 then adopts the matrix only if it is frozen.
 
     ``A_eq`` and ``b_eq`` are empty read-only stubs of 0 bytes, kept
     because perfbench/tracing.py reads them; nothing in this package does.
@@ -242,15 +246,19 @@ def build_problem(grid: AtomGrid, constraints) -> CertificationProblem:
         sum_i w_i |u_i.a_j - v_i.b_j| <= 1 - E_j    (row 2j + 1)
 
     The grid was checked when it was built, so only the rows are computed.
-    Each row pair is written straight into the preallocated matrix, and
-    pairs that share a setting a (the same float64 bits) share one u.a
-    projection, so no more than one alpha, one beta and the temporary of
-    sphere.dots are held besides A_ub."""
+    They are written straight into the solver's column matrix
+    (``simplex.column_matrix``), whose top-left block is A_ub and whose one
+    equality row is the sum w = 1 that ``solve`` passes, so phase 1 prices
+    the rows in place. Pairs that share a setting a (the same float64 bits)
+    share one u.a projection, so no more than one alpha, one beta and the
+    temporary of sphere.dots are held besides that matrix."""
     constraints = tuple(constraints)
     if len(constraints) == 0:
         raise ValueError("constraint list must be non-empty")
     u, v = grid.u, grid.v
-    A_ub = np.empty((2 * len(constraints), grid.n_atoms))
+    p, n = 2 * len(constraints), grid.n_atoms
+    cols = column_matrix(n, p, 1)
+    A_ub = cols[:p, :n]
 
     pairs_of_a: dict[bytes, list[int]] = {}
     for j, c in enumerate(constraints):
@@ -262,6 +270,10 @@ def build_problem(grid: AtomGrid, constraints) -> CertificationProblem:
             kernels.abs_sum_diff(alpha, beta, out=(A_ub[2 * j], A_ub[2 * j + 1]))
             del beta  # no stale row is held through the next projection
         del alpha
+    cols[p:, :n] = 1.0
+    # the problem freezes only its view A_ub: a write through the matrix
+    # would undo the A_ub >= 0 check as surely as one through the view
+    cols.setflags(write=False)
 
     return CertificationProblem(
         grid=grid,
@@ -284,7 +296,7 @@ def _farkas_combination(problem: CertificationProblem, lam) -> tuple[np.ndarray,
 def solve(problem: CertificationProblem) -> Witness | Farkas:
     """Phase-1 feasibility solve over {w >= 0, sum w = 1, constraint rows}."""
     m = problem.n_atoms
-    result = phase1_simplex(problem.A_ub, problem.b_ub, np.ones((1, m)), np.ones(1))
+    result = phase1_simplex(problem.A_ub, problem.b_ub, np.broadcast_to(1.0, (1, m)), np.ones(1))
 
     if result.feasible:
         w = np.maximum(result.x, 0.0)
@@ -297,6 +309,7 @@ def solve(problem: CertificationProblem) -> Witness | Farkas:
         lam = np.maximum(-result.y[:-1], 0.0)
         combo, value, scale = _farkas_combination(problem, lam)
         cert = Farkas(problem.grid_hash, lam, (float(combo.min()) - value) / scale if scale > 0.0 else 0.0)
+        del result, combo  # no atom-length row is held through the verifier's own
     # the verifier also rejects a gap that is not positive: its proven gap
     # is never larger than the computed one
     if not verify_certificate(problem, cert):
@@ -394,7 +407,8 @@ def _proven_gap(problem: CertificationProblem, lam) -> tuple[float, float]:
     # 1 +- e, the subtraction and the evaluation of the bound
     g = _gamma(lam.size + 3)
     entry = float(lam.sum()) * _ENTRY_ERR
-    gap = float((combo - g * combo).min()) - value - g * value - entry
+    combo -= g * combo
+    gap = float(combo.min()) - value - g * value - entry
     return gap, scale
 
 

@@ -10,22 +10,26 @@ right-hand side is finite and nonnegative (each certification row is
 bounded by 1 +- E with |E| <= 1), so the artificial basis starts feasible
 with no row turned round; any other right-hand side raises ValueError.
 
-The solver works in revised form. The column matrix [A | slacks | I] is
-built once, with A_ub and A_eq written straight into it; the state is
-one m x (m + 1) array [binv | xb], the inverse of the basis columns (m
-the number of rows) beside the basic values, and the reduced costs. A
-pivot forms the entering column as binv @ cols[:, j], finds its row by
-the ratio test, scales that row of the state and subtracts one outer
-product from all of it, and updates the reduced costs with one product
-of the new pivot row of binv against the columns, instead of rewriting
-an m x (columns) tableau. Every element sees the same operations in the
-same order as when binv and xb were two arrays, so the results are the
-same to the bit. On the small bases of the certification LPs a pivot's
-cost is mostly numpy call overhead, so the loop makes as few calls as
-its arithmetic allows: the ratio test (``_pivot_row``) runs over the
-column and the basic values as Python floats, whose division is the same
-IEEE binary64 division as numpy's, and picks the row that ``argmin``
-over a masked division into a buffer of inf picked.
+The solver works in revised form on the column matrix [A | slacks | I]
+in the one layout ``column_matrix`` gives it. ``certify.build_problem``
+writes its rows straight into such a matrix and freezes it, and phase 1
+prices that matrix in place; any other input is copied into a new one.
+Pricing always reads the whole matrix, never A_ub alone: OpenBLAS's gemv
+gives a prefix of width n the full product's bits only when n % 4 == 0.
+The state is one m x (m + 1) array [binv | xb], the inverse of the basis
+columns (m the number of rows) beside the basic values, and the reduced
+costs. A pivot forms the entering column as binv @ cols[:, j], finds its
+row by the ratio test, scales that row of the state and subtracts one
+outer product from all of it, and updates the reduced costs with one
+product of the new pivot row of binv against the columns, instead of
+rewriting an m x (columns) tableau. Every element sees the same
+operations in the same order as when binv and xb were two arrays, so the
+results are the same to the bit. On the small bases of the certification
+LPs a pivot's cost is mostly numpy call overhead, so the loop makes as
+few calls as its arithmetic allows: the ratio test (``_pivot_row``) runs
+over the column and the basic values as Python floats, whose division is
+the same IEEE binary64 division as numpy's, and picks the row that
+``argmin`` over a masked division into a buffer of inf picked.
 """
 
 from __future__ import annotations
@@ -86,11 +90,58 @@ def _pivot_row(col: list[float], xb: list[float], basis=None) -> int:
     return i
 
 
+def column_matrix(n: int, p: int, q: int) -> np.ndarray:
+    """The (p + q) x (n + p + p + q) column matrix phase 1 prices, as
+    ``np.empty`` gives it, with its slack and artificial blocks written and
+    its first n columns left to the caller: A_ub goes in rows [:p] and A_eq
+    in rows [p:]. Frozen with those blocks in place, it is the matrix
+    phase1_simplex adopts when given its top-left (p, n) block as A_ub.
+
+    Only the slack and artificial blocks need zeros; their diagonals are
+    written through strided views of the flat buffer, (k, n + k) and
+    (k, n + p + k) lying total + 1 entries apart.
+    """
+    m = p + q
+    total = n + p + m
+    cols = np.empty((m, total))
+    cols[:, n:] = 0.0
+    flat = cols.reshape(-1)
+    flat[n : n + p * (total + 1) : total + 1] = 1.0
+    flat[n + p :: total + 1] = 1.0
+    return cols
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype == np.float64 and a.shape == b.shape and bool(
+        (a.view(np.uint64) == b.view(np.uint64)).all())
+
+
+def _adopted(A_ub, A_eq, p: int, q: int) -> np.ndarray | None:
+    """The base of A_ub, when A_ub is its top-left block and it is this LP's
+    column matrix: read-only, in ``column_matrix``'s layout, with the bits
+    of A_eq in its equality rows and its slack and artificial blocks as
+    ``column_matrix`` writes them. Otherwise None.
+
+    The checks read the equality rows and the two small blocks, never the
+    inequality rows: as for ``sphere.unit_copy``, only a writable view
+    made before the freeze can change the matrix afterwards."""
+    cols, n = A_ub.base, A_ub.shape[1]
+    if not (isinstance(cols, np.ndarray) and A_ub.dtype == np.float64 and cols.dtype == np.float64
+            and cols.shape == (p + q, n + p + p + q) and cols.flags.c_contiguous and not cols.flags.writeable
+            and A_ub.ctypes.data == cols.ctypes.data and A_ub.strides == cols.strides):
+        return None
+    if _same_bits(cols[p:, :n], A_eq) and _same_bits(cols[:, n:], column_matrix(0, p, q)):
+        return cols
+    return None
+
+
 def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase1Result:
     """Phase 1 on {x >= 0, A_ub x <= b_ub, A_eq x = b_eq}, given as 2-D and
     1-D float64 arrays (an empty block is a (0, n) or (0,) array).
     Mismatched shapes, non-finite entries and a negative right-hand side
-    raise ValueError; a breakdown or the iteration cap raises SolverFailure."""
+    raise ValueError; a breakdown or the iteration cap raises SolverFailure.
+    A_ub given as the top-left block of its frozen ``column_matrix`` is
+    priced in place; any other input is copied into a new one."""
     p = b_ub.shape[0]
     q = b_eq.shape[0]
     n = A_ub.shape[1]
@@ -103,18 +154,12 @@ def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase
     if not all(0.0 <= v < math.inf for v in b.tolist()):
         raise ValueError("right-hand sides must be finite and nonnegative")
 
-    # columns: n structural | p slacks (inequality rows only) | m artificials.
-    # Only the slack and artificial blocks need zeros; their diagonals are
-    # written through strided views of the flat buffer, (k, n + k) and
-    # (k, n + p + k) lying total + 1 entries apart.
-    total = n + p + m
-    cols = np.empty((m, total))
-    cols[:p, :n] = A_ub
-    cols[p:, :n] = A_eq
-    cols[:, n:] = 0.0
-    flat = cols.reshape(-1)
-    flat[n : n + p * (total + 1) : total + 1] = 1.0
-    flat[n + p :: total + 1] = 1.0
+    # columns: n structural | p slacks (inequality rows only) | m artificials
+    cols = _adopted(A_ub, A_eq, p, q)
+    if cols is None:
+        cols = column_matrix(n, p, q)
+        cols[:p, :n] = A_ub
+        cols[p:, :n] = A_eq
 
     # revised form: the tableau is binv @ cols, with binv the inverse of
     # the basis columns (the tableau's artificial block), and xb its rhs.
@@ -126,13 +171,17 @@ def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase
     state[:, m] = b
     binv = state[:, :m]
     xb = state[:, m]
-    cost = np.zeros(total)
-    cost[n + p :] = 1.0
 
-    # reduced costs for basis of artificials: r = c - sum of rows. A NaN or
-    # inf entry of A_ub or A_eq makes its column's sum non-finite, so this
-    # one check on the sums refuses it without another pass over the matrix.
-    r = cost - cols.sum(axis=0)
+    # reduced costs for the basis of artificials: r = c - sum of rows, with
+    # c = 1 on the artificial columns and 0 elsewhere. -s differs from 0 - s
+    # only in the sign of a zero sum, which no pivot choice and no field of
+    # the result reads, and the artificials' 1 - 1 is +0 either way. A NaN
+    # or inf entry of A_ub or A_eq makes its column's sum non-finite, so
+    # this one check on the sums refuses it without another pass over the
+    # matrix.
+    r = cols.sum(axis=0)
+    np.negative(r, out=r)  # in place: a second row of that length costs peak memory
+    r[n + p :] += 1.0
     if not np.isfinite(r).all():
         raise ValueError("constraint matrices must be finite (or a column sum overflowed)")
 
@@ -166,15 +215,17 @@ def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase
     else:
         raise SolverFailure("simplex iteration cap exceeded")
 
-    xb = xb.copy()  # contiguous, so the products below sum as they always have
-    objective = float(cost[basis] @ xb)
+    xb = xb.copy()  # contiguous, so the product below sums as it always has
+    # c over the basis: 1.0 on the basic artificials, 0.0 on the rest
+    objective = float((basis >= n + p).astype(np.float64) @ xb)
 
-    x = np.zeros(total)
-    x[basis] = xb
+    x = np.zeros(n)
+    structural = basis < n
+    x[basis[structural]] = xb[structural]
 
     return Phase1Result(
         feasible=objective <= FEAS_TOL,
-        x=x[:n].copy(),
+        x=x,
         y=1.0 - r[n + p :],  # artificial column i has reduced cost 1 - y_i
         objective=objective,
         iterations=it,

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from leggettsim import certify
 from leggettsim.sphere import make_rng
@@ -21,6 +22,9 @@ from leggettsim.simplex import FEAS_TOL, PIVOT_TOL, SolverFailure
 
 # the outcome pairs (A, B) in the order of joint_law's entries
 OUTCOME_VALUES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+# orthogonal-doublets parameters within the family's box
+DOUBLET_PARAMS = st.tuples(st.floats(0.05, 2.0), *[st.floats(0.0, 2.0 * np.pi)] * 3).map(np.array)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -35,7 +35,7 @@ from leggettsim.models import (
 )
 from leggettsim.optimize import FAMILIES, optimize_settings
 
-from conftest import exact_farkas_gap, exact_feasible, numpy_proven_gap
+from conftest import DOUBLET_PARAMS, exact_farkas_gap, exact_feasible, numpy_proven_gap
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -233,19 +233,31 @@ class TestBuildProblem:
             assert same_bits(got, expected)
 
     def test_build_memory(self):
-        # the rows are written into A_ub: besides it, build_problem holds one
-        # alpha and one beta, each clamped in place by sphere.dots (2 rows measured)
+        # the rows are written into the solver's column matrix, A_ub's base:
+        # besides it, build_problem holds one alpha and one beta, each clamped
+        # in place by sphere.dots (2 rows measured)
         grid = build_atom_grid(192, 192, 4096)
         constraints = FAMILIES["orthogonal-doublets"].build(np.array([0.94, 3.46, 2.11, 2.34]))
         problem, peak = traced_peak(build_problem, grid, constraints)
-        assert peak <= problem.A_ub.nbytes + 2.5 * grid.u[:, 0].nbytes
+        assert peak <= problem.A_ub.base.nbytes + 2.5 * grid.u[:, 0].nbytes
+
+    @pytest.mark.parametrize("theta, status", [(0.94, CertStatus.INFEASIBLE), (2.0, CertStatus.FEASIBLE)])
+    def test_solve_memory(self, theta, status):
+        # phase 1 prices the column matrix build_problem wrote and holds
+        # atom-length vectors only, as does the verifier: no copy of the rows
+        grid = build_atom_grid(96, 96, 1024)
+        problem = build_problem(grid, FAMILIES["orthogonal-doublets"].build(np.array([theta, 3.46, 2.11, 2.34])))
+        cert, peak = traced_peak(solve, problem)
+        assert cert.status is status
+        assert peak < problem.A_ub.nbytes / 4
 
     def test_rows_read_only(self):
-        # a write into A_ub after the build would undo the A_ub >= 0 check
-        # the verifier's rounding bound relies on
+        # a write into A_ub after the build, or into the column matrix it is a
+        # view of, would undo the A_ub >= 0 check the verifier's rounding
+        # bound relies on
         p = two_atom_infeasible_problem()
         for problem in (p, dataclasses.replace(p, b_ub=np.array([1.5, 0.5, 1.5, 0.5]))):
-            for arr in (problem.A_ub, problem.b_ub):
+            for arr in (problem.A_ub, problem.A_ub.base, problem.b_ub):
                 with pytest.raises(ValueError):
                     arr[0] = -1.0
             assert problem.A_ub.min() >= 0.0
@@ -364,6 +376,28 @@ class TestSolve:
             else:
                 n_infeasible += 1
         assert n_feasible > 0 and n_infeasible > 0
+
+    @given(sizes=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 4)), params=DOUBLET_PARAMS)
+    @hyp_settings(max_examples=60, deadline=None)
+    def test_rows_in_place_as_copied(self, sizes, params):
+        # a problem's A_ub is a block of the solver's column matrix; a copy
+        # of it gives the same verdict. The Farkas combination lam @ A_ub
+        # keeps its bits on 4 atoms or more; on 1 to 3, OpenBLAS's gemv sums
+        # a contiguous copy in another order. Two orders of a sum of p terms
+        # differ by at most 2 gamma_p times the terms' sum, here at most
+        # 2 sum(lam) <= 2 p scale, so the margin moves by at most
+        # 4 p gamma_p, plus the rounding of its own subtraction and division
+        problem = build_problem(build_atom_grid(*sizes), FAMILIES["orthogonal-doublets"].build(params))
+        copied = dataclasses.replace(problem, A_ub=np.array(problem.A_ub))
+        got, want = solve(problem), solve(copied)
+        assert got.status is want.status
+        if isinstance(got, Witness):
+            assert same_bits(got.index, want.index) and same_bits(got.weight, want.weight)
+            return
+        p = problem.b_ub.size
+        assert same_bits(got.farkas_ub, want.farkas_ub)
+        tol = 0.0 if problem.n_atoms >= 4 else 4.0 * p * certify._gamma(p) + 4.0 * np.finfo(np.float64).eps
+        assert abs(got.margin - want.margin) <= tol
 
 
 class TestVerifyCertificate:
@@ -792,10 +826,6 @@ class TestSerialization:
                 data[key] = value
         with pytest.raises(ValueError):
             read_certificate(data)
-
-
-# orthogonal-doublets parameters within the family's box
-DOUBLET_PARAMS = st.tuples(st.floats(0.05, 2.0), *[st.floats(0.0, 2.0 * np.pi)] * 3).map(np.array)
 
 
 class TestBoundRowsAlone:

@@ -2,6 +2,7 @@
 own proof, a feasible point row by row and an infeasible one as a Farkas
 combination in exact rational arithmetic."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 
 from leggettsim.certify import build_atom_grid, build_problem
 from leggettsim.optimize import FAMILIES
-from leggettsim.simplex import FEAS_TOL, PIVOT_TOL, SolverFailure, _pivot_row, phase1_simplex
+from leggettsim.simplex import FEAS_TOL, PIVOT_TOL, SolverFailure, _adopted, _pivot_row, column_matrix, phase1_simplex
 
-from conftest import exact_farkas_gap, exact_feasible, masked_argmin_row
+from conftest import DOUBLET_PARAMS, exact_farkas_gap, exact_feasible, masked_argmin_row
 
 
 def farkas_multipliers(y, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -218,3 +219,57 @@ class TestOutputBytes:
     ], ids=["readme-640", "readme-2560", "bland"])
     def test_pinned_digest(self, lp, digest):
         assert output_digest(phase1_simplex(*lp())) == digest
+
+
+def result_bits(result) -> tuple:
+    """Every field of a Phase1Result, the arrays and the objective as bytes."""
+    return result.feasible, result.iterations, result.bland_used, output_digest(result)
+
+
+README_PARAMS = np.array([0.94, 3.46, 2.11, 2.34])
+
+
+class TestColumnMatrix:
+    """A built problem's rows are priced in place, in the column matrix
+    build_problem wrote them into; every other input is copied into a new
+    one. Both paths give the same bits."""
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 3), st.integers(1, 9), st.integers(1, 9), st.integers(0, 6), DOUBLET_PARAMS,
+           st.lists(st.floats(0.0, 2.0), min_size=12, max_size=12))
+    def test_adopted_as_copied(self, residue, n_u, n_v, k, params, b_ub):
+        # the atom count takes every residue mod 4: OpenBLAS's gemv rounds a
+        # width-n prefix of a wider matrix as the whole only when n % 4 == 0
+        n_mirrored = 4 * k + (residue - n_u * n_v) % 4
+        problem = build_problem(build_atom_grid(n_u, n_v, n_mirrored), FAMILIES["orthogonal-doublets"].build(params))
+        n = problem.n_atoms
+        assert n % 4 == residue
+        ones = np.broadcast_to(1.0, (1, n))  # the sum w = 1 row, as certify.solve passes it
+        for lp in (problem, dataclasses.replace(problem, b_ub=np.array(b_ub))):
+            assert _adopted(lp.A_ub, ones, len(lp.b_ub), 1) is problem.A_ub.base
+            adopted = phase1_simplex(lp.A_ub, lp.b_ub, ones, np.ones(1))
+            copied = phase1_simplex(np.array(lp.A_ub), lp.b_ub, np.ones((1, n)), np.ones(1))
+            assert result_bits(adopted) == result_bits(copied)
+
+    @pytest.mark.parametrize("tamper", [None, "writable", "slack", "artificial", "signed zero", "equality row"])
+    def test_tampered_layout_is_copied(self, tamper):
+        problem = build_problem(build_atom_grid(6, 6, 8), FAMILIES["orthogonal-doublets"].build(README_PARAMS))
+        (p, n), b_ub = problem.A_ub.shape, problem.b_ub
+        cols = column_matrix(n, p, 1)
+        cols[:p, :n] = problem.A_ub
+        cols[p:, :n] = 1.0
+        A_eq = np.ones((1, n))
+        if tamper == "slack":
+            cols[0, n] = 2.0
+        elif tamper == "artificial":
+            cols[p, n + p + p] = 0.5
+        elif tamper == "signed zero":
+            cols[0, n + p + 1] = -0.0  # equal to the artificial block's 0.0, not the same bits
+        elif tamper == "equality row":
+            A_eq = np.full((1, n), 0.5)
+        if tamper != "writable":
+            cols.setflags(write=False)
+        A_ub = cols[:p, :n]
+        assert (_adopted(A_ub, A_eq, p, 1) is cols) == (tamper is None)
+        want = phase1_simplex(np.array(A_ub), b_ub, A_eq, np.ones(1))
+        assert result_bits(phase1_simplex(A_ub, b_ub, A_eq, np.ones(1))) == result_bits(want)
