@@ -57,7 +57,7 @@ class TargetConstraint:
 
 def grid_hash(u: np.ndarray, v: np.ndarray) -> str:
     """sha256 of the float64 bytes of u, then v, read from the array buffers
-    (C-ordered float64 arrays, as AtomGrid holds, are not copied)."""
+    (C-ordered float64 arrays, as hold copies and build_atom_grid freezes, are not copied)."""
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(u, dtype=np.float64))
     h.update(np.ascontiguousarray(v, dtype=np.float64))
@@ -68,9 +68,8 @@ def grid_hash(u: np.ndarray, v: np.ndarray) -> str:
 class AtomGrid:
     """Candidate hidden-vector atoms (u_i, v_i), checked and hashed once.
 
-    Holds read-only float64 copies of the two (m, 3) arrays, or the arrays
-    themselves when already frozen (``sphere.unit_copy``), so neither the
-    vectors nor grid_hash can change after the unit-norm check.
+    Holds the two (m, 3) float64 arrays through ``models.hold``, so neither
+    the vectors nor grid_hash can change after the unit-norm check.
     """
 
     u: np.ndarray  # (m, 3) candidate hidden vectors for Alice's side
@@ -78,7 +77,7 @@ class AtomGrid:
     grid_hash: str = field(init=False)
 
     def __post_init__(self):
-        u, v = sphere.unit_copy(self.u), sphere.unit_copy(self.v)
+        u, v = sphere.unit_checked(self.u), sphere.unit_checked(self.v)
         if u.ndim != 2 or u.shape != v.shape:
             raise ValueError("atom grids must be matching (m, 3) arrays")
         hold(self, u=u, v=v, grid_hash=grid_hash(u, v))
@@ -99,13 +98,12 @@ class CertificationProblem:
     built. The verifier relies on it: lam^T A_ub and lam^T b_ub are then
     also the sums of the absolute terms of those products; and the solver,
     which refuses a negative right-hand side, takes the rows as they are.
-    After the check both row arrays are marked read-only, so no later write
-    can undo it. ``build_problem`` gives A_ub as the top-left block of the
-    solver's column matrix (``simplex.column_matrix``), which it freezes
-    too, so phase 1 prices the rows without a copy. A problem built
-    directly (by ``dataclasses.replace``, say) takes over the arrays it is
-    given and marks them read-only; the base of a view it is given stays as
-    it was, and phase 1 then adopts the matrix only if it is frozen.
+    Both row arrays are held by ``models.hold`` before the check, so no
+    later write can undo it: an array in frozen memory is kept and any
+    other copied. ``build_problem`` gives A_ub as the top-left block of the
+    solver's column matrix (``simplex.column_matrix``), which it freezes,
+    so the view is kept and phase 1 prices the rows without a copy; so is
+    the A_ub of ``dataclasses.replace(problem, b_ub=...)``.
 
     ``A_eq`` and ``b_eq`` are empty read-only stubs of 0 bytes, kept
     because perfbench/tracing.py reads them; nothing in this package does.
@@ -118,10 +116,10 @@ class CertificationProblem:
     b_ub: np.ndarray
 
     def __post_init__(self):
+        hold(self, A_ub=self.A_ub, b_ub=self.b_ub)
         # written so that NaN fails too
         if not (self.A_ub.min(initial=0.0) >= 0.0 and self.b_ub.min(initial=0.0) >= 0.0):
             raise ValueError("the bound rows A_ub and b_ub must be nonnegative and not NaN")
-        hold(self, A_ub=self.A_ub, b_ub=self.b_ub)
 
     @property
     def grid_hash(self) -> str:
@@ -137,7 +135,7 @@ class Witness:
     """The feasible certificate: a weighting by its support, weight[k] on
     atom index[k] of n_atoms, zero elsewhere. A record that breaks the shape
     rules below raises ValueError when it is built, so the verifier can
-    index by it; it then holds read-only copies of its arrays."""
+    index by it; it then holds its arrays through ``models.hold``."""
 
     status = CertStatus.FEASIBLE
     margin = 0.0
@@ -156,7 +154,7 @@ class Witness:
             raise ValueError(f"witness index must be a 1-D int64 array increasing strictly within [0, {n})")
         if not (isinstance(weight, np.ndarray) and weight.dtype == np.float64 and weight.shape == index.shape):
             raise ValueError(f"witness has {index.size} indices but weights of shape {np.shape(weight)}")
-        hold(self, index=index.copy(), weight=weight.copy())
+        hold(self, index=index, weight=weight)
 
     def to_dict(self) -> dict:
         """JSON-ready form: the witness is written as its support."""
@@ -169,7 +167,7 @@ class Farkas:
     """The infeasible certificate: multipliers on the bound rows (farkas_ub,
     >= 0 when it proves anything) and the computed Farkas gap over the
     largest multiplier. Anything but a 1-D float64 array raises ValueError;
-    it then holds a read-only copy."""
+    it then holds the array through ``models.hold``."""
 
     status = CertStatus.INFEASIBLE
 
@@ -181,7 +179,7 @@ class Farkas:
         lam = self.farkas_ub
         if not (isinstance(lam, np.ndarray) and lam.dtype == np.float64 and lam.ndim == 1):
             raise ValueError("Farkas multipliers must be a 1-D float64 array")
-        hold(self, farkas_ub=lam.copy())
+        hold(self, farkas_ub=lam)
 
     def to_dict(self) -> dict:
         """JSON-ready form."""
@@ -234,7 +232,7 @@ def build_atom_grid(n_u: int, n_v: int, n_mirrored: int = 0) -> AtomGrid:
     if n_mirrored > 0:
         u[n:] = sphere.sphere_grid(n_mirrored)
         np.negative(u[n:], out=v[n:])
-    u.setflags(write=False)  # frozen, the arrays are held, not copied
+    u.setflags(write=False)  # frozen, so AtomGrid holds the arrays, not copies
     v.setflags(write=False)
     return AtomGrid(u, v)
 
@@ -271,8 +269,8 @@ def build_problem(grid: AtomGrid, constraints) -> CertificationProblem:
             del beta  # no stale row is held through the next projection
         del alpha
     cols[p:, :n] = 1.0
-    # the problem freezes only its view A_ub: a write through the matrix
-    # would undo the A_ub >= 0 check as surely as one through the view
+    # frozen, so the problem keeps its view A_ub (and copies the small b_ub): a
+    # write through the matrix would undo the A_ub >= 0 check, as one through the view would
     cols.setflags(write=False)
 
     return CertificationProblem(

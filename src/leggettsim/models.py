@@ -168,12 +168,16 @@ def vector(value, name: str) -> list:
 
 
 def hold(record, **fields) -> None:
-    """Set fields of a frozen record, each ndarray marked read-only in place,
-    so no later write gets past the checks the record made when it was
-    built. The arrays must be ones no other code holds: a fresh copy, or
-    one the caller has just built."""
+    """Set fields of a frozen record, each ndarray held read-only, so no
+    later write gets past the checks the record made when it was built. An
+    array in memory that a read-only, C-ordered array owns (itself or its
+    base) is kept; any other is copied in C order, and the copy frozen."""
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
+            owner = value if value.flags.owndata else value.base
+            if not (isinstance(owner, np.ndarray) and owner.flags.owndata and owner.flags.c_contiguous
+                    and not owner.flags.writeable):
+                value = np.array(value, order="C")
             value.setflags(write=False)
         object.__setattr__(record, name, value)
 
@@ -186,7 +190,7 @@ class SettingsPair:
     b: np.ndarray
 
     def __post_init__(self):
-        a, b = sphere.unit_copy(self.a), sphere.unit_copy(self.b)
+        a, b = sphere.unit_checked(self.a), sphere.unit_checked(self.b)
         if a.ndim != 1 or b.ndim != 1:
             raise ValueError("each setting must be a single unit 3-vector")
         hold(self, a=a, b=b)
@@ -223,19 +227,21 @@ class SubensembleDistribution:
         if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError("atom weights must sum to 1 within 1e-12")
         keep = w > 0.0
-        # the table is built before the vectors are copied, so its
-        # temporaries never sit beside those copies
         cdf = np.cumsum(w[keep])
         cdf[-1] = 1.0
         guide, scan = _guide_table(cdf)
         cdf = _padded(cdf, scan)
-        u = np.atleast_2d(sphere.unit_copy(self.u))
-        v = np.atleast_2d(sphere.unit_copy(self.v))
+        u = np.atleast_2d(sphere.unit_checked(self.u))
+        v = np.atleast_2d(sphere.unit_checked(self.v))
         if u.shape != v.shape or u.shape[0] != w.shape[0]:
             raise ValueError("atom arrays must have shapes (m, 3), (m, 3), (m,)")
         w = w[keep]
         if w.shape[0] < u.shape[0]:
-            u, v = u[keep], v[keep]  # fresh copies of checked rows
+            u, v = u[keep], v[keep]
+        # the fresh table is frozen, so hold keeps it; hold copies the
+        # vectors after the table's temporaries are freed, not beside them
+        for fresh in (w, cdf, guide):
+            fresh.setflags(write=False)
         hold(self, u=u, v=v, w=w, cdf=cdf, guide=guide, scan=scan)
 
     @property

@@ -28,7 +28,7 @@ MIN_STEP = 1e-3  # a restart ends once its step falls below this
 @dataclass(frozen=True, eq=False)
 class SettingsFamily:
     """A named map from a parameter vector in the box [lower, upper] to
-    singlet targets. It holds read-only float64 copies of its bounds, and
+    singlet targets. It holds its bounds as float64 through ``hold``, and
     ``build`` refuses a vector whose length is not the box's."""
 
     name: str
@@ -37,7 +37,7 @@ class SettingsFamily:
     builder: Callable[[np.ndarray], list[TargetConstraint]]
 
     def __post_init__(self):
-        hold(self, lower=np.array(self.lower, dtype=np.float64), upper=np.array(self.upper, dtype=np.float64))
+        hold(self, lower=np.asarray(self.lower, dtype=np.float64), upper=np.asarray(self.upper, dtype=np.float64))
 
     @property
     def n_params(self) -> int:

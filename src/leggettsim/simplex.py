@@ -123,8 +123,8 @@ def _adopted(A_ub, A_eq, p: int, q: int) -> np.ndarray | None:
     ``column_matrix`` writes them. Otherwise None.
 
     The checks read the equality rows and the two small blocks, never the
-    inequality rows: as for ``sphere.unit_copy``, only a writable view
-    made before the freeze can change the matrix afterwards."""
+    inequality rows: as for ``models.hold``, only a writable view made
+    before the freeze can change the matrix afterwards."""
     cols, n = A_ub.base, A_ub.shape[1]
     if not (isinstance(cols, np.ndarray) and A_ub.dtype == np.float64 and cols.dtype == np.float64
             and cols.shape == (p + q, n + p + p + q) and cols.flags.c_contiguous and not cols.flags.writeable

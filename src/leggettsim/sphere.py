@@ -5,7 +5,7 @@ batches have shape (n, 3). Random streams are counter-based (Philox) and
 keyed by a (seed, stream_id) pair, so a given stream is reproducible
 regardless of how work is scheduled.
 
-``unit_copy`` and ``normalize`` take a single 3-vector through Python
+``unit_checked`` and ``normalize`` take a single 3-vector through Python
 floats, where a few float operations cost less than the numpy calls that
 a batch needs. The squared norm is x*x + y*y + z*z, summed left to right:
 the order of ``is_unit``'s column sums and of the last-axis reduction in
@@ -87,17 +87,15 @@ def is_unit(vec) -> bool:
     return bool((sq <= UNIT_NORM_TOL).all())
 
 
-def unit_copy(vecs) -> np.ndarray:
-    """A checked, read-only, C-ordered float64 copy of a unit 3-vector or a
-    non-empty (m, 3) batch of them.
+def unit_checked(vecs) -> np.ndarray:
+    """A unit 3-vector or a non-empty (m, 3) batch of them, checked and
+    returned as float64: a float64 ndarray comes back as it is.
 
     Anything else raises ValueError: another shape, a NaN, or a squared
-    norm off 1 by more than UNIT_NORM_TOL. The copy keeps later writes to
-    the caller's array from reaching the checked vectors. It is made after
-    the check, so a large batch never holds its copy and the check's
-    temporaries at once. An input already frozen (read-only, C-ordered
-    float64, owning its memory) is checked and returned itself: no write
-    can reach it unless a writable view of it was made before the freeze.
+    norm off 1 by more than UNIT_NORM_TOL. Nothing is copied: each caller
+    passes the result to ``models.hold``, which keeps it if it is frozen
+    memory and copies it otherwise, after the check, so a large batch never
+    holds its copy and the check's temporaries at once.
     """
     arr = np.asarray(vecs, dtype=np.float64)
     if arr.shape == (3,):
@@ -109,11 +107,7 @@ def unit_copy(vecs) -> np.ndarray:
         unit = is_unit(arr)
     if not unit:
         raise ValueError("vectors must be finite with unit norm")
-    if not arr.flags.writeable and arr.flags.c_contiguous and arr.flags.owndata:
-        return arr
-    out = np.array(arr, order="C")
-    out.setflags(write=False)
-    return out
+    return arr
 
 
 def dots(vecs, ref) -> np.ndarray:

@@ -1,7 +1,9 @@
 """What the package promises once every name is imported from its module:
 importing one module loads only the modules it uses, the package holds its
-version, and every record that holds an array compares by identity."""
+version, and every record that holds an array compares by identity and
+holds it through ``models.hold``, where no write by its caller reaches it."""
 
+import ast
 import dataclasses
 import importlib
 import os
@@ -9,11 +11,17 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import leggettsim
+from leggettsim import sphere
+from leggettsim.certify import AtomGrid, Farkas, Witness, build_atom_grid, build_problem
+from leggettsim.models import SettingsPair, SubensembleDistribution, isotropic_product
+from leggettsim.optimize import FAMILIES, SettingsFamily
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,16 +63,117 @@ def test_version_matches_pyproject():
     assert leggettsim.__version__ == re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
 
 
-def test_records_with_arrays_compare_by_identity():
-    # == on a dataclass compares its fields as tuples, which raises
-    # ValueError for arrays of more than one element; eq=False makes it
-    # identity, and hash works with it
-    checked = []
+def array_records() -> dict[str, type]:
+    """Every dataclass of the package with an ndarray field, by name."""
+    found = {}
     for info in pkgutil.iter_modules(leggettsim.__path__):
         module = importlib.import_module(f"leggettsim.{info.name}")
         for cls in vars(module).values():
             if (dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
                     and any("ndarray" in str(f.type) for f in dataclasses.fields(cls))):
-                checked.append(cls.__name__)
-                assert cls.__eq__ is object.__eq__, cls.__qualname__
+                found[cls.__name__] = cls
+    return found
+
+
+def test_records_with_arrays_compare_by_identity():
+    # == on a dataclass compares its fields as tuples, which raises
+    # ValueError for arrays of more than one element; eq=False makes it
+    # identity, and hash works with it
+    checked = array_records()
+    for cls in checked.values():
+        assert cls.__eq__ is object.__eq__, cls.__qualname__
     assert {"AtomGrid", "SettingsFamily", "Phase1Result"} <= set(checked)
+
+
+PROBLEM = build_problem(build_atom_grid(3, 3, 2), FAMILIES["orthogonal-doublets"].build([0.94, 3.46, 2.11, 2.34]))
+
+
+# one instance of each checked record: the writable arrays it is built from,
+# and how it is built from them. Phase1Result is left out: it is the
+# solver's output, read once by certify.solve, not a checked record, and
+# hold never freezes it.
+HELD_RECORDS = {
+    "AtomGrid": (lambda: (sphere.sphere_grid(4), sphere.sphere_grid(4)[::-1].copy()), AtomGrid),
+    "CertificationProblem": (lambda: (PROBLEM.A_ub.copy(), PROBLEM.b_ub.copy()),
+                             lambda A, b: dataclasses.replace(PROBLEM, A_ub=A, b_ub=b)),
+    "Witness": (lambda: (np.array([0, 2]), np.array([0.25, 0.75])), lambda index, w: Witness("h", 3, index, w)),
+    "Farkas": (lambda: (np.array([0.5, 0.0, 2.0]),), lambda lam: Farkas("h", lam, 0.1)),
+    "SettingsPair": (lambda: (np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.0, -1.0])), SettingsPair),
+    "SubensembleDistribution": (lambda: (sphere.sphere_grid(3), sphere.sphere_grid(3)[::-1].copy(),
+                                         np.array([0.5, 0.25, 0.25])),
+                                SubensembleDistribution),
+    "SettingsFamily": (lambda: (np.zeros(2), np.ones(2)), lambda lo, hi: SettingsFamily("box", lo, hi, list)),
+}
+
+
+def test_held_records_catalogued():
+    assert set(HELD_RECORDS) == set(array_records()) - {"Phase1Result"}
+
+
+@pytest.mark.parametrize("given", ["owner", "view"])
+@pytest.mark.parametrize("record", sorted(HELD_RECORDS))
+def test_caller_writes_do_not_reach_record(record, given):
+    # a record is built from arrays its caller keeps writable, its owners
+    # or views of them; writes through them afterwards must neither fail
+    # (the record froze the caller's array) nor reach the record
+    arrays, build = HELD_RECORDS[record]
+    owners = arrays()
+    held = build(*(owners if given == "owner" else [a[:] for a in owners]))
+    fields = {f.name: getattr(held, f.name) for f in dataclasses.fields(held)}
+    fields = {name: (value, value.copy()) for name, value in fields.items() if isinstance(value, np.ndarray)}
+    assert fields
+    for a in owners:
+        a.fill(-3)
+    for name, (value, before) in fields.items():
+        assert not value.flags.writeable, name
+        assert np.array_equal(value, before), name
+
+
+def test_generated_model_peak():
+    # isotropic_product holds its drawn atoms and their held copies at
+    # once; its weight table is frozen where it is built and kept, so no
+    # more is copied. The bound is the 12.90 MB this measured when the
+    # vectors were copied by the unit-norm check, before hold, plus 0.1 MB;
+    # the first call also pays for one-time allocations.
+    def peak() -> int:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            isotropic_product(100_000, sphere.make_rng(2026, 0))
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    peak()
+    assert peak() <= 12.90e6 + 100_000
+
+
+def call_sites(is_callee) -> set[str]:
+    """module.scope of every call in src/leggettsim whose callee expression
+    ``is_callee`` accepts; the scope is the function it sits in, qualified
+    by its class."""
+    sites = set()
+    for path in sorted((ROOT / "src" / "leggettsim").glob("*.py")):
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    visit(child, scope + (child.name,))
+                    continue
+                if isinstance(child, ast.Call) and is_callee(child.func):
+                    sites.add(".".join((path.stem, *scope)))
+                visit(child, scope)
+        visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return sites
+
+
+def attribute_named(name: str):
+    return lambda func: isinstance(func, ast.Attribute) and func.attr == name
+
+
+def test_records_set_fields_only_through_hold():
+    # a record that set its own fields, or froze memory where it is not
+    # fresh, would bypass the one rule of what a record keeps
+    assert call_sites(attribute_named("__setattr__")) == {"models.hold"}
+    assert call_sites(attribute_named("setflags")) == {
+        "models.hold", "models.SubensembleDistribution.__post_init__",
+        "certify.build_atom_grid", "certify.build_problem"}

@@ -245,8 +245,10 @@ class TestColumnMatrix:
         n = problem.n_atoms
         assert n % 4 == residue
         ones = np.broadcast_to(1.0, (1, n))  # the sum w = 1 row, as certify.solve passes it
+        cols = problem.A_ub.base  # the frozen column matrix, kept by hold, not a copy
+        assert isinstance(cols, np.ndarray) and not cols.flags.writeable
         for lp in (problem, dataclasses.replace(problem, b_ub=np.array(b_ub))):
-            assert _adopted(lp.A_ub, ones, len(lp.b_ub), 1) is problem.A_ub.base
+            assert _adopted(lp.A_ub, ones, len(lp.b_ub), 1) is cols
             adopted = phase1_simplex(lp.A_ub, lp.b_ub, ones, np.ones(1))
             copied = phase1_simplex(np.array(lp.A_ub), lp.b_ub, np.ones((1, n)), np.ones(1))
             assert result_bits(adopted) == result_bits(copied)

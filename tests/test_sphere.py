@@ -1,3 +1,4 @@
+import types
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from leggettsim import sphere
+from leggettsim.models import hold
 
 from conftest import random_rotation
 
@@ -79,25 +81,37 @@ def frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def held(arr) -> np.ndarray:
+    """arr as a record holds it: checked by unit_checked, then held by hold."""
+    record = types.SimpleNamespace()
+    hold(record, arr=sphere.unit_checked(arr))
+    return record.arr
+
+
 class TestUnitCopy:
+    """The checked unit vectors a record holds: ``unit_checked`` checks them
+    and copies nothing, ``models.hold`` keeps frozen memory and copies the
+    rest."""
+
     @pytest.mark.parametrize("vecs", [[0.6, 0.8, 0.0], [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]])
     def test_read_only_copy(self, vecs):
         arr = np.array(vecs)
-        out = sphere.unit_copy(arr)
+        assert sphere.unit_checked(arr) is arr
+        out = held(arr)
         assert out.dtype == np.float64 and out.flags.c_contiguous and not out.flags.writeable
         assert not np.shares_memory(out, arr) and arr.flags.writeable
         assert out.tolist() == arr.tolist()
 
     def test_fortran_order_input(self):
         arr = np.asfortranarray(sphere.sphere_grid(5))
-        assert sphere.unit_copy(arr).flags.c_contiguous
+        assert held(arr).flags.c_contiguous
 
     @pytest.mark.parametrize("arr", [frozen(sphere.sphere_grid(5)), frozen(np.array([0.6, 0.8, 0.0]))],
                              ids=["batch", "3-vector"])
     def test_frozen_input_kept(self, arr):
         # read-only, C-ordered float64 and owning its memory: nothing but a
         # view made before the freeze could write to it, so it is not copied
-        assert sphere.unit_copy(arr) is arr
+        assert held(arr) is arr
 
     @pytest.mark.parametrize("arr", [
         sphere.sphere_grid(5),
@@ -106,7 +120,7 @@ class TestUnitCopy:
         frozen(np.eye(3, dtype=np.float32)),
     ], ids=["writable", "read-only-view", "fortran", "float32"])
     def test_other_inputs_copied(self, arr):
-        out = sphere.unit_copy(arr)
+        out = held(arr)
         assert out.dtype == np.float64 and out.flags.c_contiguous and not out.flags.writeable
         assert not np.shares_memory(out, arr)
         assert out.tolist() == arr.tolist()
@@ -118,7 +132,7 @@ class TestUnitCopy:
     ])
     def test_rejects(self, vecs):
         with pytest.raises(ValueError):
-            sphere.unit_copy(vecs)
+            sphere.unit_checked(vecs)
 
 
 def axis_sum_is_unit(vec) -> bool:
@@ -188,13 +202,13 @@ VECTORS = st.one_of(st.tuples(COMPONENT, COMPONENT, COMPONENT).map(np.array), ne
 
 
 class TestThreeVectorPath:
-    """unit_copy and normalize take a single 3-vector through Python floats;
+    """unit_checked and normalize take a single 3-vector through Python floats;
     they must give the bits, and the verdict, of a batch of one."""
 
     @hyp_settings(max_examples=400, deadline=None)
     @given(VECTORS)
-    def test_unit_copy_matches_batch(self, vec):
-        assert outcome(sphere.unit_copy, vec) == outcome(lambda v: sphere.unit_copy(v[None])[0], vec)
+    def test_unit_checked_matches_batch(self, vec):
+        assert outcome(sphere.unit_checked, vec) == outcome(lambda v: sphere.unit_checked(v[None])[0], vec)
 
     @hyp_settings(max_examples=400, deadline=None)
     @given(VECTORS)
@@ -208,10 +222,10 @@ class TestThreeVectorPath:
     ])
     def test_special_rows(self, row):
         vec = np.array(row)
-        assert outcome(sphere.unit_copy, vec) == outcome(lambda v: sphere.unit_copy(v[None])[0], vec)
+        assert outcome(sphere.unit_checked, vec) == outcome(lambda v: sphere.unit_checked(v[None])[0], vec)
         assert outcome(sphere.normalize, vec) == outcome(lambda v: sphere.normalize(v[None])[0], vec)
         with np.errstate(over="ignore"):
-            assert (outcome(sphere.unit_copy, vec) is ValueError) != axis_sum_is_unit(vec)
+            assert (outcome(sphere.unit_checked, vec) is ValueError) != axis_sum_is_unit(vec)
 
 
 class TestRandomUnitVectors:
