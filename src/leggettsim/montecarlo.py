@@ -1,19 +1,21 @@
 """Monte Carlo estimation of correlations with seeded streams.
 
 The sample budget is split into fixed-size blocks, each drawn from a
-disjoint counter region of the same Philox stream, so the estimate is
-identical no matter which thread fills a block. A block's uniforms are
-one (rows, size) array, filled from the block's own generator in the
-order the sampler reads them (see ``models.sample_outcome_arrays``).
-The calling thread fills block 0; while it searches atoms and draws
-outcomes for block b, one worker thread fills block b + 1 into the other
-of two buffers. Philox is counter-based, so the draws are the same ones
-(Salmon et al., *Parallel random numbers: as easy as 1, 2, 3*, SC'11).
+disjoint counter region of the same Philox stream (Salmon et al.,
+*Parallel random numbers: as easy as 1, 2, 3*, SC'11), so the estimate is
+identical no matter which thread fills a block. A block's uniforms are one
+(rows, size) array, filled from the block's own generator in the order the
+sampler reads them (see ``models.sample_outcome_arrays``). The calling
+thread fills block 0; while it searches atoms and draws outcomes for block
+b, one worker thread fills block b + 1 into the other of two buffers.
 ``Generator.random`` holds the GIL, so a fill overlaps only the calling
 thread's numpy calls that release it (``take``, the comparisons,
-``count_nonzero``). The calling thread makes every generator and buffer;
-the worker only fills, and is joined before the estimate returns or
-raises. A one-block estimate starts no thread.
+``count_nonzero``), and only while a second CPU is free. An estimate holds
+those two buffers and at most one pending fill, whatever n, and keeps
+nothing per block: block b's view of buffer b % 2 and its generator are
+made when its fill is queued. The calling thread makes every generator and
+buffer; the worker only fills, and is joined before the estimate returns
+or raises. A one-block estimate starts no thread.
 
 An estimate takes a setting's ``OutcomeLaw`` (per-atom u.a and v.b, weight
 CDF and its guide table), built by the caller once per setting, so the
@@ -54,26 +56,24 @@ def estimate_correlation(law: OutcomeLaw, n: int, seed: int, stream_id: int = 0)
     # imported here, not at the top, so importing the CLI does not pay for it
     from concurrent.futures import ThreadPoolExecutor
 
-    sizes = [min(BLOCK_SIZE, n - offset) for offset in range(0, n, BLOCK_SIZE)]
-    buffers = [np.empty(law.rows * sizes[0]) for _ in sizes[:2]]
-    # block b fills buffer b % 2: its fill is queued once block b - 2, the
-    # buffer's last user, is sampled
-    blocks = [buffers[block % 2][: law.rows * size].reshape(law.rows, size)
-              for block, size in enumerate(sizes)]
+    blocks = -(-n // BLOCK_SIZE)
+    buffers = [np.empty(law.rows * min(BLOCK_SIZE, n)) for _ in range(min(blocks, 2))]
+
+    def view(block):
+        return buffers[block % 2][: law.rows * min(BLOCK_SIZE, n - block * BLOCK_SIZE)].reshape(law.rows, -1)
+
     sum_ab = 0
     with ThreadPoolExecutor(max_workers=1) as worker:
-        sphere.make_rng(seed, stream_id, block=0).random(out=blocks[0])
-        ahead = None
-        for block, uniforms in enumerate(blocks):
-            filled = ahead  # this block's fill; block 0 is filled above
-            if block + 1 < len(blocks):
-                # queued before this block's fill is waited for, so the
-                # worker goes on to it without waiting for this thread
-                ahead = worker.submit(sphere.make_rng(seed, stream_id, block=block + 1).random,
-                                      out=blocks[block + 1])
-            if filled is not None:
-                filled.result()  # raises here what the fill raised
+        uniforms = view(0)
+        sphere.make_rng(seed, stream_id, block=0).random(out=uniforms)
+        for block in range(blocks):
+            if block + 1 < blocks:
+                # block + 1's buffer was last read by block - 1, sampled already
+                ahead = view(block + 1)
+                filled = worker.submit(sphere.make_rng(seed, stream_id, block=block + 1).random, out=ahead)
             a, b = sample_outcome_arrays(law, uniforms)
-            # AB is 1 where the outcomes agree and -1 where they differ
             sum_ab += a.size - 2 * np.count_nonzero(a != b)
+            if block + 1 < blocks:
+                filled.result()  # raises here what the fill raised
+                uniforms = ahead
     return CorrelationEstimate(sum_ab / n, n)

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,29 +310,65 @@ class TestDrawnAhead:
         assert during == [before + (blocks > 1)] * blocks
         assert threading.active_count() == before
 
-    def test_no_thread_outlives_a_block_that_raises(self, monkeypatch):
+    def _sampling_raises_at(self, monkeypatch, fail_block):
         calls = []
 
         def failing(law, uniforms):
             calls.append(1)
-            if len(calls) == 3:
-                raise FloatingPointError("block 2")
+            if len(calls) == fail_block + 1:
+                raise FloatingPointError(f"block {fail_block}")
             return sample_outcome_arrays(law, uniforms)
 
         monkeypatch.setattr(montecarlo, "sample_outcome_arrays", failing)
         before = threading.active_count()
-        with pytest.raises(FloatingPointError, match="block 2") as raised:
+        with pytest.raises(FloatingPointError, match=f"block {fail_block}") as raised:
             estimate_correlation(self._law(Coupling.COMONOTONE), 5 * BLOCK_SIZE, seed=1)
         # counted while ``raised`` holds the traceback, and through it the
         # estimate's frame, so no finalizer has stopped the worker
         assert threading.active_count() == before
-        assert len(calls) == 3 and raised.traceback
+        assert len(calls) == fail_block + 1 and raised.traceback
 
-    def test_fill_that_raises_reaches_the_caller(self, monkeypatch):
+    def test_no_thread_outlives_a_block_that_raises(self, monkeypatch):
+        # of five blocks, block 2 is sampled while block 3 fills
+        self._sampling_raises_at(monkeypatch, 2)
+
+    def test_no_thread_outlives_the_last_block_that_raises(self, monkeypatch):
+        # block 4, the last of five, is sampled after every fill is done
+        self._sampling_raises_at(monkeypatch, 4)
+
+    def _fill_raises_at(self, monkeypatch, fail_block):
         law = self._law(Coupling.INDEPENDENT)
-        self._recording_rngs(monkeypatch, fail_block=2)
+        self._recording_rngs(monkeypatch, fail_block=fail_block)
         before = threading.active_count()
-        with pytest.raises(FloatingPointError, match="fill of block 2") as raised:
+        with pytest.raises(FloatingPointError, match=f"fill of block {fail_block}") as raised:
             estimate_correlation(law, 5 * BLOCK_SIZE, seed=1)
         assert threading.active_count() == before
         assert raised.traceback
+
+    def test_fill_that_raises_reaches_the_caller(self, monkeypatch):
+        self._fill_raises_at(monkeypatch, 2)
+
+    # of five blocks: block 1's fill is the first the worker runs, and block
+    # 4's the last, waited for once block 3 is sampled
+    @pytest.mark.parametrize("fail_block", [1, 4], ids=["first-later", "last"])
+    def test_any_later_fill_that_raises_reaches_the_caller(self, monkeypatch, fail_block):
+        self._fill_raises_at(monkeypatch, fail_block)
+
+    def test_memory_does_not_grow_with_n(self, monkeypatch):
+        # before its first block is sampled, an estimate of 10**10 draws
+        # (152588 blocks) holds its two buffers and nothing per block
+        law = self._law(Coupling.INDEPENDENT)
+        estimate_correlation(law, 2 * BLOCK_SIZE, seed=1)  # first-call imports
+
+        def failing(law, uniforms):
+            raise FloatingPointError("block 0")
+
+        monkeypatch.setattr(montecarlo, "sample_outcome_arrays", failing)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FloatingPointError, match="block 0"):
+                estimate_correlation(law, 10**10, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * law.rows * BLOCK_SIZE * 8 + (1 << 20)
