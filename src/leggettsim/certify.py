@@ -98,12 +98,17 @@ class CertificationProblem:
     built. The verifier relies on it: lam^T A_ub and lam^T b_ub are then
     also the sums of the absolute terms of those products; and the solver,
     which refuses a negative right-hand side, takes the rows as they are.
-    Both row arrays are held by ``models.hold`` before the check, so no
-    later write can undo it: an array in frozen memory is kept and any
+    A_ub must have one column per grid atom and b_ub be 1-D with one entry
+    per row of A_ub, or ValueError is raised: rows that miss atoms would
+    let a proof about fewer atoms verify under the grid's hash.
+    Both row arrays are held by ``models.hold`` before the checks, so no
+    later write can undo them: an array in frozen memory is kept and any
     other copied. ``build_problem`` gives A_ub as the top-left block of the
     solver's column matrix (``simplex.column_matrix``), which it freezes,
     so the view is kept and phase 1 prices the rows without a copy; so is
-    the A_ub of ``dataclasses.replace(problem, b_ub=...)``.
+    the A_ub of ``dataclasses.replace(problem, b_ub=...)``. ``solve`` needs
+    that layout: any other A_ub makes a valid record, which phase 1
+    refuses with ValueError.
 
     ``A_eq`` and ``b_eq`` are empty read-only stubs of 0 bytes, kept
     because perfbench/tracing.py reads them; nothing in this package does.
@@ -117,8 +122,11 @@ class CertificationProblem:
 
     def __post_init__(self):
         hold(self, A_ub=self.A_ub, b_ub=self.b_ub)
+        A_ub, b_ub = self.A_ub, self.b_ub
+        if b_ub.ndim != 1 or A_ub.shape != (b_ub.shape[0], self.n_atoms):
+            raise ValueError(f"bound rows of shapes {A_ub.shape}, {b_ub.shape} are not (p, {self.n_atoms}), (p,)")
         # written so that NaN fails too
-        if not (self.A_ub.min(initial=0.0) >= 0.0 and self.b_ub.min(initial=0.0) >= 0.0):
+        if not (A_ub.min(initial=0.0) >= 0.0 and b_ub.min(initial=0.0) >= 0.0):
             raise ValueError("the bound rows A_ub and b_ub must be nonnegative and not NaN")
 
     @property

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from contextlib import suppress
 from functools import cache, partial
@@ -196,7 +197,9 @@ def _simulate_row(f: dict, model: LeggettModel, idx: int, s: SettingsPair) -> li
     est = estimate_correlation(law, f["samples"], f["seed"], stream_id=10 + idx)
     exact = models.exact_model_correlation(law)
     b = averaged_bounds(law)
-    verdict = check_bounds(est.mean, est.se, b, f["k_sigma"])
+    # at least the se of a mean at the bound it lies beyond: where every draw agrees, est.se is 0
+    bound = b.lower if est.mean < b.lower else b.upper
+    verdict = check_bounds(est.mean, max(est.se, math.sqrt((1.0 - bound * bound) / est.n)), b, f["k_sigma"])
     return [
         str(idx),
         _fmt(s.a[0]), _fmt(s.a[1]), _fmt(s.a[2]),

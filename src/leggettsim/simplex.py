@@ -13,7 +13,7 @@ with no row turned round; any other right-hand side raises ValueError.
 The solver works in revised form on the column matrix [A | slacks | I]
 in the one layout ``column_matrix`` gives it. ``certify.build_problem``
 writes its rows straight into such a matrix and freezes it, and phase 1
-prices that matrix in place; any other input is copied into a new one.
+prices that matrix in place; any other input raises ValueError.
 Pricing always reads the whole matrix, never A_ub alone: OpenBLAS's gemv
 gives a prefix of width n the full product's bits only when n % 4 == 0.
 The state is one m x (m + 1) array [binv | xb], the inverse of the basis
@@ -116,23 +116,22 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
         (a.view(np.uint64) == b.view(np.uint64)).all())
 
 
-def _adopted(A_ub, A_eq, p: int, q: int) -> np.ndarray | None:
-    """The base of A_ub, when A_ub is its top-left block and it is this LP's
+def _adopted(A_ub, A_eq, p: int, q: int) -> np.ndarray:
+    """The base of A_ub, which must be its top-left block and this LP's
     column matrix: read-only, in ``column_matrix``'s layout, with the bits
     of A_eq in its equality rows and its slack and artificial blocks as
-    ``column_matrix`` writes them. Otherwise None.
+    ``column_matrix`` writes them. Any other input raises ValueError.
 
     The checks read the equality rows and the two small blocks, never the
     inequality rows: as for ``models.hold``, only a writable view made
     before the freeze can change the matrix afterwards."""
     cols, n = A_ub.base, A_ub.shape[1]
-    if not (isinstance(cols, np.ndarray) and A_ub.dtype == np.float64 and cols.dtype == np.float64
+    if (isinstance(cols, np.ndarray) and A_ub.dtype == np.float64 and cols.dtype == np.float64
             and cols.shape == (p + q, n + p + p + q) and cols.flags.c_contiguous and not cols.flags.writeable
-            and A_ub.ctypes.data == cols.ctypes.data and A_ub.strides == cols.strides):
-        return None
-    if _same_bits(cols[p:, :n], A_eq) and _same_bits(cols[:, n:], column_matrix(0, p, q)):
+            and A_ub.ctypes.data == cols.ctypes.data and A_ub.strides == cols.strides
+            and _same_bits(cols[p:, :n], A_eq) and _same_bits(cols[:, n:], column_matrix(0, p, q))):
         return cols
-    return None
+    raise ValueError("A_ub must be the top-left block of its frozen column_matrix(n, p, q), A_eq below it")
 
 
 def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase1Result:
@@ -140,8 +139,8 @@ def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase
     1-D float64 arrays (an empty block is a (0, n) or (0,) array).
     Mismatched shapes, non-finite entries and a negative right-hand side
     raise ValueError; a breakdown or the iteration cap raises SolverFailure.
-    A_ub given as the top-left block of its frozen ``column_matrix`` is
-    priced in place; any other input is copied into a new one."""
+    A_ub must be the top-left block of its frozen ``column_matrix``, A_eq
+    the rows below it, or ValueError is raised; the matrix is priced in place."""
     p = b_ub.shape[0]
     q = b_eq.shape[0]
     n = A_ub.shape[1]
@@ -156,10 +155,6 @@ def phase1_simplex(A_ub, b_ub, A_eq, b_eq, max_iter: int | None = None) -> Phase
 
     # columns: n structural | p slacks (inequality rows only) | m artificials
     cols = _adopted(A_ub, A_eq, p, q)
-    if cols is None:
-        cols = column_matrix(n, p, q)
-        cols[:p, :n] = A_ub
-        cols[p:, :n] = A_eq
 
     # revised form: the tableau is binv @ cols, with binv the inverse of
     # the basis columns (the tableau's artificial block), and xb its rhs.

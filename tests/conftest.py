@@ -18,7 +18,7 @@ from leggettsim.models import (
     outcome_law,
     point_mass,
 )
-from leggettsim.simplex import FEAS_TOL, PIVOT_TOL, SolverFailure
+from leggettsim.simplex import FEAS_TOL, PIVOT_TOL, SolverFailure, column_matrix
 
 # the outcome pairs (A, B) in the order of joint_law's entries
 OUTCOME_VALUES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
@@ -84,6 +84,17 @@ def numpy_orthogonal_doublets(params) -> list[tuple[np.ndarray, np.ndarray]]:
         for b in (b_plus, b_minus):
             out.append((m, b / np.linalg.norm(b, axis=-1, keepdims=True)))
     return out
+
+
+def frozen_lp(A_ub, b_ub, A_eq, b_eq) -> tuple:
+    """The LP in the one form phase1_simplex takes, as build_problem gives
+    it: the rows written into their ``column_matrix``, which is frozen, and
+    A_ub and A_eq returned as its blocks, b_ub and b_eq as float64 arrays."""
+    (p, n), q = np.shape(A_ub), len(b_eq)
+    cols = column_matrix(n, p, q)
+    cols[:p, :n], cols[p:, :n] = A_ub, A_eq
+    cols.setflags(write=False)
+    return cols[:p, :n], np.asarray(b_ub, dtype=np.float64), cols[p:, :n], np.asarray(b_eq, dtype=np.float64)
 
 
 def masked_argmin_row(col, xb, basis=None) -> int:

@@ -103,6 +103,21 @@ class TestSimulate:
         assert code == EXIT_VERDICT
         assert "violated" in out.read_text()
 
+    def test_agreeing_draws_at_the_bounds_satisfied(self, tmp_path):
+        # the exact value is both bounds, 0.99995; at seed 2 every draw of
+        # the row is +1, so the plug-in se is 0. The mean beyond the upper
+        # bound is tested with the se of a mean at that bound, not with none
+        config = write_config(tmp_path, {
+            "model": {"generator": "point-mass", "u": [1.0, 0.01, 0.0], "v": [0.0, 0.0, 1.0],
+                      "coupling": "comonotone"},
+            "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 0.0, 1.0]}],
+        })
+        out = tmp_path / "rows.csv"
+        assert main(["simulate", "--config", config, "--seed", "2", "--output", str(out)]) == EXIT_OK
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[8:10] == ["1.0", "0.0"]  # the CSV keeps the plug-in mean and se
+        assert float(row[11]) == float(row[12]) < 1.0 and row[14] == "satisfied"
+
     def test_valid_model_at_the_edge_satisfied(self, tmp_path):
         # the exact value and the lower bound are both 1: a lower bound that
         # rounded to 1 + 4e-16 failed the noiseless estimate at se = 0

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from leggettsim.certify import build_atom_grid, build_problem
 from leggettsim.optimize import FAMILIES
-from leggettsim.simplex import FEAS_TOL, PIVOT_TOL, SolverFailure, _adopted, _pivot_row, column_matrix, phase1_simplex
+from leggettsim.simplex import (FEAS_TOL, PIVOT_TOL, SolverFailure, _adopted, _pivot_row, _same_bits, column_matrix,
+                               phase1_simplex)
 
-from conftest import DOUBLET_PARAMS, exact_farkas_gap, exact_feasible, masked_argmin_row
+from conftest import DOUBLET_PARAMS, exact_farkas_gap, exact_feasible, frozen_lp, masked_argmin_row
 
 
 def farkas_multipliers(y, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -33,7 +34,7 @@ def normalized(A_ub, b_ub, A_eq, b_eq):
 
 
 def check_proof(A_ub, b_ub, A_eq, b_eq):
-    result = phase1_simplex(A_ub, b_ub, A_eq, b_eq)
+    result = phase1_simplex(*frozen_lp(A_ub, b_ub, A_eq, b_eq))
     if result.feasible:
         assert result.objective <= FEAS_TOL
         assert exact_feasible(A_ub, b_ub, A_eq, b_eq, result.x)
@@ -125,10 +126,11 @@ class TestRatioTest:
 
 class TestBoundary:
     def test_mismatched_shapes(self):
-        with pytest.raises(ValueError):
-            phase1_simplex(np.ones((2, 3)), np.ones(2), np.ones((1, 4)), np.ones(1))
-        with pytest.raises(ValueError):
-            phase1_simplex(np.ones((2, 3)), np.ones(3), np.ones((1, 3)), np.ones(1))
+        A_ub, b_ub, A_eq, b_eq = frozen_lp(np.ones((2, 3)), np.ones(2), np.ones((1, 3)), np.ones(1))
+        with pytest.raises(ValueError, match="shapes"):
+            phase1_simplex(A_ub, b_ub, np.ones((1, 4)), b_eq)
+        with pytest.raises(ValueError, match="shapes"):
+            phase1_simplex(A_ub, np.ones(3), A_eq, b_eq)
 
     @pytest.mark.parametrize("where, index, bad", [
         ("b_ub", 1, np.nan), ("A_ub", (1, 0), np.nan), ("A_ub", (0, 1), np.inf),
@@ -142,15 +144,14 @@ class TestBoundary:
               "A_eq": np.ones((1, 2)), "b_eq": np.ones(1)}
         lp[where][index] = bad
         with pytest.raises(ValueError, match="finite"):
-            phase1_simplex(**lp)
+            phase1_simplex(*frozen_lp(**lp))
 
     def test_iteration_cap(self):
         # the artificial basis needs two pivots to leave x1 + x2 = 2, x1 - x2 = 0
-        A_eq, b_eq = np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([2.0, 0.0])
-        none = (np.empty((0, 2)), np.empty(0))
-        assert phase1_simplex(*none, A_eq, b_eq).iterations >= 2
+        lp = frozen_lp(np.empty((0, 2)), np.empty(0), np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([2.0, 0.0]))
+        assert phase1_simplex(*lp).iterations >= 2
         with pytest.raises(SolverFailure):
-            phase1_simplex(*none, A_eq, b_eq, max_iter=1)
+            phase1_simplex(*lp, max_iter=1)
 
 
 def output_digest(result) -> str:
@@ -170,7 +171,7 @@ def readme_problem(grid):
 # the most-negative rule cycles on this LP, and so does Bland's entering rule
 # when ratio ties go to the lowest row rather than to the lowest-index basic
 # variable (the solver then hit its cap)
-BLAND_LP = (
+BLAND_LP = frozen_lp(
     np.array([[3.0, 1.0, 0.0, -1.0, -1.0], [-1.0, 2.0, -2.0, 2.0, -3.0],
               [2.0, -1.0, 0.0, 3.0, 0.0], [-3.0, 3.0, 2.0, -2.0, 3.0]]),
     np.zeros(4),
@@ -230,16 +231,17 @@ README_PARAMS = np.array([0.94, 3.46, 2.11, 2.34])
 
 
 class TestColumnMatrix:
-    """A built problem's rows are priced in place, in the column matrix
-    build_problem wrote them into; every other input is copied into a new
-    one. Both paths give the same bits."""
+    """Phase 1 takes one input: A_ub as the top-left block of its frozen
+    column matrix, as build_problem writes it and frozen_lp builds it from
+    given rows. Every other input is refused."""
 
     @hyp_settings(max_examples=60, deadline=None)
     @given(st.integers(0, 3), st.integers(1, 9), st.integers(1, 9), st.integers(0, 6), DOUBLET_PARAMS,
            st.lists(st.floats(0.0, 2.0), min_size=12, max_size=12))
     def test_adopted_as_copied(self, residue, n_u, n_v, k, params, b_ub):
         # the atom count takes every residue mod 4: OpenBLAS's gemv rounds a
-        # width-n prefix of a wider matrix as the whole only when n % 4 == 0
+        # width-n prefix of a wider matrix as the whole only when n % 4 == 0,
+        # so pricing reads the whole matrix, whichever path built it
         n_mirrored = 4 * k + (residue - n_u * n_v) % 4
         problem = build_problem(build_atom_grid(n_u, n_v, n_mirrored), FAMILIES["orthogonal-doublets"].build(params))
         n = problem.n_atoms
@@ -249,9 +251,10 @@ class TestColumnMatrix:
         assert isinstance(cols, np.ndarray) and not cols.flags.writeable
         for lp in (problem, dataclasses.replace(problem, b_ub=np.array(b_ub))):
             assert _adopted(lp.A_ub, ones, len(lp.b_ub), 1) is cols
-            adopted = phase1_simplex(lp.A_ub, lp.b_ub, ones, np.ones(1))
-            copied = phase1_simplex(np.array(lp.A_ub), lp.b_ub, np.ones((1, n)), np.ones(1))
-            assert result_bits(adopted) == result_bits(copied)
+            built = phase1_simplex(lp.A_ub, lp.b_ub, ones, np.ones(1))
+            helper = frozen_lp(np.array(lp.A_ub), lp.b_ub, np.ones((1, n)), np.ones(1))
+            assert _same_bits(helper[0].base, cols)
+            assert result_bits(phase1_simplex(*helper)) == result_bits(built)
 
     @pytest.mark.parametrize("tamper", [None, "writable", "slack", "artificial", "signed zero", "equality row"])
     def test_tampered_layout_is_copied(self, tamper):
@@ -272,6 +275,10 @@ class TestColumnMatrix:
         if tamper != "writable":
             cols.setflags(write=False)
         A_ub = cols[:p, :n]
-        assert (_adopted(A_ub, A_eq, p, 1) is cols) == (tamper is None)
-        want = phase1_simplex(np.array(A_ub), b_ub, A_eq, np.ones(1))
-        assert result_bits(phase1_simplex(A_ub, b_ub, A_eq, np.ones(1))) == result_bits(want)
+        if tamper is None:
+            assert _adopted(A_ub, A_eq, p, 1) is cols
+            want = phase1_simplex(*frozen_lp(np.array(A_ub), b_ub, A_eq, np.ones(1)))
+            assert result_bits(phase1_simplex(A_ub, b_ub, A_eq, np.ones(1))) == result_bits(want)
+        else:
+            with pytest.raises(ValueError, match="column_matrix"):
+                phase1_simplex(A_ub, b_ub, A_eq, np.ones(1))
