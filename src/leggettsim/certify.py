@@ -89,8 +89,10 @@ class AtomGrid:
 
 @dataclass(frozen=True, eq=False)
 class CertificationProblem:
-    """A grid and the LP rows of its targets, as ``build_problem`` writes
-    them; the targets themselves are not kept.
+    """A grid and the LP of its targets, as ``build_problem`` writes it (the
+    targets are not kept): ``lp`` is the solver's column matrix
+    (``simplex.column_matrix``) of the p bound rows and the row sum w = 1,
+    which phase 1 prices in place, and A_ub is its view ``lp[:p, :n_atoms]``.
 
     Every entry of A_ub is some |u.a +- v.b|, so A_ub >= 0, and every entry
     of b_ub is some 1 +- E with |E| <= 1 (TargetConstraint), so b_ub >= 0;
@@ -98,17 +100,14 @@ class CertificationProblem:
     built. The verifier relies on it: lam^T A_ub and lam^T b_ub are then
     also the sums of the absolute terms of those products; and the solver,
     which refuses a negative right-hand side, takes the rows as they are.
-    A_ub must have one column per grid atom and b_ub be 1-D with one entry
-    per row of A_ub, or ValueError is raised: rows that miss atoms would
-    let a proof about fewer atoms verify under the grid's hash.
-    Both row arrays are held by ``models.hold`` before the checks, so no
-    later write can undo them: an array in frozen memory is kept and any
-    other copied. ``build_problem`` gives A_ub as the top-left block of the
-    solver's column matrix (``simplex.column_matrix``), which it freezes,
-    so the view is kept and phase 1 prices the rows without a copy; so is
-    the A_ub of ``dataclasses.replace(problem, b_ub=...)``. ``solve`` needs
-    that layout: any other A_ub makes a valid record, which phase 1
-    refuses with ValueError.
+    b_ub must be 1-D, of some length p, and lp (p + 1, n_atoms + 2p + 1),
+    or ValueError is raised: rows that miss atoms would let a proof about
+    fewer atoms verify under the grid's hash. Both arrays are held by
+    ``models.hold`` before the checks, so no later write can undo them:
+    ``build_problem`` freezes its matrix, so it is kept, also by
+    ``dataclasses.replace(problem, b_ub=...)``; any other lp is copied.
+    Phase 1 refuses, with ValueError, an lp whose slack and artificial
+    blocks are not ``column_matrix``'s.
 
     ``A_eq`` and ``b_eq`` are empty read-only stubs of 0 bytes, kept
     because perfbench/tracing.py reads them; nothing in this package does.
@@ -117,17 +116,21 @@ class CertificationProblem:
     A_eq = b_eq = np.broadcast_to(0.0, 0)  # a broadcast view is read-only
 
     grid: AtomGrid
-    A_ub: np.ndarray
     b_ub: np.ndarray
+    lp: np.ndarray
 
     def __post_init__(self):
-        hold(self, A_ub=self.A_ub, b_ub=self.b_ub)
-        A_ub, b_ub = self.A_ub, self.b_ub
-        if b_ub.ndim != 1 or A_ub.shape != (b_ub.shape[0], self.n_atoms):
-            raise ValueError(f"bound rows of shapes {A_ub.shape}, {b_ub.shape} are not (p, {self.n_atoms}), (p,)")
+        hold(self, b_ub=self.b_ub, lp=self.lp)
+        b_ub, lp, n = self.b_ub, self.lp, self.n_atoms
+        if b_ub.ndim != 1 or lp.shape != (b_ub.size + 1, n + 2 * b_ub.size + 1):
+            raise ValueError(f"LP of shapes {b_ub.shape}, {lp.shape} is not (p,), (p + 1, {n} + 2p + 1)")
         # written so that NaN fails too
-        if not (A_ub.min(initial=0.0) >= 0.0 and b_ub.min(initial=0.0) >= 0.0):
+        if not (self.A_ub.min(initial=0.0) >= 0.0 and b_ub.min(initial=0.0) >= 0.0):
             raise ValueError("the bound rows A_ub and b_ub must be nonnegative and not NaN")
+
+    @property
+    def A_ub(self) -> np.ndarray:
+        return self.lp[: self.b_ub.size, : self.n_atoms]
 
     @property
     def grid_hash(self) -> str:
@@ -254,17 +257,17 @@ def build_problem(grid: AtomGrid, constraints) -> CertificationProblem:
     The grid was checked when it was built, so only the rows are computed.
     They are written straight into the solver's column matrix
     (``simplex.column_matrix``), whose top-left block is A_ub and whose one
-    equality row is the sum w = 1 that ``solve`` passes, so phase 1 prices
-    the rows in place. Pairs that share a setting a (the same float64 bits)
-    share one u.a projection, so no more than one alpha, one beta and the
-    temporary of sphere.dots are held besides that matrix."""
+    equality row is the sum w = 1; the problem holds that matrix as ``lp``,
+    and phase 1 prices it in place. Pairs that share a setting a (the same
+    float64 bits) share one u.a projection, so no more than one alpha, one
+    beta and the temporary of sphere.dots are held besides that matrix."""
     constraints = tuple(constraints)
     if len(constraints) == 0:
         raise ValueError("constraint list must be non-empty")
     u, v = grid.u, grid.v
     p, n = 2 * len(constraints), grid.n_atoms
-    cols = column_matrix(n, p, 1)
-    A_ub = cols[:p, :n]
+    lp = column_matrix(n, p, 1)
+    A_ub = lp[:p, :n]
 
     pairs_of_a: dict[bytes, list[int]] = {}
     for j, c in enumerate(constraints):
@@ -276,15 +279,13 @@ def build_problem(grid: AtomGrid, constraints) -> CertificationProblem:
             kernels.abs_sum_diff(alpha, beta, out=(A_ub[2 * j], A_ub[2 * j + 1]))
             del beta  # no stale row is held through the next projection
         del alpha
-    cols[p:, :n] = 1.0
-    # frozen, so the problem keeps its view A_ub (and copies the small b_ub): a
-    # write through the matrix would undo the A_ub >= 0 check, as one through the view would
-    cols.setflags(write=False)
+    lp[p:, :n] = 1.0
+    lp.setflags(write=False)  # so the problem keeps it: a later write would undo the A_ub >= 0 check
 
     return CertificationProblem(
         grid=grid,
-        A_ub=A_ub,
         b_ub=np.asarray([rhs for c in constraints for rhs in (1.0 + c.e, 1.0 - c.e)]),
+        lp=lp,
     )
 
 
@@ -302,7 +303,7 @@ def _farkas_combination(problem: CertificationProblem, lam) -> tuple[np.ndarray,
 def solve(problem: CertificationProblem) -> Witness | Farkas:
     """Phase-1 feasibility solve over {w >= 0, sum w = 1, constraint rows}."""
     m = problem.n_atoms
-    result = phase1_simplex(problem.A_ub, problem.b_ub, np.broadcast_to(1.0, (1, m)), np.ones(1))
+    result = phase1_simplex(problem.A_ub, problem.b_ub, problem.lp[problem.b_ub.size :, :m], np.ones(1))
 
     if result.feasible:
         w = np.maximum(result.x, 0.0)

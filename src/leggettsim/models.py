@@ -170,13 +170,11 @@ def vector(value, name: str) -> list:
 def hold(record, **fields) -> None:
     """Set fields of a frozen record, each ndarray held read-only, so no
     later write gets past the checks the record made when it was built. An
-    array in memory that a read-only, C-ordered array owns (itself or its
-    base) is kept; any other is copied in C order, and the copy frozen."""
+    array that owns its memory, is C-ordered and is read-only is kept; any
+    other, every view included, is copied in C order, and the copy frozen."""
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
-            owner = value if value.flags.owndata else value.base
-            if not (isinstance(owner, np.ndarray) and owner.flags.owndata and owner.flags.c_contiguous
-                    and not owner.flags.writeable):
+            if not (value.flags.owndata and value.flags.c_contiguous and not value.flags.writeable):
                 value = np.array(value, order="C")
             value.setflags(write=False)
         object.__setattr__(record, name, value)

@@ -8,14 +8,14 @@ identical no matter which thread fills a block. A block's uniforms are one
 sampler reads them (see ``models.sample_outcome_arrays``). The calling
 thread fills block 0; while it searches atoms and draws outcomes for block
 b, one worker thread fills block b + 1 into the other of two buffers.
-``Generator.random`` holds the GIL, so a fill overlaps only the calling
-thread's numpy calls that release it (``take``, the comparisons,
-``count_nonzero``), and only while a second CPU is free. An estimate holds
-those two buffers and at most one pending fill, whatever n, and keeps
-nothing per block: block b's view of buffer b % 2 and its generator are
-made when its fill is queued. The calling thread makes every generator and
-buffer; the worker only fills, and is joined before the estimate returns
-or raises. A one-block estimate starts no thread.
+A fill (``Generator.random(out=...)``) runs outside the GIL, so it
+overlaps the calling thread's work, but only while a second CPU is free.
+An estimate holds those two buffers and at most one pending fill,
+whatever n, and keeps nothing per block: block b's view of buffer b % 2
+and its generator are made when its fill is queued. The calling thread
+makes every generator and buffer; the worker only fills, and is joined
+before the estimate returns or raises. A one-block estimate starts no
+thread.
 
 An estimate takes a setting's ``OutcomeLaw`` (per-atom u.a and v.b, weight
 CDF and its guide table), built by the caller once per setting, so the

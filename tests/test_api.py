@@ -63,6 +63,15 @@ def test_version_matches_pyproject():
     assert leggettsim.__version__ == re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
 
 
+def test_readme_layout_has_one_bullet_per_module():
+    # README's Layout lists each module of the package once, and no module
+    # that is gone
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = text.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- `src/leggettsim/(\w+)\.py`", layout, re.MULTILINE)
+    assert sorted(bullets) == sorted(path.stem for path in (ROOT / "src" / "leggettsim").glob("*.py"))
+
+
 def array_records() -> dict[str, type]:
     """Every dataclass of the package with an ndarray field, by name."""
     found = {}
@@ -94,8 +103,8 @@ PROBLEM = build_problem(build_atom_grid(3, 3, 2), FAMILIES["orthogonal-doublets"
 # hold never freezes it.
 HELD_RECORDS = {
     "AtomGrid": (lambda: (sphere.sphere_grid(4), sphere.sphere_grid(4)[::-1].copy()), AtomGrid),
-    "CertificationProblem": (lambda: (PROBLEM.A_ub.copy(), PROBLEM.b_ub.copy()),
-                             lambda A, b: dataclasses.replace(PROBLEM, A_ub=A, b_ub=b)),
+    "CertificationProblem": (lambda: (PROBLEM.b_ub.copy(), PROBLEM.lp.copy()),
+                             lambda b, lp: dataclasses.replace(PROBLEM, b_ub=b, lp=lp)),
     "Witness": (lambda: (np.array([0, 2]), np.array([0.25, 0.75])), lambda index, w: Witness("h", 3, index, w)),
     "Farkas": (lambda: (np.array([0.5, 0.0, 2.0]),), lambda lam: Farkas("h", lam, 0.1)),
     "SettingsPair": (lambda: (np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.0, -1.0])), SettingsPair),
@@ -127,6 +136,23 @@ def test_caller_writes_do_not_reach_record(record, given):
     for name, (value, before) in fields.items():
         assert not value.flags.writeable, name
         assert np.array_equal(value, before), name
+
+
+@pytest.mark.parametrize("view", [np.ndarray.view, lambda a: a[:], lambda a: a[::-1][::-1]],
+                         ids=["view", "slice", "reversed-twice"])
+def test_views_of_frozen_memory_are_copied(view):
+    # hold keeps an array only when the array itself owns its memory, is
+    # C-ordered and is read-only: a view is copied even when the memory
+    # behind it is frozen, so what a record keeps never rests on another
+    # array's flags
+    lam = np.array([0.5, 0.0, 2.0])
+    lam.setflags(write=False)
+    assert Farkas("h", lam, 0.1).farkas_ub is lam
+    given = view(lam)
+    assert given.base is lam and given.flags.c_contiguous and not given.flags.writeable
+    held = Farkas("h", given, 0.1).farkas_ub
+    assert held is not given and held.flags.owndata and not held.flags.writeable
+    assert np.array_equal(held, lam)
 
 
 def test_generated_model_peak():

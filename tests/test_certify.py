@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from leggettsim.models import (
     outcome_law,
 )
 from leggettsim.optimize import FAMILIES, optimize_settings
+from leggettsim.simplex import _adopted
 
 from conftest import DOUBLET_PARAMS, exact_farkas_gap, exact_feasible, numpy_proven_gap
 
@@ -233,13 +235,13 @@ class TestBuildProblem:
             assert same_bits(got, expected)
 
     def test_build_memory(self):
-        # the rows are written into the solver's column matrix, A_ub's base:
-        # besides it, build_problem holds one alpha and one beta, each clamped
-        # in place by sphere.dots (2 rows measured)
+        # the rows are written into the solver's column matrix, the problem's
+        # lp: besides it, build_problem holds one alpha and one beta, each
+        # clamped in place by sphere.dots (2 rows measured)
         grid = build_atom_grid(192, 192, 4096)
         constraints = FAMILIES["orthogonal-doublets"].build(np.array([0.94, 3.46, 2.11, 2.34]))
         problem, peak = traced_peak(build_problem, grid, constraints)
-        assert peak <= problem.A_ub.base.nbytes + 2.5 * grid.u[:, 0].nbytes
+        assert peak <= problem.lp.nbytes + 2.5 * grid.u[:, 0].nbytes
 
     @pytest.mark.parametrize("theta, status", [(0.94, CertStatus.INFEASIBLE), (2.0, CertStatus.FEASIBLE)])
     def test_solve_memory(self, theta, status):
@@ -252,12 +254,12 @@ class TestBuildProblem:
         assert peak < problem.A_ub.nbytes / 4
 
     def test_rows_read_only(self):
-        # a write into A_ub after the build, or into the column matrix it is a
-        # view of, would undo the A_ub >= 0 check the verifier's rounding
+        # a write into A_ub after the build, or into the column matrix lp it
+        # is a view of, would undo the A_ub >= 0 check the verifier's rounding
         # bound relies on
         p = two_atom_infeasible_problem()
         for problem in (p, dataclasses.replace(p, b_ub=np.array([1.5, 0.5, 1.5, 0.5]))):
-            for arr in (problem.A_ub, problem.A_ub.base, problem.b_ub):
+            for arr in (problem.A_ub, problem.lp, problem.b_ub):
                 with pytest.raises(ValueError):
                     arr[0] = -1.0
             assert problem.A_ub.min() >= 0.0
@@ -378,16 +380,28 @@ class TestSolve:
         assert n_feasible > 0 and n_infeasible > 0
 
     def test_rows_in_place_as_copied(self):
-        # a problem's A_ub is a block of the solver's column matrix, the one
-        # input phase 1 takes; a copy of it is still a valid record, but its
-        # rows are no longer in that layout, and solve refuses them
+        # a problem holds the solver's column matrix, the one input phase 1
+        # takes, and A_ub is a view of it, not a field: the record keeps the
+        # frozen matrix build_problem wrote, also through
+        # dataclasses.replace(problem, b_ub=...), and holds a frozen copy of
+        # any other; a copy in the same layout solves to the same bits, and
+        # one whose slack block is not column_matrix's is refused by phase 1
         constraints = FAMILIES["orthogonal-doublets"].build(np.array([0.94, 3.46, 2.11, 2.34]))
         problem = build_problem(build_atom_grid(3, 3, 2), constraints)
-        copied = dataclasses.replace(problem, A_ub=np.array(problem.A_ub))
-        assert same_bits(copied.A_ub, problem.A_ub)
+        (p, n), lp = problem.A_ub.shape, problem.lp
+        assert "A_ub" not in {f.name for f in dataclasses.fields(problem)}
+        assert lp.shape == (p + 1, n + 2 * p + 1) and problem.A_ub.base is lp
+        assert same_bits(problem.A_ub, lp[:p, :n]) and not lp.flags.writeable
+        moved = dataclasses.replace(problem, b_ub=problem.b_ub + 0.25)
+        assert moved.lp is lp and _adopted(moved.A_ub, lp[p:, :n], p, 1) is lp
+        assert verify_certificate(moved, solve(moved))
+        copied = dataclasses.replace(problem, lp=np.array(lp))
+        assert copied.lp is not lp and same_bits(copied.lp, lp)
+        assert repr(solve(copied).to_dict()) == repr(solve(problem).to_dict())
+        tampered = np.array(lp)
+        tampered[0, n] = 2.0
         with pytest.raises(ValueError, match="column_matrix"):
-            solve(copied)
-        assert verify_certificate(problem, solve(problem))
+            solve(dataclasses.replace(problem, lp=tampered))
 
 
 class TestVerifyCertificate:
@@ -524,9 +538,9 @@ class TestVerifyCertificate:
         # the verifier takes lam^T A_ub and lam^T b_ub as their own sums of
         # absolute terms, and the solver takes no negative right-hand side
         p = two_atom_infeasible_problem()
-        A_ub, b_ub = np.array(p.A_ub), np.array(p.b_ub)
-        A_ub[1, 0] = b_ub[1] = bad
-        for rows in ({"A_ub": A_ub}, {"b_ub": b_ub}):
+        lp, b_ub = np.array(p.lp), np.array(p.b_ub)
+        lp[1, 0] = b_ub[1] = bad  # lp[1, 0] is A_ub[1, 0]
+        for rows in ({"lp": lp}, {"b_ub": b_ub}):
             with pytest.raises(ValueError, match="nonnegative"):
                 dataclasses.replace(p, **rows)
 
@@ -535,14 +549,16 @@ class TestVerifyCertificate:
         # the doublets at theta = 2 admit a weighting of this 44-atom grid,
         # yet its first 10 atoms admit none: a record holding only their
         # columns under the full grid's hash would let the sub-grid's Farkas
-        # vector verify as a proof about the full grid
+        # vector verify as a proof about the full grid. The lp must fit both
+        # the grid and b_ub, so a shortened b_ub cannot make it a smaller LP
         constraints = FAMILIES["orthogonal-doublets"].build(np.array([2.0, 3.46, 2.11, 2.34]))
         grid = build_atom_grid(6, 6, 8)
         full = build_problem(grid, constraints)
-        sub = solve(build_problem(AtomGrid(np.array(grid.u[:10]), np.array(grid.v[:10])), constraints))
+        narrow = build_problem(AtomGrid(np.array(grid.u[:10]), np.array(grid.v[:10])), constraints)
+        sub = solve(narrow)
         forged = Farkas(grid.grid_hash, sub.farkas_ub, sub.margin)
         assert isinstance(solve(full), Witness) and not verify_certificate(full, forged)
-        change = {"narrow A_ub": {"A_ub": np.array(full.A_ub[:, :10])}, "short b_ub": {"b_ub": full.b_ub[:-1]},
+        change = {"narrow A_ub": {"lp": narrow.lp}, "short b_ub": {"b_ub": full.b_ub[:-1]},
                   "2-D b_ub": {"b_ub": full.b_ub[:, None]}}[rows]
         with pytest.raises(ValueError, match="shapes"):
             dataclasses.replace(full, **change)
@@ -880,3 +896,52 @@ class TestBoundRowsAlone:
                 b = averaged_bounds(law)
                 assert b.lower - FEAS_TOL <= t.e <= b.upper + FEAS_TOL
                 assert law.w @ law.alpha == 0.0 and law.w @ law.beta == 0.0
+
+
+# the best point of the pinned optimizer run (PINNED_VIOLATION_RUN in test_acceptance.py)
+PINNED_POINT = np.array([0.9354412460406666, 3.4606606574700063, 2.1143631920512784, 2.3431989432112554])
+
+
+def test_pairs_one_to_five_have_a_model_and_grid_proofs():
+    # the doublets' pairs 1-5 at the pinned point: both grids of the pinned
+    # run certify them infeasible with margins near 0.1, yet a finer grid
+    # holds a verified 6-atom witness, and the witness rebuilt as a model
+    # puts each target inside its averaged bounds. A verified grid
+    # certificate speaks of its grid only.
+    kept = FAMILIES["orthogonal-doublets"].build(PINNED_POINT)[1:6]
+    for sizes, margin in (((24, 24, 64), 0.1390370617813143), ((48, 48, 256), 0.09141210507042255)):
+        problem = build_problem(build_atom_grid(*sizes), kept)
+        cert = solve(problem)
+        assert isinstance(cert, Farkas) and cert.margin == margin and verify_certificate(problem, cert)
+    problem = build_problem(build_atom_grid(96, 96, 1024), kept)
+    witness = solve(problem)
+    assert isinstance(witness, Witness) and verify_certificate(problem, witness)
+    assert witness.index.tolist() == [2568, 4402, 4550, 4951, 5714, 6503]
+    # the bounds read only the weights and projections, not the coupling
+    model = LeggettModel(witness_distribution(problem, witness), Coupling.INDEPENDENT)
+    for t in kept:
+        b = averaged_bounds(outcome_law(model, t.settings))
+        assert b.lower - FEAS_TOL <= t.e <= b.upper + FEAS_TOL
+
+
+def test_closed_form_farkas_vector_verifies_on_grids():
+    # lam = 1 on the six "+" rows (row 2j of pair j), a vector phase 1 did
+    # not produce. For a doublet (m, b+-), |u.m + v.b+| + |u.m + v.b-| >=
+    # 2 sin(t/2) |v.e| by the triangle inequality, and the |v.e| of the three
+    # orthogonal axes sum to at least 1, so against the right-hand sides
+    # 1 - cos(t/2) the gap on any grid is at least
+    # g(t) = 2 sin(t/2) - 6 (1 - cos(t/2)), positive for t < 4 atan(1/3)
+    grids = [build_atom_grid(24, 24, 64), build_atom_grid(48, 48, 256)]
+    lam = np.zeros(12)
+    lam[::2] = 1.0
+    rng = make_rng(15, 0)
+    for _ in range(200):
+        theta = float(rng.uniform(0.05, 4.0 * math.atan(1.0 / 3.0)))
+        targets = FAMILIES["orthogonal-doublets"].build(np.array([theta, *rng.uniform(0.0, 2.0 * math.pi, 3)]))
+        bound = 2.0 * math.sin(theta / 2.0) - 6.0 * (1.0 - math.cos(theta / 2.0))
+        for grid in grids:
+            problem = build_problem(grid, targets)
+            # normalized like margin: the largest multiplier is 1
+            gap = float((lam @ problem.A_ub).min()) - float(lam @ problem.b_ub)
+            assert verify_certificate(problem, Farkas(problem.grid_hash, lam, gap))
+            assert gap >= bound

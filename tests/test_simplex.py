@@ -246,9 +246,9 @@ class TestColumnMatrix:
         problem = build_problem(build_atom_grid(n_u, n_v, n_mirrored), FAMILIES["orthogonal-doublets"].build(params))
         n = problem.n_atoms
         assert n % 4 == residue
-        ones = np.broadcast_to(1.0, (1, n))  # the sum w = 1 row, as certify.solve passes it
-        cols = problem.A_ub.base  # the frozen column matrix, kept by hold, not a copy
-        assert isinstance(cols, np.ndarray) and not cols.flags.writeable
+        cols = problem.lp  # the frozen column matrix, kept by hold, not a copy
+        assert problem.A_ub.base is cols and not cols.flags.writeable
+        ones = cols[-1:, :n]  # the record's own sum w = 1 row, as certify.solve passes it
         for lp in (problem, dataclasses.replace(problem, b_ub=np.array(b_ub))):
             assert _adopted(lp.A_ub, ones, len(lp.b_ub), 1) is cols
             built = phase1_simplex(lp.A_ub, lp.b_ub, ones, np.ones(1))
