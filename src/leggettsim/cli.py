@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from contextlib import suppress
 from functools import cache, partial
@@ -28,7 +27,7 @@ from . import __version__, certify, models, optimize, quantum, sphere
 from .bounds import DEFAULT_K_SIGMA, averaged_bounds, check_bounds, pointwise_identity
 from .models import (COUPLINGS, REAL, TEXT, Field, LeggettModel, SettingsPair, choice, integer, list_of, read_fields,
                      read_variant, real, vector)
-from .montecarlo import estimate_correlation
+from .montecarlo import estimate_correlation, standard_error
 from .simplex import SolverFailure
 
 EXIT_OK = 0
@@ -194,17 +193,18 @@ CSV_COLUMNS = [
 def _simulate_row(f: dict, model: LeggettModel, idx: int, s: SettingsPair) -> list[str]:
     """One CSV row; its law is freed on return, so no two settings' laws are held at once."""
     law = models.outcome_law(model, s)
-    est = estimate_correlation(law, f["samples"], f["seed"], stream_id=10 + idx)
+    mean = estimate_correlation(law, f["samples"], f["seed"], stream_id=10 + idx)
+    se = standard_error(mean, f["samples"])
     exact = models.exact_model_correlation(law)
     b = averaged_bounds(law)
-    # at least the se of a mean at the bound it lies beyond: where every draw agrees, est.se is 0
-    bound = b.lower if est.mean < b.lower else b.upper
-    verdict = check_bounds(est.mean, max(est.se, math.sqrt((1.0 - bound * bound) / est.n)), b, f["k_sigma"])
+    # at least the se of a mean at the bound it lies beyond: where every draw agrees, se is 0
+    bound = b.lower if mean < b.lower else b.upper
+    verdict = check_bounds(mean, max(se, standard_error(bound, f["samples"])), b, f["k_sigma"])
     return [
         str(idx),
         _fmt(s.a[0]), _fmt(s.a[1]), _fmt(s.a[2]),
         _fmt(s.b[0]), _fmt(s.b[1]), _fmt(s.b[2]),
-        str(f["samples"]), _fmt(est.mean), _fmt(est.se), _fmt(exact),
+        str(f["samples"]), _fmt(mean), _fmt(se), _fmt(exact),
         _fmt(b.lower), _fmt(b.upper), _fmt(verdict.margin),
         "satisfied" if verdict.satisfied else "violated",
     ]

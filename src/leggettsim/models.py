@@ -321,6 +321,15 @@ class LeggettModel:
         return cls(SubensembleDistribution(u, v, w / total), f["coupling"])
 
 
+def malus(x, out=None):
+    """The Malus marginals (1 + x)/2 of projections x, formed as (x + 1) * 0.5
+    into ``out`` (``x`` itself allowed): 1 + x rounds once and halving is exact,
+    so these are the bits of (1 + x) / 2, and a multiply is about twice as fast as a divide."""
+    out = np.add(x, 1.0, out=out)
+    out *= 0.5
+    return out
+
+
 class OutcomeLaw(NamedTuple):
     """A model's atoms projected onto one settings pair.
 
@@ -343,12 +352,12 @@ class OutcomeLaw(NamedTuple):
     @property
     def pa(self) -> np.ndarray:
         """The Malus marginals P(A=1) = (1 + alpha)/2."""
-        return (1.0 + self.alpha) / 2.0
+        return malus(self.alpha)
 
     @property
     def pb(self) -> np.ndarray:
         """The Malus marginals P(B=1) = (1 + beta)/2."""
-        return (1.0 + self.beta) / 2.0
+        return malus(self.beta)
 
     @property
     def rows(self) -> int:
@@ -430,18 +439,16 @@ def sample_outcome_arrays(law: OutcomeLaw, uniforms: np.ndarray) -> tuple[np.nda
     draws. ``rng.random((law.rows, n))`` fills it in the order that many
     successive ``rng.random(n)`` calls would. Each key picks the first atom
     whose CDF entry is > it, so a seeded stream gives the same outcomes
-    however the search finds that atom. The marginals are formed only from
-    the gathered u.a and v.b, with the bits of ``OutcomeLaw.pa``: 1 + x
-    rounds once, and halving it is exact, so ``* 0.5`` (a multiply, about
-    twice as fast as numpy's divide) gives the bits of ``/ 2``.
+    however the search finds that atom. The marginals are formed by
+    ``malus`` in place on the gathered u.a and v.b, so they carry the bits
+    of ``OutcomeLaw.pa`` and ``pb``.
     """
     if uniforms.ndim != 2 or uniforms.shape[0] != law.rows or uniforms.shape[1] < 1:
         raise ValueError(f"uniforms must be a ({law.rows}, n) array with n >= 1 for the "
                          f"{law.coupling.value} coupling, got shape {uniforms.shape}")
     idx = _atom_indices(law.cdf, law.guide, law.scan, uniforms[0])
     pa, pb = law.alpha.take(idx), law.beta.take(idx)
-    for p in (pa, pb):
-        p += 1.0
-        p *= 0.5
+    malus(pa, out=pa)
+    malus(pb, out=pb)
     u2 = uniforms[2] if law.rows == 3 else None
     return kernels.draw_outcomes(pa, pb, uniforms[1], u2, law.coupling)

@@ -21,12 +21,12 @@ An estimate takes a setting's ``OutcomeLaw`` (per-atom u.a and v.b, weight
 CDF and its guide table), built by the caller once per setting, so the
 law the blocks draw from is the one the exact values and the bounds read.
 Each block's +/-1 products AB are summed exactly, as the draws minus twice
-the disagreements.
+the disagreements; an estimate returns the mean of those sums, a float.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -36,21 +36,14 @@ from .models import OutcomeLaw, sample_outcome_arrays
 BLOCK_SIZE = 1 << 16
 
 
-@dataclass(frozen=True)
-class CorrelationEstimate:
-    """Sample mean of a +/-1 variable with its exact-form standard error."""
-
-    mean: float
-    n: int
-
-    @property
-    def se(self) -> float:
-        # exact for +/-1 support: Var(X) = 1 - mean^2
-        return float(np.sqrt(max(0.0, 1.0 - self.mean * self.mean) / self.n))
+def standard_error(x: float, n: int) -> float:
+    """sqrt((1 - x^2)/n): the standard error of the mean of n draws of a
+    +/-1 variable with mean x, exact since its variance is 1 - x^2."""
+    return math.sqrt(max(0.0, 1.0 - x * x) / n)
 
 
-def estimate_correlation(law: OutcomeLaw, n: int, seed: int, stream_id: int = 0) -> CorrelationEstimate:
-    """Estimate E(AB) from n draws of ``law``; deterministic given (seed, stream_id)."""
+def estimate_correlation(law: OutcomeLaw, n: int, seed: int, stream_id: int = 0) -> float:
+    """The mean of AB over n draws of ``law``; deterministic given (seed, stream_id)."""
     if n < 1:
         raise ValueError("sample count must be >= 1")
     # imported here, not at the top, so importing the CLI does not pay for it
@@ -76,4 +69,4 @@ def estimate_correlation(law: OutcomeLaw, n: int, seed: int, stream_id: int = 0)
             if block + 1 < blocks:
                 filled.result()  # raises here what the fill raised
                 uniforms = ahead
-    return CorrelationEstimate(sum_ab / n, n)
+    return float(sum_ab / n)

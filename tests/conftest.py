@@ -1,6 +1,8 @@
 import importlib.util
+import math
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +149,47 @@ def exact_farkas_gap(A_ub, b_ub, A_eq, b_eq, lam, mu) -> Fraction:
     g = np.concatenate([lam, mu])
     rows = np.vstack([A_ub, A_eq])
     return min(_exact_dot(g, column) for column in rows.T) - _exact_dot(g, np.concatenate([b_ub, b_eq]))
+
+
+@cache
+def _inverse_norm(x: tuple) -> tuple[Fraction, Fraction]:
+    """Rationals L <= 1/|x| <= L + 2**-80 for the exact rational vector of the floats x."""
+    q = _exact_dot(x, x)
+    k = math.isqrt(q.denominator * 2**160 // q.numerator)  # floor(2**80 / |x|)
+    return Fraction(k, 2**80), Fraction(k + 1, 2**80)
+
+
+@cache
+def _unit_dot(x: tuple, y: tuple) -> tuple[Fraction, Fraction]:
+    """A rational interval that holds (x/|x|).(y/|y|), exactly, for the floats x and y."""
+    d = _exact_dot(x, y)
+    (lx, ux), (ly, uy) = _inverse_norm(x), _inverse_norm(y)
+    return (d * lx * ly, d * ux * uy) if d >= 0 else (d * ux * uy, d * lx * ly)
+
+
+def interval_farkas_gap(grid, constraints, lam) -> Fraction:
+    """A lower bound, exact, on the Farkas gap of lam >= 0 over its largest
+    multiplier, for the rows build_problem writes taken in exact arithmetic:
+    the grid and setting vectors are the exact rationals of their floats,
+    normalized, and the right-hand sides are the exact 1 +- e. Each
+    |u.a +- v.b| is a rational interval, from brackets of every 1/|x|; the
+    gap is the minimum over atoms of the lower ends, combined by lam, minus
+    lam's combination of the right-hand sides. Unlike exact_farkas_gap, it
+    does not trust the stored entries of A_ub, so it also checks the
+    verifier's entry error (certify._ENTRY_ERR)."""
+    lam = [Fraction(float(x)) for x in lam]
+    assert min(lam) >= 0 and len(lam) == 2 * len(constraints)
+    settings = [(tuple(map(float, c.settings.a)), tuple(map(float, c.settings.b))) for c in constraints]
+    worst = None
+    for u, v in zip(map(tuple, grid.u.tolist()), map(tuple, grid.v.tolist())):
+        total = Fraction(0)
+        for j, (a, b) in enumerate(settings):
+            (al, ah), (bl, bh) = _unit_dot(u, a), _unit_dot(v, b)
+            # the lower end of |s| over an interval [lo, hi] of s
+            total += lam[2 * j] * max(al + bl, -(ah + bh), 0) + lam[2 * j + 1] * max(al - bh, bl - ah, 0)
+        worst = total if worst is None else min(worst, total)
+    rhs = sum(lam[2 * j] * (1 + Fraction(c.e)) + lam[2 * j + 1] * (1 - Fraction(c.e)) for j, c in enumerate(constraints))
+    return (worst - rhs) / max(lam)
 
 
 def exact_feasible(A_ub, b_ub, A_eq, b_eq, w) -> bool:

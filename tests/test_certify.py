@@ -37,7 +37,7 @@ from leggettsim.models import (
 from leggettsim.optimize import FAMILIES, optimize_settings
 from leggettsim.simplex import _adopted
 
-from conftest import DOUBLET_PARAMS, exact_farkas_gap, exact_feasible, numpy_proven_gap
+from conftest import DOUBLET_PARAMS, exact_farkas_gap, exact_feasible, interval_farkas_gap, numpy_proven_gap
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -922,6 +922,48 @@ def test_pairs_one_to_five_have_a_model_and_grid_proofs():
     for t in kept:
         b = averaged_bounds(outcome_law(model, t.settings))
         assert b.lower - FEAS_TOL <= t.e <= b.upper + FEAS_TOL
+
+
+def test_visibility_bracket_at_the_pinned_point():
+    # every singlet target scaled by V: at V = 0.91 a finer grid holds a
+    # verified 7-atom witness, which rebuilt as a model puts each scaled
+    # target inside its averaged bounds (read from the model, not from an
+    # LP row); at V = 0.96, above Branciard's V_B at this theta, both grids
+    # of the pinned run refute every model
+    theta = PINNED_POINT[0]
+    assert (1.0 - math.sin(theta / 2.0) / 3.0) / math.cos(theta / 2.0) == 0.9519575961184866  # V_B
+    targets = FAMILIES["orthogonal-doublets"].build(PINNED_POINT)
+
+    def scaled(visibility):
+        return [TargetConstraint(t.settings, visibility * t.e) for t in targets]
+
+    met = scaled(0.91)
+    problem = build_problem(build_atom_grid(96, 96, 1024), met)
+    witness = solve(problem)
+    assert isinstance(witness, Witness) and verify_certificate(problem, witness)
+    assert witness.index.tolist() == [1493, 3876, 4951, 5525, 6823, 8102, 9223]
+    model = LeggettModel(witness_distribution(problem, witness), Coupling.INDEPENDENT)
+    for t in met:
+        b = averaged_bounds(outcome_law(model, t.settings))
+        assert b.lower - FEAS_TOL <= t.e <= b.upper + FEAS_TOL
+    for sizes, margin in (((24, 24, 64), 0.2894479288783616), ((48, 48, 256), 0.27458369365528756)):
+        problem = build_problem(build_atom_grid(*sizes), scaled(0.96))
+        cert = solve(problem)
+        assert isinstance(cert, Farkas) and cert.margin == margin and verify_certificate(problem, cert)
+
+
+def test_pinned_certificate_holds_in_exact_arithmetic():
+    # the certificate of the pinned point on (24, 24, 64), bounded below in
+    # exact arithmetic from the grid and setting floats themselves, not from
+    # the stored LP entries: the float verifier's proven gap, which charges
+    # _ENTRY_ERR for those entries, must not exceed it
+    targets = FAMILIES["orthogonal-doublets"].build(PINNED_POINT)
+    problem = build_problem(build_atom_grid(24, 24, 64), targets)
+    cert = solve(problem)
+    exact = interval_farkas_gap(problem.grid, targets, cert.farkas_ub)
+    gap, scale = certify._proven_gap(problem, cert.farkas_ub)
+    assert float(exact) == 0.4741782936542766
+    assert exact >= Fraction(gap) / Fraction(scale)
 
 
 def test_closed_form_farkas_vector_verifies_on_grids():

@@ -13,6 +13,7 @@ from leggettsim.models import (
     SubensembleDistribution,
     exact_model_correlation,
     isotropic_product,
+    malus,
     mirrored,
     outcome_law,
     point_mass,
@@ -134,6 +135,16 @@ class TestConditionalMarginals:
     def test_direct_formula(self):
         u = sphere.normalize([0.6, 0.8, 0.0])
         assert point_law(u, Z, SettingsPair(X, Z)).pa[0] == pytest.approx(0.8, abs=1e-12)
+
+    def test_malus_has_the_bits_of_halving(self):
+        # (x + 1) * 0.5, into a new array or in place, carries the bits of
+        # (1 + x) / 2 on [-1, 1], its ends and their neighbours included
+        ends = [-1.0, np.nextafter(-1.0, 0.0), -5e-324, -0.0, 0.0, 5e-324, 2.0**-60, np.nextafter(1.0, 0.0), 1.0]
+        x = np.concatenate([sphere.make_rng(11, 0).uniform(-1.0, 1.0, 10_000), ends])
+        halved = ((1.0 + x) / 2.0).tobytes()
+        assert malus(x).tobytes() == halved
+        inplace = x.copy()
+        assert malus(inplace, out=inplace) is inplace and inplace.tobytes() == halved
 
 
 class TestJointConditionalLaw:

@@ -17,7 +17,7 @@ from leggettsim.models import (
     point_mass,
     sample_outcome_arrays,
 )
-from leggettsim.montecarlo import BLOCK_SIZE, CorrelationEstimate, estimate_correlation
+from leggettsim.montecarlo import BLOCK_SIZE, estimate_correlation, standard_error
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -37,31 +37,31 @@ def block_sums(law, n, seed, stream_id):
 
 
 def sample_marginals(law, n, seed):
-    """Sample means of A and B over n draws, with their standard errors."""
+    """Sample means of A and B over n draws."""
     a, b = sample_outcome_arrays(law, sphere.make_rng(seed, 0).random((law.rows, n)))
-    return (CorrelationEstimate(float(a.mean()), n),
-            CorrelationEstimate(float(b.mean()), n))
+    return float(a.mean()), float(b.mean())
 
 
 class TestCorrelationEstimate:
+    """``standard_error``, the one formula for the standard error of an estimate."""
+
     def test_se_formula(self):
-        est = CorrelationEstimate(0.6, 100)
-        assert est.se == pytest.approx(np.sqrt((1 - 0.36) / 100), abs=1e-15)
+        assert standard_error(0.6, 100) == pytest.approx(np.sqrt((1 - 0.36) / 100), abs=1e-15)
 
     def test_degenerate_se(self):
-        assert CorrelationEstimate(1.0, 50).se == 0.0
+        assert standard_error(1.0, 50) == 0.0 and standard_error(-1.0, 50) == 0.0
 
 
 class TestEstimateCorrelation:
     def test_point_mass_degenerate(self):
         model = LeggettModel(point_mass(X, Y), Coupling.INDEPENDENT)
-        est = estimate_correlation(outcome_law(model, SettingsPair(X, Y)), 100, seed=1)
-        assert est.mean == 1.0 and est.se == 0.0 and est.n == 100
+        mean = estimate_correlation(outcome_law(model, SettingsPair(X, Y)), 100, seed=1)
+        assert type(mean) is float and mean == 1.0 and standard_error(mean, 100) == 0.0
 
     def test_orthogonal_point_mass(self):
         model = LeggettModel(point_mass(Z, Z), Coupling.INDEPENDENT)
-        est = estimate_correlation(outcome_law(model, SettingsPair(X, Y)), 100_000, seed=2)
-        assert abs(est.mean - 0.0) <= 4 * est.se
+        mean = estimate_correlation(outcome_law(model, SettingsPair(X, Y)), 100_000, seed=2)
+        assert abs(mean - 0.0) <= 4 * standard_error(mean, 100_000)
 
     def test_mirrored_same_setting(self):
         # oracle: exact correlation on a dense deterministic mirrored grid is -1/3
@@ -70,8 +70,8 @@ class TestEstimateCorrelation:
         law = outcome_law(model, SettingsPair(X, X))
         exact = exact_model_correlation(law)
         assert exact == pytest.approx(-1 / 3, abs=1e-3)
-        est = estimate_correlation(law, 100_000, seed=3)
-        assert abs(est.mean - exact) <= 4 * est.se
+        mean = estimate_correlation(law, 100_000, seed=3)
+        assert abs(mean - exact) <= 4 * standard_error(mean, 100_000)
 
     def test_reproducible(self):
         model = LeggettModel(isotropic_product(50, sphere.make_rng(5, 0)), Coupling.COMONOTONE)
@@ -91,8 +91,7 @@ class TestEstimateCorrelation:
         model = LeggettModel(isotropic_product(20, sphere.make_rng(6, 0)), Coupling.ANTIMONOTONE)
         law = outcome_law(model, SettingsPair(X, Y))
         for seed in range(5):
-            est = estimate_correlation(law, 1000, seed=seed)
-            assert -1.0 <= est.mean <= 1.0
+            assert -1.0 <= estimate_correlation(law, 1000, seed=seed) <= 1.0
 
     def test_convergence_rate(self):
         # 1/sqrt(n): quadrupling n should roughly halve the mean abs error
@@ -100,10 +99,10 @@ class TestEstimateCorrelation:
         law = outcome_law(model, SettingsPair(X, Z))
         exact = exact_model_correlation(law)
         err_small = np.mean(
-            [abs(estimate_correlation(law, 10_000, seed=k).mean - exact) for k in range(50)]
+            [abs(estimate_correlation(law, 10_000, seed=k) - exact) for k in range(50)]
         )
         err_large = np.mean(
-            [abs(estimate_correlation(law, 40_000, seed=k, stream_id=1).mean - exact) for k in range(50)]
+            [abs(estimate_correlation(law, 40_000, seed=k, stream_id=1) - exact) for k in range(50)]
         )
         ratio = err_small / err_large
         assert 2.0 * 0.7 <= ratio <= 2.0 * 1.3
@@ -114,24 +113,24 @@ class TestEstimateMarginals:
 
     def test_point_mass_aligned(self):
         model = LeggettModel(point_mass(X, Y), Coupling.INDEPENDENT)
-        est_a, _ = sample_marginals(outcome_law(model, SettingsPair(X, Y)), 500, seed=1)
-        assert est_a.mean == 1.0
+        mean_a, _ = sample_marginals(outcome_law(model, SettingsPair(X, Y)), 500, seed=1)
+        assert mean_a == 1.0
 
     def test_isotropic_near_zero(self):
         model = LeggettModel(isotropic_product(500, sphere.make_rng(8, 0)), Coupling.INDEPENDENT)
-        est_a, est_b = sample_marginals(outcome_law(model, SettingsPair(X, Y)), 100_000, seed=4)
+        mean_a, mean_b = sample_marginals(outcome_law(model, SettingsPair(X, Y)), 100_000, seed=4)
         # exact means are the weighted mean vectors dotted with the settings
         d = model.distribution
         exact_a = float(d.w @ (d.u @ X))
         exact_b = float(d.w @ (d.v @ Y))
-        assert abs(est_a.mean - exact_a) <= 4 * est_a.se
-        assert abs(est_b.mean - exact_b) <= 4 * est_b.se
+        assert abs(mean_a - exact_a) <= 4 * standard_error(mean_a, 100_000)
+        assert abs(mean_b - exact_b) <= 4 * standard_error(mean_b, 100_000)
 
     def test_known_dot(self):
         u = sphere.normalize([0.6, 0.8, 0.0])
         model = LeggettModel(point_mass(u, Z), Coupling.INDEPENDENT)
-        est_a, _ = sample_marginals(outcome_law(model, SettingsPair(X, Z)), 100_000, seed=5)
-        assert abs(est_a.mean - 0.6) <= 4 * est_a.se
+        mean_a, _ = sample_marginals(outcome_law(model, SettingsPair(X, Z)), 100_000, seed=5)
+        assert abs(mean_a - 0.6) <= 4 * standard_error(mean_a, 100_000)
 
 
 class TestMultiBlock:
@@ -160,8 +159,8 @@ class TestMultiBlock:
         law = outcome_law(model, self.SETTINGS)
         sums = block_sums(law, self.N, 2026, 5)
         assert sums == self.GOLDEN_SUMS[atoms, coupling]
-        est = estimate_correlation(law, self.N, seed=2026, stream_id=5)
-        assert est == CorrelationEstimate(sums[0] / self.N, self.N)
+        mean = estimate_correlation(law, self.N, seed=2026, stream_id=5)
+        assert mean.hex() == (sums[0] / self.N).hex()
 
     def test_law_built_once_per_estimate(self, monkeypatch):
         # one sphere.dots call per side, from outcome_law on, for the whole
@@ -213,8 +212,8 @@ class TestSearchPaths:
             assert law.scan == scan
             sums = block_sums(law, self.N, 2026, 5)
             assert sums == self.GOLDEN_SUMS[weights, coupling.value]
-            est = estimate_correlation(law, self.N, seed=2026, stream_id=5)
-            assert est == CorrelationEstimate(sums[0] / self.N, self.N)
+            mean = estimate_correlation(law, self.N, seed=2026, stream_id=5)
+            assert mean.hex() == (sums[0] / self.N).hex()
 
 
 class TestDrawnAhead:
@@ -258,7 +257,7 @@ class TestDrawnAhead:
         # sums of the same blocks drawn one after the other on this thread
         law = self._law(coupling)
         sums = block_sums(law, n, 2026, 5)
-        assert estimate_correlation(law, n, seed=2026, stream_id=5) == CorrelationEstimate(sums[0] / n, n)
+        assert estimate_correlation(law, n, seed=2026, stream_id=5).hex() == (sums[0] / n).hex()
 
     def test_concurrent_estimates_under_fast_switching(self):
         # four estimates at once, each with its own worker, so more threads
@@ -266,7 +265,7 @@ class TestDrawnAhead:
         # buffer the caller still reads would change a sum
         law = self._law(Coupling.INDEPENDENT)
         n = 4 * BLOCK_SIZE + 3
-        expected = [CorrelationEstimate(block_sums(law, n, 2026, s)[0] / n, n) for s in range(4)]
+        expected = [block_sums(law, n, 2026, s)[0] / n for s in range(4)]
         results = [None] * 4
 
         def run(s):
