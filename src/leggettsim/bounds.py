@@ -12,13 +12,10 @@ assumption, enters them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import kernels
 from .models import OutcomeLaw
-
-DEFAULT_K_SIGMA = 4.0
 
 
 @dataclass(frozen=True)
@@ -30,12 +27,6 @@ class LeggettBounds:
 
     lower: float
     upper: float
-
-
-@dataclass(frozen=True)
-class BoundsVerdict:
-    satisfied: bool
-    margin: float  # distance to the nearest bound before allowance; negative when outside
 
 
 def pointwise_identity(a_outcome: int, b_outcome: int) -> tuple[float, float, float]:
@@ -59,15 +50,3 @@ def averaged_bounds(law: OutcomeLaw) -> LeggettBounds:
     plus, minus = kernels.abs_sum_diff(law.alpha, law.beta)
     lower = min(1.0, -1.0 + float(law.w @ plus))
     return LeggettBounds(lower=lower, upper=max(lower, 1.0 - float(law.w @ minus)))
-
-
-def check_bounds(value: float, se: float, b: LeggettBounds, k_sigma: float = DEFAULT_K_SIGMA) -> BoundsVerdict:
-    """Compare a (possibly noisy) correlation against bounds with a
-    k_sigma * se statistical allowance."""
-    # written so that NaN fails: every comparison with NaN is False
-    if not (0.0 <= se < math.inf and 0.0 <= k_sigma < math.inf):
-        raise ValueError("se and k_sigma must be finite and nonnegative")
-    allowance = k_sigma * se
-    satisfied = (b.lower - allowance <= value) and (value <= b.upper + allowance)
-    margin = min(value - b.lower, b.upper - value)
-    return BoundsVerdict(satisfied=satisfied, margin=margin)

@@ -29,8 +29,8 @@ from functools import partial
 import numpy as np
 
 from . import kernels, sphere
-from .models import (TEXT, Field, SettingsPair, SubensembleDistribution, float_array, hold, is_integer, read_fields,
-                     read_variant, real, typed)
+from .models import (TEXT, Field, SettingsPair, SubensembleDistribution, float_array, hold, is_integer, number,
+                     read_fields, read_variant, real, typed)
 # The solver calls a problem feasible when its phase-1 objective is at most
 # FEAS_TOL, so the verifier's tolerance must be at least that threshold, or
 # a feasible solve could fail verification; both read this one constant.
@@ -213,8 +213,7 @@ WITNESS = (Field("n_atoms", typed(int, "an integer")), Field("index", _indices),
 CERTIFICATES = {
     "feasible": (Field("grid_hash", TEXT), Field("margin", real(0.0, 0.0)),
                  Field("witness", partial(read_fields, WITNESS))),
-    "infeasible": (Field("grid_hash", TEXT), Field("margin", lambda value, name: float(float_array([value], name)[0])),
-                   Field("farkas_ub", float_array)),
+    "infeasible": (Field("grid_hash", TEXT), Field("margin", number), Field("farkas_ub", float_array)),
 }
 
 

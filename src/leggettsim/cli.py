@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, certify, models, optimize, quantum, sphere
-from .bounds import DEFAULT_K_SIGMA, averaged_bounds, check_bounds, pointwise_identity
+from .bounds import averaged_bounds, pointwise_identity
 from .models import (COUPLINGS, REAL, TEXT, Field, LeggettModel, SettingsPair, choice, integer, list_of, read_fields,
                      read_variant, real, vector)
 from .montecarlo import estimate_correlation, standard_error
@@ -70,9 +70,10 @@ def _emit(text: str, output: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _report_json(payload: dict, f: dict, config_hash: str) -> None:
+def _report_text(payload: dict, f: dict, config_hash: str) -> str:
+    """A JSON report: the run's head (tool version, seed, config hash) and the payload."""
     head = {"tool_version": __version__, "seed": f["seed"], "config_hash": config_hash}
-    _emit(json.dumps(head | payload, sort_keys=True, indent=2) + "\n", f["output"])
+    return json.dumps(head | payload, sort_keys=True, indent=2) + "\n"
 
 
 # -- readers of the nested objects ---------------------------------------
@@ -193,20 +194,21 @@ CSV_COLUMNS = [
 def _simulate_row(f: dict, model: LeggettModel, idx: int, s: SettingsPair) -> list[str]:
     """One CSV row; its law is freed on return, so no two settings' laws are held at once."""
     law = models.outcome_law(model, s)
-    mean = estimate_correlation(law, f["samples"], f["seed"], stream_id=10 + idx)
-    se = standard_error(mean, f["samples"])
+    n = f["samples"]
+    mean = estimate_correlation(law, n, f["seed"], stream_id=10 + idx)
+    se = standard_error(mean, n)
     exact = models.exact_model_correlation(law)
     b = averaged_bounds(law)
-    # at least the se of a mean at the bound it lies beyond: where every draw agrees, se is 0
-    bound = b.lower if mean < b.lower else b.upper
-    verdict = check_bounds(mean, max(se, standard_error(bound, f["samples"])), b, f["k_sigma"])
+    # k_sigma times at least the se of a mean at the bound it lies beyond: where every draw agrees, se is 0
+    allowance = f["k_sigma"] * max(se, standard_error(b.lower if mean < b.lower else b.upper, n))
+    satisfied = b.lower - allowance <= mean <= b.upper + allowance
     return [
         str(idx),
         _fmt(s.a[0]), _fmt(s.a[1]), _fmt(s.a[2]),
         _fmt(s.b[0]), _fmt(s.b[1]), _fmt(s.b[2]),
-        str(f["samples"]), _fmt(mean), _fmt(se), _fmt(exact),
-        _fmt(b.lower), _fmt(b.upper), _fmt(verdict.margin),
-        "satisfied" if verdict.satisfied else "violated",
+        str(n), _fmt(mean), _fmt(se), _fmt(exact),
+        _fmt(b.lower), _fmt(b.upper), _fmt(min(mean - b.lower, b.upper - mean)),
+        "satisfied" if satisfied else "violated",
     ]
 
 
@@ -218,8 +220,7 @@ def cmd_simulate(f: dict, config_hash: str) -> int:
     csv_text = "\n".join([",".join(CSV_COLUMNS)] + [",".join(r) for r in rows]) + "\n"
     if output:
         _write_text(output, csv_text)
-        meta = {"tool_version": __version__, "seed": seed, "config_hash": config_hash, "rows": len(rows)}
-        _write_text(str(output) + ".meta.json", json.dumps(meta, sort_keys=True, indent=2) + "\n")
+        _write_text(str(output) + ".meta.json", _report_text({"rows": len(rows)}, f, config_hash))
     else:
         sys.stdout.write(csv_text)
     sys.stdout.write(
@@ -239,7 +240,7 @@ def cmd_chsh(f: dict, config_hash: str) -> int:
         model = f["model"](f["seed"])
         payload["model_S"] = quantum.chsh_value(
             scenario, lambda s: models.exact_model_correlation(models.outcome_law(model, s)))
-    _report_json(payload, f, config_hash)
+    _emit(_report_text(payload, f, config_hash), f["output"])
     return EXIT_OK
 
 
@@ -257,7 +258,7 @@ def cmd_bounds(f: dict, config_hash: str) -> int:
             "upper": b.upper,
             "exact": models.exact_model_correlation(law),
         })
-    _report_json({"bounds": entries}, f, config_hash)
+    _emit(_report_text({"bounds": entries}, f, config_hash), f["output"])
     return EXIT_OK
 
 
@@ -267,27 +268,27 @@ def cmd_certify(f: dict, config_hash: str) -> int:
     problem = certify.build_problem(grid, constraints)
     written = certify.solve(problem).to_dict()
     verified = certify.verify_certificate(problem, certify.read_certificate(written))
-    _report_json({
+    _emit(_report_text({
         "n_atoms": problem.n_atoms,
         "n_constraints": len(constraints),
         "status": written["status"],
         "margin": written["margin"],
         "verified": verified,
         "certificate": written,
-    }, f, config_hash)
+    }, f, config_hash), f["output"])
     return EXIT_OK if verified else EXIT_VERDICT
 
 
 def cmd_optimize(f: dict, config_hash: str) -> int:
     params, margins = optimize.optimize_settings(f["family"], f["grids"], f["budget"], f["seed"])
-    _report_json({
+    _emit(_report_text({
         "family": f["family"].name,
         "params": [float(x) for x in params],
         "margin": min(margins),
         "margins_per_grid": list(margins),
         "evaluations": f["budget"],  # pattern_search calls its objective exactly budget times
         "grid_atoms": [g.n_atoms for g in f["grids"]],
-    }, f, config_hash)
+    }, f, config_hash), f["output"])
     return EXIT_OK
 
 
@@ -297,7 +298,7 @@ COMMANDS = {
     "identity-check": (cmd_identity_check, ()),
     "simulate": (cmd_simulate, (
         Field("model", _model), Field("settings", _settings),
-        Field("samples", COUNT, 10000), Field("k_sigma", real(0.0), DEFAULT_K_SIGMA),
+        Field("samples", COUNT, 10000), Field("k_sigma", real(0.0), 4.0),
     )),
     "chsh": (cmd_chsh, (
         Field("scenario", lambda value, name: quantum.chsh_pairs(**read_fields(SCENARIO, value, name)), None),

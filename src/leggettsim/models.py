@@ -61,7 +61,14 @@ def float_array(values, name: str) -> np.ndarray:
     try:
         return np.asarray(values, dtype=np.float64)
     except OverflowError:
-        raise ValueError(f"{name} must be float64 numbers") from None
+        raise ValueError(f"{name} must be within the float64 range") from None
+
+
+def number(value, name: str) -> float:
+    """Reader of one JSON number as float64, NaN and inf included, refused like an item of ``float_array``."""
+    if not is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(float_array([value], name)[0])
 
 
 REQUIRED = object()

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings
-from hypothesis import strategies as st
 
 from leggettsim import sphere
 from leggettsim.bounds import (
     LeggettBounds,
     averaged_bounds,
-    check_bounds,
     pointwise_identity,
 )
 from leggettsim.models import (
@@ -192,45 +189,3 @@ class TestAveragedBounds:
         b2 = bounds_of(d_rot, SettingsPair(rot @ a, rot @ b))
         assert b2.lower == pytest.approx(b1.lower, abs=1e-12)
         assert b2.upper == pytest.approx(b1.upper, abs=1e-12)
-
-
-class TestCheckBounds:
-    def test_comfortable_pass(self):
-        v = check_bounds(0.0, 0.0, LeggettBounds(-1.0, 1.0), 4.0)
-        assert v.satisfied and v.margin == 1.0
-
-    def test_clear_violation(self):
-        v = check_bounds(1.0, 0.0, LeggettBounds(-1.0, 0.0), 4.0)
-        assert not v.satisfied and v.margin == -1.0
-
-    def test_allowance_rescues_near_miss(self):
-        v = check_bounds(0.05, 0.02, LeggettBounds(-1.0, 0.0), 4.0)
-        assert v.satisfied
-        assert v.margin == pytest.approx(-0.05, abs=1e-15)
-
-    def test_negative_se_rejected(self):
-        with pytest.raises(ValueError):
-            check_bounds(0.0, -0.1, LeggettBounds(-1.0, 1.0))
-
-    @pytest.mark.parametrize("se, k", [
-        (float("nan"), 4.0), (float("inf"), 4.0),
-        (0.1, float("nan")), (0.1, float("inf")), (0.1, -1.0),
-    ])
-    def test_non_finite_se_or_k_sigma_rejected(self, se, k):
-        with pytest.raises(ValueError):
-            check_bounds(0.0, se, LeggettBounds(-1.0, 1.0), k)
-
-    @hyp_settings(max_examples=200, deadline=None)
-    @given(
-        value=st.floats(-1.0, 1.0),
-        se=st.floats(0.0, 0.5),
-        k=st.floats(0.0, 8.0),
-        lo=st.floats(-1.0, 1.0),
-        hi=st.floats(-1.0, 1.0),
-    )
-    def test_margin_consistent(self, value, se, k, lo, hi):
-        if lo > hi:
-            lo, hi = hi, lo
-        v = check_bounds(value, se, LeggettBounds(lo, hi), k)
-        assert v.margin == min(value - lo, hi - value)
-        assert v.satisfied == (lo - k * se <= value <= hi + k * se)

@@ -850,6 +850,23 @@ class TestSerialization:
         with pytest.raises(ValueError):
             read_certificate(data)
 
+    @pytest.mark.parametrize("margin", ["x", None, [1.0], True, 10**400],
+                             ids=["string", "null", "list", "bool", "huge"])
+    def test_bad_farkas_margin_named_as_one_number(self, margin):
+        # the margin is one number, and a bad one is not called a list
+        data = {**solve(two_atom_infeasible_problem()).to_dict(), "margin": margin}
+        with pytest.raises(ValueError, match="^margin must be") as info:
+            read_certificate(data)
+        assert "list" not in str(info.value)
+
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])
+    def test_non_finite_farkas_margin_read(self, margin):
+        # read as written; the verifier refuses a claim of NaN or +inf
+        problem = two_atom_infeasible_problem()
+        cert = read_certificate({**solve(problem).to_dict(), "margin": margin})
+        assert cert.margin == margin or math.isnan(cert.margin) and math.isnan(margin)
+        assert verify_certificate(problem, cert) == (margin == -math.inf)
+
 
 class TestBoundRowsAlone:
     """The LP has the bound rows alone, and rows fixing the marginals would
@@ -987,3 +1004,49 @@ def test_closed_form_farkas_vector_verifies_on_grids():
             gap = float((lam @ problem.A_ub).min()) - float(lam @ problem.b_ub)
             assert verify_certificate(problem, Farkas(problem.grid_hash, lam, gap))
             assert gap >= bound
+
+
+def test_closed_form_bound_is_tight_at_the_pinned_point():
+    # the bound g(t) of the closed-form lam is met on the continuum, at one
+    # (u, v) per axis k: with v = e_k, doublet k's Bob terms are +-sin(t/2),
+    # so its two rows sum to 2 sin(t/2) wherever |u.m_k| <= sin(t/2); each
+    # other doublet i has v.b+- = cos(t/2) e_k.m_i, which u cancels by
+    # u.m_i = -cos(t/2) e_k.m_i. Of the two unit u meeting those two
+    # equations, the one with |u.m_k| <= sin(t/2) is taken.
+    theta = PINNED_POINT[0]
+    cos_half, sin_half = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    g = 2.0 * sin_half - 6.0 * (1.0 - cos_half)
+    assert g == 0.25729539948361035
+    targets = FAMILIES["orthogonal-doublets"].build(PINNED_POINT)
+    m = [np.asarray(targets[2 * i].settings.a) for i in range(3)]  # Alice's direction of doublet i
+
+    def plus_rows_gap(u, v):
+        return sum(abs(u @ t.settings.a + v @ t.settings.b) - (1.0 + t.e) for t in targets)
+
+    for k, v in enumerate(np.eye(3)):
+        rows = np.array([m[i] for i in range(3) if i != k])
+        x = np.linalg.lstsq(rows, -cos_half * (rows @ v), rcond=None)[0]  # the nearest point to 0 on the line
+        normal = np.cross(rows[0], rows[1])
+        normal *= math.sqrt(1.0 - x @ x) / np.linalg.norm(normal)
+        inside = [u for u in (x + normal, x - normal) if abs(u @ m[k]) <= sin_half]
+        assert len(inside) == 1
+        assert abs(plus_rows_gap(inside[0], v) - g) <= 1e-12
+
+
+@given(sizes=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 8)), params=DOUBLET_PARAMS,
+       random_lam=st.none() | st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12).filter(any))
+@hyp_settings(max_examples=120, deadline=None)
+def test_proven_gap_never_exceeds_exact_arithmetic(sizes, params, random_lam):
+    # the float verifier's proven gap over the scale is a lower bound on the
+    # gap of the same lam in exact arithmetic, from the grid and setting
+    # floats themselves, for phase 1's own lam and for any lam >= 0
+    targets = FAMILIES["orthogonal-doublets"].build(params)
+    problem = build_problem(build_atom_grid(*sizes), targets)
+    if random_lam is None:
+        cert = solve(problem)
+        assume(isinstance(cert, Farkas))
+        lam = cert.farkas_ub
+    else:
+        lam = np.array(random_lam)
+    gap, scale = certify._proven_gap(problem, lam)
+    assert interval_farkas_gap(problem.grid, targets, lam) >= Fraction(gap) / Fraction(scale)

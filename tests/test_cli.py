@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from leggettsim import certify, cli, models
 from leggettsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERDICT, build_parser, main
 from leggettsim.models import Coupling, LeggettModel, SettingsPair, SubensembleDistribution
+from leggettsim.montecarlo import standard_error
 
 from test_acceptance import PINNED_VIOLATION_RUN
 from test_certify import feasible_problem, two_atom_infeasible_problem
@@ -88,30 +89,45 @@ class TestSimulate:
             assert main(["simulate", "--config", config, "--seed", "7", "--output", str(out)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_violated_verdict_exit_code(self, tmp_path):
-        # comonotone with v.b = 1 sits exactly on degenerate bounds, so the
-        # noisy estimate misses them at zero allowance
-        config = write_config(tmp_path, {
-            "model": {"generator": "point-mass", "u": [0.6, 0.8, 0.0],
-                      "v": [0.0, 0.0, 1.0], "coupling": "comonotone"},
-            "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 0.0, 1.0]}],
-            "samples": 4001,
-            "k_sigma": 0,
-        })
+    # comonotone with v.b = 1 sits exactly on degenerate bounds: at seed 0
+    # the noisy estimate misses them by a quarter of its se
+    NEAR_MISS = {
+        "model": {"generator": "point-mass", "u": [0.6, 0.8, 0.0],
+                  "v": [0.0, 0.0, 1.0], "coupling": "comonotone"},
+        "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 0.0, 1.0]}],
+        "samples": 4001,
+    }
+
+    def _near_miss(self, tmp_path, k_sigma) -> tuple[int, str]:
+        """The exit code and the verdict of the near miss at ``k_sigma``; its row reads the same at any k_sigma."""
+        config = write_config(tmp_path, {**self.NEAR_MISS, "k_sigma": k_sigma})
         out = tmp_path / "rows.csv"
         code = main(["simulate", "--config", config, "--seed", "0", "--output", str(out)])
-        assert code == EXIT_VERDICT
-        assert "violated" in out.read_text()
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[8:10] == ["0.5971007248187953", "0.01268177725071128"]  # mean, se
+        assert row[11:14] == ["0.6000000000000001", "0.6000000000000001", "-0.002899275181204808"]
+        return code, row[14]
+
+    def test_violated_verdict_exit_code(self, tmp_path):
+        # no allowance: the near miss is outside the bounds
+        assert self._near_miss(tmp_path, 0) == (EXIT_VERDICT, "violated")
+
+    def test_allowance_covers_the_near_miss(self, tmp_path):
+        # 4 se of allowance cover the miss; the margin stays negative
+        assert self._near_miss(tmp_path, 4) == (EXIT_OK, "satisfied")
+
+    # the exact value is both bounds, 0.99995; at seed 2 every draw of the
+    # row is +1, so the plug-in se is 0
+    AGREEING = {
+        "model": {"generator": "point-mass", "u": [1.0, 0.01, 0.0], "v": [0.0, 0.0, 1.0],
+                  "coupling": "comonotone"},
+        "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 0.0, 1.0]}],
+    }
 
     def test_agreeing_draws_at_the_bounds_satisfied(self, tmp_path):
-        # the exact value is both bounds, 0.99995; at seed 2 every draw of
-        # the row is +1, so the plug-in se is 0. The mean beyond the upper
-        # bound is tested with the se of a mean at that bound, not with none
-        config = write_config(tmp_path, {
-            "model": {"generator": "point-mass", "u": [1.0, 0.01, 0.0], "v": [0.0, 0.0, 1.0],
-                      "coupling": "comonotone"},
-            "settings": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 0.0, 1.0]}],
-        })
+        # the mean beyond the upper bound is tested with the se of a mean at
+        # that bound, not with none
+        config = write_config(tmp_path, self.AGREEING)
         out = tmp_path / "rows.csv"
         assert main(["simulate", "--config", config, "--seed", "2", "--output", str(out)]) == EXIT_OK
         row = out.read_text().splitlines()[1].split(",")
@@ -184,16 +200,43 @@ class TestSimulate:
         "antimonotone": "fe69cdc257df11001182cea17be23f434ebe69d0918920a47467ac9cc405436e",
     }
 
+    @staticmethod
+    def golden_config(coupling: str) -> dict:
+        """The config of GOLDEN_CSV_SHA256[coupling], run at seed 7."""
+        return {"model": {"generator": "isotropic", "atoms": 1000, "coupling": coupling},
+                "settings": {"random": 4}, "samples": 20000}
+
     @pytest.mark.parametrize("coupling", sorted(GOLDEN_CSV_SHA256))
     def test_golden_csv(self, tmp_path, coupling):
-        config = write_config(tmp_path, {
-            "model": {"generator": "isotropic", "atoms": 1000, "coupling": coupling},
-            "settings": {"random": 4},
-            "samples": 20000,
-        })
+        config = write_config(tmp_path, self.golden_config(coupling))
         out = tmp_path / "rows.csv"
         assert main(["simulate", "--config", config, "--seed", "7", "--output", str(out)]) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_CSV_SHA256[coupling]
+
+    def test_each_row_decides_its_verdict_by_the_rule(self, tmp_path):
+        # recomputed from the row's own columns: the margin is the distance
+        # to the nearer bound, and the mean is satisfied within k_sigma
+        # times the larger of its se and the se of a mean at the bound it
+        # lies beyond (the default k_sigma, 4.0 as README's simulate table says)
+        assert {f.name: f.default for f in cli.COMMANDS["simulate"][1]}["k_sigma"] == 4.0
+        runs = [(self.golden_config(c), 7) for c in sorted(self.GOLDEN_CSV_SHA256)]
+        runs += [(self.AGREEING, 2), ({**self.NEAR_MISS, "k_sigma": 0}, 0)]
+        verdicts = []
+        for i, (config, seed) in enumerate(runs):
+            out = tmp_path / f"rows{i}.csv"
+            main(["simulate", "--config", write_config(tmp_path, config), "--seed", str(seed), "--output", str(out)])
+            k_sigma = config.get("k_sigma", 4.0)
+            for line in out.read_text().splitlines()[1:]:
+                row = dict(zip(cli.CSV_COLUMNS, line.split(",")))
+                n = int(row["n"])
+                mean, se, lower, upper = (float(row[key]) for key in ("mean", "se", "lower", "upper"))
+                assert se == standard_error(mean, n)
+                assert row["margin"] == repr(min(mean - lower, upper - mean))
+                allowance = k_sigma * max(se, standard_error(lower if mean < lower else upper, n))
+                satisfied = lower - allowance <= mean <= upper + allowance
+                assert row["verdict"] == ("satisfied" if satisfied else "violated")
+                verdicts.append(row["verdict"])
+        assert len(verdicts) == 14 and verdicts.count("violated") == 1
 
     def test_nan_k_sigma_rejected(self, tmp_path):
         settings = [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}]
